@@ -10,10 +10,13 @@ let features t ?version level =
   let v = Option.value ~default:(head t) version in
   Version.features_at t.history v level
 
-let compile_ir_traced t ?version ?(validate = false) level ast =
-  let feats = features t ?version level in
-  let ir = Dce_ir.Lower.program ast in
-  Pipeline.run_traced ~validate feats ir
+let compile_ir_prepared t ?version level prepared =
+  Pipeline.run_prepared (features t ?version level) prepared
+
+let prepare ?validate ast = Pipeline.prepare ?validate (Dce_ir.Lower.program ast)
+
+let compile_ir_traced t ?version ?validate level ast =
+  compile_ir_prepared t ?version level (prepare ?validate ast)
 
 let compile_ir t ?version ?validate level ast =
   fst (compile_ir_traced t ?version ?validate level ast)
@@ -25,9 +28,12 @@ let compile_traced t ?version ?(validate = false) level ast =
 let compile t ?version ?validate level ast =
   fst (compile_traced t ?version ?validate level ast)
 
+let surviving_markers_prepared t ?version level prepared =
+  let ir, trace = compile_ir_prepared t ?version level prepared in
+  (Dce_backend.Asm.surviving_markers (Dce_backend.Codegen.program ir), trace)
+
 let surviving_markers_traced t ?version ?validate level ast =
-  let asm, trace = compile_traced t ?version ?validate level ast in
-  (Dce_backend.Asm.surviving_markers asm, trace)
+  surviving_markers_prepared t ?version level (prepare ?validate ast)
 
 let surviving_markers t ?version ?validate level ast =
   fst (surviving_markers_traced t ?version ?validate level ast)

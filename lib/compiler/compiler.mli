@@ -65,6 +65,14 @@ val surviving_markers_traced :
   Dce_minic.Ast.program ->
   int list * Passmgr.trace
 
+(** {1 Compiling a prepared program} *)
+
+val surviving_markers_prepared :
+  t -> ?version:int -> Level.t -> Pipeline.prepared -> int list * Passmgr.trace
+(** {!surviving_markers_traced} from an already lowered program: the configs
+    of one program share its lowering and its feature-independent pipeline
+    front ({!Pipeline.prepare}, which also carries the [validate] choice). *)
+
 (** {1 Observables}
 
     Everything the oracles read off one compiled program.  The marker oracle

@@ -128,9 +128,15 @@ let dominators t fn =
    function list itself changed. *)
 type change = Unchanged | Funcs of string list | Structure
 
+(* Structural [=] walks physically shared values to the leaves (symbol init
+   arrays included), and most stages return most of the program untouched,
+   so every comparison checks [==] first. *)
+let same a b = a == b || a = b
+
 let diff_programs (before : Ir.program) (after : Ir.program) =
-  if
-    before.Ir.prog_syms <> after.Ir.prog_syms
+  if before == after then Unchanged
+  else if
+    (not (same before.Ir.prog_syms after.Ir.prog_syms))
     || before.Ir.prog_externs <> after.Ir.prog_externs
     || List.map (fun f -> f.Ir.fn_name) before.Ir.prog_funcs
        <> List.map (fun f -> f.Ir.fn_name) after.Ir.prog_funcs
@@ -138,7 +144,7 @@ let diff_programs (before : Ir.program) (after : Ir.program) =
   else begin
     let changed =
       List.fold_left2
-        (fun acc fb fa -> if fb = fa then acc else fb.Ir.fn_name :: acc)
+        (fun acc fb fa -> if same fb fa then acc else fb.Ir.fn_name :: acc)
         [] before.Ir.prog_funcs after.Ir.prog_funcs
     in
     match changed with [] -> Unchanged | names -> Funcs names
@@ -199,9 +205,9 @@ let run_pass ?(round = 0) ?check t pass prog =
   let markers_before = marker_set prog in
   let blocks_before = Ir.program_block_count prog in
   let instrs_before = Ir.program_instr_count prog in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dce_support.Clock.now () in
   let prog' = pass.p_run t prog in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Dce_support.Clock.now () -. t0 in
   let prog' =
     match Domain.DLS.get ir_hook_key with None -> prog' | Some f -> f pass.p_label prog'
   in

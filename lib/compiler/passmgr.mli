@@ -87,7 +87,7 @@ val make_pass : ?label:string -> Dce_opt.Passinfo.t -> (t -> Ir.program -> Ir.pr
 type stage_record = {
   sr_label : string;
   sr_round : int;  (** 1-based round within a fixpoint section, 0 outside *)
-  sr_time : float;  (** wall-clock seconds spent in the pass *)
+  sr_time : float;  (** seconds spent in the pass, on {!Dce_support.Clock} *)
   sr_changed : bool;  (** the pass changed the IR structurally *)
   sr_blocks_before : int;
   sr_blocks_after : int;

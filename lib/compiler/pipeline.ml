@@ -164,14 +164,21 @@ let main_round feats =
       [ dce_pass; simplify_pass ];
     ]
 
-let schedule (feats : Features.t) =
-  if not feats.sccp then
-    (* -O0: only the front end's trivial cleanup *)
-    [ Stage simplify_pass ]
+(* The front: the schedule's feature-independent prefix, each stage with the
+   IR form its output is in.  A stage may sit here only if it reads no
+   {!Features.t} field — every config of one program then computes the same
+   front, which is what lets {!prepare} share it.  -O0 stops after
+   simplify-cfg. *)
+let front_stages = [ (simplify_pass, Dce_ir.Validate.Pre_ssa); (ssa_pass, Dce_ir.Validate.Ssa) ]
+let front_depth (feats : Features.t) = if feats.sccp then 2 else 1
+let take_front feats l = List.filteri (fun i _ -> i < front_depth feats) l
+
+(* the per-config rest of the schedule, after the front *)
+let back (feats : Features.t) =
+  if not feats.sccp then (* -O0: only the front's trivial cleanup *) []
   else
     List.concat
       [
-        [ Stage simplify_pass; Stage ssa_pass ];
         (if feats.function_dce && feats.function_dce_early then
            [ Stage (function_dce_pass "function-dce-early") ]
          else []);
@@ -210,6 +217,9 @@ let schedule (feats : Features.t) =
         [ Stage dce_pass; Stage simplify_pass ];
       ]
 
+let schedule feats =
+  List.map (fun (pass, _) -> Stage pass) (take_front feats front_stages) @ back feats
+
 (* the maximal static expansion: what a run with no fixpoint early exit
    executes, and exactly the historical fixed-count stage list *)
 let expand feats =
@@ -225,35 +235,78 @@ let stage_names feats = List.map (fun p -> p.Passmgr.p_label) (expand feats)
 (* execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_traced ?(validate = false) feats prog =
-  let mgr = Passmgr.create prog in
-  (* the IR is pre-SSA until the ssa stage runs; its own output is already
-     in SSA form and is validated as such *)
-  let mode = ref Dce_ir.Validate.Pre_ssa in
-  let check label prog' =
-    if label = "ssa" then mode := Dce_ir.Validate.Ssa;
-    if validate then begin
-      match Dce_ir.Validate.program !mode prog' with
-      | Ok () -> ()
-      | Error errs -> raise (Passmgr.Ir_invalid { pass = label; errors = errs })
-    end
+(* One front stage of one program: computed on first demand, so the ambient
+   IR hook and the validator see its output once, then replayed for every
+   later config. *)
+type front_stage = {
+  fs_pass : Passmgr.pass;
+  fs_mode : Dce_ir.Validate.mode;
+  mutable fs_out : (Ir.program * Passmgr.stage_record) option;
+}
+
+type prepared = { pr_input : Ir.program; pr_validate : bool; pr_front : front_stage list }
+
+let prepare ?(validate = false) prog =
+  {
+    pr_input = prog;
+    pr_validate = validate;
+    pr_front =
+      List.map (fun (pass, mode) -> { fs_pass = pass; fs_mode = mode; fs_out = None }) front_stages;
+  }
+
+let check pr mode =
+  if not pr.pr_validate then None
+  else
+    Some
+      (fun label prog ->
+        match Dce_ir.Validate.program mode prog with
+        | Ok () -> ()
+        | Error errs -> raise (Passmgr.Ir_invalid { pass = label; errors = errs }))
+
+let force_stage pr fs prog =
+  match fs.fs_out with
+  | Some out ->
+    (* a replay polls like an executed stage, so a step budget trips at the
+       same count whether or not the stage was shared *)
+    Dce_support.Guard.poll ~site:fs.fs_pass.Passmgr.p_label;
+    out
+  | None ->
+    let out = Passmgr.run_pass ?check:(check pr fs.fs_mode) (Passmgr.create prog) fs.fs_pass prog in
+    fs.fs_out <- Some out;
+    out
+
+let run_prepared feats pr =
+  let front = take_front feats pr.pr_front in
+  let prog, front_trace =
+    List.fold_left
+      (fun (prog, trace) fs ->
+        let prog, record = force_stage pr fs prog in
+        (prog, record :: trace))
+      (pr.pr_input, []) front
   in
-  let trace = ref [] in
+  (* the back validates in the form the front left the IR in; front stages
+     query no analysis, so a fresh manager starts the back with exactly the
+     caches an unshared run would have *)
+  let check = check pr (List.fold_left (fun _ fs -> fs.fs_mode) Dce_ir.Validate.Pre_ssa front) in
+  let mgr = Passmgr.create prog in
+  let trace = ref front_trace in
   let prog =
     List.fold_left
       (fun prog section ->
         match section with
         | Stage pass ->
-          let prog, record = Passmgr.run_pass ~check mgr pass prog in
+          let prog, record = Passmgr.run_pass ?check mgr pass prog in
           trace := record :: !trace;
           prog
         | Round { max_rounds; passes } ->
-          let prog, t = Passmgr.run_fixpoint ~check ~max_rounds mgr passes prog in
+          let prog, t = Passmgr.run_fixpoint ?check ~max_rounds mgr passes prog in
           trace := List.rev_append t !trace;
           prog)
-      prog (schedule feats)
+      prog (back feats)
   in
   (prog, List.rev !trace)
+
+let run_traced ?validate feats prog = run_prepared feats (prepare ?validate prog)
 
 let run ?validate feats prog = fst (run_traced ?validate feats prog)
 

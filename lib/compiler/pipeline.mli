@@ -3,8 +3,10 @@
 
     Stage order (each stage gated/configured by {!Features.t}):
 
-    + front-end simplification (the only thing [-O0] gets);
-    + SSA construction;
+    + the {e front}: front-end simplification (the only thing [-O0] gets),
+      then SSA construction — no stage here reads a {!Features.t} field, so
+      it is computed once per program and shared by every config (see
+      {!prepare});
     + {e early} unreachable-function removal, when [function_dce_early] —
       the Listing 9b pass-ordering flaw: functions that later folding will
       orphan are no longer deleted;
@@ -35,7 +37,29 @@ val run_traced :
   ?validate:bool -> Features.t -> Dce_ir.Ir.program -> Dce_ir.Ir.program * Passmgr.trace
 (** Like {!run}, also returning the per-stage trace: wall time, IR deltas,
     and the markers each stage eliminated.  Consumed by
-    {!Dce_core.Diagnose} and [dce_hunt explain --trace]. *)
+    {!Dce_core.Diagnose} and [dce_hunt explain --trace].  This is
+    [run_prepared feats (prepare ?validate prog)]. *)
+
+(** {1 The shared front} *)
+
+type prepared
+(** One program with its front stages computed lazily, each at most once.
+    Mutable and single-domain: share it among the configs of one program
+    inside one analysis, never across programs or domains. *)
+
+val prepare : ?validate:bool -> Dce_ir.Ir.program -> prepared
+(** Runs nothing yet: the first {!run_prepared} that needs a front stage
+    executes it — polling the ambient guard, applying the ambient IR hook
+    and, when [validate] (default false), validating its output — and later
+    configs replay it.  Every run on the result validates its stages when
+    [validate] is set, as {!run}'s [validate] does. *)
+
+val run_prepared : Features.t -> prepared -> Dce_ir.Ir.program * Passmgr.trace
+(** The schedule's one executor: the front (computed or replayed) and then
+    the per-config rest.  The result and the trace are those of
+    {!run_traced} on the prepared program; a replayed front stage reuses its
+    stage record (including [sr_time]) and still polls the ambient guard
+    once, so step budgets count the same polls. *)
 
 val run_reference : Features.t -> Dce_ir.Ir.program -> Dce_ir.Ir.program
 (** The pre-pass-manager pipeline semantics, kept as a differential

@@ -33,11 +33,15 @@ let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
   with
   | Ground_truth.Rejected reason -> Rejected reason
   | Ground_truth.Valid truth ->
-    let graph =
+    (* one lowering feeds the primary graph and every config; the configs
+       share the pipeline front too, which the first config's "differential"
+       phase computes (so a fault there keeps its historical stage) *)
+    let ir, graph =
       hook.wrap "primary-graph" (fun () ->
-          Primary.build ~live_blocks:truth.Ground_truth.live_blocks
-            (Dce_ir.Lower.program instrumented))
+          let ir = Dce_ir.Lower.program instrumented in
+          (ir, Primary.build ~live_blocks:truth.Ground_truth.live_blocks ir))
     in
+    let front = C.Pipeline.prepare ~validate:checked ir in
     let configs =
       List.concat_map
         (fun compiler ->
@@ -46,7 +50,7 @@ let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
               let cfg = { Differential.compiler; level; version = None } in
               let surviving, cfg_trace =
                 hook.wrap "differential" (fun () ->
-                    Differential.surviving_traced ~validate:checked cfg instrumented)
+                    Differential.surviving_prepared cfg front)
               in
               let missed = Differential.missed ~surviving ~dead:truth.Ground_truth.dead in
               let primary_missed =

@@ -3,7 +3,9 @@
 
     Instrument → ground truth by execution → compile with both compilers at
     all five levels → surviving-marker sets → missed / primary-missed sets
-    per configuration. *)
+    per configuration.  The instrumented program is lowered once, for the
+    primary graph and for every configuration, and the configurations share
+    its feature-independent pipeline front ({!Dce_compiler.Pipeline.prepare}). *)
 
 type per_config = {
   cfg_compiler : string;

@@ -9,12 +9,14 @@ let config_name cfg =
   | None -> base
   | Some v -> Printf.sprintf "%s @v%d" base v
 
-let surviving_traced ?validate cfg prog =
+let surviving_prepared cfg prepared =
   let markers, trace =
-    C.Compiler.surviving_markers_traced cfg.compiler ?version:cfg.version ?validate cfg.level
-      prog
+    C.Compiler.surviving_markers_prepared cfg.compiler ?version:cfg.version cfg.level prepared
   in
   (List.fold_left (fun s n -> Ir.Iset.add n s) Ir.Iset.empty markers, trace)
+
+let surviving_traced ?validate cfg prog =
+  surviving_prepared cfg (C.Pipeline.prepare ?validate (Dce_ir.Lower.program prog))
 
 let surviving ?validate cfg prog = fst (surviving_traced ?validate cfg prog)
 

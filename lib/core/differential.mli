@@ -28,6 +28,12 @@ val surviving_traced :
 (** Like {!surviving}, also returning the pipeline stage trace — which pass
     eliminated which marker, with timing and IR deltas. *)
 
+val surviving_prepared :
+  config -> Dce_compiler.Pipeline.prepared -> Dce_ir.Ir.Iset.t * Dce_compiler.Passmgr.trace
+(** {!surviving_traced} from the lowered program with its shared pipeline
+    front ({!Dce_compiler.Pipeline.prepare}); the configs of one program
+    pass the same [prepared]. *)
+
 val missed :
   surviving:Dce_ir.Ir.Iset.t -> dead:Dce_ir.Ir.Iset.t -> Dce_ir.Ir.Iset.t
 (** Markers the configuration kept although they are dead. *)

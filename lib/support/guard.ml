@@ -8,7 +8,7 @@ let () =
     | _ -> None)
 
 type t = {
-  g_deadline : float option;  (* absolute gettimeofday *)
+  g_deadline : float option;  (* absolute, on Clock.now *)
   g_max_steps : int option;
   g_start : float;
   mutable g_count : int;
@@ -27,7 +27,7 @@ let create ?deadline ?steps () =
   match (deadline, steps) with
   | None, None -> unlimited
   | _ ->
-    let now = Unix.gettimeofday () in
+    let now = Clock.now () in
     {
       g_deadline = Option.map (fun d -> now +. d) deadline;
       g_max_steps = steps;
@@ -43,7 +43,7 @@ let active () = Domain.DLS.get key != unlimited
 let trip g site =
   raise
     (Budget_exceeded
-       { site; steps = g.g_count; elapsed = Unix.gettimeofday () -. g.g_start })
+       { site; steps = g.g_count; elapsed = Clock.now () -. g.g_start })
 
 let poll ~site =
   let g = Domain.DLS.get key in
@@ -55,7 +55,7 @@ let poll ~site =
     match g.g_deadline with
     | Some dl when g.g_count = 1 || g.g_count - g.g_last_time_check >= time_check_interval ->
       g.g_last_time_check <- g.g_count;
-      if Unix.gettimeofday () > dl then trip g site
+      if Clock.now () > dl then trip g site
     | _ -> ()
   end
 

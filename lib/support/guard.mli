@@ -20,9 +20,9 @@
 exception Budget_exceeded of { site : string; steps : int; elapsed : float }
 (** Raised by {!poll}: [site] is the poll point that tripped (a campaign
     stage, a pass label, ["interp"], or a chaos injection site), [steps] the
-    number of polls this guard served, [elapsed] the wall seconds since the
-    guard was created.  A human-readable printer is registered with
-    [Printexc]. *)
+    number of polls this guard served, [elapsed] the seconds since the
+    guard was created, on the monotonic {!Clock}.  A human-readable printer
+    is registered with [Printexc]. *)
 
 type t
 
@@ -30,8 +30,9 @@ val unlimited : t
 (** The guard that never trips — the ambient default. *)
 
 val create : ?deadline:float -> ?steps:int -> unit -> t
-(** A fresh guard.  [deadline] is wall-clock seconds from now (checked at
-    most every 128 polls, plus on the first poll, to keep polling cheap);
+(** A fresh guard.  [deadline] is seconds from now on the monotonic
+    {!Clock}, so a wall-clock jump can neither trip nor extend it (checked
+    at most every 128 polls, plus on the first poll, to keep polling cheap);
     [steps] is a hard bound on the number of polls served.  With neither,
     returns {!unlimited}. *)
 

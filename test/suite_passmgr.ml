@@ -3,6 +3,7 @@
    the pre-pass-manager reference pipeline. *)
 
 open Helpers
+module Campaign = Dce_campaign
 module Pm = C.Passmgr
 module Pi = Dce_opt.Passinfo
 module Mi = Dce_opt.Meminfo
@@ -279,6 +280,135 @@ let test_validated_smoke_corpus () =
         [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ])
     corpus
 
+(* ---- the shared front ---- *)
+
+let compilers = [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+
+(* every (compiler, level) config in Analysis.run's order *)
+let configs = List.concat_map (fun c -> List.map (fun l -> (c, l)) C.Level.all) compilers
+let config_name (c, l) = Printf.sprintf "%s %s" c.C.Compiler.name (C.Level.to_string l)
+
+(* a trace without its timings: everything else must match exactly *)
+let untimed (trace : Pm.trace) = List.map (fun r -> { r with Pm.sr_time = 0. }) trace
+
+let test_shared_front_matches_unshared () =
+  let corpus = Dce_smith.Smith.generate_corpus ~seed:20220228 ~count:50 in
+  List.iter
+    (fun (raw, _kinds) ->
+      let instr = Core.Instrument.program raw in
+      let prepared = C.Pipeline.prepare (Dce_ir.Lower.program instr) in
+      List.iter
+        (fun ((compiler, level) as cfg) ->
+          let feats = C.Compiler.features compiler level in
+          let shared, shared_trace = C.Pipeline.run_prepared feats prepared in
+          let alone, alone_trace = C.Pipeline.run_traced feats (Dce_ir.Lower.program instr) in
+          if shared <> alone then Alcotest.failf "shared-front IR diverges: %s" (config_name cfg);
+          if untimed shared_trace <> untimed alone_trace then
+            Alcotest.failf "shared-front trace diverges: %s" (config_name cfg))
+        configs)
+    corpus
+
+(* Analysis.run with one step-counting guard around its "differential"
+   phases, against the unshared per-config reference under one guard (a
+   guard with no budget at all is the uncounted [unlimited] one) *)
+let analysis_steps ?(steps = max_int) raw =
+  let g = Dce_support.Guard.create ~steps () in
+  let hook =
+    {
+      Core.Analysis.wrap =
+        (fun name f -> if name = "differential" then Dce_support.Guard.with_guard g f else f ());
+    }
+  in
+  let outcome =
+    match Core.Analysis.run ~hook raw with
+    | Core.Analysis.Analyzed a -> Ok a
+    | Core.Analysis.Rejected r -> Alcotest.failf "rejected: %s" r
+    | exception Dce_support.Guard.Budget_exceeded { site; steps; _ } -> Error (site, steps)
+  in
+  (outcome, Dce_support.Guard.steps_used g)
+
+let reference_steps ?(steps = max_int) instr =
+  let g = Dce_support.Guard.create ~steps () in
+  let outcome =
+    match
+      Dce_support.Guard.with_guard g (fun () ->
+          List.map
+            (fun (compiler, level) ->
+              Core.Differential.surviving_traced { Core.Differential.compiler; level; version = None }
+                instr)
+            configs)
+    with
+    | results -> Ok results
+    | exception Dce_support.Guard.Budget_exceeded { site; steps; _ } -> Error (site, steps)
+  in
+  (outcome, Dce_support.Guard.steps_used g)
+
+let test_analysis_matches_per_config () =
+  List.iter
+    (fun seed ->
+      let raw = smith_program seed in
+      let instr = Core.Instrument.program raw in
+      match (analysis_steps raw, reference_steps instr) with
+      | (Ok a, steps), (Ok reference, ref_steps) ->
+        List.iter2
+          (fun (pc : Core.Analysis.per_config) ((surviving, trace), cfg) ->
+            Alcotest.check iset (config_name cfg ^ " surviving") surviving pc.Core.Analysis.surviving;
+            if untimed pc.Core.Analysis.cfg_trace <> untimed trace then
+              Alcotest.failf "seed %d %s: trace diverges from the unshared compile" seed
+                (config_name cfg))
+          a.Core.Analysis.configs (List.combine reference configs);
+        Alcotest.(check bool) "the guard counted polls" true (steps > 0);
+        Alcotest.(check int) (Printf.sprintf "seed %d: guard polls" seed) ref_steps steps;
+        (* a step budget cut halfway trips at the same poll site and count *)
+        let budget = steps / 2 in
+        (match (analysis_steps ~steps:budget raw, reference_steps ~steps:budget instr) with
+         | (Error shared, _), (Error alone, _) ->
+           Alcotest.(check (pair string int))
+             (Printf.sprintf "seed %d: budget trip" seed) alone shared
+         | _ -> Alcotest.failf "seed %d: a %d-poll budget must trip both paths" seed budget)
+      | _ -> Alcotest.failf "seed %d: an unbounded run tripped its guard" seed)
+    [ 3; 7; 11 ]
+
+(* a corrupt-IR injection after a front stage, in checked mode, blames that
+   stage in the first config that runs it — the config an unshared compile
+   would blame too *)
+let test_front_corruption_blames_stage () =
+  let raw = smith_program 7 in
+  List.iter
+    (fun stage ->
+      let first =
+        let rec find i = function
+          | [] -> Alcotest.failf "no config runs %s" stage
+          | (c, l) :: rest ->
+            if List.mem stage (C.Pipeline.stage_names (C.Compiler.features c l)) then i
+            else find (i + 1) rest
+        in
+        find 0 configs
+      in
+      let phases = ref 0 in
+      let hook =
+        {
+          Core.Analysis.wrap =
+            (fun name f ->
+              if name = "differential" then incr phases;
+              f ());
+        }
+      in
+      let plan =
+        [ { Campaign.Chaos.inj_case = 0; inj_stage = stage; inj_fault = Campaign.Chaos.Corrupt_ir } ]
+      in
+      Campaign.Chaos.arm plan ~case:0 ~attempt:0;
+      Fun.protect ~finally:Campaign.Chaos.disarm (fun () ->
+          match Core.Analysis.run ~checked:true ~hook raw with
+          | _ -> Alcotest.failf "corruption after %s went unnoticed" stage
+          | exception Pm.Ir_invalid { pass; errors } ->
+            Alcotest.(check string) "guilty pass" stage pass;
+            Alcotest.(check bool) "validator diagnostics present" true (errors <> []);
+            Alcotest.(check string) (stage ^ ": raised in config")
+              (config_name (List.nth configs first))
+              (config_name (List.nth configs (!phases - 1)))))
+    [ "simplify-cfg"; "ssa" ]
+
 let suite =
   [
     ("meminfo: hit/miss counters", `Quick, test_meminfo_counters);
@@ -292,4 +422,10 @@ let suite =
     ("diagnose: guilty stage from the fixed pipeline", `Quick, test_diagnose_guilty_stage);
     ("differential: run = run_reference on 50 programs", `Slow, test_matches_reference_corpus);
     ("smoke: validated pipeline over 25 programs", `Slow, test_validated_smoke_corpus);
+    ("front: shared front = unshared compile on 50 programs", `Slow,
+     test_shared_front_matches_unshared);
+    ("front: Analysis.run = per-config compiles, same guard polls", `Quick,
+     test_analysis_matches_per_config);
+    ("front: corrupt IR after a front stage blames it", `Quick,
+     test_front_corruption_blames_stage);
   ]
