@@ -23,7 +23,7 @@ let corpus_size =
   | None -> 150
 
 (* worker domains for the campaign engine; results are identical for any
-   value (deterministic sharding), so this only changes wall-clock *)
+   value (outcomes are indexed by case), so this only changes wall-clock *)
 let jobs =
   match Sys.getenv_opt "DCE_BENCH_JOBS" with
   | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
@@ -909,30 +909,38 @@ let print_fabric_bench () =
   if speedup_4 < 3.0 then
     Printf.printf "WARNING: 4-worker speedup %.2fx is below the 3x bar\n" speedup_4;
   (* --- skewed corpus: work stealing vs static sharding -------------- *)
-  (* every 4th case is 25x heavier; round-robin static sharding piles all
-     of them onto slot 0 while dynamic chunks spread the tail *)
+  (* every 4th case is 25x heavier.  The static baseline pre-assigns one
+     round-robin block per worker — exactly one chunk of 8 each — by running
+     the cases in round-robin order: position p holds case
+     (p mod 8) * 4 + p / 8, so the chunk at positions 0..7 is cases
+     0, 4, .., 28 and carries every heavy case.  Dynamic chunks of 2 spread
+     the tail across whichever workers are free. *)
   let skew_cases = 32 in
   let skew_runner ctx i =
     Campaign.Engine.stage ctx "sleep" (fun () ->
         Unix.sleepf (if i mod 4 = 0 then 0.025 else 0.001);
         i)
   in
-  let timed_skew scheduling =
+  let round_robin p = (p mod 8 * 4) + (p / 8) in
+  let timed_skew ~chunk runner =
     let t0 = Unix.gettimeofday () in
     let r =
-      Campaign.Fabric.run ~codec:toy_codec ~scheduling ~chunk:2 ~workers:4 ~jobs:1
-        ~count:skew_cases skew_runner
+      Campaign.Fabric.run ~codec:toy_codec ~chunk ~workers:4 ~jobs:1 ~count:skew_cases runner
     in
-    (Unix.gettimeofday () -. t0, r)
+    (Unix.gettimeofday () -. t0, r.Campaign.Engine.outcomes)
   in
-  let wall_static, rs = timed_skew `Static in
-  let wall_dynamic, rd = timed_skew `Dynamic in
+  let wall_static, by_position =
+    timed_skew ~chunk:8 (fun ctx p -> skew_runner ctx (round_robin p))
+  in
+  let static_outcomes = Array.copy by_position in
+  Array.iteri (fun p o -> static_outcomes.(round_robin p) <- o) by_position;
+  let wall_dynamic, dynamic_outcomes = timed_skew ~chunk:2 skew_runner in
   let dyn_vs_static = wall_static /. wall_dynamic in
   Printf.printf
     "skewed corpus (%d cases, every 4th 25x heavier): static %.2fs, dynamic %.2fs — %.2fx from \
      work stealing; outcomes identical: %b\n"
     skew_cases wall_static wall_dynamic dyn_vs_static
-    (rs.Campaign.Engine.outcomes = rd.Campaign.Engine.outcomes);
+    (static_outcomes = dynamic_outcomes);
   if dyn_vs_static < 1.5 then
     Printf.printf "WARNING: work-stealing gain %.2fx is below the 1.5x bar\n" dyn_vs_static;
   (* --- warm workers on the real campaign ---------------------------- *)

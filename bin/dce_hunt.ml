@@ -190,8 +190,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains.  Sharding is deterministic: findings and reports are identical for \
-           every $(docv), and $(docv)=1 runs the historical sequential path.")
+          "Worker domains, each taking the next pending case as it frees up.  Findings and \
+           reports are identical for every $(docv), and $(docv)=1 runs the historical \
+           sequential path.")
 
 let workers_arg =
   Arg.(
@@ -297,15 +298,6 @@ let run_root_arg =
 let hunt_cmd =
   let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
   let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let inject =
-    Arg.(
-      value
-      & opt (list int) []
-      & info [ "inject-crash" ] ~docv:"I,J,.."
-          ~doc:
-            "Fault-injection: crash the generate stage of the listed corpus indices to exercise \
-             quarantine (testing hook).")
-  in
   let chaos =
     Arg.(
       value
@@ -342,17 +334,12 @@ let hunt_cmd =
             "Validate the IR after every optimization pass; a pass emitting invalid IR \
              quarantines the case as ir-invalid blaming that pass.")
   in
-  let run seed count jobs workers chunk journal run_root inject metrics deadline step_budget
+  let run seed count jobs workers chunk journal run_root metrics deadline step_budget
       retries chaos_spec bundle_dir minimize_bundles checked exec =
     set_exec exec;
     let chaos = chaos_plan_of_spec chaos_spec in
-    (* the run id folds in everything that shapes the outcomes — jobs and
-       workers are excluded on purpose, the report is identical across them *)
     let run_id =
-      Campaign.Run_store.run_id ~campaign:"hunt" ~seed ~count
-        ((if checked then [ "checked" ] else [])
-        @ (match chaos_spec with Some s -> [ "chaos:" ^ s ] | None -> [])
-        @ List.map (fun i -> Printf.sprintf "inject:%d" i) inject)
+      Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed ~count ~checked ~chaos_spec
     in
     let run_dir = Option.map (fun root -> Campaign.Run_store.dir_of ~root ~id:run_id) run_root in
     let journal =
@@ -364,7 +351,7 @@ let hunt_cmd =
       | None, None -> None
     in
     let c =
-      Campaign.Corpus.run ?journal ~inject_crash:inject ?deadline ?step_budget ~retries ~chaos
+      Campaign.Corpus.run ?journal ?deadline ?step_budget ~retries ~chaos
         ~checked ?bundle_dir ~workers ?chunk ~jobs ~seed ~count ()
     in
     let stats = Campaign.Corpus.stats c in
@@ -435,14 +422,14 @@ let hunt_cmd =
   Cmd.v
     (Cmd.info "hunt"
        ~doc:
-         "Generate a corpus and run the full differential campaign over it — sharded over \
+         "Generate a corpus and run the full differential campaign over it — run over \
           $(b,--jobs) worker domains, fault isolated, supervised via $(b,--deadline) / \
           $(b,--step-budget) / $(b,--retries), chaos-testable via $(b,--chaos), and resumable \
           via $(b,--journal) — and optionally forked over $(b,--workers) persistent worker \
           processes with dynamic work stealing.")
     Term.(
       const run $ seed $ count $ jobs_arg $ workers_arg $ chunk_arg $ journal_arg $ run_root_arg
-      $ inject $ metrics_arg $ deadline_arg $ step_budget_arg $ retries_arg $ chaos $ bundle_dir
+      $ metrics_arg $ deadline_arg $ step_budget_arg $ retries_arg $ chaos $ bundle_dir
       $ minimize_bundles $ checked $ exec_arg)
 
 (* ---------- triage ---------- *)
@@ -584,7 +571,7 @@ let size_hunt_cmd =
        ~doc:
          "Run the code-size oracle over a generated corpus: flag programs where one simulated \
           compiler's -Os output is $(b,--ratio) times larger than the other's, or larger than \
-          its own -O2 — sharded over $(b,--jobs) worker domains, resumable via $(b,--journal), \
+          its own -O2 — run over $(b,--jobs) worker domains, resumable via $(b,--journal), \
           with sizes routed through the content-addressed compile cache.")
     Term.(
       const run $ seed $ count $ ratio $ jobs_arg $ workers_arg $ chunk_arg $ journal_arg
@@ -819,7 +806,7 @@ let bisect_campaign_cmd =
     (Cmd.info "bisect-campaign"
        ~doc:
          "Run the differential campaign over a generated corpus, then bisect every \
-          (case, missed-marker) pair to its offending commit — sharded over $(b,--jobs) worker \
+          (case, missed-marker) pair to its offending commit — run over $(b,--jobs) worker \
           domains, probe-cached, resumable via $(b,--journal) — and aggregate the offending \
           commits into the paper's component tables (Tables 3/4).")
     Term.(

@@ -137,9 +137,6 @@ let fire stage =
 (* plans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let crash_plan cases =
-  List.map (fun c -> { inj_case = c; inj_stage = "generate"; inj_fault = Crash }) cases
-
 let has_corrupt plan = List.exists (fun i -> i.inj_fault = Corrupt_ir) plan
 
 let fault_to_string = function

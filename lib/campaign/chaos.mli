@@ -67,10 +67,6 @@ val fired_count : unit -> int
 
 (** {1 Plans} *)
 
-val crash_plan : int list -> plan
-(** [crash_plan cases] — a {!Crash} in stage ["generate"] for each listed
-    case; the compatibility encoding of the old [--inject-crash] flag. *)
-
 val has_corrupt : plan -> bool
 
 val of_string : string -> (plan, string) result

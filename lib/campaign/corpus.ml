@@ -178,10 +178,8 @@ let codec = { Engine.encode = encode_payload; decode = decode_payload }
 (* the campaign                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run ?journal ?fuel ?exec ?(inject_crash = []) ?deadline ?step_budget ?retries ?(chaos = [])
-    ?(checked = false) ?bundle_dir ?(workers = 1) ?chunk ~jobs ~seed ~count () =
-  (* --inject-crash is the legacy spelling of a crash-only chaos plan *)
-  let chaos = chaos @ Chaos.crash_plan inject_crash in
+let run ?journal ?fuel ?exec ?deadline ?step_budget ?retries ?(chaos = []) ?(checked = false)
+    ?bundle_dir ?(workers = 1) ?chunk ~jobs ~seed ~count () =
   (* a corrupt-IR injection is invisible without per-pass validation *)
   let checked = checked || Chaos.has_corrupt chaos in
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
@@ -237,17 +235,7 @@ let outcomes t =
        | i, Case (o, raw) -> Some (i, (o, raw))
        | _, Quarantined _ -> None)
 
-let stats t =
-  let jobs = max 1 t.c_jobs in
-  let shards = Array.make jobs [] in
-  List.iter
-    (fun ((i, _) as case) ->
-      let w = Shard.worker_of_case ~jobs i in
-      shards.(w) <- case :: shards.(w))
-    (outcomes t);
-  match Array.to_list shards |> List.map (fun l -> Stats.collect_indexed (List.rev l)) with
-  | [] -> Stats.collect_indexed []
-  | s :: rest -> List.fold_left Stats.merge s rest
+let stats t = Stats.collect_indexed (outcomes t)
 
 let trivial_main =
   lazy

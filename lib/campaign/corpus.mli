@@ -1,13 +1,13 @@
 (** The standard DCE campaign run through the {!Engine}: generate the seeded
     corpus, analyze every program (ground truth + both compilers at all
-    levels), aggregate statistics — sharded over worker domains, fault
+    levels), aggregate statistics — run on the engine's worker pool, fault
     isolated, and journaled.
 
     Program [i] of a campaign with master seed [s] is generated from
     [List.nth (Smith.corpus_seeds ~seed:s ~count) i] regardless of [jobs],
-    scheduling, or resume history, so findings and reports are identical
-    across any worker count — [jobs = 1] reproduces the historical
-    sequential path byte for byte.
+    which worker ran it, or resume history, so findings and reports are
+    identical across any worker count — [jobs = 1] reproduces the
+    historical sequential path byte for byte.
 
     {b Journal payloads} store what is expensive to recompute (ground-truth
     execution, ten per-config compiles) and re-derive the rest on decode:
@@ -37,7 +37,6 @@ val run :
   ?journal:string ->
   ?fuel:int ->
   ?exec:Dce_exec.Exec.backend ->
-  ?inject_crash:int list ->
   ?deadline:float ->
   ?step_budget:int ->
   ?retries:int ->
@@ -51,9 +50,7 @@ val run :
   count:int ->
   unit ->
   t
-(** [inject_crash] lists corpus indices whose generate stage raises — the
-    legacy spelling of a crash-only {!Chaos.plan}, merged into [chaos].
-    [fuel] bounds the ground-truth executor per case (exhaustion is a
+(** [fuel] bounds the ground-truth executor per case (exhaustion is a
     rejection, not a crash); [exec] selects its backend (default ambient).
 
     [deadline] / [step_budget] / [retries] are the {!Engine.run} supervision
@@ -74,9 +71,8 @@ val outcomes : t -> (int * (Dce_core.Analysis.outcome * Dce_minic.Ast.program)) 
     shape of {!Dce_report.Stats.collect_indexed}. *)
 
 val stats : t -> Dce_report.Stats.t
-(** Campaign statistics: per-worker-shard {!Dce_report.Stats.collect_indexed}
-    merged with {!Dce_report.Stats.merge} — equal to collecting the whole
-    corpus at once (property-tested). *)
+(** Campaign statistics: {!Dce_report.Stats.collect_indexed} of
+    {!outcomes}. *)
 
 val instrumented_programs : t -> Dce_minic.Ast.program array
 (** Instrumented program per corpus slot (the triage/bisect input);

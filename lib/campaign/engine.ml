@@ -8,8 +8,6 @@ type ctx = {
 }
 
 let worker ctx = ctx.c_worker
-let make_ctx ~worker = { c_worker = worker; c_stage = "setup"; c_metrics = Metrics.create () }
-let ctx_metrics ctx = ctx.c_metrics
 
 (* OCaml's Unix.fork refuses to run once any domain has ever been created in
    the process, so the fabric must fork its workers first.  This flag lets it
@@ -122,35 +120,10 @@ let case_of_json codec j =
           } )
   | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* journal replay and the per-case attempt machinery — shared verbatim *)
-(* by the in-process pool below and the multi-process Fabric, so both  *)
-(* produce identical outcomes and identical journal records            *)
-(* ------------------------------------------------------------------ *)
 
-let campaign_name ~campaign ~(chaos : Chaos.plan) =
-  (* the fault plan is part of the campaign identity: resuming a chaos run
-     under a different plan (or none) would replay cases whose recorded
-     outcomes the new plan contradicts *)
-  if chaos = [] then campaign else campaign ^ "+chaos[" ^ Chaos.signature chaos ^ "]"
-
-(* records ignored during replay: unreadable lines, unknown record kinds (a
-   journal written by a different build), out-of-range case indices.  Each
-   such case re-executes — skipping is forward-compatibility, never data
-   loss — but the count is surfaced so the user knows the journal and the
-   binary disagree. *)
-let replay codec ~count (outcomes : 'a case_outcome option array) records =
-  let resumed = ref 0 and skipped = ref 0 in
-  List.iter
-    (fun record ->
-      match case_of_json codec record with
-      | Some (i, outcome) when i >= 0 && i < count ->
-        if outcomes.(i) = None then incr resumed;
-        outcomes.(i) <- Some outcome
-      | Some _ | None -> incr skipped
-      | exception _ -> incr skipped)
-    records;
-  (!resumed, !skipped)
+(* ------------------------------------------------------------------ *)
+(* the per-case attempt machinery                                      *)
+(* ------------------------------------------------------------------ *)
 
 let attempt_case ?deadline ?step_budget ?(retries = 0) ?(transient = Chaos.is_transient)
     ?(chaos : Chaos.plan = []) ctx runner i =
@@ -187,119 +160,203 @@ let attempt_case ?deadline ?step_budget ?(retries = 0) ?(transient = Chaos.is_tr
   Chaos.disarm ();
   outcome
 
-let never_completed ~stage i =
-  Crashed
-    {
-      q_case = i;
-      q_stage = stage;
-      q_error = "case never completed";
-      q_kind = Crash;
-      q_backtrace = "";
-      q_retries = 0;
-    }
-
 (* ------------------------------------------------------------------ *)
-(* cache-counter deltas                                                *)
+(* cache-counter arithmetic                                            *)
 (* ------------------------------------------------------------------ *)
 
-let counters_delta (a : Passmgr.counters) (b : Passmgr.counters) : Passmgr.counters =
+let counters_map2 f (a : Passmgr.counters) (b : Passmgr.counters) : Passmgr.counters =
   {
-    meminfo_hits = b.meminfo_hits - a.meminfo_hits;
-    meminfo_misses = b.meminfo_misses - a.meminfo_misses;
-    cfg_hits = b.cfg_hits - a.cfg_hits;
-    cfg_misses = b.cfg_misses - a.cfg_misses;
-    dom_hits = b.dom_hits - a.dom_hits;
-    dom_misses = b.dom_misses - a.dom_misses;
+    meminfo_hits = f a.meminfo_hits b.meminfo_hits;
+    meminfo_misses = f a.meminfo_misses b.meminfo_misses;
+    cfg_hits = f a.cfg_hits b.cfg_hits;
+    cfg_misses = f a.cfg_misses b.cfg_misses;
+    dom_hits = f a.dom_hits b.dom_hits;
+    dom_misses = f a.dom_misses b.dom_misses;
   }
+
+let counters_delta a b = counters_map2 (fun x y -> y - x) a b
 
 (* ------------------------------------------------------------------ *)
 (* the pool                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run (type a) ?journal ?(codec : a codec option) ?(campaign = "campaign") ?(seed = 0)
-    ?deadline ?step_budget ?(retries = 0) ?(transient = Chaos.is_transient)
-    ?(chaos : Chaos.plan = []) ~jobs ~count (runner : ctx -> int -> a) : a result =
-  if jobs < 1 then invalid_arg "Engine.run: jobs must be >= 1";
-  if count < 0 then invalid_arg "Engine.run: count must be >= 0";
-  if journal <> None && codec = None then
-    invalid_arg "Engine.run: journaling requires a codec";
-  Printexc.record_backtrace true;
-  let campaign = campaign_name ~campaign ~chaos in
+(* Work stealing over one shared counter: each domain claims the next
+   unclaimed position, so a slow case holds up only its own domain while
+   the others drain the rest of the array.  Outcomes are handed back by
+   case index, so which domain ran a case never shows in the output. *)
+let pool ?deadline ?step_budget ?retries ?transient ?chaos ~jobs cases runner on_outcome =
+  let n = Array.length cases in
+  let next = Atomic.make 0 in
+  let work w =
+    Printexc.record_backtrace true;
+    let ctx = { c_worker = w; c_stage = "setup"; c_metrics = Metrics.create () } in
+    let rec loop () =
+      let p = Atomic.fetch_and_add next 1 in
+      if p < n then begin
+        let i = cases.(p) in
+        on_outcome i (attempt_case ?deadline ?step_budget ?retries ?transient ?chaos ctx runner i);
+        loop ()
+      end
+    in
+    loop ();
+    ctx.c_metrics
+  in
+  if jobs = 1 || n <= 1 then work 0
+  else begin
+    domains_spawned := true;
+    (* join every domain before re-raising, so no completion is still being
+       recorded when the caller closes the journal *)
+    Array.init (min jobs n) (fun w -> Domain.spawn (fun () -> work w))
+    |> Array.map (fun d -> match Domain.join d with m -> Ok m | exception e -> Error e)
+    |> Array.fold_left
+         (fun acc r -> match r with Ok m -> Metrics.merge acc m | Error e -> raise e)
+         (Metrics.create ())
+  end
+
+(* ------------------------------------------------------------------ *)
+(* the journal session                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type 'a session = {
+  s_journal : (Journal.t * 'a codec) option;
+  s_outcomes : 'a case_outcome option array;  (* None = still to run *)
+  s_resumed : int;
+  s_skipped : int;
+  s_t0 : float;
+  s_cache0 : Passmgr.counters;
+  s_chaos0 : int;
+}
+
+(* records ignored during replay: unreadable lines, unknown record kinds (a
+   journal written by a different build), out-of-range case indices.  Each
+   such case re-executes — skipping is forward-compatibility, never data
+   loss — but the count is surfaced so the user knows the journal and the
+   binary disagree. *)
+let replay codec ~count (outcomes : 'a case_outcome option array) records =
+  let resumed = ref 0 and skipped = ref 0 in
+  List.iter
+    (fun record ->
+      match case_of_json codec record with
+      | Some (i, outcome) when i >= 0 && i < count ->
+        if outcomes.(i) = None then incr resumed;
+        outcomes.(i) <- Some outcome
+      | Some _ | None -> incr skipped
+      | exception _ -> incr skipped)
+    records;
+  (!resumed, !skipped)
+
+let with_session ?journal ?codec ?(campaign = "campaign") ?(seed = 0) ?(chaos : Chaos.plan = [])
+    ~count f =
+  (* the fault plan is part of the campaign identity: resuming a chaos run
+     under a different plan (or none) would replay cases whose recorded
+     outcomes the new plan contradicts *)
+  let campaign =
+    if chaos = [] then campaign else campaign ^ "+chaos[" ^ Chaos.signature chaos ^ "]"
+  in
   let t0 = Unix.gettimeofday () in
   let cache0 = Passmgr.counters () in
   let chaos0 = Chaos.fired_count () in
-  (* slot None = still to run; journal replay fills slots up front *)
-  let outcomes : a case_outcome option array = Array.make count None in
-  let resumed = ref 0 in
-  let skipped = ref 0 in
-  let jnl =
-    match journal with
-    | None -> None
-    | Some path ->
-      let codec = Option.get codec in
+  let outcomes = Array.make count None in
+  let resumed, skipped, jnl =
+    match (journal, codec) with
+    | Some path, Some codec ->
       let header = { Journal.h_campaign = campaign; h_seed = seed; h_count = count } in
       let existing = Journal.load ~path in
-      (match existing with
-       | Some (h, cases, dropped) when h = header ->
-         skipped := dropped;
-         let r, s = replay codec ~count outcomes cases in
-         resumed := r;
-         skipped := !skipped + s
-       | Some _ | None -> ());
+      let resumed, skipped =
+        match existing with
+        | Some (h, cases, dropped) when h = header ->
+          let r, s = replay codec ~count outcomes cases in
+          (r, dropped + s)
+        | Some _ | None -> (0, 0)
+      in
       (* open_append locks the file, validates the header, and rewrites the
          valid prefix — reusing the parse just performed *)
-      Some (Journal.open_append ~existing ~path header)
+      (resumed, skipped, Some (Journal.open_append ~existing ~path header, codec))
+    | _ -> (0, 0, None)
   in
-  let record_completion i outcome =
-    (match (jnl, codec) with
-     | Some j, Some codec -> Journal.append j (case_to_json codec i outcome)
-     | _ -> ());
-    outcomes.(i) <- Some outcome
+  let s =
+    {
+      s_journal = jnl;
+      s_outcomes = outcomes;
+      s_resumed = resumed;
+      s_skipped = skipped;
+      s_t0 = t0;
+      s_cache0 = cache0;
+      s_chaos0 = chaos0;
+    }
   in
-  let run_case ctx i =
-    record_completion i
-      (attempt_case ?deadline ?step_budget ~retries ~transient ~chaos ctx runner i)
-  in
-  let worker_body w =
-    Printexc.record_backtrace true;
-    let ctx = make_ctx ~worker:w in
-    List.iter
-      (fun i -> if outcomes.(i) = None then run_case ctx i)
-      (Shard.cases_of ~count ~jobs w);
-    ctx.c_metrics
-  in
-  let metrics =
-    if jobs = 1 then worker_body 0
-    else
-      (* workers never share a case slot (shards are disjoint), and
-         Domain.join publishes their writes back to this domain *)
-      let () = domains_spawned := true in
-      Array.to_list (Array.init jobs (fun w -> Domain.spawn (fun () -> worker_body w)))
-      |> List.map Domain.join
-      |> List.fold_left Metrics.merge (Metrics.create ())
-  in
-  (match jnl with Some j -> Journal.close j | None -> ());
+  (* the journal lock is released on every exit path, an exception from
+     the codec or the journal's own writes included *)
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter (fun (j, _) -> try Journal.close j with Sys_error _ -> ()) s.s_journal)
+    (fun () -> f s)
+
+let completed s i = Option.is_some s.s_outcomes.(i)
+
+let pending s =
+  List.init (Array.length s.s_outcomes) Fun.id
+  |> List.filter (fun i -> not (completed s i))
+  |> Array.of_list
+
+let record s ?json i outcome =
+  if not (completed s i) then begin
+    (match s.s_journal with
+     | Some (j, codec) ->
+       Journal.append j (match json with Some r -> r | None -> case_to_json codec i outcome)
+     | None -> ());
+    s.s_outcomes.(i) <- Some outcome
+  end
+
+let finish ?fabric ?(cache = []) ?(chaos_fired = 0) ~stage s metrics =
   let outcomes =
     Array.mapi
       (fun i slot ->
-        match slot with Some o -> o | None -> never_completed ~stage:"engine" i)
-      outcomes
+        match slot with
+        | Some o -> o
+        | None ->
+          Crashed
+            {
+              q_case = i;
+              q_stage = stage;
+              q_error = "case never completed";
+              q_kind = Crash;
+              q_backtrace = "";
+              q_retries = 0;
+            })
+      s.s_outcomes
   in
   let quarantine =
     Array.to_list outcomes |> List.filter_map (function Crashed q -> Some q | Done _ -> None)
   in
   let count_kind k = List.length (List.filter (fun q -> q.q_kind = k) quarantine) in
-  let wall = Unix.gettimeofday () -. t0 in
-  let cache = counters_delta cache0 (Passmgr.counters ()) in
-  let executed = count - !resumed in
+  let wall = Unix.gettimeofday () -. s.s_t0 in
+  let cache =
+    List.fold_left (counters_map2 ( + )) (counters_delta s.s_cache0 (Passmgr.counters ())) cache
+  in
   {
     outcomes;
     quarantine;
     metrics =
-      Metrics.summarize ~journal_skipped:!skipped ~crashed:(count_kind Crash)
+      Metrics.summarize ~journal_skipped:s.s_skipped ~crashed:(count_kind Crash)
         ~timeouts:(count_kind Timeout) ~ir_invalid:(count_kind Ir_invalid)
-        ~chaos_fired:(Chaos.fired_count () - chaos0)
-        ~cases:executed ~wall ~cache metrics;
-    resumed = !resumed;
-    skipped = !skipped;
+        ~chaos_fired:(Chaos.fired_count () - s.s_chaos0 + chaos_fired)
+        ?fabric ~cases:(Array.length outcomes - s.s_resumed) ~wall ~cache metrics;
+    resumed = s.s_resumed;
+    skipped = s.s_skipped;
   }
+
+(* ------------------------------------------------------------------ *)
+(* the in-process campaign                                             *)
+(* ------------------------------------------------------------------ *)
+
+let run ?journal ?codec ?campaign ?seed ?deadline ?step_budget ?retries ?transient ?chaos ~jobs
+    ~count runner =
+  if jobs < 1 then invalid_arg "Engine.run: jobs must be >= 1";
+  if count < 0 then invalid_arg "Engine.run: count must be >= 0";
+  if journal <> None && codec = None then
+    invalid_arg "Engine.run: journaling requires a codec";
+  Printexc.record_backtrace true;
+  with_session ?journal ?codec ?campaign ?seed ?chaos ~count (fun s ->
+      pool ?deadline ?step_budget ?retries ?transient ?chaos ~jobs (pending s) runner (record s)
+      |> finish ~stage:"engine" s)

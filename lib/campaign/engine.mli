@@ -1,14 +1,15 @@
-(** The parallel campaign engine: a Domain-based worker pool with
-    deterministic sharding, per-case fault isolation, cooperative
-    supervision, and JSONL checkpoint/resume.
+(** The parallel campaign engine: a Domain-based work-stealing pool with
+    per-case fault isolation, cooperative supervision, and JSONL
+    checkpoint/resume.
 
-    The engine runs [count] cases through a user-supplied runner.  Case [i]
-    is executed by worker [Shard.worker_of_case ~jobs i]; each worker walks
-    its shard in increasing case order, and results land in a [count]-sized
-    array indexed by case — so the campaign's output is a pure function of
-    the case set, independent of [jobs], scheduling, or resume history.
+    The engine runs [count] cases through a user-supplied runner.  The
+    cases still to run are claimed one at a time from a shared atomic
+    counter by [min jobs n] worker domains, so a slow case delays only the
+    domain running it.  Results land in a [count]-sized array indexed by
+    case — so the campaign's output is a pure function of the case set,
+    independent of [jobs], which domain ran which case, or resume history.
     With [jobs = 1] no domain is spawned and the engine is a plain
-    sequential loop, byte-identical in behaviour to pre-engine code.
+    sequential loop in case order.
 
     {b Fault isolation.}  A runner exception (from a generator bug, a
     compiler crash, a step-budget blow-up surfacing as an exception…) kills
@@ -45,7 +46,7 @@ type ctx
 (** Per-worker execution context handed to the runner. *)
 
 val worker : ctx -> int
-(** Index of the worker running the current case. *)
+(** Index of the worker domain running the current case, in [\[0, jobs)]. *)
 
 val stage : ctx -> string -> (unit -> 'a) -> 'a
 (** [stage ctx name f] runs [f], recording its wall time under [name] in the
@@ -125,38 +126,40 @@ val run :
     attempt; [retries] (default 0) re-runs [transient]-classified faults
     (default: {!Chaos.is_transient}) up to that many extra attempts.
 
+    The journal is closed, and its lock released, on every exit path —
+    an exception escaping the codec or a journal write included.
+
     Raises [Invalid_argument] when [jobs < 1], [count < 0], or [journal] is
     given without [codec]. *)
 
 (** {1 Fabric building blocks}
 
-    The multi-process {!Fabric} reuses the engine's per-case machinery
-    verbatim — same attempt loop, same journal records, same replay — which
-    is what makes its merged output byte-identical to an in-process run.
-    These entry points exist for it (and for tests); campaign code should
-    call {!run} or {!Fabric.run}. *)
+    The multi-process {!Fabric} reuses the engine's scheduler and journal
+    lifecycle verbatim — same pool, same attempt loop, same journal
+    records, same replay — which is what makes its merged output
+    byte-identical to an in-process run.  These entry points exist for it;
+    campaign code should call {!run} or {!Fabric.run}. *)
 
-val make_ctx : worker:int -> ctx
-(** A fresh per-worker context with empty metrics, stage ["setup"]. *)
-
-val ctx_metrics : ctx -> Metrics.t
-(** The context's live metrics accumulator (for merging after a join or
-    shipping across a process boundary). *)
-
-val attempt_case :
+val pool :
   ?deadline:float ->
   ?step_budget:int ->
   ?retries:int ->
   ?transient:(exn -> bool) ->
   ?chaos:Chaos.plan ->
-  ctx ->
+  jobs:int ->
+  int array ->
   (ctx -> int -> 'a) ->
-  int ->
-  'a case_outcome
-(** One case through the full supervision machinery: chaos arming, a fresh
-    guard per attempt, bounded transient retries, fault classification and
-    backtrace capture into a {!quarantined}.  Exactly the engine's inner
-    loop — {!run} is [attempt_case] over a shard. *)
+  (int -> 'a case_outcome -> unit) ->
+  Metrics.t
+(** [pool ~jobs cases runner on_outcome] runs every case index in [cases]
+    through the full supervision machinery (chaos arming, a fresh guard per
+    attempt, bounded transient retries, fault classification) and hands
+    each outcome to [on_outcome], possibly from another domain.  It uses
+    [min jobs n] domains, each claiming the next unclaimed position from
+    one shared atomic counter (work stealing), or runs inline when
+    [jobs = 1] or there is at most one case.  Returns the merged per-worker
+    metrics.  An exception from [on_outcome] propagates once every domain
+    has been joined. *)
 
 val case_to_json : 'a codec -> int -> 'a case_outcome -> Json.t
 (** The JSONL case record: [{"case";"status";...}] with the codec payload
@@ -168,19 +171,55 @@ val case_of_json : 'a codec -> Json.t -> (int * 'a case_outcome) option
     replay).  Decodes pre-supervision records (missing kind/backtrace/
     retries) with defaults. *)
 
-val replay : 'a codec -> count:int -> 'a case_outcome option array -> Json.t list -> int * int
-(** Fill outcome slots from journal records; [(resumed, skipped)].  A record
-    is skipped — counted, never fatal — when unreadable, of unknown kind, or
-    out of range; earlier records win a slot, later duplicates do not bump
-    [resumed]. *)
+type 'a session
+(** One campaign's journal lifecycle: the case-indexed outcome slots, the
+    open journal (if any), and the counter snapshots the summary is
+    computed against. *)
 
-val campaign_name : campaign:string -> chaos:Chaos.plan -> string
-(** The journal-header campaign identity: the plain name, extended with the
-    chaos-plan signature when the plan is non-empty. *)
+val with_session :
+  ?journal:string ->
+  ?codec:'a codec ->
+  ?campaign:string ->
+  ?seed:int ->
+  ?chaos:Chaos.plan ->
+  count:int ->
+  ('a session -> 'r) ->
+  'r
+(** Open the session, run the body, and close the journal on every exit
+    path, exceptions included.  With [journal] and [codec], the journal is
+    loaded; when its header matches [campaign] (extended with the
+    chaos-plan signature when [chaos] is non-empty), [seed] and [count],
+    its records are replayed into the outcome slots — unreadable,
+    unknown-kind and out-of-range records are skipped and counted.  The
+    journal is then opened for appending ({!Journal.open_append}: locked,
+    a mismatched header raises [Failure]).  Without both, nothing is
+    journaled. *)
 
-val never_completed : stage:string -> int -> 'a case_outcome
-(** The [Crashed] outcome recorded for a slot no worker ever filled
-    ("case never completed"), blamed on [stage]. *)
+val pending : 'a session -> int array
+(** Case indices not restored from the journal nor recorded since,
+    ascending. *)
+
+val completed : 'a session -> int -> bool
+
+val record : 'a session -> ?json:Json.t -> int -> 'a case_outcome -> unit
+(** Record case [i]'s outcome and append its journal record: [json] when
+    given (the fabric passes each worker's record through verbatim),
+    otherwise {!case_to_json}.  A no-op when the case is already recorded.
+    Safe to call from several domains for distinct cases. *)
+
+val finish :
+  ?fabric:Metrics.fabric ->
+  ?cache:Dce_compiler.Passmgr.counters list ->
+  ?chaos_fired:int ->
+  stage:string ->
+  'a session ->
+  Metrics.t ->
+  'a result
+(** The campaign result: slots never recorded are quarantined as "case
+    never completed" blamed on [stage], and the metrics are summarized
+    with this process's cache and chaos deltas since the session opened,
+    plus [cache] and [chaos_fired] (the fabric workers' deltas) and the
+    [fabric] counters. *)
 
 val counters_delta :
   Dce_compiler.Passmgr.counters -> Dce_compiler.Passmgr.counters -> Dce_compiler.Passmgr.counters
@@ -188,7 +227,8 @@ val counters_delta :
     snapshots of the global pass-manager counters. *)
 
 val domains_ever_spawned : unit -> bool
-(** Whether this process has ever spawned worker domains ([run] with
-    [jobs > 1]).  OCaml's [Unix.fork] refuses after any domain creation, so
-    {!Fabric.run} checks this to refuse a multi-process grid with a clear
-    message instead of the runtime's bare [Failure]. *)
+(** Whether this process has ever spawned worker domains ({!pool} with
+    [jobs > 1] and more than one case).  OCaml's [Unix.fork] refuses after
+    any domain creation, so {!Fabric.run} checks this to refuse a
+    multi-process grid with a clear message instead of the runtime's bare
+    [Failure]. *)

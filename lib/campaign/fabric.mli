@@ -13,20 +13,22 @@
     the fabric is as generic as {!Engine.run}.  Each worker then runs its
     chunks over [jobs] domains, giving a processes × domains grid.
 
-    {b Work stealing.}  Cases still to run are sliced into chunks on a
-    coordinator-side queue; a worker that finishes its chunk immediately
-    pulls the next (["chunk-done"] → dispatch).  One pathological case
-    therefore delays only its own chunk-mates, not a statically pre-assigned
-    shard — the imbalance [`Static] scheduling exists to measure.
+    {b Work stealing, twice over.}  Cases still to run are sliced into
+    chunks on a coordinator-side queue; a worker that finishes its chunk
+    immediately pulls the next (["chunk-done"] → dispatch).  Inside a
+    worker, the chunk runs on {!Engine.pool}, whose domains claim cases one
+    at a time from a shared counter.  One pathological case therefore
+    delays only its own domain, not a pre-assigned share of the corpus.
 
-    {b Determinism.}  Workers execute cases through
-    {!Engine.attempt_case} and ship the exact {!Engine.case_to_json} record;
-    the coordinator merges records into the [count]-sized case-indexed
-    outcomes array and appends them to the one canonical journal it owns.
-    Output is a pure function of the case set — independent of [workers],
-    [jobs], chunking, arrival order, scheduling mode, and resume history —
-    so reports are byte-identical to [~workers:1 ~jobs:1], and a journal
-    written by a fabric run resumes under a non-fabric run and vice versa.
+    {b Determinism.}  Workers execute cases through {!Engine.pool} and ship
+    the exact {!Engine.case_to_json} record; the coordinator records each
+    into the engine's journal session ({!Engine.with_session}) — the same
+    case-indexed outcome slots, the same journal replay and append path
+    {!Engine.run} uses.  Output is a pure function of the case set —
+    independent of [workers], [jobs], chunking, arrival order, and resume
+    history — so reports are byte-identical to [~workers:1 ~jobs:1], and a
+    journal written by a fabric run resumes under a non-fabric run and vice
+    versa.
 
     {b Warm workers.}  Worker processes persist across chunks, so the
     content-addressed compile cache and the pass-manager analysis caches
@@ -72,7 +74,6 @@ val run :
   ?chunk:int ->
   ?chunk_deadline:float ->
   ?max_respawns:int ->
-  ?scheduling:[ `Dynamic | `Static ] ->
   workers:int ->
   jobs:int ->
   count:int ->
@@ -87,9 +88,6 @@ val run :
     clamped to [1, 32]).  [chunk_deadline] (wall seconds) bounds one chunk's
     execution; an overdue worker is killed and handled like a crash.
     [max_respawns] (default [2 * workers]) bounds replacement workers.
-    [scheduling] defaults to [`Dynamic] (work stealing); [`Static]
-    pre-assigns cases round-robin by pending position, one chunk per worker
-    — {!Shard.worker_of_case} lifted to processes, the measurable baseline.
 
     Raises [Invalid_argument] when [workers < 1], [jobs < 1], [count < 0],
     [chunk < 1], or [workers > 1] without a codec (case results must cross

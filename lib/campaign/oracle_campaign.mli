@@ -1,6 +1,6 @@
 (** The size and level-inversion oracle campaigns: the two non-marker
     regression classes run through the full {!Engine} machinery — Domain
-    pool, deterministic sharding, quarantine, metrics, JSONL journal/resume.
+    pool, case-indexed outcomes, quarantine, metrics, JSONL journal/resume.
 
     {b Size campaign} (["size-hunt"], record kind ["size-case"]): per valid
     program, the {!Dce_core.Differential.size_curve} of both simulated

@@ -17,6 +17,11 @@ let run_id ~campaign ~seed ~count extras =
     key;
   Printf.sprintf "run-%015x" !h
 
+let campaign_run_id ~campaign ~seed ~count ~checked ~chaos_spec =
+  run_id ~campaign ~seed ~count
+    ((if checked then [ "checked" ] else [])
+    @ match chaos_spec with Some s -> [ "chaos:" ^ s ] | None -> [])
+
 (* ------------------------------------------------------------------ *)
 (* the cross-run report: what campaign-diff compares table by table    *)
 (* ------------------------------------------------------------------ *)

@@ -18,6 +18,13 @@ val run_id : campaign:string -> seed:int -> count:int -> string list -> string
     ["run-<15 hex digits>"].  [extras] folds in whatever else distinguishes
     the run (compiler names, a patch signature). *)
 
+val campaign_run_id :
+  campaign:string -> seed:int -> count:int -> checked:bool -> chaos_spec:string option -> string
+(** The id of a corpus campaign run ([hunt], and the serve daemon's jobs):
+    {!run_id} with the [--checked] flag and the chaos-plan spec as extras.
+    Jobs and workers are excluded on purpose — the report is identical
+    across them. *)
+
 (** {1 The comparison report} *)
 
 type miss = {

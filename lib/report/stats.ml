@@ -48,7 +48,7 @@ type t = {
 
 let config_name c l = Printf.sprintf "%s %s" c (C.Level.to_string l)
 
-(* collect's deterministic output orderings, shared with [merge] *)
+(* collect's deterministic output orderings *)
 let sort_per_config l =
   List.sort
     (fun a b ->
@@ -204,75 +204,6 @@ let collect_indexed outcomes =
   }
 
 let collect outcomes = collect_indexed (List.mapi (fun i o -> (i, o)) outcomes)
-
-(* ------------------------------------------------------------------ *)
-(* merging per-worker shard statistics                                 *)
-(* ------------------------------------------------------------------ *)
-
-let merge_assoc keys_of combine items =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun it ->
-      let k = keys_of it in
-      match Hashtbl.find_opt tbl k with
-      | Some prev -> Hashtbl.replace tbl k (combine prev it)
-      | None ->
-        Hashtbl.add tbl k it;
-        order := k :: !order)
-    items;
-  List.rev_map (Hashtbl.find tbl) !order
-
-(* findings of one program always come from exactly one shard, so a stable
-   sort on the program index recovers the global corpus order *)
-let merge_findings a b =
-  List.stable_sort (fun f g -> compare f.f_program g.f_program) (a @ b)
-
-let merge a b =
-  {
-    programs = a.programs + b.programs;
-    rejected = a.rejected + b.rejected;
-    total_markers = a.total_markers + b.total_markers;
-    alive_markers = a.alive_markers + b.alive_markers;
-    dead_markers = a.dead_markers + b.dead_markers;
-    per_config =
-      merge_assoc
-        (fun ct -> (ct.ct_compiler, ct.ct_level))
-        (fun x y ->
-          { x with ct_missed = x.ct_missed + y.ct_missed; ct_primary = x.ct_primary + y.ct_primary })
-        (a.per_config @ b.per_config)
-      |> sort_per_config;
-    per_pass =
-      merge_assoc
-        (fun pt -> (pt.pt_compiler, pt.pt_level, pt.pt_stage))
-        (fun x y -> { x with pt_markers = x.pt_markers + y.pt_markers })
-        (a.per_pass @ b.per_pass)
-      |> sort_per_pass;
-    cross_compiler =
-      merge_assoc
-        (fun d -> (d.left, d.right))
-        (fun x y ->
-          {
-            x with
-            only_left_misses = x.only_left_misses + y.only_left_misses;
-            only_left_primary = x.only_left_primary + y.only_left_primary;
-          })
-        (a.cross_compiler @ b.cross_compiler)
-      |> List.sort compare;
-    level_regressions =
-      merge_assoc
-        (fun d -> (d.left, d.right))
-        (fun x y ->
-          {
-            x with
-            only_left_misses = x.only_left_misses + y.only_left_misses;
-            only_left_primary = x.only_left_primary + y.only_left_primary;
-          })
-        (a.level_regressions @ b.level_regressions)
-      |> List.sort compare;
-    findings = merge_findings a.findings b.findings;
-    regression_findings = merge_findings a.regression_findings b.regression_findings;
-  }
 
 let totals_for t comp level =
   List.find_opt (fun ct -> ct.ct_compiler = comp && ct.ct_level = level) t.per_config

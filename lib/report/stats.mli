@@ -62,16 +62,8 @@ val collect : (Dce_core.Analysis.outcome * Dce_minic.Ast.program) list -> t
 val collect_indexed :
   (int * (Dce_core.Analysis.outcome * Dce_minic.Ast.program)) list -> t
 (** Like {!collect} with explicit corpus indices (used as [f_program] in
-    findings).  A campaign worker aggregates its shard with the cases'
-    corpus-global indices, so shard stats can later be {!merge}d without
-    renumbering — and quarantined (crashed) cases simply leave holes. *)
-
-val merge : t -> t -> t
-(** Merge two shard aggregates over {e disjoint} program-index sets (the
-    campaign's per-worker statistics).  Totals add; findings interleave back
-    into corpus order.  [merge] is associative, and folding it over shard
-    stats in any order equals {!collect_indexed} of the concatenated input:
-    order only matters through each finding's program index. *)
+    findings), so quarantined (crashed) campaign cases simply leave holes
+    in the numbering. *)
 
 val table1 : t -> string
 (** "% dead blocks that are missed", per level per compiler. *)

@@ -28,16 +28,15 @@ let campaign_of_kind = function
   | Job.Bisect -> "bisect"
   | Job.Reduce -> "reduce"
 
-(* identical to the hunt CLI's derivation (checked and inject have no spec
-   slot, so their extras are absent exactly as with the flags unset) *)
+(* a job spec has no checked slot: serve jobs never run checked *)
 let run_id_of spec =
   match spec.Job.sp_kind with
   | Job.Reduce -> None
   | kind ->
-    let extras = match spec.Job.sp_chaos with Some s -> [ "chaos:" ^ s ] | None -> [] in
     Some
-      (Campaign.Run_store.run_id ~campaign:(campaign_of_kind kind) ~seed:spec.Job.sp_seed
-         ~count:spec.Job.sp_count extras)
+      (Campaign.Run_store.campaign_run_id ~campaign:(campaign_of_kind kind)
+         ~seed:spec.Job.sp_seed ~count:spec.Job.sp_count ~checked:false
+         ~chaos_spec:spec.Job.sp_chaos)
 
 let run_dir ~runs_root spec =
   Option.map (fun id -> Campaign.Run_store.dir_of ~root:runs_root ~id) (run_id_of spec)

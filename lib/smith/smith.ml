@@ -597,7 +597,7 @@ let generate config =
          (Dce_minic.Pretty.program_to_string prog))
 
 (* the per-program seed sequence behind [generate_corpus], exposed so a
-   sharded campaign can regenerate any single corpus program from its index
+   parallel campaign can regenerate any single corpus program from its index
    without drawing the whole corpus *)
 let corpus_seeds ~seed ~count =
   let rng = Rng.make seed in

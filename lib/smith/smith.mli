@@ -64,7 +64,7 @@ val corpus_seeds : seed:int -> count:int -> int list
 (** The per-program seeds [generate_corpus] derives from the master [seed]:
     program [i] of the corpus is exactly
     [generate (default_config (List.nth (corpus_seeds ~seed ~count) i))].
-    Lets a sharded campaign regenerate any corpus program from its index. *)
+    Lets a parallel campaign regenerate any corpus program from its index. *)
 
 val generate_corpus : seed:int -> count:int -> (Dce_minic.Ast.program * (kind * int) list) list
 (** [count] programs from derived seeds. *)

@@ -2,17 +2,17 @@
 
    - jobs-independence: a parallel campaign yields byte-identical statistics,
      findings, and triage tables to the sequential one
-   - seed-sharding invariants (QCheck): disjoint shards covering the range
+   - work stealing: a slow case never holds up the cases behind it
    - fault isolation: an injected per-case crash quarantines that case only
    - checkpoint/resume: a journal truncated mid-line resumes to the same
-     final report as an uninterrupted run
-   - JSON and journal codecs, metrics percentiles, Stats.merge *)
+     final report as an uninterrupted run, and a run that dies mid-journal
+     releases the journal lock
+   - JSON and journal codecs, metrics percentiles *)
 
 open Helpers
 module Campaign = Dce_campaign
 module Engine = Campaign.Engine
 module Json = Campaign.Json
-module Shard = Campaign.Shard
 module Metrics = Campaign.Metrics
 module Stats = Dce_report.Stats
 
@@ -95,41 +95,6 @@ let test_metrics_sanity () =
     (cache.Dce_compiler.Passmgr.cfg_hits + cache.Dce_compiler.Passmgr.cfg_misses > 0)
 
 (* ------------------------------------------------------------------ *)
-(* seed sharding (QCheck)                                              *)
-(* ------------------------------------------------------------------ *)
-
-let shard_gen = QCheck2.Gen.(pair (int_bound 300) (int_range 1 12))
-
-let rec strictly_increasing = function
-  | a :: (b :: _ as tl) -> a < b && strictly_increasing tl
-  | _ -> true
-
-let shard_disjoint_cover =
-  qtest ~count:200 "shards partition 0..count-1" shard_gen (fun (count, jobs) ->
-      let plan = Shard.plan ~count ~jobs in
-      let all = List.concat (Array.to_list plan) in
-      (* strictly increasing within each shard *)
-      Array.for_all strictly_increasing plan
-      (* pairwise disjoint: total size equals the union's size *)
-      && List.length all = count
-      (* union covers the range exactly *)
-      && List.sort compare all = List.init count Fun.id)
-
-let shard_owner_consistent =
-  qtest ~count:200 "worker_of_case agrees with cases_of" shard_gen (fun (count, jobs) ->
-      List.for_all
-        (fun i ->
-          let w = Shard.worker_of_case ~jobs i in
-          0 <= w && w < jobs && List.mem i (Shard.cases_of ~count ~jobs w))
-        (List.init count Fun.id))
-
-let test_shard_invalid () =
-  Alcotest.check_raises "jobs = 0" (Invalid_argument "Shard: jobs must be >= 1") (fun () ->
-      ignore (Shard.cases_of ~count:4 ~jobs:0 0));
-  Alcotest.check_raises "worker out of range" (Invalid_argument "Shard: worker index out of range")
-    (fun () -> ignore (Shard.cases_of ~count:4 ~jobs:2 2))
-
-(* ------------------------------------------------------------------ *)
 (* engine semantics on a toy runner (cheap, no compilation)            *)
 (* ------------------------------------------------------------------ *)
 
@@ -208,6 +173,49 @@ let test_engine_crash_checkpointed () =
     (r1.Engine.quarantine = r2.Engine.quarantine);
   Sys.remove path
 
+(* Case 0 spins until every other case has finished, giving up after
+   ~5 s.  Under work stealing the second domain drains cases 1-5 while the
+   first is stuck on case 0; under any static split some later case would
+   sit behind case 0 on its domain and the wait would time out. *)
+let spin_until_others_done ~others =
+  let finished = Atomic.make 0 in
+  fun _ctx i ->
+    if i = 0 then begin
+      let give_up = Unix.gettimeofday () +. 5.0 in
+      while Atomic.get finished < others && Unix.gettimeofday () < give_up do
+        Domain.cpu_relax ()
+      done;
+      Atomic.get finished
+    end
+    else begin
+      Atomic.incr finished;
+      i
+    end
+
+let test_engine_work_stealing () =
+  let r = Engine.run ~jobs:2 ~count:6 (spin_until_others_done ~others:5) in
+  Alcotest.(check bool) "case 0 saw cases 1-5 finish (no timeout)" true
+    (r.Engine.outcomes.(0) = Engine.Done 5);
+  Alcotest.(check bool) "other outcomes in case order" true
+    (Array.sub r.Engine.outcomes 1 5 = Array.init 5 (fun i -> Engine.Done (i + 1)))
+
+(* An exception escaping the engine itself (a codec that cannot encode, a
+   journal write hitting a full disk) must still release the journal lock:
+   a later run on the same path, in the same process, resumes from it. *)
+let test_engine_exception_releases_journal () =
+  let path = temp_journal () in
+  let failing =
+    { toy_codec with Engine.encode = (fun i -> if i = 2 then failwith "encode" else Json.Int i) }
+  in
+  (match Engine.run ~journal:path ~codec:failing ~jobs:1 ~count:4 (fun _ i -> i) with
+   | _ -> Alcotest.fail "expected the encode failure to propagate"
+   | exception Failure msg -> Alcotest.(check string) "codec failure propagates" "encode" msg);
+  let r = Engine.run ~journal:path ~codec:toy_codec ~jobs:1 ~count:4 (fun _ i -> i) in
+  Alcotest.(check int) "cases 0 and 1 resumed" 2 r.Engine.resumed;
+  Alcotest.(check bool) "all outcomes" true
+    (Array.to_list r.Engine.outcomes = List.map (fun i -> Engine.Done i) [ 0; 1; 2; 3 ]);
+  Sys.remove path
+
 (* A journal rubbed the wrong way: records the decoder does not recognize
    (from a newer build), indexes out of range, and a line a buggy float
    printer once made unparseable.  All of it must be skipped and counted —
@@ -257,7 +265,11 @@ let test_engine_journal_robustness () =
 let test_fault_isolation () =
   let count = 8 in
   let clean = Campaign.Corpus.run ~jobs:2 ~seed:4242 ~count () in
-  let crashed = Campaign.Corpus.run ~jobs:2 ~seed:4242 ~count ~inject_crash:[ 1; 6 ] () in
+  let crashed =
+    Campaign.Corpus.run ~jobs:2 ~seed:4242 ~count
+      ~chaos:(Result.get_ok (Campaign.Chaos.of_string "crash@1,crash@6"))
+      ()
+  in
   Alcotest.(check int) "campaign completed all slots" count
     (Array.length crashed.Campaign.Corpus.c_cases);
   (match crashed.Campaign.Corpus.c_quarantine with
@@ -373,20 +385,6 @@ let test_value_campaign_determinism () =
     (Campaign.Corpus.value_table b)
 
 (* ------------------------------------------------------------------ *)
-(* Stats.merge                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_stats_merge_equals_collect () =
-  let cases = Campaign.Corpus.outcomes (Lazy.force seq) in
-  let whole = Stats.collect_indexed cases in
-  let bucket k = List.filter (fun (i, _) -> i mod 3 = k) cases in
-  let parts = List.map (fun k -> Stats.collect_indexed (bucket k)) [ 0; 1; 2 ] in
-  let fold l = List.fold_left Stats.merge (List.hd l) (List.tl l) in
-  Alcotest.(check bool) "merge of shards = collect of union" true (fold parts = whole);
-  (* associativity / order-independence *)
-  Alcotest.(check bool) "merge order irrelevant" true (fold (List.rev parts) = whole)
-
-(* ------------------------------------------------------------------ *)
 (* JSON codec and metrics helpers                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -464,21 +462,19 @@ let suite =
     ("jobs determinism: stats and findings", `Slow, test_jobs_determinism_stats);
     ("jobs determinism: triage tables", `Slow, test_jobs_determinism_triage);
     ("campaign metrics sanity", `Slow, test_metrics_sanity);
-    shard_disjoint_cover;
-    shard_owner_consistent;
-    ("shard: invalid arguments", `Quick, test_shard_invalid);
     ("engine: toy parallel run", `Quick, test_engine_toy_parallel);
     ("engine: innermost stage blamed", `Quick, test_engine_innermost_stage);
     ("engine: resume from torn journal", `Quick, test_engine_toy_resume);
     ("engine: journal header mismatch", `Quick, test_engine_journal_mismatch);
     ("engine: crashes are checkpointed", `Quick, test_engine_crash_checkpointed);
+    ("engine: slow case does not block the rest", `Quick, test_engine_work_stealing);
+    ("engine: exception releases the journal", `Quick, test_engine_exception_releases_journal);
     ("engine: hostile journal skipped and counted", `Quick, test_engine_journal_robustness);
     ("fault isolation: injected crash quarantined", `Slow, test_fault_isolation);
     ("checkpoint/resume: corpus campaign", `Slow, test_corpus_resume);
     ("checkpoint/resume: unknown record kind skipped", `Slow, test_corpus_journal_unknown_kind);
     ("checkpoint/resume: oracle record kinds skipped", `Slow, test_corpus_journal_oracle_kinds);
     ("value campaign: jobs determinism", `Slow, test_value_campaign_determinism);
-    ("stats: merge equals collect", `Slow, test_stats_merge_equals_collect);
     json_roundtrip;
     ("json: escaping and truncation", `Quick, test_json_escaping);
     ("json: non-finite floats serialize as null", `Quick, test_json_nonfinite);

@@ -39,14 +39,17 @@ let test_fabric_toy_grid_determinism () =
       Alcotest.(check (list pass)) "no quarantine" [] r.Engine.quarantine)
     [ (2, 1); (2, 3); (4, 1); (4, 3) ]
 
-let test_fabric_static_scheduling_identical () =
-  let runner ctx i = Engine.stage ctx "toy" (fun () -> i * i) in
-  let baseline = Engine.run ~jobs:1 ~count:13 runner in
+(* The engine's work-stealing pool inside a fabric worker: one chunk of
+   six cases on two domains, where case 0 waits (bounded) for cases 1-5.
+   A stride split would pin case 2 behind case 0 on the same domain. *)
+let test_fabric_worker_steals_within_chunk () =
   let r =
-    Fabric.run ~codec:toy_codec ~scheduling:`Static ~workers:3 ~jobs:2 ~count:13 runner
+    Fabric.run ~codec:toy_codec ~chunk:6 ~workers:2 ~jobs:2 ~count:6
+      (Suite_campaign.spin_until_others_done ~others:5)
   in
-  Alcotest.(check bool) "static outcomes identical" true
-    (r.Engine.outcomes = baseline.Engine.outcomes)
+  Alcotest.(check bool) "case 0 saw cases 1-5 finish (no timeout)" true
+    (r.Engine.outcomes.(0) = Engine.Done 5);
+  Alcotest.(check (list pass)) "no quarantine" [] r.Engine.quarantine
 
 (* Real campaign modes: the merged report must be byte-identical.  The
    corpus codec regenerates traces on decode (timings are measurements, not
@@ -439,8 +442,8 @@ let test_fabric_verify_report_identical () =
 let suite =
   [
     Alcotest.test_case "fabric: toy grid determinism" `Quick test_fabric_toy_grid_determinism;
-    Alcotest.test_case "fabric: static scheduling identical" `Quick
-      test_fabric_static_scheduling_identical;
+    Alcotest.test_case "fabric: slow case does not block its chunk" `Quick
+      test_fabric_worker_steals_within_chunk;
     Alcotest.test_case "fabric: corpus report identical" `Slow test_fabric_corpus_report_identical;
     Alcotest.test_case "fabric: size report identical" `Slow test_fabric_size_report_identical;
     Alcotest.test_case "fabric: torn journal resumes in engine" `Quick

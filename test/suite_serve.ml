@@ -30,6 +30,27 @@ let temp_dir prefix =
   path
 
 (* ------------------------------------------------------------------ *)
+(* run ids                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Run ids name directories that outlive the binary that wrote them, so
+   the derivation must never drift: these literals pin the ids the hunt CLI
+   and the serve daemon have always produced. *)
+let test_run_ids_pinned () =
+  let id = Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed:42 ~count:3 in
+  Alcotest.(check string) "plain" "run-377cb1560fa9a5d" (id ~checked:false ~chaos_spec:None);
+  Alcotest.(check string) "chaos" "run-2d226f66565e067"
+    (id ~checked:false ~chaos_spec:(Some "crash@1"));
+  Alcotest.(check string) "checked" "run-283ef22a6e37064" (id ~checked:true ~chaos_spec:None);
+  Alcotest.(check string) "checked and chaos" "run-973292ef2ceabc2"
+    (id ~checked:true ~chaos_spec:(Some "crash@1,transient@0"));
+  let job chaos = { Job.default_spec with Job.sp_seed = 42; sp_count = 3; sp_chaos = chaos } in
+  Alcotest.(check (option string)) "serve job" (Some "run-377cb1560fa9a5d")
+    (Serve.Runjob.run_id_of (job None));
+  Alcotest.(check (option string)) "serve chaos job" (Some "run-2d226f66565e067")
+    (Serve.Runjob.run_id_of (job (Some "crash@1")))
+
+(* ------------------------------------------------------------------ *)
 (* write_atomic (satellite)                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -515,6 +536,7 @@ let test_fabric_sigterm_drain () =
 
 let suite =
   [
+    Alcotest.test_case "run ids pinned" `Quick test_run_ids_pinned;
     Alcotest.test_case "fsx: write_atomic" `Quick test_write_atomic;
     Alcotest.test_case "run_store: list and gc" `Quick test_runs_list_and_gc;
     Alcotest.test_case "store: queue replay over a torn journal" `Quick test_queue_replay;

@@ -326,7 +326,9 @@ let test_bundles_written_by_campaign () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let c =
-        Campaign.Corpus.run ~jobs:2 ~seed:4242 ~count:6 ~inject_crash:[ 1; 4 ] ~bundle_dir:dir ()
+        Campaign.Corpus.run ~jobs:2 ~seed:4242 ~count:6
+          ~chaos:(Result.get_ok (Campaign.Chaos.of_string "crash@1,crash@4"))
+          ~bundle_dir:dir ()
       in
       Alcotest.(check int) "two quarantined" 2 (List.length c.Campaign.Corpus.c_quarantine);
       List.iter
