@@ -128,7 +128,11 @@ let print_passmgr () =
     c.C.Passmgr.cfg_hits;
   Printf.printf "dominator trees   %7d computed, %7d served from cache\n" c.C.Passmgr.dom_misses
     c.C.Passmgr.dom_hits;
-  Printf.printf "overall cache hit rate: %.1f%%\n" (100.0 *. C.Passmgr.hit_rate c);
+  Printf.printf "stage memo        %7d executed, %7d replayed\n" c.C.Passmgr.memo_misses
+    c.C.Passmgr.memo_hits;
+  Printf.printf "overall cache hit rate: %.1f%% (stage memo: %.1f%%)\n"
+    (100.0 *. C.Passmgr.hit_rate c)
+    (100.0 *. C.Passmgr.memo_hit_rate c);
   print_endline "Markers eliminated per stage at -O3 (stage-trace attribution):";
   print_string (R.Stats.attribution_table st)
 
@@ -956,15 +960,18 @@ let print_fabric_bench () =
   in
   let report_identical = report solo = report grid in
   let hit_rate = C.Passmgr.hit_rate grid.Campaign.Corpus.c_metrics.Campaign.Metrics.cache in
+  let memo_hit_rate =
+    C.Passmgr.memo_hit_rate grid.Campaign.Corpus.c_metrics.Campaign.Metrics.cache
+  in
   let chunks, cases_per_worker =
     match grid.Campaign.Corpus.c_metrics.Campaign.Metrics.fabric with
     | Some f -> (f.Campaign.Metrics.f_chunks, f.Campaign.Metrics.f_cases_per_worker)
     | None -> (0, [])
   in
   Printf.printf
-    "real campaign (%d programs, 2 warm workers): analysis-cache hit rate %.1f%%, %d chunks \
-     (cases/worker: %s); report identical to workers=1: %b\n"
-    warm_count (100.0 *. hit_rate) chunks
+    "real campaign (%d programs, 2 warm workers): analysis-cache hit rate %.1f%% (stage memo \
+     %.1f%%), %d chunks (cases/worker: %s); report identical to workers=1: %b\n"
+    warm_count (100.0 *. hit_rate) (100.0 *. memo_hit_rate) chunks
     (String.concat "/" (List.map string_of_int cases_per_worker))
     report_identical;
   let doc =
@@ -998,6 +1005,7 @@ let print_fabric_bench () =
               ("programs", Campaign.Json.Int warm_count);
               ("workers", Campaign.Json.Int 2);
               ("hit_rate", Campaign.Json.Float hit_rate);
+              ("memo_hit_rate", Campaign.Json.Float memo_hit_rate);
               ("chunks", Campaign.Json.Int chunks);
               ( "cases_per_worker",
                 Campaign.Json.List (List.map (fun n -> Campaign.Json.Int n) cases_per_worker) );
@@ -1062,15 +1070,18 @@ let print_repair_bench () =
   (* the patched verification run re-uses every rival cell of the base run
      (same compiler name, same programs), so its cache hit rate is the
      "verification is cheap" claim in one number *)
-  let patched_hit_rate =
+  let patched_hit_rate, patched_memo_hit_rate =
     match r.Repair.Driver.rr_patched_metrics with
-    | Some m -> C.Passmgr.hit_rate m.Campaign.Metrics.cache
-    | None -> 0.0
+    | Some m ->
+      ( C.Passmgr.hit_rate m.Campaign.Metrics.cache,
+        C.Passmgr.memo_hit_rate m.Campaign.Metrics.cache )
+    | None -> (0.0, 0.0)
   in
   Printf.printf
     "verify (%d-program smoke corpus): %d campaigns in %.2fs, verified-repair yield %.0f%%, \
-     patched-run cache hit rate %.1f%%; repair %s\n"
+     patched-run cache hit rate %.1f%% (stage memo %.1f%%); repair %s\n"
     smoke campaigns verify_wall (100.0 *. yield) (100.0 *. patched_hit_rate)
+    (100.0 *. patched_memo_hit_rate)
     (match r.Repair.Driver.rr_accepted with
      | Some (edits, _) ->
        "accepted: "
@@ -1100,6 +1111,7 @@ let print_repair_bench () =
               ("probes_per_repair", Campaign.Json.Int r.Repair.Driver.rr_search.Repair.Search.so_probes);
               ("verified_yield", Campaign.Json.Float yield);
               ("hit_rate", Campaign.Json.Float patched_hit_rate);
+              ("memo_hit_rate", Campaign.Json.Float patched_memo_hit_rate);
               ("found_repair", Campaign.Json.Bool found);
               ("verified_clean", Campaign.Json.Bool verified_clean);
             ] );

@@ -172,6 +172,8 @@ let counters_map2 f (a : Passmgr.counters) (b : Passmgr.counters) : Passmgr.coun
     cfg_misses = f a.cfg_misses b.cfg_misses;
     dom_hits = f a.dom_hits b.dom_hits;
     dom_misses = f a.dom_misses b.dom_misses;
+    memo_hits = f a.memo_hits b.memo_hits;
+    memo_misses = f a.memo_misses b.memo_misses;
   }
 
 let counters_delta a b = counters_map2 (fun x y -> y - x) a b

@@ -38,6 +38,8 @@ let counters_to_json (c : Passmgr.counters) =
       ("cfg_misses", Json.Int c.cfg_misses);
       ("dom_hits", Json.Int c.dom_hits);
       ("dom_misses", Json.Int c.dom_misses);
+      ("memo_hits", Json.Int c.memo_hits);
+      ("memo_misses", Json.Int c.memo_misses);
     ]
 
 let counters_of_json j : Passmgr.counters =
@@ -48,6 +50,8 @@ let counters_of_json j : Passmgr.counters =
     cfg_misses = Json.get_int j "cfg_misses";
     dom_hits = Json.get_int j "dom_hits";
     dom_misses = Json.get_int j "dom_misses";
+    memo_hits = Json.get_int j "memo_hits";
+    memo_misses = Json.get_int j "memo_misses";
   }
 
 (* ------------------------------------------------------------------ *)

@@ -153,6 +153,7 @@ let summary_to_json s =
       ("wall", Json.Float s.wall);
       ("throughput", Json.Float s.throughput);
       ("hit_rate", Json.Float (Passmgr.hit_rate s.cache));
+      ("memo_hit_rate", Json.Float (Passmgr.memo_hit_rate s.cache));
       ("journal_skipped", Json.Int s.journal_skipped);
       ("crashed", Json.Int s.crashed);
       ("timeouts", Json.Int s.timeouts);
@@ -189,8 +190,9 @@ let to_string s =
   Buffer.add_string buf
     (Printf.sprintf "%d cases in %.2fs (%.1f cases/sec)\n" s.cases s.wall s.throughput);
   Buffer.add_string buf
-    (Printf.sprintf "analysis-cache hit rate across workers: %.1f%%\n"
-       (100.0 *. Passmgr.hit_rate s.cache));
+    (Printf.sprintf "analysis-cache hit rate across workers: %.1f%% (stage memo: %.1f%%)\n"
+       (100.0 *. Passmgr.hit_rate s.cache)
+       (100.0 *. Passmgr.memo_hit_rate s.cache));
   if s.crashed + s.timeouts + s.ir_invalid + s.retries + s.recovered + s.chaos_fired > 0 then
     Buffer.add_string buf
       (Printf.sprintf

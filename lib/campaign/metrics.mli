@@ -61,8 +61,8 @@ type summary = {
   throughput : float;     (** cases / wall, 0 when wall is 0 *)
   stages : stage_summary list;  (** by summed time, largest first *)
   cache : Dce_compiler.Passmgr.counters;
-      (** pass-manager analysis-cache counter deltas over the campaign,
-          aggregated across every worker domain *)
+      (** pass-manager analysis-cache and stage-memo counter deltas over
+          the campaign, aggregated across every worker domain *)
   journal_skipped : int;
       (** journal records ignored on resume: unreadable lines, unknown
           record kinds (a journal written by a different build), or indices
@@ -99,11 +99,12 @@ val percentile : float array -> float -> float
 
 val summary_to_json : summary -> Json.t
 (** Artifact form of a summary (a run directory's [metrics.json]): counters,
-    cache hit rate, per-stage rows with summed totals and percentiles, and
+    analysis-cache and stage-memo hit rates, per-stage rows with summed totals and percentiles, and
     the fabric block when present.  {!Run_diff} reads the per-stage totals
     back for its timing-delta table. *)
 
 val to_string : summary -> string
-(** Human-readable block: throughput line, cache hit-rate line, a
+(** Human-readable block: throughput line, analysis-cache hit-rate line
+    (with the stage-memo hit rate), a
     supervision line when any fault/retry/chaos counter is nonzero, and one
     row per stage with sample count, total, and p50/p90/p99. *)

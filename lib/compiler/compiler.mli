@@ -70,8 +70,8 @@ val surviving_markers_traced :
 val surviving_markers_prepared :
   t -> ?version:int -> Level.t -> Pipeline.prepared -> int list * Passmgr.trace
 (** {!surviving_markers_traced} from an already lowered program: the configs
-    of one program share its lowering and its feature-independent pipeline
-    front ({!Pipeline.prepare}, which also carries the [validate] choice). *)
+    of one program share its lowering and its pipeline stage memo
+    ({!Pipeline.prepare}, which also carries the [validate] choice). *)
 
 (** {1 Observables}
 

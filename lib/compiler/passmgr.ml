@@ -35,6 +35,8 @@ type counters = {
   cfg_misses : int;
   dom_hits : int;
   dom_misses : int;
+  memo_hits : int;
+  memo_misses : int;
 }
 
 (* atomics: campaign workers compile from several domains at once, and the
@@ -46,6 +48,8 @@ let c_cfg_hits = Atomic.make 0
 let c_cfg_misses = Atomic.make 0
 let c_dom_hits = Atomic.make 0
 let c_dom_misses = Atomic.make 0
+let c_memo_hits = Atomic.make 0
+let c_memo_misses = Atomic.make 0
 
 let bump c = Atomic.incr c
 
@@ -57,6 +61,8 @@ let counters () =
     cfg_misses = Atomic.get c_cfg_misses;
     dom_hits = Atomic.get c_dom_hits;
     dom_misses = Atomic.get c_dom_misses;
+    memo_hits = Atomic.get c_memo_hits;
+    memo_misses = Atomic.get c_memo_misses;
   }
 
 let reset_counters () =
@@ -65,12 +71,18 @@ let reset_counters () =
   Atomic.set c_cfg_hits 0;
   Atomic.set c_cfg_misses 0;
   Atomic.set c_dom_hits 0;
-  Atomic.set c_dom_misses 0
+  Atomic.set c_dom_misses 0;
+  Atomic.set c_memo_hits 0;
+  Atomic.set c_memo_misses 0
 
 let hit_rate c =
   let hits = c.meminfo_hits + c.cfg_hits + c.dom_hits in
   let total = hits + c.meminfo_misses + c.cfg_misses + c.dom_misses in
   if total = 0 then 0. else float_of_int hits /. float_of_int total
+
+let memo_hit_rate c =
+  let total = c.memo_hits + c.memo_misses in
+  if total = 0 then 0. else float_of_int c.memo_hits /. float_of_int total
 
 (* ------------------------------------------------------------------ *)
 (* the analysis manager                                                *)
@@ -173,11 +185,20 @@ let invalidate t (info : Pi.t) = function
 type pass = {
   p_info : Pi.t;
   p_label : string;
+  p_key : string;
   p_run : t -> Ir.program -> Ir.program;
 }
 
-let make_pass ?label info run =
-  { p_info = info; p_label = Option.value ~default:info.Pi.pass_name label; p_run = run }
+let make_pass ?label ~config info run =
+  let label = Option.value ~default:info.Pi.pass_name label in
+  (* [Marshal] raises on a closure, so a config can hold nothing the key
+     would not see *)
+  {
+    p_info = info;
+    p_label = label;
+    p_key = label ^ "\000" ^ Marshal.to_string config [];
+    p_run = run config;
+  }
 
 type stage_record = {
   sr_label : string;
@@ -196,11 +217,59 @@ type trace = stage_record list
 let marker_set prog =
   List.fold_left (fun s m -> Ir.Iset.add m s) Ir.Iset.empty (Ir.program_marker_ids prog)
 
-let run_pass ?(round = 0) ?check t pass prog =
-  (* supervision poll point: one per executed stage, so a fixpoint that
-     never converges (or an unroll bomb inside one pass boundary) is cut by
-     the ambient deadline/step budget between stages *)
-  Dce_support.Guard.poll ~site:pass.p_label;
+(* ------------------------------------------------------------------ *)
+(* the stage memo                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type entry = {
+  e_key : string;
+  e_input : Ir.program;
+  e_output : Ir.program option;  (* [None]: the stage left its input unchanged *)
+  e_record : stage_record;
+  e_change : change;
+}
+
+type memo = (int, entry) Hashtbl.t
+
+let memo () : memo = Hashtbl.create 64
+
+(* Each function's hash is bounded, so hashing costs the same on every
+   stage; [same_program] decides.  Unchanged functions stay physically
+   shared from stage to stage and config to config, so [==] settles most of
+   the comparison. *)
+let memo_hash key (prog : Ir.program) =
+  List.fold_left
+    (fun h fn -> (h * 31) + Hashtbl.hash_param 16 64 fn)
+    (Hashtbl.hash key) prog.Ir.prog_funcs
+
+let same_program (a : Ir.program) (b : Ir.program) =
+  a == b
+  || same a.Ir.prog_syms b.Ir.prog_syms
+     && a.Ir.prog_externs = b.Ir.prog_externs
+     && List.equal same a.Ir.prog_funcs b.Ir.prog_funcs
+
+let memo_find (m : memo) hash pass prog =
+  List.find_opt
+    (fun e -> String.equal e.e_key pass.p_key && same_program e.e_input prog)
+    (Hashtbl.find_all m hash)
+
+let memo_add (m : memo) hash pass prog (out, record, change) =
+  let entry =
+    {
+      e_key = pass.p_key;
+      e_input = prog;
+      e_output = (if change = Unchanged then None else Some out);
+      e_record = record;
+      e_change = change;
+    }
+  in
+  Hashtbl.add m hash entry
+
+(* ------------------------------------------------------------------ *)
+(* instrumented execution                                              *)
+(* ------------------------------------------------------------------ *)
+
+let execute ?check t pass round prog =
   t.cur <- prog;
   let markers_before = marker_set prog in
   let blocks_before = Ir.program_block_count prog in
@@ -234,15 +303,43 @@ let run_pass ?(round = 0) ?check t pass prog =
          else []);
     }
   in
-  (prog', record)
+  (prog', record, diff)
 
-let run_fixpoint ?check ~max_rounds t passes prog =
+let run_pass ?(round = 0) ?check ?memo t pass prog =
+  (* supervision poll point: one per executed or replayed stage, so a
+     fixpoint that never converges (or an unroll bomb inside one pass
+     boundary) is cut by the ambient deadline/step budget between stages,
+     and a step budget trips at the same count with or without the memo *)
+  Dce_support.Guard.poll ~site:pass.p_label;
+  match memo with
+  | None ->
+    let prog', record, _ = execute ?check t pass round prog in
+    (prog', record)
+  | Some m -> (
+    let hash = memo_hash pass.p_key prog in
+    match memo_find m hash pass prog with
+    | Some e ->
+      (* a replay: the manager drops what the stage's change invalidates,
+         exactly as after an execution; the IR hook and the validator saw
+         this output when it was computed *)
+      bump c_memo_hits;
+      let prog' = Option.value ~default:prog e.e_output in
+      invalidate t pass.p_info e.e_change;
+      t.cur <- prog';
+      (prog', { e.e_record with sr_round = round })
+    | None ->
+      bump c_memo_misses;
+      let ((prog', record, _) as out) = execute ?check t pass round prog in
+      memo_add m hash pass prog out;
+      (prog', record))
+
+let run_fixpoint ?check ?memo ~max_rounds t passes prog =
   let trace = ref [] in
   let rec go round prog =
     let prog, round_changed =
       List.fold_left
         (fun (prog, any) pass ->
-          let prog, record = run_pass ~round ?check t pass prog in
+          let prog, record = run_pass ~round ?check ?memo t pass prog in
           trace := record :: !trace;
           (prog, any || record.sr_changed))
         (prog, false) passes

@@ -13,7 +13,9 @@
       markers the stage eliminated — the {!trace} that {!Dce_core.Diagnose}
       and [dce_hunt explain --trace] consume;
     - a {b fixpoint driver} that repeats a round of passes until a whole
-      round leaves the IR unchanged (or a round budget is exhausted).
+      round leaves the IR unchanged (or a round budget is exhausted);
+    - a {b stage memo} ({!memo}) that replays a stage already run with the
+      same pass key on a structurally identical input.
 
     Caching is observably transparent: a cache hit returns a result
     structurally identical to a fresh recomputation, so pipelines built on
@@ -47,6 +49,8 @@ type counters = {
   cfg_misses : int;
   dom_hits : int;
   dom_misses : int;
+  memo_hits : int;  (** stages replayed from a {!memo} *)
+  memo_misses : int;  (** stages executed and stored in a {!memo} *)
 }
 
 val counters : unit -> counters
@@ -55,7 +59,12 @@ val counters : unit -> counters
 val reset_counters : unit -> unit
 
 val hit_rate : counters -> float
-(** Overall hits / (hits + misses), [0.] when nothing was requested. *)
+(** Overall analysis hits / (hits + misses), [0.] when nothing was
+    requested.  Stage-memo counts are not part of it: a replayed stage
+    requests no analysis at all. *)
+
+val memo_hit_rate : counters -> float
+(** Stage-memo hits / (hits + misses), [0.] when no memo was consulted. *)
 
 (** {1 The analysis manager} *)
 
@@ -79,10 +88,21 @@ val dominators : t -> Ir.func -> Dce_ir.Dom.t
 type pass = {
   p_info : Dce_opt.Passinfo.t;
   p_label : string;  (** display name; defaults to the registered name *)
+  p_key : string;  (** the label and the marshalled config: the {!memo} key *)
   p_run : t -> Ir.program -> Ir.program;
 }
 
-val make_pass : ?label:string -> Dce_opt.Passinfo.t -> (t -> Ir.program -> Ir.program) -> pass
+val make_pass :
+  ?label:string ->
+  config:'c ->
+  Dce_opt.Passinfo.t ->
+  ('c -> t -> Ir.program -> Ir.program) ->
+  pass
+(** [make_pass ~config info run] runs [run config].  The pass key is the
+    label plus [Marshal.to_string config []], so [run] must read its
+    settings from [config] alone, never from values it closes over: two
+    passes with one key are assumed to compute the same function of the
+    program.  [Marshal] raises on a closure, so a config cannot hide one. *)
 
 type stage_record = {
   sr_label : string;
@@ -100,11 +120,24 @@ type trace = stage_record list
 (** In execution order.  Stages skipped by fixpoint early exit do not
     appear. *)
 
+(** {1 The stage memo} *)
+
+type memo
+(** Mutable and single-domain: maps (pass key, input program) to the stage's
+    output, stage record and change.  Inputs are found by a bounded
+    per-function hash and confirmed by [==]-first structural equality, the
+    {!Compile_cache} rule; an output is stored only when the stage changed
+    the IR.  Scope one memo to one program (see {!Pipeline.prepare}): it
+    keeps every input it has seen alive. *)
+
+val memo : unit -> memo
+
 (** {1 Execution} *)
 
 val run_pass :
   ?round:int ->
   ?check:(string -> Ir.program -> unit) ->
+  ?memo:memo ->
   t ->
   pass ->
   Ir.program ->
@@ -112,10 +145,18 @@ val run_pass :
 (** Runs one pass under the manager: times it, detects which functions
     changed, invalidates cached analyses accordingly (honoring the pass's
     [preserves] declaration), and records the stage.  [check] is called with
-    the stage label and the post-stage program (the validation hook). *)
+    the stage label and the post-stage program (the validation hook).
+
+    With [memo], a stage whose key and input the memo holds is replayed
+    instead: one {!Dce_support.Guard.poll} with the label (as an execution
+    polls), the stored output and record (with this call's [round], the
+    stored [sr_time]), and the stored change's invalidation.  A replay calls
+    neither the IR hook nor [check], so a memo must only be shared by runs
+    whose [check] is the same. *)
 
 val run_fixpoint :
   ?check:(string -> Ir.program -> unit) ->
+  ?memo:memo ->
   max_rounds:int ->
   t ->
   pass list ->

@@ -3,10 +3,8 @@
 
     Stage order (each stage gated/configured by {!Features.t}):
 
-    + the {e front}: front-end simplification (the only thing [-O0] gets),
-      then SSA construction — no stage here reads a {!Features.t} field, so
-      it is computed once per program and shared by every config (see
-      {!prepare});
+    + front-end simplification (the only thing [-O0] gets), then SSA
+      construction;
     + {e early} unreachable-function removal, when [function_dce_early] —
       the Listing 9b pass-ordering flaw: functions that later folding will
       orphan are no longer deleted;
@@ -24,7 +22,12 @@
     leaves the IR unchanged; because every pass is a deterministic function
     of the program, the skipped rounds could not have changed it either, so
     the output is identical to the historical fixed-count schedule —
-    checked program-for-program by the [run_reference] differential test.
+    checked program-for-program against a reference that runs
+    {!static_passes} uncached, in the test suite.
+
+    The configs of one program share a stage memo ({!prepare}): a pass
+    whose key (label and config, {!Passmgr.make_pass}) and input program
+    were already seen replays the stored stage instead of running.
 
     [run] never changes observable behaviour: this is checked by the
     differential-interpretation tests and the qcheck property suite. *)
@@ -40,34 +43,31 @@ val run_traced :
     {!Dce_core.Diagnose} and [dce_hunt explain --trace].  This is
     [run_prepared feats (prepare ?validate prog)]. *)
 
-(** {1 The shared front} *)
+(** {1 The stage memo} *)
 
 type prepared
-(** One program with its front stages computed lazily, each at most once.
+(** One program with its stage memo ({!Passmgr.memo}, one per IR form).
     Mutable and single-domain: share it among the configs of one program
-    inside one analysis, never across programs or domains. *)
+    inside one analysis, never across programs or domains; it keeps every
+    stage input it has seen alive until it is dropped. *)
 
 val prepare : ?validate:bool -> Dce_ir.Ir.program -> prepared
-(** Runs nothing yet: the first {!run_prepared} that needs a front stage
-    executes it — polling the ambient guard, applying the ambient IR hook
-    and, when [validate] (default false), validating its output — and later
-    configs replay it.  Every run on the result validates its stages when
-    [validate] is set, as {!run}'s [validate] does. *)
+(** Runs nothing yet.  Every run on the result validates its stages when
+    [validate] (default false) is set, as {!run}'s [validate] does. *)
 
 val run_prepared : Features.t -> prepared -> Dce_ir.Ir.program * Passmgr.trace
-(** The schedule's one executor: the front (computed or replayed) and then
-    the per-config rest.  The result and the trace are those of
-    {!run_traced} on the prepared program; a replayed front stage reuses its
-    stage record (including [sr_time]) and still polls the ambient guard
-    once, so step budgets count the same polls. *)
+(** The schedule's one executor.  A stage the memo holds is replayed
+    ({!Passmgr.run_pass}): it polls the ambient guard once and reuses the
+    stored record (including [sr_time]), but neither applies the ambient IR
+    hook nor re-validates, so a corruption the hook plants is blamed on the
+    first config that executes the stage.  Any other stage executes and is
+    stored.  The result and the untimed trace are those of {!run_traced} on
+    the prepared program. *)
 
-val run_reference : Features.t -> Dce_ir.Ir.program -> Dce_ir.Ir.program
-(** The pre-pass-manager pipeline semantics, kept as a differential
-    oracle: the full static schedule with no fixpoint early exit, and a
-    fresh analysis computation for every stage (no caching).  Test-only;
-    {!run} must produce an identical program. *)
+val static_passes : Features.t -> Passmgr.pass list
+(** The maximal schedule [run] executes, in order, with fixpoint sections
+    fully expanded: what a run with no early exit would execute. *)
 
 val stage_names : Features.t -> string list
-(** The maximal schedule [run] executes, in order (for [--explain] and
-    tests).  Fixpoint sections appear fully expanded; an actual run may
-    stop a round sequence early once the IR reaches a fixpoint. *)
+(** The labels of {!static_passes} (for [--explain] and tests); an actual
+    run may stop a round sequence early once the IR reaches a fixpoint. *)

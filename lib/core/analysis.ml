@@ -34,14 +34,15 @@ let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
   | Ground_truth.Rejected reason -> Rejected reason
   | Ground_truth.Valid truth ->
     (* one lowering feeds the primary graph and every config; the configs
-       share the pipeline front too, which the first config's "differential"
-       phase computes (so a fault there keeps its historical stage) *)
+       share one stage memo too, so a stage runs in the first config's
+       "differential" phase that needs it (a fault there keeps its
+       historical stage) and later configs replay it *)
     let ir, graph =
       hook.wrap "primary-graph" (fun () ->
           let ir = Dce_ir.Lower.program instrumented in
           (ir, Primary.build ~live_blocks:truth.Ground_truth.live_blocks ir))
     in
-    let front = C.Pipeline.prepare ~validate:checked ir in
+    let prepared = C.Pipeline.prepare ~validate:checked ir in
     let configs =
       List.concat_map
         (fun compiler ->
@@ -50,7 +51,7 @@ let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
               let cfg = { Differential.compiler; level; version = None } in
               let surviving, cfg_trace =
                 hook.wrap "differential" (fun () ->
-                    Differential.surviving_prepared cfg front)
+                    Differential.surviving_prepared cfg prepared)
               in
               let missed = Differential.missed ~surviving ~dead:truth.Ground_truth.dead in
               let primary_missed =

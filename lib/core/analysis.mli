@@ -5,7 +5,7 @@
     all five levels → surviving-marker sets → missed / primary-missed sets
     per configuration.  The instrumented program is lowered once, for the
     primary graph and for every configuration, and the configurations share
-    its feature-independent pipeline front ({!Dce_compiler.Pipeline.prepare}). *)
+    one pipeline stage memo ({!Dce_compiler.Pipeline.prepare}). *)
 
 type per_config = {
   cfg_compiler : string;

@@ -30,8 +30,8 @@ val surviving_traced :
 
 val surviving_prepared :
   config -> Dce_compiler.Pipeline.prepared -> Dce_ir.Ir.Iset.t * Dce_compiler.Passmgr.trace
-(** {!surviving_traced} from the lowered program with its shared pipeline
-    front ({!Dce_compiler.Pipeline.prepare}); the configs of one program
+(** {!surviving_traced} from the lowered program with its pipeline stage
+    memo ({!Dce_compiler.Pipeline.prepare}); the configs of one program
     pass the same [prepared]. *)
 
 val missed :

@@ -33,19 +33,15 @@ let reach_map prog =
   done;
   tbl
 
-(* a unique-ish suffix for cloned frame symbols; atomic because campaign
-   workers inline from several domains concurrently (uniqueness is only
-   needed within one compilation, but increments must not tear) *)
-let clone_counter = Atomic.make 0
-
 (* splice [callee] into [caller] at the call site (block [l], index [idx]);
    returns the new caller and the frame symbols to add to the program *)
-let inline_site caller callee ~callee_frames l idx res args =
+let inline_site ~clones caller callee ~callee_frames l idx res args =
   let b = block caller l in
   let prefix = Dce_support.Listx.take idx b.b_instrs in
   let suffix = Dce_support.Listx.drop (idx + 1) b.b_instrs in
   (* frame symbol renaming for this call site *)
-  let sym_suffix = Printf.sprintf "$i%d" (1 + Atomic.fetch_and_add clone_counter 1) in
+  incr clones;
+  let sym_suffix = Printf.sprintf "$i%d" !clones in
   let sym_rename name = name ^ sym_suffix in
   (* label/var offsets into the caller's namespace *)
   let loff = caller.fn_next_label in
@@ -168,6 +164,10 @@ let run config prog =
   let size_of = Hashtbl.create 16 in
   List.iter (fun fn -> Hashtbl.replace size_of fn.fn_name (instr_count fn)) prog.prog_funcs;
   let prog_ref = ref prog in
+  (* clone suffixes count per run, so the output is a function of the input
+     alone (the pass manager's stage memo relies on that); lowered symbol
+     names hold no '$' and a schedule inlines once, so they stay unique *)
+  let clones = ref 0 in
   let inline_into fn =
     let fn = ref fn in
     let budget = ref 40 in
@@ -213,7 +213,7 @@ let run config prog =
               | `Frame _ | `Global -> None)
             !prog_ref.prog_syms
         in
-        let new_fn, sym_rename = inline_site !fn callee ~callee_frames l idx res args in
+        let new_fn, sym_rename = inline_site ~clones !fn callee ~callee_frames l idx res args in
         (* clone the callee's frame symbols for this site *)
         let new_syms =
           List.filter_map

@@ -50,6 +50,8 @@ let passmgr_delta (a : Passmgr.counters) (b : Passmgr.counters) =
     cfg_misses = b.cfg_misses - a.cfg_misses;
     dom_hits = b.dom_hits - a.dom_hits;
     dom_misses = b.dom_misses - a.dom_misses;
+    memo_hits = b.memo_hits - a.memo_hits;
+    memo_misses = b.memo_misses - a.memo_misses;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -27,7 +27,7 @@ let reduce ?(max_tests = 4000) ~predicate prog =
 (* ------------------------------------------------------------------ *)
 
 (* The pre-engine sequential reducer, kept verbatim as a differential
-   oracle (the {!Dce_compiler.Pipeline.run_reference} idiom): the test
+   oracle (as the pipeline's uncached [run_reference] is): the test
    suite asserts the engine reproduces its exact results over a seeded
    corpus.  Note it generates no-op statement edits the engine's candidate
    stream skips — they can never be charged (the strict-shrink size filter

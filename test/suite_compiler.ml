@@ -268,6 +268,27 @@ let test_head_features_match_default () =
         C.Level.all)
     [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
 
+(* Inlining clones the callee's frame symbols under a numbered suffix; the
+   numbering restarts with every inline run, so compiling one program twice
+   in one process gives the same assembly *)
+let test_repeat_compile_identical () =
+  let prog =
+    parse
+      "static int f(int x) { int a[2]; a[0] = x; a[1] = x + 1; return a[x & 1]; } int \
+       main(void) { return f(3) + f(4); }"
+  in
+  List.iter
+    (fun compiler ->
+      List.iter
+        (fun level ->
+          let asm () = Dce_backend.Asm.to_string (C.Compiler.compile compiler level prog) in
+          let first = asm () in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" compiler.C.Compiler.name (C.Level.to_string level))
+            first (asm ()))
+        C.Level.all)
+    [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+
 let suite =
   [
     ("levels: strings", `Quick, test_level_strings);
@@ -287,5 +308,6 @@ let suite =
     ("pipeline: llvm late function-dce", `Quick, test_schedule_llvm_has_late_fdce);
     ("compile: all configs validate", `Quick, test_compile_validates_all_configs);
     ("compile: foldable code shrinks", `Quick, test_higher_levels_never_slower_code);
+    ("compile: a repeated compile gives identical asm", `Quick, test_repeat_compile_identical);
   ]
   @ qcheck_tests

@@ -278,6 +278,8 @@ let zero_counters =
     cfg_misses = 0;
     dom_hits = 0;
     dom_misses = 0;
+    memo_hits = 0;
+    memo_misses = 0;
   }
 
 let acc samples ~retries ~recovered =

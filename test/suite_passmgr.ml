@@ -12,7 +12,7 @@ module Mi = Dce_opt.Meminfo
 
 (* deletes every store: changes Meminfo's stored/const-store facts *)
 let strip_stores_pass =
-  Pm.make_pass (Pi.v "strip-stores") (fun _mgr prog ->
+  Pm.make_pass ~config:() (Pi.v "strip-stores") (fun () _mgr prog ->
       Ir.map_func
         (fun fn ->
           {
@@ -34,7 +34,7 @@ let strip_stores_pass =
 (* rewrites every conditional branch to its true edge: changes predecessors
    and dominators without touching the block set *)
 let force_jmp_pass =
-  Pm.make_pass (Pi.v "force-jmp") (fun _mgr prog ->
+  Pm.make_pass ~config:() (Pi.v "force-jmp") (fun () _mgr prog ->
       Ir.map_func
         (fun fn ->
           {
@@ -247,20 +247,35 @@ int main(void) {
 
 (* ---- differential against the reference pipeline, validated smoke ---- *)
 
+(* The pre-pass-manager pipeline semantics, kept as a differential oracle:
+   every scheduled stage runs (no fixpoint exit), nothing is cached (a fresh
+   manager per stage recomputes each analysis on the stage's input) and no
+   stage is replayed from a memo. *)
+let run_reference feats prog =
+  List.fold_left
+    (fun prog pass ->
+      let mgr = Pm.create prog in
+      fst (Pm.run_pass mgr pass prog))
+    prog (C.Pipeline.static_passes feats)
+
 let test_matches_reference_corpus () =
   let corpus = Dce_smith.Smith.generate_corpus ~seed:20220228 ~count:50 in
   List.iter
     (fun (raw, _kinds) ->
       let ir = Dce_ir.Lower.program (Core.Instrument.program raw) in
+      (* one memo across the program's configs, as Analysis.run shares it *)
+      let prepared = C.Pipeline.prepare ir in
       List.iter
         (fun compiler ->
           List.iter
             (fun level ->
               let feats = C.Compiler.features compiler level in
-              let fast = C.Pipeline.run feats ir in
-              let slow = C.Pipeline.run_reference feats ir in
-              if fast <> slow then
+              let slow = run_reference feats ir in
+              if C.Pipeline.run feats ir <> slow then
                 Alcotest.failf "cached fixpoint pipeline diverges from reference: %s %s"
+                  compiler.C.Compiler.name (C.Level.to_string level);
+              if fst (C.Pipeline.run_prepared feats prepared) <> slow then
+                Alcotest.failf "memo-shared pipeline diverges from reference: %s %s"
                   compiler.C.Compiler.name (C.Level.to_string level))
             C.Level.all)
         [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ])
@@ -306,6 +321,36 @@ let test_shared_front_matches_unshared () =
           if untimed shared_trace <> untimed alone_trace then
             Alcotest.failf "shared-front trace diverges: %s" (config_name cfg))
         configs)
+    corpus
+
+(* A pass key that missed a Features.t field would let one feature set
+   replay another's stage.  History versions toggle one field at a time, so
+   sharing one memo across every version x level of both compilers and
+   comparing each against a fresh compile catches such a key. *)
+let test_memo_keys_complete () =
+  let feature_sets =
+    List.concat_map
+      (fun compiler ->
+        let history = compiler.C.Compiler.history in
+        List.concat_map
+          (fun v -> List.map (fun l -> C.Version.features_at history v l) C.Level.all)
+          (List.init (List.length history + 1) Fun.id))
+      compilers
+    |> List.sort_uniq compare
+  in
+  let corpus = Dce_smith.Smith.generate_corpus ~seed:20220228 ~count:50 in
+  List.iteri
+    (fun p (raw, _kinds) ->
+      let ir = Dce_ir.Lower.program (Core.Instrument.program raw) in
+      let prepared = C.Pipeline.prepare ir in
+      List.iteri
+        (fun i feats ->
+          let shared, shared_trace = C.Pipeline.run_prepared feats prepared in
+          let alone, alone_trace = C.Pipeline.run_traced feats ir in
+          if shared <> alone then Alcotest.failf "program %d, feature set %d: IR diverges" p i;
+          if untimed shared_trace <> untimed alone_trace then
+            Alcotest.failf "program %d, feature set %d: trace diverges" p i)
+        feature_sets)
     corpus
 
 (* Analysis.run with one step-counting guard around its "differential"
@@ -369,9 +414,9 @@ let test_analysis_matches_per_config () =
       | _ -> Alcotest.failf "seed %d: an unbounded run tripped its guard" seed)
     [ 3; 7; 11 ]
 
-(* a corrupt-IR injection after a front stage, in checked mode, blames that
-   stage in the first config that runs it — the config an unshared compile
-   would blame too *)
+(* a corrupt-IR injection after a stage, in checked mode, blames that stage
+   in the first config that runs it — the config an unshared compile would
+   blame too; later configs replay the stage from the memo *)
 let test_front_corruption_blames_stage () =
   let raw = smith_program 7 in
   List.iter
@@ -407,7 +452,7 @@ let test_front_corruption_blames_stage () =
             Alcotest.(check string) (stage ^ ": raised in config")
               (config_name (List.nth configs first))
               (config_name (List.nth configs (!phases - 1)))))
-    [ "simplify-cfg"; "ssa" ]
+    [ "simplify-cfg"; "ssa"; "gvn" ]
 
 let suite =
   [
@@ -424,6 +469,7 @@ let suite =
     ("smoke: validated pipeline over 25 programs", `Slow, test_validated_smoke_corpus);
     ("front: shared front = unshared compile on 50 programs", `Slow,
      test_shared_front_matches_unshared);
+    ("memo: keys cover every feature of every version", `Slow, test_memo_keys_complete);
     ("front: Analysis.run = per-config compiles, same guard polls", `Quick,
      test_analysis_matches_per_config);
     ("front: corrupt IR after a front stage blames it", `Quick,
