@@ -273,12 +273,7 @@ let print_supervision_bench () =
      overhead)\n"
     reps (bare *. 1e3) (armed *. 1e3) overhead;
   let chaos =
-    match
-      Campaign.Chaos.of_string
-        "crash@3,hang@7:ground-truth,transient@11:differential,slow@13:instrument,corrupt@17"
-    with
-    | Ok p -> p
-    | Error e -> failwith e
+    "crash@3,hang@7:ground-truth,transient@11:differential,slow@13:instrument,corrupt@17"
   in
   let cases = 30 in
   let t0 = Unix.gettimeofday () in
@@ -286,7 +281,9 @@ let print_supervision_bench () =
   let plain_wall = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
   let chaotic =
-    Campaign.Corpus.run ~jobs ~seed:4242 ~count:cases ~chaos ~step_budget:2_000_000 ~retries:2 ()
+    Campaign.Corpus.run ~jobs ~seed:4242 ~count:cases
+      ~settings:(Campaign.Settings.v ~chaos ~step_budget:2_000_000 ~retries:2 ())
+      ()
   in
   let chaos_wall = Unix.gettimeofday () -. t0 in
   let m = chaotic.Campaign.Corpus.c_metrics in
@@ -897,7 +894,8 @@ let print_fabric_bench () =
   in
   let timed_run workers =
     let t0 = Unix.gettimeofday () in
-    let r = Campaign.Fabric.run ~codec:toy_codec ~workers ~jobs:1 ~count:cases runner in
+    let settings = Campaign.Settings.v ~workers () in
+    let r = Campaign.Fabric.run ~codec:toy_codec ~settings ~jobs:1 ~count:cases runner in
     (Unix.gettimeofday () -. t0, r)
   in
   let wall_1, r1 = timed_run 1 in
@@ -929,7 +927,8 @@ let print_fabric_bench () =
   let timed_skew ~chunk runner =
     let t0 = Unix.gettimeofday () in
     let r =
-      Campaign.Fabric.run ~codec:toy_codec ~chunk ~workers:4 ~jobs:1 ~count:skew_cases runner
+      Campaign.Fabric.run ~codec:toy_codec ~settings:(Campaign.Settings.v ~chunk ~workers:4 ())
+        ~jobs:1 ~count:skew_cases runner
     in
     (Unix.gettimeofday () -. t0, r.Campaign.Engine.outcomes)
   in
@@ -952,7 +951,10 @@ let print_fabric_bench () =
      for the whole campaign; the farewell message ships the counters back *)
   let warm_count = min corpus_size 24 in
   let solo = Campaign.Corpus.run ~jobs:1 ~seed:20220228 ~count:warm_count () in
-  let grid = Campaign.Corpus.run ~workers:2 ~chunk:3 ~jobs:1 ~seed:20220228 ~count:warm_count () in
+  let grid =
+    Campaign.Corpus.run ~settings:(Campaign.Settings.v ~workers:2 ~chunk:3 ())
+      ~jobs:1 ~seed:20220228 ~count:warm_count ()
+  in
   let report c =
     let st = Campaign.Corpus.stats c in
     R.Stats.prevalence st ^ R.Stats.table1 st ^ R.Stats.table2 st

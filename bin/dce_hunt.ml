@@ -186,13 +186,15 @@ let compile_cmd =
 module Campaign = Dce_campaign
 
 let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains, each taking the next pending case as it frees up.  Findings and \
-           reports are identical for every $(docv), and $(docv)=1 runs the historical \
-           sequential path.")
+  Term.(
+    const Campaign.Settings.jobs
+    $ Arg.(
+        value & opt int 1
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Worker domains, each taking the next pending case as it frees up.  Findings and \
+               reports are identical for every $(docv), and $(docv)=1 runs the historical \
+               sequential path."))
 
 let workers_arg =
   Arg.(
@@ -260,12 +262,42 @@ let retries_arg =
           "Re-run a case whose fault is classified transient up to $(docv) extra attempts, each \
            under a fresh deadline/budget, before quarantining it.")
 
-let chaos_plan_of_spec = function
-  | None -> []
-  | Some spec -> (
-    match Campaign.Chaos.of_string spec with
-    | Ok plan -> plan
-    | Error msg -> failwith ("--chaos: " ^ msg))
+let chaos_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "chaos" ] ~docv:"PLAN"
+        ~doc:
+          "Deterministic fault plan: comma-separated KIND@CASE[:STAGE] entries, KIND one of \
+           crash, hang, slow, corrupt, transient[N].  Example: \
+           \"crash@1,transient@3:differential,hang@5:ground-truth\".  Hangs require \
+           $(b,--deadline) or $(b,--step-budget); corrupt implies $(b,--checked).")
+
+let checked_arg =
+  Arg.(
+    value & flag
+    & info [ "checked" ]
+        ~doc:
+          "Validate the IR after every optimization pass; a pass emitting invalid IR \
+           quarantines the case as ir-invalid blaming that pass.")
+
+(* The one term every campaign command builds its Settings.t from:
+   --workers/--chunk always, the supervision flags unless [~supervised:false],
+   --chaos/--checked only with [~chaos:true] — so no command gains a flag.
+   Settings.v validates here, at the CLI boundary. *)
+let settings_arg ?(supervised = true) ?(chaos = false) () =
+  let v deadline step_budget retries chaos checked workers chunk =
+    Campaign.Settings.v ?deadline ?step_budget ~retries ?chaos ~checked ~workers ?chunk ()
+  in
+  let if_ on arg absent = if on then arg else Term.const absent in
+  Term.(
+    const v
+    $ if_ supervised deadline_arg None
+    $ if_ supervised step_budget_arg None
+    $ if_ supervised retries_arg 0
+    $ if_ chaos chaos_arg None
+    $ if_ chaos checked_arg false
+    $ workers_arg $ chunk_arg)
 
 let print_epilogue ?(metrics = false) ~quarantine ~quarantine_text ~resumed summary =
   if quarantine <> [] then begin
@@ -298,17 +330,6 @@ let run_root_arg =
 let hunt_cmd =
   let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
   let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ] ~docv:"PLAN"
-          ~doc:
-            "Deterministic fault plan: comma-separated KIND@CASE[:STAGE] entries, KIND one of \
-             crash, hang, slow, corrupt, transient[N].  Example: \
-             \"crash@1,transient@3:differential,hang@5:ground-truth\".  Hangs require \
-             $(b,--deadline) or $(b,--step-budget); corrupt implies $(b,--checked).")
-  in
   let bundle_dir =
     Arg.(
       value
@@ -326,21 +347,9 @@ let hunt_cmd =
             "Auto-minimize each written crash bundle through the reduction engine (best effort; \
              adds repro-min.c when the fault reproduces and shrinks).")
   in
-  let checked =
-    Arg.(
-      value & flag
-      & info [ "checked" ]
-          ~doc:
-            "Validate the IR after every optimization pass; a pass emitting invalid IR \
-             quarantines the case as ir-invalid blaming that pass.")
-  in
-  let run seed count jobs workers chunk journal run_root metrics deadline step_budget
-      retries chaos_spec bundle_dir minimize_bundles checked exec =
+  let run seed count jobs settings journal run_root metrics bundle_dir minimize_bundles exec =
     set_exec exec;
-    let chaos = chaos_plan_of_spec chaos_spec in
-    let run_id =
-      Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed ~count ~checked ~chaos_spec
-    in
+    let run_id = Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed ~count settings in
     let run_dir = Option.map (fun root -> Campaign.Run_store.dir_of ~root ~id:run_id) run_root in
     let journal =
       match (journal, run_dir) with
@@ -350,10 +359,7 @@ let hunt_cmd =
         Some (Campaign.Run_store.journal_path dir)
       | None, None -> None
     in
-    let c =
-      Campaign.Corpus.run ?journal ?deadline ?step_budget ~retries ~chaos
-        ~checked ?bundle_dir ~workers ?chunk ~jobs ~seed ~count ()
-    in
+    let c = Campaign.Corpus.run ?journal ~settings ?bundle_dir ~jobs ~seed ~count () in
     let stats = Campaign.Corpus.stats c in
     print_endline (Dce_report.Stats.prevalence stats);
     print_endline "Table 1 (% dead blocks missed):";
@@ -382,11 +388,13 @@ let hunt_cmd =
      | Some dir when c.Campaign.Corpus.c_quarantine <> [] ->
        Printf.printf "crash bundles written under %s/\n" dir;
        if minimize_bundles then begin
-         let checked = checked || Campaign.Chaos.has_corrupt chaos in
+         let checked = Campaign.Settings.checked settings in
          let still_faulty prog =
            (* replay under the same budgets so a hanging repro times out the
               same way it did in the campaign *)
-           let guard = Dce_support.Guard.create ?deadline ?steps:step_budget () in
+           let guard =
+             Dce_support.Guard.create ?deadline:settings.deadline ?steps:settings.step_budget ()
+           in
            match Dce_support.Guard.with_guard guard (fun () -> Core.Analysis.run ~checked prog) with
            | _ -> false
            | exception _ -> true
@@ -399,19 +407,7 @@ let hunt_cmd =
     | None -> ()
     | Some root ->
       let report = Campaign.Corpus.report ~campaign:"hunt" ~seed ~count c in
-      let meta =
-        Campaign.Json.Obj
-          [
-            ("campaign", Campaign.Json.String "hunt");
-            ("seed", Campaign.Json.Int seed);
-            ("count", Campaign.Json.Int count);
-            ("checked", Campaign.Json.Bool checked);
-            ( "chaos",
-              match chaos_spec with
-              | Some s -> Campaign.Json.String s
-              | None -> Campaign.Json.Null );
-          ]
-      in
+      let meta = Campaign.Run_store.meta ~campaign:"hunt" ~seed ~count settings in
       let report_text = Campaign.Corpus.report_text c in
       let dir =
         Campaign.Run_store.write ~report_text ~root ~id:run_id ~meta
@@ -428,21 +424,17 @@ let hunt_cmd =
           via $(b,--journal) — and optionally forked over $(b,--workers) persistent worker \
           processes with dynamic work stealing.")
     Term.(
-      const run $ seed $ count $ jobs_arg $ workers_arg $ chunk_arg $ journal_arg $ run_root_arg
-      $ metrics_arg $ deadline_arg $ step_budget_arg $ retries_arg $ chaos $ bundle_dir
-      $ minimize_bundles $ checked $ exec_arg)
+      const run $ seed $ count $ jobs_arg $ settings_arg ~chaos:true () $ journal_arg
+      $ run_root_arg $ metrics_arg $ bundle_dir $ minimize_bundles $ exec_arg)
 
 (* ---------- triage ---------- *)
 
 let triage_cmd =
   let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
   let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let run seed count jobs workers chunk journal metrics deadline step_budget retries exec =
+  let run seed count jobs settings journal metrics exec =
     set_exec exec;
-    let c =
-      Campaign.Corpus.run ?journal ?deadline ?step_budget ~retries ~workers ?chunk ~jobs ~seed
-        ~count ()
-    in
+    let c = Campaign.Corpus.run ?journal ~settings ~jobs ~seed ~count () in
     let stats = Campaign.Corpus.stats c in
     let programs = Campaign.Corpus.instrumented_programs c in
     let reports =
@@ -473,8 +465,8 @@ let triage_cmd =
          "Run the full reporting pipeline on a generated corpus: differential campaign, \
           root-cause diagnosis, deduplication into reports, and Table-5 style statuses.")
     Term.(
-      const run $ seed $ count $ jobs_arg $ workers_arg $ chunk_arg $ journal_arg $ metrics_arg
-      $ deadline_arg $ step_budget_arg $ retries_arg $ exec_arg)
+      const run $ seed $ count $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
+      $ exec_arg)
 
 (* ---------- value-hunt (the §4.4 extension) ---------- *)
 
@@ -507,11 +499,8 @@ let value_hunt_cmd =
             C.Level.all)
         [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
   in
-  let run_corpus seed count jobs workers chunk journal metrics deadline step_budget retries =
-    let v =
-      Campaign.Corpus.run_value ?journal ?deadline ?step_budget ~retries ~workers ?chunk ~jobs
-        ~seed ~count ()
-    in
+  let run_corpus seed count jobs settings journal metrics =
+    let v = Campaign.Corpus.run_value ?journal ~settings ~jobs ~seed ~count () in
     print_string (Campaign.Corpus.value_table v);
     let quarantine_text =
       String.concat ""
@@ -526,11 +515,11 @@ let value_hunt_cmd =
     print_epilogue ~metrics ~quarantine:v.Campaign.Corpus.v_quarantine ~quarantine_text
       ~resumed:v.Campaign.Corpus.v_resumed v.Campaign.Corpus.v_metrics
   in
-  let run path seed count jobs workers chunk journal metrics deadline step_budget retries exec =
+  let run path seed count jobs settings journal metrics exec =
     set_exec exec;
     match path with
     | Some path -> run_file path
-    | None -> run_corpus seed count jobs workers chunk journal metrics deadline step_budget retries
+    | None -> run_corpus seed count jobs settings journal metrics
   in
   Cmd.v
     (Cmd.info "value-hunt"
@@ -538,8 +527,8 @@ let value_hunt_cmd =
          "Plant profiled value checks after loops (the paper's future-work mode) and show which \
           configurations prove them — on one file, or as a campaign over a generated corpus.")
     Term.(
-      const run $ file_opt $ seed $ count $ jobs_arg $ workers_arg $ chunk_arg $ journal_arg
-      $ metrics_arg $ deadline_arg $ step_budget_arg $ retries_arg $ exec_arg)
+      const run $ file_opt $ seed $ count $ jobs_arg $ settings_arg () $ journal_arg
+      $ metrics_arg $ exec_arg)
 
 (* ---------- size-hunt ---------- *)
 
@@ -555,12 +544,9 @@ let size_hunt_cmd =
              $(docv) times the other's.  A reporting parameter only — the journal stores size \
              curves, so resuming with a different $(docv) re-thresholds without recompiling.")
   in
-  let run seed count ratio jobs workers chunk journal metrics deadline step_budget retries exec =
+  let run seed count ratio jobs settings journal metrics exec =
     set_exec exec;
-    let s =
-      Campaign.Oracle_campaign.run_size ?journal ~ratio ?deadline ?step_budget ~retries ~workers
-        ?chunk ~jobs ~seed ~count ()
-    in
+    let s = Campaign.Oracle_campaign.run_size ?journal ~ratio ~settings ~jobs ~seed ~count () in
     print_string (Campaign.Oracle_campaign.size_report s);
     print_epilogue ~metrics ~quarantine:s.Campaign.Oracle_campaign.s_quarantine
       ~quarantine_text:(Campaign.Oracle_campaign.size_quarantine_to_string s)
@@ -574,8 +560,8 @@ let size_hunt_cmd =
           its own -O2 — run over $(b,--jobs) worker domains, resumable via $(b,--journal), \
           with sizes routed through the content-addressed compile cache.")
     Term.(
-      const run $ seed $ count $ ratio $ jobs_arg $ workers_arg $ chunk_arg $ journal_arg
-      $ metrics_arg $ deadline_arg $ step_budget_arg $ retries_arg $ exec_arg)
+      const run $ seed $ count $ ratio $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
+      $ exec_arg)
 
 (* ---------- level-hunt ---------- *)
 
@@ -590,17 +576,14 @@ let level_hunt_cmd =
             "Also bisect every inversion through the keeping level's feature-flag commit \
              history (probe-cached, on the worker pool) and print the offending commits.")
   in
-  let run seed count bisect jobs workers chunk journal metrics deadline step_budget retries exec =
+  let run seed count bisect jobs settings journal metrics exec =
     set_exec exec;
-    let t =
-      Campaign.Oracle_campaign.run_inversion ?journal ?deadline ?step_budget ~retries ~workers
-        ?chunk ~jobs ~seed ~count ()
-    in
+    let t = Campaign.Oracle_campaign.run_inversion ?journal ~settings ~jobs ~seed ~count () in
     print_string (Campaign.Oracle_campaign.inversion_report t);
     if bisect then
       print_string
         (Campaign.Oracle_campaign.inv_bisections_table
-           (Campaign.Oracle_campaign.bisect_inversions ?deadline ?step_budget ~retries ~jobs t));
+           (Campaign.Oracle_campaign.bisect_inversions ~settings ~jobs t));
     print_epilogue ~metrics ~quarantine:t.Campaign.Oracle_campaign.i_quarantine
       ~quarantine_text:(Campaign.Oracle_campaign.inversion_quarantine_to_string t)
       ~resumed:t.Campaign.Oracle_campaign.i_resumed t.Campaign.Oracle_campaign.i_metrics
@@ -613,8 +596,8 @@ let level_hunt_cmd =
           attribute each to the pass the strong level is missing, and optionally \
           $(b,--bisect) each inversion to its offending commit.")
     Term.(
-      const run $ seed $ count $ bisect $ jobs_arg $ workers_arg $ chunk_arg $ journal_arg
-      $ metrics_arg $ deadline_arg $ step_budget_arg $ retries_arg $ exec_arg)
+      const run $ seed $ count $ bisect $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
+      $ exec_arg)
 
 (* ---------- reduce ---------- *)
 
@@ -785,17 +768,16 @@ let bisect_campaign_cmd =
             "Disable the content-addressed probe cache (every probe recompiles).  Outcomes and \
              probe counts are identical either way; this exists for measurement.")
   in
-  let run seed count level jobs workers chunk journal metrics no_cache deadline step_budget
-      retries exec =
+  let run seed count level jobs settings journal metrics no_cache exec =
     set_exec exec;
-    let corpus = Campaign.Corpus.run ~workers ?chunk ~jobs ~seed ~count () in
+    let corpus = Campaign.Corpus.run ~settings ~jobs ~seed ~count () in
     let b =
-      Campaign.Bisect_campaign.run
-        ?journal
-        ~cache:(not no_cache)
-        ~level:(level_of_string level) ?deadline ?step_budget ~retries ~workers ?chunk ~jobs
-        corpus
+      Campaign.Bisect_campaign.run ?journal ~cache:(not no_cache) ~level:(level_of_string level)
+        ~settings ~jobs corpus
     in
+    print_epilogue ~quarantine:corpus.Campaign.Corpus.c_quarantine
+      ~quarantine_text:(Campaign.Corpus.quarantine_to_string corpus) ~resumed:0
+      corpus.Campaign.Corpus.c_metrics;
     print_string (Campaign.Bisect_campaign.summary b);
     print_string (Campaign.Bisect_campaign.component_tables b);
     print_epilogue ~metrics ~quarantine:b.Campaign.Bisect_campaign.b_quarantine
@@ -810,8 +792,8 @@ let bisect_campaign_cmd =
           domains, probe-cached, resumable via $(b,--journal) — and aggregate the offending \
           commits into the paper's component tables (Tables 3/4).")
     Term.(
-      const run $ seed $ count $ level $ jobs_arg $ workers_arg $ chunk_arg $ journal_arg
-      $ metrics_arg $ no_cache $ deadline_arg $ step_budget_arg $ retries_arg $ exec_arg)
+      const run $ seed $ count $ level $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
+      $ no_cache $ exec_arg)
 
 (* ---------- repair ---------- *)
 
@@ -849,8 +831,7 @@ let repair_cmd =
       & info [ "max-pairs" ] ~docv:"N"
           ~doc:"Probe budget for the pair stage of the search (default 64).")
   in
-  let run path marker comp level seed count verify_limit max_pairs jobs workers chunk run_root
-      exec =
+  let run path marker comp level seed count verify_limit max_pairs jobs settings run_root exec =
     set_exec exec;
     let marker =
       match marker with
@@ -864,9 +845,8 @@ let repair_cmd =
     let compiler = compiler_of_string comp in
     let level = level_of_string level in
     let r =
-      Dce_repair.Driver.run ~jobs ~workers ?chunk ~seed ~count ~verify_limit
-        ?max_pairs:(match max_pairs with Some _ -> max_pairs | None -> None)
-        ?run_root compiler level prog ~marker
+      Dce_repair.Driver.run ~jobs ~settings ~seed ~count ~verify_limit ?max_pairs ?run_root
+        compiler level prog ~marker
     in
     let s = r.Dce_repair.Driver.rr_search in
     Printf.printf "search: %d probe(s) (%d single(s), %d pair(s)), %d passing candidate(s)%s\n"
@@ -908,7 +888,7 @@ let repair_cmd =
           record is byte-identical across $(b,--jobs) and $(b,--workers).")
     Term.(
       const run $ file_arg $ marker $ comp $ level $ seed $ count $ verify_limit $ max_pairs
-      $ jobs_arg $ workers_arg $ chunk_arg $ run_root_arg $ exec_arg)
+      $ jobs_arg $ settings_arg ~supervised:false () $ run_root_arg $ exec_arg)
 
 (* ---------- campaign-diff ---------- *)
 

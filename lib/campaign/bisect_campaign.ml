@@ -145,8 +145,7 @@ let codec = { Engine.encode = encode_report; decode = decode_report }
 (* the campaign                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run ?journal ?(cache = true) ?(level = C.Level.O3) ?deadline ?step_budget ?retries
-    ?(workers = 1) ?chunk ~jobs (corpus : Corpus.t) =
+let run ?journal ?(cache = true) ?(level = C.Level.O3) ?settings ~jobs (corpus : Corpus.t) =
   let work =
     Array.of_list
       (List.filter_map
@@ -177,8 +176,8 @@ let run ?journal ?(cache = true) ?(level = C.Level.O3) ?deadline ?step_budget ?r
     }
   in
   let result =
-    Fabric.run ?journal ~codec ~campaign:"bisect" ~seed:corpus.Corpus.c_seed ?deadline
-      ?step_budget ?retries ?chunk ~workers ~jobs ~count runner
+    Fabric.run ?journal ~codec ~campaign:"bisect" ~seed:corpus.Corpus.c_seed ?settings ~jobs
+      ~count runner
   in
   let pairs =
     Array.fold_left (fun acc (_, _, ps) -> acc + List.length ps) 0 work

@@ -54,19 +54,15 @@ val run :
   ?journal:string ->
   ?cache:bool ->
   ?level:Dce_compiler.Level.t ->
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
-  ?workers:int ->
-  ?chunk:int ->
+  ?settings:Settings.t ->
   jobs:int ->
   Corpus.t ->
   t
 (** Defaults: [cache = true], [level = O3] (the level with the most
-    regressions in both simulated histories).  [deadline] / [step_budget] /
-    [retries] are the {!Engine.run} supervision controls, bounding each
-    case's bisections.  [workers]/[chunk] run the campaign on the
-    multi-process {!Fabric} (byte-identical output). *)
+    regressions in both simulated histories).  [settings] are the
+    {!Fabric.run} supervision and placement controls, bounding each case's
+    bisections (byte-identical output at any [workers]).  Pass the settings
+    the [corpus] was run under, so both halves are supervised alike. *)
 
 val codec : case_report Engine.codec
 (** The ["bisect-case"] journal record codec (exposed for tests). *)

@@ -178,10 +178,8 @@ let codec = { Engine.encode = encode_payload; decode = decode_payload }
 (* the campaign                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run ?journal ?fuel ?exec ?deadline ?step_budget ?retries ?(chaos = []) ?(checked = false)
-    ?bundle_dir ?(workers = 1) ?chunk ~jobs ~seed ~count () =
-  (* a corrupt-IR injection is invisible without per-pass validation *)
-  let checked = checked || Chaos.has_corrupt chaos in
+let run ?journal ?(settings = Settings.default) ?bundle_dir ~jobs ~seed ~count () =
+  let checked = Settings.checked settings in
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let raw =
@@ -189,12 +187,9 @@ let run ?journal ?fuel ?exec ?deadline ?step_budget ?retries ?(chaos = []) ?(che
           fst (Smith.generate (Smith.default_config seeds.(i))))
     in
     let hook = { Core.Analysis.wrap = (fun name f -> Engine.stage ctx name f) } in
-    { p_seed = seeds.(i); p_outcome = Core.Analysis.run ?fuel ?exec ~checked ~hook raw; p_raw = raw }
+    { p_seed = seeds.(i); p_outcome = Core.Analysis.run ~checked ~hook raw; p_raw = raw }
   in
-  let result =
-    Fabric.run ?journal ~codec ~campaign:"hunt" ~seed ?deadline ?step_budget ?retries ~chaos
-      ?chunk ~workers ~jobs ~count runner
-  in
+  let result = Fabric.run ?journal ~codec ~campaign:"hunt" ~seed ~settings ~jobs ~count runner in
   let cases =
     Array.map
       (function
@@ -395,8 +390,7 @@ type value_campaign = {
   v_resumed : int;
 }
 
-let run_value ?journal ?exec ?deadline ?step_budget ?retries ?(workers = 1) ?chunk ~jobs ~seed
-    ~count () =
+let run_value ?journal ?settings ~jobs ~seed ~count () =
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in
@@ -405,12 +399,12 @@ let run_value ?journal ?exec ?deadline ?step_budget ?retries ?(workers = 1) ?chu
     in
     let none = { vc_seed = case_seed; vc_checks = 0; vc_kept = [] } in
     match
-      Engine.stage ctx "value-instrument" (fun () -> Core.Value_instrument.instrument ?exec raw)
+      Engine.stage ctx "value-instrument" (fun () -> Core.Value_instrument.instrument raw)
     with
     | None -> none
     | Some (_, st) when st.Core.Value_instrument.checks_planted = 0 -> none
     | Some (vi, _) -> (
-      match Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute ?exec vi) with
+      match Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute vi) with
       | Core.Ground_truth.Rejected _ -> none
       | Core.Ground_truth.Valid truth ->
         let kept =
@@ -433,8 +427,8 @@ let run_value ?journal ?exec ?deadline ?step_budget ?retries ?(workers = 1) ?chu
         })
   in
   let result =
-    Fabric.run ?journal ~codec:value_codec ~campaign:"value-hunt" ~seed ?deadline ?step_budget
-      ?retries ?chunk ~workers ~jobs ~count runner
+    Fabric.run ?journal ~codec:value_codec ~campaign:"value-hunt" ~seed ?settings ~jobs ~count
+      runner
   in
   {
     v_cases = result.Engine.outcomes;

@@ -35,36 +35,21 @@ type t = {
 
 val run :
   ?journal:string ->
-  ?fuel:int ->
-  ?exec:Dce_exec.Exec.backend ->
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
-  ?chaos:Chaos.plan ->
-  ?checked:bool ->
+  ?settings:Settings.t ->
   ?bundle_dir:string ->
-  ?workers:int ->
-  ?chunk:int ->
   jobs:int ->
   seed:int ->
   count:int ->
   unit ->
   t
-(** [fuel] bounds the ground-truth executor per case (exhaustion is a
-    rejection, not a crash); [exec] selects its backend (default ambient).
-
-    [deadline] / [step_budget] / [retries] are the {!Engine.run} supervision
-    controls.  [chaos] installs a deterministic fault plan; a plan with a
-    corrupt-IR injection forces [checked].  [checked] validates the IR after
-    every optimization pass, quarantining validation failures as
-    [Ir_invalid] blaming the guilty pass.  [bundle_dir] writes a
-    {!Bundle} repro directory for every quarantined case (the source is
-    regenerated from the case seed).
-
-    [workers] (default 1) runs the campaign on the multi-process
-    {!Fabric} — [workers] processes × [jobs] domains each, [chunk] cases
-    per work-stealing chunk — with output byte-identical to
-    [workers = 1]. *)
+(** [settings] (default {!Settings.default}) are the supervision, chaos and
+    placement controls, run through {!Fabric.run}: [workers] processes ×
+    [jobs] domains each, with output byte-identical to [workers = 1].  When
+    {!Settings.checked} holds, the IR is validated after every optimization
+    pass, quarantining validation failures as [Ir_invalid] blaming the
+    guilty pass.  [bundle_dir] writes a {!Bundle} repro directory for every
+    quarantined case (the source is regenerated from the case seed).  The
+    ground-truth executor is the ambient {!Dce_exec.Exec.default}. *)
 
 val outcomes : t -> (int * (Dce_core.Analysis.outcome * Dce_minic.Ast.program)) list
 (** Non-quarantined cases with their corpus indices, ascending — the input
@@ -112,12 +97,7 @@ type value_campaign = {
 
 val run_value :
   ?journal:string ->
-  ?exec:Dce_exec.Exec.backend ->
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
-  ?workers:int ->
-  ?chunk:int ->
+  ?settings:Settings.t ->
   jobs:int ->
   seed:int ->
   count:int ->

@@ -125,15 +125,14 @@ let case_of_json codec j =
 (* the per-case attempt machinery                                      *)
 (* ------------------------------------------------------------------ *)
 
-let attempt_case ?deadline ?step_budget ?(retries = 0) ?(transient = Chaos.is_transient)
-    ?(chaos : Chaos.plan = []) ctx runner i =
+let attempt_case (settings : Settings.t) ctx runner i =
   (* one guard per attempt: a retry restarts the deadline and the step
      budget, otherwise a slow-but-recoverable case would inherit an
      already-spent budget and time out spuriously *)
   let rec attempt n =
     ctx.c_stage <- "setup";
-    Chaos.arm chaos ~case:i ~attempt:n;
-    let guard = Guard.create ?deadline ?steps:step_budget () in
+    Chaos.arm (Settings.plan settings) ~case:i ~attempt:n;
+    let guard = Guard.create ?deadline:settings.deadline ?steps:settings.step_budget () in
     match Guard.with_guard guard (fun () -> stage ctx "case" (fun () -> runner ctx i)) with
     | v ->
       if n > 0 then Metrics.recovered ctx.c_metrics;
@@ -141,7 +140,7 @@ let attempt_case ?deadline ?step_budget ?(retries = 0) ?(transient = Chaos.is_tr
     | exception e ->
       (* capture before anything else can run and clobber it *)
       let bt = Printexc.get_backtrace () in
-      if n < retries && transient e then begin
+      if n < settings.retries && Chaos.is_transient e then begin
         Metrics.retried ctx.c_metrics;
         attempt (n + 1)
       end
@@ -186,7 +185,7 @@ let counters_delta a b = counters_map2 (fun x y -> y - x) a b
    unclaimed position, so a slow case holds up only its own domain while
    the others drain the rest of the array.  Outcomes are handed back by
    case index, so which domain ran a case never shows in the output. *)
-let pool ?deadline ?step_budget ?retries ?transient ?chaos ~jobs cases runner on_outcome =
+let pool ?(settings = Settings.default) ~jobs cases runner on_outcome =
   let n = Array.length cases in
   let next = Atomic.make 0 in
   let work w =
@@ -196,7 +195,7 @@ let pool ?deadline ?step_budget ?retries ?transient ?chaos ~jobs cases runner on
       let p = Atomic.fetch_and_add next 1 in
       if p < n then begin
         let i = cases.(p) in
-        on_outcome i (attempt_case ?deadline ?step_budget ?retries ?transient ?chaos ctx runner i);
+        on_outcome i (attempt_case settings ctx runner i);
         loop ()
       end
     in
@@ -247,8 +246,9 @@ let replay codec ~count (outcomes : 'a case_outcome option array) records =
     records;
   (!resumed, !skipped)
 
-let with_session ?journal ?codec ?(campaign = "campaign") ?(seed = 0) ?(chaos : Chaos.plan = [])
-    ~count f =
+let with_session ?journal ?codec ?(campaign = "campaign") ?(seed = 0)
+    ?(settings = Settings.default) ~count f =
+  let chaos = Settings.plan settings in
   (* the fault plan is part of the campaign identity: resuming a chaos run
      under a different plan (or none) would replay cases whose recorded
      outcomes the new plan contradicts *)
@@ -352,13 +352,12 @@ let finish ?fabric ?(cache = []) ?(chaos_fired = 0) ~stage s metrics =
 (* the in-process campaign                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run ?journal ?codec ?campaign ?seed ?deadline ?step_budget ?retries ?transient ?chaos ~jobs
-    ~count runner =
+let run ?journal ?codec ?campaign ?seed ?settings ~jobs ~count runner =
   if jobs < 1 then invalid_arg "Engine.run: jobs must be >= 1";
   if count < 0 then invalid_arg "Engine.run: count must be >= 0";
   if journal <> None && codec = None then
     invalid_arg "Engine.run: journaling requires a codec";
   Printexc.record_backtrace true;
-  with_session ?journal ?codec ?campaign ?seed ?chaos ~count (fun s ->
-      pool ?deadline ?step_budget ?retries ?transient ?chaos ~jobs (pending s) runner (record s)
+  with_session ?journal ?codec ?campaign ?seed ?settings ~count (fun s ->
+      pool ?settings ~jobs (pending s) runner (record s)
       |> finish ~stage:"engine" s)

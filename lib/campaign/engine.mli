@@ -18,20 +18,19 @@
     and a {!fault_kind} classification, and the worker moves on.  The
     quarantine bucket is part of the result and of the journal.
 
-    {b Supervision.}  With [?deadline] / [?step_budget], each case attempt
-    runs under a fresh {!Dce_support.Guard}: poll points at every {!stage}
+    {b Supervision.}  With a {!Settings.t} deadline or step budget, each
+    case attempt runs under a fresh {!Dce_support.Guard}: poll points at every {!stage}
     boundary, inside the pass manager, and in the interpreter's step loop
     raise [Guard.Budget_exceeded] when the budget trips, quarantining the
     case as a [Timeout] naming the guilty stage instead of stalling its
     worker.  Pure OCaml cannot be preempted, so this is cooperative by
     design — see DESIGN.md.
 
-    {b Retries.}  With [?retries > 0], a fault classified transient by
-    [?transient] (default: chaos-injected transient faults only) re-runs the
-    case up to that many extra attempts, each under a fresh guard; retry and
-    recovery counts land in the metrics.
+    {b Retries.}  With [retries > 0], a fault classified transient by
+    {!Chaos.is_transient} re-runs the case up to that many extra attempts,
+    each under a fresh guard; retry and recovery counts land in the metrics.
 
-    {b Chaos.}  [?chaos] installs a deterministic {!Chaos.plan}; faults fire
+    {b Chaos.}  The settings' {!Chaos.plan} is deterministic: faults fire
     at matching stage boundaries of the targeted cases only.  The plan
     signature is baked into the journal campaign name, so a resume under a
     different plan is rejected as a parameter mismatch.
@@ -105,11 +104,7 @@ val run :
   ?codec:'a codec ->
   ?campaign:string ->
   ?seed:int ->
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
-  ?transient:(exn -> bool) ->
-  ?chaos:Chaos.plan ->
+  ?settings:Settings.t ->
   jobs:int ->
   count:int ->
   (ctx -> int -> 'a) ->
@@ -120,11 +115,12 @@ val run :
     missing; resumed if present).  Journaling requires [codec];
     [campaign]/[seed] identify the campaign in the journal header and guard
     resume against parameter mismatches (which raise [Failure]).  A non-empty
-    [chaos] plan extends the campaign name with the plan signature.
+    chaos plan in [settings] extends the campaign name with the plan
+    signature.
 
-    [deadline] (wall seconds) and [step_budget] (poll count) bound each case
-    attempt; [retries] (default 0) re-runs [transient]-classified faults
-    (default: {!Chaos.is_transient}) up to that many extra attempts.
+    [settings] (default {!Settings.default}) supplies the per-case deadline,
+    step budget, retry count and chaos plan; its [workers] and [chunk] are
+    the {!Fabric}'s concern and are ignored here.
 
     The journal is closed, and its lock released, on every exit path —
     an exception escaping the codec or a journal write included.
@@ -141,11 +137,7 @@ val run :
     campaign code should call {!run} or {!Fabric.run}. *)
 
 val pool :
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
-  ?transient:(exn -> bool) ->
-  ?chaos:Chaos.plan ->
+  ?settings:Settings.t ->
   jobs:int ->
   int array ->
   (ctx -> int -> 'a) ->
@@ -181,14 +173,14 @@ val with_session :
   ?codec:'a codec ->
   ?campaign:string ->
   ?seed:int ->
-  ?chaos:Chaos.plan ->
+  ?settings:Settings.t ->
   count:int ->
   ('a session -> 'r) ->
   'r
 (** Open the session, run the body, and close the journal on every exit
     path, exceptions included.  With [journal] and [codec], the journal is
     loaded; when its header matches [campaign] (extended with the
-    chaos-plan signature when [chaos] is non-empty), [seed] and [count],
+    signature of the [settings]' chaos plan, if any), [seed] and [count],
     its records are replayed into the outcome slots — unreadable,
     unknown-kind and out-of-range records are skipped and counted.  The
     journal is then opened for appending ({!Journal.open_append}: locked,

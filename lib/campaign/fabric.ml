@@ -63,8 +63,8 @@ let counters_of_json j : Passmgr.counters =
    send "chunk-done", repeat until "quit".  The process stays alive across chunks, which is
    what keeps the content-addressed compile cache and the pass-manager
    analysis caches warm — chunk 7 reuses entries populated by chunk 2. *)
-let worker_main (type a) ~sock ~slot ~jobs ?deadline ?step_budget ~retries ~transient ~chaos
-    ~(codec : a Engine.codec) (runner : Engine.ctx -> int -> a) =
+let worker_main (type a) ~sock ~slot ~jobs ~settings ~(codec : a Engine.codec)
+    (runner : Engine.ctx -> int -> a) =
   Printexc.record_backtrace true;
   let ic = Unix.in_channel_of_descr sock in
   let oc = Unix.out_channel_of_descr sock in
@@ -81,8 +81,7 @@ let worker_main (type a) ~sock ~slot ~jobs ?deadline ?step_budget ~retries ~tran
   let chaos0 = Chaos.fired_count () in
   let run_chunk cases =
     let m =
-      Engine.pool ?deadline ?step_budget ~retries ~transient ~chaos ~jobs (Array.of_list cases)
-        runner (fun case outcome ->
+      Engine.pool ~settings ~jobs (Array.of_list cases) runner (fun case outcome ->
           send (op "case" [ ("record", Engine.case_to_json codec case outcome) ]))
     in
     acc := Metrics.merge !acc m
@@ -140,18 +139,16 @@ let take n l =
   in
   go n [] l
 
-let run (type a) ?journal ?(codec : a Engine.codec option) ?campaign ?seed ?deadline
-    ?step_budget ?(retries = 0) ?(transient = Chaos.is_transient) ?(chaos : Chaos.plan = [])
-    ?chunk ?chunk_deadline ?max_respawns ~workers ~jobs ~count (runner : Engine.ctx -> int -> a) :
-    a Engine.result =
-  if workers < 1 then invalid_arg "Fabric.run: workers must be >= 1";
+let run (type a) ?journal ?(codec : a Engine.codec option) ?campaign ?seed
+    ?(settings = Settings.default) ?chunk_deadline ~jobs ~count (runner : Engine.ctx -> int -> a)
+    : a Engine.result =
+  let workers = settings.Settings.workers in
   if workers = 1 then
     (* the degenerate fabric is the in-process engine itself — which is the
        determinism anchor: --workers N is byte-identical to --workers 1
        because both fill the same case-indexed array with the same per-case
        machinery *)
-    Engine.run ?journal ?codec ?campaign ?seed ?deadline ?step_budget ~retries ~transient ~chaos
-      ~jobs ~count runner
+    Engine.run ?journal ?codec ?campaign ?seed ~settings ~jobs ~count runner
   else begin
     if jobs < 1 then invalid_arg "Fabric.run: jobs must be >= 1";
     if count < 0 then invalid_arg "Fabric.run: count must be >= 0";
@@ -164,9 +161,6 @@ let run (type a) ?journal ?(codec : a Engine.codec option) ?campaign ?seed ?dead
         "Fabric.run: cannot fork worker processes after worker domains have been spawned in \
          this process (OCaml forbids fork once any domain has ever existed); run the \
          multi-process fabric from a fresh process, or before any --jobs > 1 campaign";
-    (match chunk with
-     | Some c when c < 1 -> invalid_arg "Fabric.run: chunk must be >= 1"
-     | _ -> ());
     let codec =
       match codec with
       | Some c -> c
@@ -175,13 +169,13 @@ let run (type a) ?journal ?(codec : a Engine.codec option) ?campaign ?seed ?dead
           "Fabric.run: multi-process execution requires a codec (case results cross a process \
            boundary)"
     in
-    let max_respawns = match max_respawns with Some r -> max 0 r | None -> 2 * workers in
+    let max_respawns = 2 * workers in
     Printexc.record_backtrace true;
-    Engine.with_session ?journal ~codec ?campaign ?seed ~chaos ~count (fun session ->
+    Engine.with_session ?journal ~codec ?campaign ?seed ~settings ~count (fun session ->
       let pending = Array.to_list (Engine.pending session) in
       let npending = List.length pending in
       let chunk_size =
-        match chunk with
+        match settings.Settings.chunk with
         | Some c -> c
         | None ->
           (* several chunks per worker so stealing has slack, bounded so the
@@ -227,8 +221,7 @@ let run (type a) ?journal ?(codec : a Engine.codec option) ?campaign ?seed ?dead
           in_worker_flag := true;
           (try Unix.close parent_fd with Unix.Unix_error _ -> ());
           (try
-             worker_main ~sock:child_fd ~slot ~jobs ?deadline ?step_budget ~retries ~transient
-               ~chaos ~codec runner
+             worker_main ~sock:child_fd ~slot ~jobs ~settings ~codec runner
            with _ -> ());
           (* _exit, not exit: at_exit handlers and stdio flushing belong to
              the coordinator *)

@@ -44,7 +44,7 @@
     worker dies twice is the poison pill and is quarantined (stage
     ["fabric"], reusing the {!Engine.fault_kind} machinery) so the campaign
     always terminates.  When every surviving worker has already been told to
-    quit, a replacement is forked, within [max_respawns].
+    quit, a replacement is forked, at most [2 * workers] times.
 
     {b Signals.}  The coordinator installs SIGINT/SIGTERM handlers for the
     duration of a multi-process run: the first signal drains — in-flight
@@ -66,32 +66,25 @@ val run :
   ?codec:'a Engine.codec ->
   ?campaign:string ->
   ?seed:int ->
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
-  ?transient:(exn -> bool) ->
-  ?chaos:Chaos.plan ->
-  ?chunk:int ->
+  ?settings:Settings.t ->
   ?chunk_deadline:float ->
-  ?max_respawns:int ->
-  workers:int ->
   jobs:int ->
   count:int ->
   (Engine.ctx -> int -> 'a) ->
   'a Engine.result
 (** Same contract as {!Engine.run} plus the fabric controls.  With
-    [workers = 1] this {e is} {!Engine.run} — no process is forked and the
-    fabric-only options are ignored; that degenerate case anchors the
-    byte-identity guarantee for larger grids.
+    [settings.workers = 1] (the default) this {e is} {!Engine.run} — no
+    process is forked and the fabric-only options are ignored; that
+    degenerate case anchors the byte-identity guarantee for larger grids.
 
-    [chunk] is the cases-per-chunk grain (default: pending/(workers·4),
-    clamped to [1, 32]).  [chunk_deadline] (wall seconds) bounds one chunk's
-    execution; an overdue worker is killed and handled like a crash.
-    [max_respawns] (default [2 * workers]) bounds replacement workers.
+    [settings.chunk] is the cases-per-chunk grain (default:
+    pending/(workers·4), clamped to [1, 32]).  [chunk_deadline] (wall
+    seconds) bounds one chunk's execution; an overdue worker is killed and
+    handled like a crash.
 
-    Raises [Invalid_argument] when [workers < 1], [jobs < 1], [count < 0],
-    [chunk < 1], or [workers > 1] without a codec (case results must cross
-    the process boundary, journal or not). *)
+    Raises [Invalid_argument] when [jobs < 1], [count < 0], or [workers > 1]
+    without a codec (case results must cross the process boundary, journal
+    or not). *)
 
 val in_worker : unit -> bool
 (** True inside a fabric worker process — exposed so tests (and diagnostics)

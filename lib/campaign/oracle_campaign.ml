@@ -113,8 +113,7 @@ let decode_size j =
 
 let size_codec = { Engine.encode = encode_size; decode = decode_size }
 
-let run_size ?journal ?fuel ?exec ?(ratio = 1.25) ?deadline ?step_budget ?retries ?(workers = 1)
-    ?chunk ~jobs ~seed ~count () =
+let run_size ?journal ?(ratio = 1.25) ?settings ~jobs ~seed ~count () =
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in
@@ -127,8 +126,7 @@ let run_size ?journal ?fuel ?exec ?(ratio = 1.25) ?deadline ?step_budget ?retrie
        vice versa) *)
     let instrumented = Engine.stage ctx "instrument" (fun () -> Core.Instrument.program raw) in
     match
-      Engine.stage ctx "ground-truth" (fun () ->
-          Core.Ground_truth.compute ?exec ?fuel instrumented)
+      Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute instrumented)
     with
     | Core.Ground_truth.Rejected reason ->
       { sc_seed = case_seed; sc_rejected = Some reason; sc_curve = [] }
@@ -140,8 +138,7 @@ let run_size ?journal ?fuel ?exec ?(ratio = 1.25) ?deadline ?step_budget ?retrie
       { sc_seed = case_seed; sc_rejected = None; sc_curve = curve }
   in
   let result =
-    Fabric.run ?journal ~codec:size_codec ~campaign:"size-hunt" ~seed ?deadline ?step_budget
-      ?retries ?chunk ~workers ~jobs ~count runner
+    Fabric.run ?journal ~codec:size_codec ~campaign:"size-hunt" ~seed ?settings ~jobs ~count runner
   in
   {
     s_seed = seed;
@@ -331,8 +328,7 @@ let decode_inv j =
 
 let inv_codec = { Engine.encode = encode_inv; decode = decode_inv }
 
-let run_inversion ?journal ?fuel ?exec ?deadline ?step_budget ?retries ?(workers = 1) ?chunk
-    ~jobs ~seed ~count () =
+let run_inversion ?journal ?settings ~jobs ~seed ~count () =
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in
@@ -341,8 +337,7 @@ let run_inversion ?journal ?fuel ?exec ?deadline ?step_budget ?retries ?(workers
     in
     let instrumented = Engine.stage ctx "instrument" (fun () -> Core.Instrument.program raw) in
     match
-      Engine.stage ctx "ground-truth" (fun () ->
-          Core.Ground_truth.compute ?exec ?fuel instrumented)
+      Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute instrumented)
     with
     | Core.Ground_truth.Rejected reason ->
       {
@@ -405,8 +400,7 @@ let run_inversion ?journal ?fuel ?exec ?deadline ?step_budget ?retries ?(workers
         ic_findings = findings }
   in
   let result =
-    Fabric.run ?journal ~codec:inv_codec ~campaign:"level-hunt" ~seed ?deadline ?step_budget
-      ?retries ?chunk ~workers ~jobs ~count runner
+    Fabric.run ?journal ~codec:inv_codec ~campaign:"level-hunt" ~seed ?settings ~jobs ~count runner
   in
   {
     i_seed = seed;
@@ -473,7 +467,7 @@ type inv_bisection = {
   ib_probes : int;
 }
 
-let bisect_inversions ?(cache = true) ?deadline ?step_budget ?retries ~jobs t =
+let bisect_inversions ?(cache = true) ?settings ~jobs t =
   let work = Array.of_list (inversion_findings t) in
   let runner ctx e =
     let ci, f = work.(e) in
@@ -492,8 +486,8 @@ let bisect_inversions ?(cache = true) ?deadline ?step_budget ?retries ~jobs t =
     { ib_case = ci; ib_finding = f; ib_outcome = outcome; ib_probes = probes }
   in
   let result =
-    Engine.run ~campaign:"inv-bisect" ~seed:t.i_seed ?deadline ?step_budget ?retries ~jobs
-      ~count:(Array.length work) runner
+    Engine.run ~campaign:"inv-bisect" ~seed:t.i_seed ?settings ~jobs ~count:(Array.length work)
+      runner
   in
   Array.to_list result.Engine.outcomes
   |> List.filter_map (function Engine.Done b -> Some b | Engine.Crashed _ -> None)

@@ -51,24 +51,17 @@ val size_codec : size_case Engine.codec
 
 val run_size :
   ?journal:string ->
-  ?fuel:int ->
-  ?exec:Dce_exec.Exec.backend ->
   ?ratio:float ->
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
-  ?workers:int ->
-  ?chunk:int ->
+  ?settings:Settings.t ->
   jobs:int ->
   seed:int ->
   count:int ->
   unit ->
   size_t
-(** [ratio] defaults to 1.25.  [fuel]/[exec] control the ground-truth
-    executor (programs that trap or exhaust fuel are rejected, exactly as in
-    the marker campaign); the remaining options are the {!Engine.run}
-    supervision controls.  [workers]/[chunk] run the campaign on the
-    multi-process {!Fabric} (byte-identical output, as everywhere). *)
+(** [ratio] defaults to 1.25.  Programs that trap or exhaust the
+    ground-truth executor's fuel are rejected, exactly as in the marker
+    campaign.  [settings] are the supervision and placement controls of
+    {!Fabric.run} (byte-identical output at any [workers], as everywhere). *)
 
 val size_findings : size_t -> (int * Dce_core.Differential.size_finding) list
 (** [(corpus case, finding)] pairs, ascending case order — derived from the
@@ -118,13 +111,7 @@ val inv_codec : inv_case Engine.codec
 
 val run_inversion :
   ?journal:string ->
-  ?fuel:int ->
-  ?exec:Dce_exec.Exec.backend ->
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
-  ?workers:int ->
-  ?chunk:int ->
+  ?settings:Settings.t ->
   jobs:int ->
   seed:int ->
   count:int ->
@@ -156,13 +143,12 @@ type inv_bisection = {
 
 val bisect_inversions :
   ?cache:bool ->
-  ?deadline:float ->
-  ?step_budget:int ->
-  ?retries:int ->
+  ?settings:Settings.t ->
   jobs:int ->
   inv_t ->
   inv_bisection list
 (** One bisection per inversion finding, on the Engine pool (no journal —
-    probes already route through the compile cache), campaign order. *)
+    probes already route through the compile cache; [settings.workers] is
+    ignored), campaign order. *)
 
 val inv_bisections_table : inv_bisection list -> string

@@ -17,10 +17,24 @@ let run_id ~campaign ~seed ~count extras =
     key;
   Printf.sprintf "run-%015x" !h
 
-let campaign_run_id ~campaign ~seed ~count ~checked ~chaos_spec =
+(* both read the settings as requested — [checked] without the chaos rule,
+   the chaos spec as written — so ids and metadata never drift *)
+let chaos_spec (s : Settings.t) = Option.map (fun c -> c.Settings.spec) s.chaos
+
+let campaign_run_id ~campaign ~seed ~count (s : Settings.t) =
   run_id ~campaign ~seed ~count
-    ((if checked then [ "checked" ] else [])
-    @ match chaos_spec with Some s -> [ "chaos:" ^ s ] | None -> [])
+    ((if s.checked then [ "checked" ] else [])
+    @ match chaos_spec s with Some c -> [ "chaos:" ^ c ] | None -> [])
+
+let meta ~campaign ~seed ~count (s : Settings.t) =
+  Json.Obj
+    [
+      ("campaign", Json.String campaign);
+      ("seed", Json.Int seed);
+      ("count", Json.Int count);
+      ("checked", Json.Bool s.checked);
+      ("chaos", match chaos_spec s with Some c -> Json.String c | None -> Json.Null);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* the cross-run report: what campaign-diff compares table by table    *)

@@ -18,12 +18,15 @@ val run_id : campaign:string -> seed:int -> count:int -> string list -> string
     ["run-<15 hex digits>"].  [extras] folds in whatever else distinguishes
     the run (compiler names, a patch signature). *)
 
-val campaign_run_id :
-  campaign:string -> seed:int -> count:int -> checked:bool -> chaos_spec:string option -> string
+val campaign_run_id : campaign:string -> seed:int -> count:int -> Settings.t -> string
 (** The id of a corpus campaign run ([hunt], and the serve daemon's jobs):
-    {!run_id} with the [--checked] flag and the chaos-plan spec as extras.
-    Jobs and workers are excluded on purpose — the report is identical
-    across them. *)
+    {!run_id} with the requested [checked] flag and the chaos-plan spec as
+    extras.  Budgets, jobs and workers are excluded on purpose — the report
+    is identical across them. *)
+
+val meta : campaign:string -> seed:int -> count:int -> Settings.t -> Json.t
+(** The [meta.json] of such a run: campaign, seed, count, and the same two
+    settings the id folds in. *)
 
 (** {1 The comparison report} *)
 

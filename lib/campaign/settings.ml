@@ -1,0 +1,50 @@
+type chaos = { spec : string; plan : Chaos.plan }
+
+type t = {
+  deadline : float option;
+  step_budget : int option;
+  retries : int;
+  chaos : chaos option;
+  checked : bool;
+  workers : int;
+  chunk : int option;
+}
+
+(* every bad value is reported against the CLI flag that sets it, so the
+   CLI boundary can print it as a one-line usage error *)
+let at_least flag min n =
+  if n < min then failwith (Printf.sprintf "%s: must be >= %d (got %d)" flag min n);
+  n
+
+let jobs = at_least "--jobs" 1
+
+let v ?deadline ?step_budget ?(retries = 0) ?chaos ?(checked = false) ?(workers = 1) ?chunk () =
+  Option.iter
+    (fun d ->
+      (* written so that nan fails too *)
+      if not (d > 0.) then failwith (Printf.sprintf "--deadline: must be > 0 seconds (got %g)" d))
+    deadline;
+  let chaos =
+    Option.map
+      (fun spec ->
+        match Chaos.of_string spec with
+        | Ok plan -> { spec; plan }
+        | Error msg -> failwith ("--chaos: " ^ msg))
+      chaos
+  in
+  {
+    deadline;
+    step_budget = Option.map (at_least "--step-budget" 1) step_budget;
+    retries = at_least "--retries" 0 retries;
+    chaos;
+    checked;
+    workers = at_least "--workers" 1 workers;
+    chunk = Option.map (at_least "--chunk" 1) chunk;
+  }
+
+let default = v ()
+
+let plan t = match t.chaos with Some c -> c.plan | None -> []
+
+(* a corrupt-IR injection is invisible without per-pass validation *)
+let checked t = t.checked || Chaos.has_corrupt (plan t)

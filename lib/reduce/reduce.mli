@@ -15,9 +15,7 @@
 
     This module is the stable opaque-predicate interface; it delegates to
     {!Engine}, which additionally offers staged predicates ({!Predicate}),
-    verdict caching, parallel candidate search, and per-stage statistics.
-    {!reduce_reference} is the original sequential implementation, kept as
-    a differential oracle for the engine. *)
+    verdict caching, parallel candidate search, and per-stage statistics. *)
 
 type result = {
   program : Dce_minic.Ast.program;  (** the reduced program *)
@@ -34,15 +32,6 @@ val reduce :
   result
 (** [reduce ~predicate prog] — [prog] must satisfy the predicate (raises
     [Invalid_argument] otherwise). Default test budget: 4000. *)
-
-val reduce_reference :
-  ?max_tests:int ->
-  predicate:(Dce_minic.Ast.program -> bool) ->
-  Dce_minic.Ast.program ->
-  result
-(** The pre-engine sequential reducer, unchanged — the oracle {!reduce}
-    (and the engine at any [jobs]/cache setting) must agree with, field for
-    field.  Exercised by the test suite; not meant for production use. *)
 
 val marker_diff_predicate :
   keep_missed_by:Dce_core.Differential.config ->

@@ -39,15 +39,14 @@ let base_campaign_name (compiler : C.Compiler.t) = "repair-verify:base:" ^ compi
 let patched_campaign_name (compiler : C.Compiler.t) edits =
   Printf.sprintf "repair-verify:patched:%s+%s" compiler.C.Compiler.name (Edit.signature edits)
 
-let run ?(jobs = 1) ?(workers = 1) ?chunk ?fuel ?exec ?(seed = 20220228) ?(count = 20)
-    ?(verify_limit = 3) ?max_pairs ?run_root ?(candidates = []) ?rival compiler level prog
-    ~marker =
-  let rival = Option.value ~default:(default_rival compiler) rival in
+let run ?(jobs = 1) ?(settings = Campaign.Settings.default) ?(seed = 20220228) ?(count = 20)
+    ?(verify_limit = 3) ?max_pairs ?run_root ?(candidates = []) compiler level prog ~marker =
+  let rival = default_rival compiler in
   (* the fabric forks worker processes, and OCaml forbids fork once any
      domain has been spawned — so under a multi-process grid the search
      stage runs jobs=1 (its result is jobs-independent anyway) to keep the
      process fork-clean for the verification campaigns *)
-  let search_jobs = if workers > 1 then 1 else jobs in
+  let search_jobs = if settings.Campaign.Settings.workers > 1 then 1 else jobs in
   let search = Search.search ~jobs:search_jobs ?max_pairs compiler level prog ~marker in
   let journal_for name edits =
     match run_root with
@@ -62,9 +61,8 @@ let run ?(jobs = 1) ?(workers = 1) ?chunk ?fuel ?exec ?(seed = 20220228) ?(count
   in
   let run_campaign name edits verify_compilers =
     let journal = journal_for name edits in
-    Verify.campaign
-      ?journal:(Option.map snd journal)
-      ?fuel ?exec ~workers ?chunk ~jobs ~name ~compilers:verify_compilers ~seed ~count ()
+    Verify.campaign ?journal:(Option.map snd journal) ~settings ~jobs ~name
+      ~compilers:verify_compilers ~seed ~count ()
   in
   let write_artifacts name edits (v : Verify.t) =
     match (run_root, journal_for name edits) with

@@ -34,17 +34,13 @@ type result = {
 
 val run :
   ?jobs:int ->
-  ?workers:int ->
-  ?chunk:int ->
-  ?fuel:int ->
-  ?exec:Dce_exec.Exec.backend ->
+  ?settings:Dce_campaign.Settings.t ->
   ?seed:int ->
   ?count:int ->
   ?verify_limit:int ->
   ?max_pairs:int ->
   ?run_root:string ->
   ?candidates:Dce_core.Diagnose.repair list list ->
-  ?rival:Dce_compiler.Compiler.t ->
   Dce_compiler.Compiler.t ->
   Dce_compiler.Level.t ->
   Dce_minic.Ast.program ->
@@ -54,12 +50,13 @@ val run :
     corpus (defaults 20220228/20); [verify_limit] (default 3) bounds how
     many passing candidates get a full verification campaign; [candidates]
     are edit sets to verify {e before} the search's own passing candidates
-    (e.g. a human suggestion); [rival] (default: the other built-in
-    simulator) anchors the differential rows shared by both runs.  When
-    [workers > 1] the search stage runs [jobs=1] so the process stays
-    fork-clean for the multi-process verification grid.  When [run_root] is
-    given, base and accepted-patched runs are journalled and written as
-    per-run artifact directories under stable run ids. *)
+    (e.g. a human suggestion).  The other built-in simulator is the rival
+    that anchors the differential rows shared by both runs.  [settings]
+    place the verification campaigns; when [settings.workers > 1] the search
+    stage runs [jobs=1] so the process stays fork-clean for the
+    multi-process verification grid.  When [run_root] is given, base and
+    accepted-patched runs are journalled and written as per-run artifact
+    directories under stable run ids. *)
 
 val record_to_json : result -> Dce_campaign.Json.t
 (** The repair record: timing-free, deterministic across [jobs]/[workers]. *)

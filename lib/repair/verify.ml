@@ -21,7 +21,7 @@ module Run_store = Campaign.Run_store
    (level, program) cells in the patched run is a cache hit from the base
    run, which is what makes verification cheap. *)
 
-let default_levels = [ C.Level.O1; C.Level.Os; C.Level.O2; C.Level.O3 ]
+let levels = [ C.Level.O1; C.Level.Os; C.Level.O2; C.Level.O3 ]
 
 type vrow = {
   vr_compiler : string;  (** display name *)
@@ -93,8 +93,7 @@ let codec = { Engine.encode = encode_case; decode = decode_case }
 
 (* ---------------- the campaign ---------------- *)
 
-let campaign ?journal ?fuel ?exec ?(workers = 1) ?chunk ?(jobs = 1) ?(levels = default_levels)
-    ~name ~compilers ~seed ~count () =
+let campaign ?journal ?settings ?(jobs = 1) ~name ~compilers ~seed ~count () =
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in
@@ -103,7 +102,7 @@ let campaign ?journal ?fuel ?exec ?(workers = 1) ?chunk ?(jobs = 1) ?(levels = d
     in
     let instrumented = Engine.stage ctx "instrument" (fun () -> Core.Instrument.program raw) in
     match
-      Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute ?exec ?fuel instrumented)
+      Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute instrumented)
     with
     | Core.Ground_truth.Rejected reason ->
       { vc_seed = case_seed; vc_rejected = Some reason; vc_rows = [] }
@@ -131,7 +130,7 @@ let campaign ?journal ?fuel ?exec ?(workers = 1) ?chunk ?(jobs = 1) ?(levels = d
       { vc_seed = case_seed; vc_rejected = None; vc_rows = rows }
   in
   let result =
-    Fabric.run ?journal ~codec ~campaign:name ~seed ?chunk ~workers ~jobs ~count runner
+    Fabric.run ?journal ~codec ~campaign:name ~seed ?settings ~jobs ~count runner
   in
   (* fold the case outcomes into the cross-run report *)
   let misses = ref [] and sizes = ref [] and invs = ref [] in

@@ -11,7 +11,7 @@
     of its cells in the patched run is a cache hit from the base run.
 
     Deterministic and jobs/workers-independent, like every campaign: the
-    report is a pure function of (compilers, seed, count, levels). *)
+    report is a pure function of (compilers, seed, count). *)
 
 type vrow = {
   vr_compiler : string;  (** display name *)
@@ -32,17 +32,13 @@ type t = {
 val codec : vcase Dce_campaign.Engine.codec
 (** The ["verify-case"] journal record kind. *)
 
-val default_levels : Dce_compiler.Level.t list
+val levels : Dce_compiler.Level.t list
 (** [[O1; Os; O2; O3]] — [O0] keeps every marker and only adds noise. *)
 
 val campaign :
   ?journal:string ->
-  ?fuel:int ->
-  ?exec:Dce_exec.Exec.backend ->
-  ?workers:int ->
-  ?chunk:int ->
+  ?settings:Dce_campaign.Settings.t ->
   ?jobs:int ->
-  ?levels:Dce_compiler.Level.t list ->
   name:string ->
   compilers:(Dce_compiler.Compiler.t * string) list ->
   seed:int ->
@@ -51,4 +47,5 @@ val campaign :
   t
 (** [campaign ~name ~compilers:[(compiler, display); ...] ~seed ~count ()].
     [name] becomes the report's campaign identity (and the journal header
-    campaign when [journal] is given). *)
+    campaign when [journal] is given); [settings] place and supervise the
+    sweep as in every campaign. *)

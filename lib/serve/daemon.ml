@@ -519,24 +519,21 @@ let handle_request st cl req =
         match Job.spec_of_json sj with
         | exception Failure msg -> respond st cl (Proto.err msg)
         | spec ->
-          (match Option.map Dce_campaign.Chaos.of_string spec.Job.sp_chaos with
-           | Some (Error msg) -> respond st cl (Proto.err ("chaos: " ^ msg))
-           | _ ->
-             let id = Store.submit st.store ~time:(now ()) spec in
-             let jr =
-               {
-                 j_id = id;
-                 j_seq = Option.value ~default:0 (Store.seq_of_id id);
-                 j_spec = spec;
-                 j_state = Job.S_queued;
-                 j_strikes = 0;
-                 j_not_before = 0.;
-               }
-             in
-             Hashtbl.replace st.jobs id jr;
-             log st "%s: submitted (%s seed %d count %d)" id
-               (Job.kind_to_string spec.Job.sp_kind) spec.Job.sp_seed spec.Job.sp_count;
-             respond st cl (Proto.ok [ ("job", Json.String id) ]))))
+          let id = Store.submit st.store ~time:(now ()) spec in
+          let jr =
+            {
+              j_id = id;
+              j_seq = Option.value ~default:0 (Store.seq_of_id id);
+              j_spec = spec;
+              j_state = Job.S_queued;
+              j_strikes = 0;
+              j_not_before = 0.;
+            }
+          in
+          Hashtbl.replace st.jobs id jr;
+          log st "%s: submitted (%s seed %d count %d)" id
+            (Job.kind_to_string spec.Job.sp_kind) spec.Job.sp_seed spec.Job.sp_count;
+          respond st cl (Proto.ok [ ("job", Json.String id) ])))
   | Some "status" -> (
     match Json.member "job" req with
     | None ->

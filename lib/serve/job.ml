@@ -80,6 +80,13 @@ let float_member key j =
   | Some (Json.Int i) -> Some (float_of_int i)
   | _ -> None
 
+(* without a case budget the whole-job deadline doubles as the per-case
+   bound, tripping cooperatively before the daemon's SIGKILL backstop *)
+let settings ?workers s =
+  let deadline = match s.sp_case_deadline with Some _ as d -> d | None -> s.sp_deadline in
+  Dce_campaign.Settings.v ?deadline ?step_budget:s.sp_step_budget ~retries:s.sp_retries
+    ?chaos:s.sp_chaos ?workers ()
+
 let spec_of_json j =
   let kind =
     match Option.bind (Json.member "kind" j) Json.to_str with
@@ -91,20 +98,27 @@ let spec_of_json j =
   in
   let int_or key d = Option.value ~default:d (Option.bind (Json.member key j) Json.to_int) in
   let str key = Option.bind (Json.member key j) Json.to_str in
-  {
-    sp_kind = kind;
-    sp_seed = int_or "seed" default_spec.sp_seed;
-    sp_count = int_or "count" default_spec.sp_count;
-    sp_lane = Option.value ~default:default_spec.sp_lane (str "lane");
-    sp_deadline = float_member "deadline" j;
-    sp_case_deadline = float_member "case_deadline" j;
-    sp_step_budget = Option.bind (Json.member "step_budget" j) Json.to_int;
-    sp_retries = int_or "retries" default_spec.sp_retries;
-    sp_strikes = int_or "strikes" default_spec.sp_strikes;
-    sp_chaos = str "chaos";
-    sp_source = str "source";
-    sp_marker = Option.bind (Json.member "marker" j) Json.to_int;
-  }
+  let spec =
+    {
+      sp_kind = kind;
+      sp_seed = int_or "seed" default_spec.sp_seed;
+      sp_count = int_or "count" default_spec.sp_count;
+      sp_lane = Option.value ~default:default_spec.sp_lane (str "lane");
+      sp_deadline = float_member "deadline" j;
+      sp_case_deadline = float_member "case_deadline" j;
+      sp_step_budget = Option.bind (Json.member "step_budget" j) Json.to_int;
+      sp_retries = int_or "retries" default_spec.sp_retries;
+      sp_strikes = int_or "strikes" default_spec.sp_strikes;
+      sp_chaos = str "chaos";
+      sp_source = str "source";
+      sp_marker = Option.bind (Json.member "marker" j) Json.to_int;
+    }
+  in
+  (* refuse, rather than queue, out-of-range settings; the whole-job
+     deadline is checked even when a case deadline overrides it *)
+  (try List.iter (fun s -> ignore (settings s)) [ spec; { spec with sp_case_deadline = None } ]
+   with Failure msg -> failwith ("job spec: " ^ msg));
+  spec
 
 (* ------------------------------------------------------------------ *)
 (* lifecycle events (one JSONL line each) and their fold               *)

@@ -24,7 +24,7 @@ type spec = {
   sp_step_budget : int option;  (** per-case Guard step budget *)
   sp_retries : int;  (** per-case transient retries inside the campaign *)
   sp_strikes : int;  (** attempts before quarantine (default 2: two strikes) *)
-  sp_chaos : string option;  (** campaign chaos plan (hunt only) *)
+  sp_chaos : string option;  (** campaign chaos plan *)
   sp_source : string option;  (** reduce: the C source text *)
   sp_marker : int option;  (** reduce: marker to preserve *)
 }
@@ -33,9 +33,18 @@ val default_spec : spec
 (** Hunt, seed 20220228, count 50, lane ["default"], no budgets, two
     strikes. *)
 
+val settings : ?workers:int -> spec -> Dce_campaign.Settings.t
+(** The campaign settings a job runs under.  The per-case deadline is the
+    explicit case budget when set, otherwise the whole-job deadline, so a
+    runaway case trips [Guard.Budget_exceeded] cooperatively before the
+    daemon's SIGKILL backstop.  A job spec has no checked slot: serve jobs
+    never run checked.  Raises [Failure] like {!Dce_campaign.Settings.v}. *)
+
 val spec_to_json : spec -> Dce_campaign.Json.t
 val spec_of_json : Dce_campaign.Json.t -> spec
-(** Raises [Failure] on a missing/unknown kind; other fields default. *)
+(** Raises [Failure] on a missing/unknown kind, or when the budgets, retry
+    count or chaos plan are out of range ({!settings} fails, or the
+    whole-job deadline is not positive); other fields default. *)
 
 (** {1 Lifecycle events} *)
 

@@ -12,14 +12,6 @@ module Fsx = Dce_support.Fsx
    parameters, because both sides share Corpus.report / Corpus.report_text
    and the same run-id derivation. *)
 
-let chaos_plan spec =
-  match spec.Job.sp_chaos with
-  | None -> []
-  | Some s -> (
-    match Campaign.Chaos.of_string s with
-    | Ok plan -> plan
-    | Error msg -> failwith ("chaos: " ^ msg))
-
 let campaign_of_kind = function
   | Job.Hunt -> "hunt"
   | Job.Triage -> "triage"
@@ -28,29 +20,18 @@ let campaign_of_kind = function
   | Job.Bisect -> "bisect"
   | Job.Reduce -> "reduce"
 
-(* a job spec has no checked slot: serve jobs never run checked *)
 let run_id_of spec =
   match spec.Job.sp_kind with
   | Job.Reduce -> None
   | kind ->
     Some
       (Campaign.Run_store.campaign_run_id ~campaign:(campaign_of_kind kind)
-         ~seed:spec.Job.sp_seed ~count:spec.Job.sp_count ~checked:false
-         ~chaos_spec:spec.Job.sp_chaos)
+         ~seed:spec.Job.sp_seed ~count:spec.Job.sp_count (Job.settings spec))
 
-let run_dir ~runs_root spec =
-  Option.map (fun id -> Campaign.Run_store.dir_of ~root:runs_root ~id) (run_id_of spec)
-
-let journal_of ~runs_root spec = Option.map Campaign.Run_store.journal_path (run_dir ~runs_root spec)
-
-(* the per-case Guard deadline: an explicit case budget wins; otherwise the
-   whole-job deadline doubles as the cooperative per-case bound, so a
-   runaway case trips Guard.Budget_exceeded before the daemon's SIGKILL
-   backstop fires *)
-let case_deadline spec =
-  match (spec.Job.sp_case_deadline, spec.Job.sp_deadline) with
-  | (Some _ as d), _ -> d
-  | None, d -> d
+let journal_of ~runs_root spec =
+  Option.map
+    (fun id -> Campaign.Run_store.journal_path (Campaign.Run_store.dir_of ~root:runs_root ~id))
+    (run_id_of spec)
 
 type outcome = {
   oc_run_dir : string option;
@@ -83,33 +64,21 @@ let outcome_of_json j =
     oc_summary = Option.value ~default:"" (Option.bind (Json.member "summary" j) Json.to_str);
   }
 
-let meta_of spec =
-  Json.Obj
-    [
-      ("campaign", Json.String (campaign_of_kind spec.Job.sp_kind));
-      ("seed", Json.Int spec.Job.sp_seed);
-      ("count", Json.Int spec.Job.sp_count);
-      ("checked", Json.Bool false);
-      ("chaos", match spec.Job.sp_chaos with Some s -> Json.String s | None -> Json.Null);
-    ]
-
 let persist ~runs_root ~spec ~report_text ~metrics report =
-  let id = Option.get (run_id_of spec) in
-  let dir =
-    Campaign.Run_store.write ~report_text ~root:runs_root ~id ~meta:(meta_of spec) ~metrics report
+  let meta =
+    Campaign.Run_store.meta ~campaign:(campaign_of_kind spec.Job.sp_kind) ~seed:spec.Job.sp_seed
+      ~count:spec.Job.sp_count (Job.settings spec)
   in
-  dir
+  Campaign.Run_store.write ~report_text ~root:runs_root ~id:(Option.get (run_id_of spec)) ~meta
+    ~metrics report
 
-let run_corpus ~runs_root ~workers ~jobs spec =
-  let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
-  Campaign.Corpus.run
-    ?journal:(journal_of ~runs_root spec)
-    ?deadline:(case_deadline spec) ?step_budget:spec.Job.sp_step_budget
-    ~retries:spec.Job.sp_retries ~chaos:(chaos_plan spec) ~workers ~jobs ~seed ~count ()
+let run_corpus ~runs_root ~settings ~jobs spec =
+  Campaign.Corpus.run ?journal:(journal_of ~runs_root spec) ~settings ~jobs
+    ~seed:spec.Job.sp_seed ~count:spec.Job.sp_count ()
 
-let execute_hunt ~runs_root ~workers ~jobs spec =
+let execute_hunt ~runs_root ~settings ~jobs spec =
   let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
-  let c = run_corpus ~runs_root ~workers ~jobs spec in
+  let c = run_corpus ~runs_root ~settings ~jobs spec in
   let report = Campaign.Corpus.report ~campaign:"hunt" ~seed ~count c in
   let dir =
     persist ~runs_root ~spec
@@ -126,9 +95,9 @@ let execute_hunt ~runs_root ~workers ~jobs spec =
     oc_summary = Dce_report.Stats.prevalence stats;
   }
 
-let execute_triage ~runs_root ~workers ~jobs spec =
+let execute_triage ~runs_root ~settings ~jobs spec =
   let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
-  let c = run_corpus ~runs_root ~workers ~jobs spec in
+  let c = run_corpus ~runs_root ~settings ~jobs spec in
   let stats = Campaign.Corpus.stats c in
   let programs = Campaign.Corpus.instrumented_programs c in
   let reports =
@@ -150,13 +119,11 @@ let execute_triage ~runs_root ~workers ~jobs spec =
     oc_summary = Printf.sprintf "%d deduplicated reports" (List.length reports);
   }
 
-let execute_size ~runs_root ~workers ~jobs spec =
+let execute_size ~runs_root ~settings ~jobs spec =
   let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
   let s =
-    Campaign.Oracle_campaign.run_size
-      ?journal:(journal_of ~runs_root spec)
-      ?deadline:(case_deadline spec) ?step_budget:spec.Job.sp_step_budget
-      ~retries:spec.Job.sp_retries ~workers ~jobs ~seed ~count ()
+    Campaign.Oracle_campaign.run_size ?journal:(journal_of ~runs_root spec) ~settings ~jobs ~seed
+      ~count ()
   in
   let findings = Campaign.Oracle_campaign.size_findings s in
   (* fold the finding sizes into report rows so campaign-diff can compare
@@ -208,13 +175,11 @@ let execute_size ~runs_root ~workers ~jobs spec =
     oc_summary = Printf.sprintf "%d size findings" (List.length findings);
   }
 
-let execute_level ~runs_root ~workers ~jobs spec =
+let execute_level ~runs_root ~settings ~jobs spec =
   let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
   let t =
-    Campaign.Oracle_campaign.run_inversion
-      ?journal:(journal_of ~runs_root spec)
-      ?deadline:(case_deadline spec) ?step_budget:spec.Job.sp_step_budget
-      ~retries:spec.Job.sp_retries ~workers ~jobs ~seed ~count ()
+    Campaign.Oracle_campaign.run_inversion ?journal:(journal_of ~runs_root spec) ~settings ~jobs
+      ~seed ~count ()
   in
   let findings = Campaign.Oracle_campaign.inversion_findings t in
   let invs =
@@ -260,16 +225,14 @@ let execute_level ~runs_root ~workers ~jobs spec =
     oc_summary = Printf.sprintf "%d level inversions" (List.length findings);
   }
 
-let execute_bisect ~runs_root ~workers ~jobs spec =
+let execute_bisect ~runs_root ~settings ~jobs spec =
   let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
-  (* the corpus re-generates deterministically; the expensive bisection half
-     journals into the run directory and resumes *)
-  let corpus = Campaign.Corpus.run ~workers ~jobs ~seed ~count () in
+  (* the corpus re-generates deterministically, under the same supervision;
+     the expensive bisection half journals into the run directory and
+     resumes *)
+  let corpus = Campaign.Corpus.run ~settings ~jobs ~seed ~count () in
   let b =
-    Campaign.Bisect_campaign.run
-      ?journal:(journal_of ~runs_root spec)
-      ?deadline:(case_deadline spec) ?step_budget:spec.Job.sp_step_budget
-      ~retries:spec.Job.sp_retries ~workers ~jobs corpus
+    Campaign.Bisect_campaign.run ?journal:(journal_of ~runs_root spec) ~settings ~jobs corpus
   in
   let report = Campaign.Corpus.report ~campaign:"bisect" ~seed ~count corpus in
   let report_text =
@@ -328,10 +291,11 @@ let execute_reduce ~jobs spec =
   }
 
 let execute ~runs_root ~workers ~jobs spec =
+  let settings = Job.settings ~workers spec in
   match spec.Job.sp_kind with
-  | Job.Hunt -> execute_hunt ~runs_root ~workers ~jobs spec
-  | Job.Triage -> execute_triage ~runs_root ~workers ~jobs spec
-  | Job.Size_hunt -> execute_size ~runs_root ~workers ~jobs spec
-  | Job.Level_hunt -> execute_level ~runs_root ~workers ~jobs spec
-  | Job.Bisect -> execute_bisect ~runs_root ~workers ~jobs spec
+  | Job.Hunt -> execute_hunt ~runs_root ~settings ~jobs spec
+  | Job.Triage -> execute_triage ~runs_root ~settings ~jobs spec
+  | Job.Size_hunt -> execute_size ~runs_root ~settings ~jobs spec
+  | Job.Level_hunt -> execute_level ~runs_root ~settings ~jobs spec
+  | Job.Bisect -> execute_bisect ~runs_root ~settings ~jobs spec
   | Job.Reduce -> execute_reduce ~jobs spec

@@ -12,14 +12,7 @@ val run_id_of : Job.spec -> string option
 (** The stable {!Dce_campaign.Run_store.run_id} this job persists under;
     [None] for [reduce] (its result is the reduced program, not a run). *)
 
-val run_dir : runs_root:string -> Job.spec -> string option
 val journal_of : runs_root:string -> Job.spec -> string option
-
-val case_deadline : Job.spec -> float option
-(** The per-case Guard deadline: the explicit case budget when set,
-    otherwise the whole-job deadline — a runaway case trips
-    [Guard.Budget_exceeded] cooperatively before the daemon's SIGKILL
-    backstop. *)
 
 type outcome = {
   oc_run_dir : string option;
@@ -34,6 +27,8 @@ val outcome_to_json : outcome -> Dce_campaign.Json.t
 val outcome_of_json : Dce_campaign.Json.t -> outcome
 
 val execute : runs_root:string -> workers:int -> jobs:int -> Job.spec -> outcome
-(** Run the job to completion in this process (campaigns may fork the
-    fabric underneath when [workers > 1]).  Raises on failure — the caller
-    (the daemon's job-child wrapper) records the error and exit status. *)
+(** Run the job to completion in this process under {!Job.settings}
+    (campaigns may fork the fabric underneath when [workers > 1]); every
+    campaign kind, both halves of [bisect] included, runs under the same
+    settings.  Raises on failure — the caller (the daemon's job-child
+    wrapper) records the error and exit status. *)

@@ -259,6 +259,45 @@ let test_engine_journal_robustness () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
+(* campaign settings: one validating constructor                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_settings_validation () =
+  let module S = Campaign.Settings in
+  let rejects flag f =
+    match f () with
+    | _ -> Alcotest.failf "%s: out-of-range value accepted" flag
+    | exception Failure msg ->
+      Alcotest.(check bool) (flag ^ " named") true (String.starts_with ~prefix:(flag ^ ":") msg)
+  in
+  rejects "--workers" (fun () -> S.v ~workers:0 ());
+  rejects "--chunk" (fun () -> S.v ~chunk:0 ~workers:2 ());
+  rejects "--retries" (fun () -> S.v ~retries:(-1) ());
+  rejects "--deadline" (fun () -> S.v ~deadline:0. ());
+  rejects "--deadline" (fun () -> S.v ~deadline:(-1.) ());
+  rejects "--deadline" (fun () -> S.v ~deadline:Float.nan ());
+  rejects "--step-budget" (fun () -> S.v ~step_budget:0 ());
+  rejects "--chaos" (fun () -> S.v ~chaos:"explode@1" ());
+  rejects "--jobs" (fun () -> S.jobs 0);
+  Alcotest.(check int) "valid jobs pass through" 3 (S.jobs 3);
+  let s = S.v ~deadline:5. ~step_budget:100 ~retries:2 ~workers:2 ~chunk:4 () in
+  Alcotest.(check bool) "valid values kept" true
+    (s.S.deadline = Some 5. && s.S.step_budget = Some 100 && s.S.retries = 2 && s.S.workers = 2
+     && s.S.chunk = Some 4);
+  Alcotest.(check bool) "v () is the default" true (S.v () = S.default);
+  (* the chaos rule: a corrupt-IR plan forces checked validation, while the
+     requested flag (what run ids and meta.json record) stays as given *)
+  let corrupt = S.v ~chaos:"corrupt@2" () in
+  Alcotest.(check bool) "default unchecked" false (S.checked S.default);
+  Alcotest.(check bool) "corrupt plan forces checked" true (S.checked corrupt);
+  Alcotest.(check bool) "requested flag kept" false corrupt.S.checked;
+  Alcotest.(check bool) "crash plan does not" false (S.checked (S.v ~chaos:"crash@1" ()));
+  Alcotest.(check bool) "checked as requested" true (S.checked (S.v ~checked:true ()));
+  Alcotest.(check (option string)) "spec kept byte for byte" (Some "crash@1,transient@0")
+    (Option.map (fun c -> c.S.spec) (S.v ~chaos:"crash@1,transient@0" ()).S.chaos);
+  Alcotest.(check int) "plan parsed" 2 (List.length (S.plan (S.v ~chaos:"crash@1,transient@0" ())))
+
+(* ------------------------------------------------------------------ *)
 (* fault isolation on the real corpus campaign                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -267,7 +306,7 @@ let test_fault_isolation () =
   let clean = Campaign.Corpus.run ~jobs:2 ~seed:4242 ~count () in
   let crashed =
     Campaign.Corpus.run ~jobs:2 ~seed:4242 ~count
-      ~chaos:(Result.get_ok (Campaign.Chaos.of_string "crash@1,crash@6"))
+      ~settings:(Campaign.Settings.v ~chaos:"crash@1,crash@6" ())
       ()
   in
   Alcotest.(check int) "campaign completed all slots" count
@@ -470,6 +509,7 @@ let suite =
     ("engine: slow case does not block the rest", `Quick, test_engine_work_stealing);
     ("engine: exception releases the journal", `Quick, test_engine_exception_releases_journal);
     ("engine: hostile journal skipped and counted", `Quick, test_engine_journal_robustness);
+    ("settings: out-of-range values name their flag", `Quick, test_settings_validation);
     ("fault isolation: injected crash quarantined", `Slow, test_fault_isolation);
     ("checkpoint/resume: corpus campaign", `Slow, test_corpus_resume);
     ("checkpoint/resume: unknown record kind skipped", `Slow, test_corpus_journal_unknown_kind);

@@ -326,13 +326,19 @@ let test_campaign_report_parity () =
     (Stats.table1 st, Stats.table2 st, Stats.attribution_table st)
   in
   let seed = 20220228 and count = 12 in
+  (* the campaign runs on the ambient backend, selected as the CLI does *)
+  let under backend f =
+    let prev = E.Exec.default () in
+    E.Exec.set_default backend;
+    Fun.protect ~finally:(fun () -> E.Exec.set_default prev) f
+  in
   let reference =
-    tables (Dce_campaign.Corpus.run ~exec:E.Exec.Interp ~jobs:1 ~seed ~count ())
+    under E.Exec.Interp (fun () -> tables (Dce_campaign.Corpus.run ~jobs:1 ~seed ~count ()))
   in
   List.iter
     (fun jobs ->
       let t1, t2, attr =
-        tables (Dce_campaign.Corpus.run ~exec:E.Exec.Vm ~jobs ~seed ~count ())
+        under E.Exec.Vm (fun () -> tables (Dce_campaign.Corpus.run ~jobs ~seed ~count ()))
       in
       let r1, r2, rattr = reference in
       Alcotest.(check string) (Printf.sprintf "table1 (vm, jobs=%d)" jobs) r1 t1;

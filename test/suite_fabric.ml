@@ -21,6 +21,7 @@ module Stats = Dce_report.Stats
 let temp_journal = Suite_campaign.temp_journal
 let truncate_journal = Suite_campaign.truncate_journal
 let toy_codec = { Engine.encode = (fun i -> Json.Int i); decode = Json.int_exn }
+let grid ?chunk workers = Campaign.Settings.v ?chunk ~workers ()
 
 (* ------------------------------------------------------------------ *)
 (* determinism across the processes x domains grid                     *)
@@ -31,7 +32,7 @@ let test_fabric_toy_grid_determinism () =
   let baseline = Engine.run ~jobs:1 ~count:17 runner in
   List.iter
     (fun (workers, jobs) ->
-      let r = Fabric.run ~codec:toy_codec ~workers ~jobs ~count:17 runner in
+      let r = Fabric.run ~codec:toy_codec ~settings:(grid workers) ~jobs ~count:17 runner in
       Alcotest.(check bool)
         (Printf.sprintf "outcomes at workers=%d jobs=%d" workers jobs)
         true
@@ -44,7 +45,7 @@ let test_fabric_toy_grid_determinism () =
    A stride split would pin case 2 behind case 0 on the same domain. *)
 let test_fabric_worker_steals_within_chunk () =
   let r =
-    Fabric.run ~codec:toy_codec ~chunk:6 ~workers:2 ~jobs:2 ~count:6
+    Fabric.run ~codec:toy_codec ~settings:(grid ~chunk:6 2) ~jobs:2 ~count:6
       (Suite_campaign.spin_until_others_done ~others:5)
   in
   Alcotest.(check bool) "case 0 saw cases 1-5 finish (no timeout)" true
@@ -69,14 +70,14 @@ let corpus_report c =
 
 let test_fabric_corpus_report_identical () =
   let solo = Campaign.Corpus.run ~jobs:1 ~seed:4242 ~count:8 () in
-  let grid = Campaign.Corpus.run ~workers:2 ~jobs:2 ~seed:4242 ~count:8 () in
+  let grid = Campaign.Corpus.run ~settings:(grid 2) ~jobs:2 ~seed:4242 ~count:8 () in
   Alcotest.(check string) "corpus report byte-identical" (corpus_report solo)
     (corpus_report grid);
   Alcotest.(check int) "no quarantine" 0 (List.length grid.Campaign.Corpus.c_quarantine)
 
 let test_fabric_size_report_identical () =
   let solo = Campaign.Oracle_campaign.run_size ~jobs:1 ~seed:4242 ~count:8 () in
-  let grid = Campaign.Oracle_campaign.run_size ~workers:2 ~jobs:2 ~seed:4242 ~count:8 () in
+  let grid = Campaign.Oracle_campaign.run_size ~settings:(grid 2) ~jobs:2 ~seed:4242 ~count:8 () in
   Alcotest.(check string) "size report byte-identical"
     (Campaign.Oracle_campaign.size_report solo)
     (Campaign.Oracle_campaign.size_report grid);
@@ -90,7 +91,9 @@ let test_fabric_size_report_identical () =
 let test_fabric_torn_journal_resumes_in_engine () =
   let path = temp_journal () in
   let runner ctx i = Engine.stage ctx "toy" (fun () -> i + 100) in
-  let r1 = Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~workers:2 ~jobs:2 ~count:10 runner in
+  let r1 =
+    Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 2) ~jobs:2 ~count:10 runner
+  in
   truncate_journal path ~cases:6;
   let executed = ref 0 in
   let r2 =
@@ -109,13 +112,13 @@ let test_engine_torn_journal_resumes_in_fabric () =
   let r1 = Engine.run ~journal:path ~codec:toy_codec ~seed:7 ~jobs:1 ~count:10 runner in
   truncate_journal path ~cases:7;
   let r2 =
-    Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~workers:4 ~jobs:3 ~count:10 runner
+    Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 4) ~jobs:3 ~count:10 runner
   in
   Alcotest.(check int) "seven cases restored from the engine journal" 7 r2.Engine.resumed;
   Alcotest.(check bool) "outcomes identical" true (r1.Engine.outcomes = r2.Engine.outcomes);
   (* the rewritten journal is complete: a fresh fabric run replays everything *)
   let r3 =
-    Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~workers:2 ~jobs:1 ~count:10 runner
+    Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 2) ~jobs:1 ~count:10 runner
   in
   Alcotest.(check int) "all restored on the third run" 10 r3.Engine.resumed;
   Alcotest.(check bool) "outcomes still identical" true
@@ -135,7 +138,7 @@ let test_fabric_killed_worker_contained () =
         if i = 3 && Fabric.in_worker () then Unix._exit 7;
         i + 100)
   in
-  let r = Fabric.run ~codec:toy_codec ~workers:2 ~jobs:1 ~count:12 runner in
+  let r = Fabric.run ~codec:toy_codec ~settings:(grid 2) ~jobs:1 ~count:12 runner in
   (match r.Engine.quarantine with
    | [ q ] ->
      Alcotest.(check int) "poison-pill case quarantined" 3 q.Engine.q_case;
@@ -163,7 +166,7 @@ let test_fabric_killed_worker_contained () =
 
 let test_fabric_counters_reported () =
   let runner ctx i = Engine.stage ctx "toy" (fun () -> i) in
-  let r = Fabric.run ~codec:toy_codec ~workers:2 ~jobs:3 ~count:12 runner in
+  let r = Fabric.run ~codec:toy_codec ~settings:(grid 2) ~jobs:3 ~count:12 runner in
   (match r.Engine.metrics.Metrics.fabric with
    | Some f ->
      Alcotest.(check int) "workers" 2 f.Metrics.f_workers;
@@ -174,36 +177,37 @@ let test_fabric_counters_reported () =
      Alcotest.(check int) "no deaths" 0 f.Metrics.f_deaths
    | None -> Alcotest.fail "fabric counters missing");
   (* workers = 1 is Engine.run: no process forked, no fabric counters *)
-  let solo = Fabric.run ~codec:toy_codec ~workers:1 ~jobs:1 ~count:3 runner in
+  let solo = Fabric.run ~codec:toy_codec ~settings:(grid 1) ~jobs:1 ~count:3 runner in
   Alcotest.(check bool) "no fabric counters at workers=1" true
     (solo.Engine.metrics.Metrics.fabric = None)
 
 let test_fabric_edge_cases () =
   let runner ctx i = Engine.stage ctx "toy" (fun () -> i) in
   (* more workers than cases: only as many processes as there is work *)
-  let r = Fabric.run ~codec:toy_codec ~workers:8 ~jobs:1 ~count:3 runner in
+  let r = Fabric.run ~codec:toy_codec ~settings:(grid 8) ~jobs:1 ~count:3 runner in
   Alcotest.(check bool) "tiny corpus completes" true
     (r.Engine.outcomes = [| Engine.Done 0; Engine.Done 1; Engine.Done 2 |]);
   (match r.Engine.metrics.Metrics.fabric with
    | Some f -> Alcotest.(check int) "forks capped by the work" 3 f.Metrics.f_workers
    | None -> Alcotest.fail "fabric counters missing");
   (* a chunk bigger than the corpus is one chunk *)
-  let r = Fabric.run ~codec:toy_codec ~chunk:64 ~workers:2 ~jobs:1 ~count:5 runner in
+  let r = Fabric.run ~codec:toy_codec ~settings:(grid ~chunk:64 2) ~jobs:1 ~count:5 runner in
   Alcotest.(check int) "oversized chunk" 5 (Array.length r.Engine.outcomes);
   (* the empty campaign *)
-  let r = Fabric.run ~codec:toy_codec ~workers:4 ~jobs:2 ~count:0 runner in
+  let r = Fabric.run ~codec:toy_codec ~settings:(grid 4) ~jobs:2 ~count:0 runner in
   Alcotest.(check int) "empty corpus" 0 (Array.length r.Engine.outcomes);
-  (* invalid grids are rejected up front *)
+  (* invalid grids are rejected up front: a missing codec by the fabric, an
+     empty grid or chunk already by the settings constructor *)
+  (match Fabric.run ~settings:(grid 2) ~jobs:1 ~count:3 runner with
+   | _ -> Alcotest.fail "expected Invalid_argument"
+   | exception Invalid_argument _ -> ());
   List.iter
-    (fun f ->
+    (fun (flag, f) ->
       match f () with
-      | _ -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ())
-    [
-      (fun () -> Fabric.run ~workers:2 ~jobs:1 ~count:3 runner);  (* no codec *)
-      (fun () -> Fabric.run ~codec:toy_codec ~workers:0 ~jobs:1 ~count:3 runner);
-      (fun () -> Fabric.run ~codec:toy_codec ~chunk:0 ~workers:2 ~jobs:1 ~count:3 runner);
-    ]
+      | _ -> Alcotest.failf "expected %s to be rejected" flag
+      | exception Failure msg ->
+        Alcotest.(check bool) flag true (String.starts_with ~prefix:flag msg))
+    [ ("--workers", fun () -> grid 0); ("--chunk", fun () -> grid ~chunk:0 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* the cross-process journal lock (satellite: fork-based lockf test)   *)
@@ -364,7 +368,7 @@ let test_fabric_refuses_after_domains () =
   let warm = Engine.run ~jobs:2 ~count:4 (fun _ i -> i) in
   Alcotest.(check int) "warm-up engine run completed" 4 (Array.length warm.Engine.outcomes);
   Alcotest.(check bool) "domain creation recorded" true (Engine.domains_ever_spawned ());
-  match Fabric.run ~codec:toy_codec ~workers:2 ~jobs:1 ~count:4 (fun _ i -> i) with
+  match Fabric.run ~codec:toy_codec ~settings:(grid 2) ~jobs:1 ~count:4 (fun _ i -> i) with
   | _ -> Alcotest.fail "Fabric.run should refuse to fork after domains existed"
   | exception Failure msg ->
     Alcotest.(check bool)
@@ -432,8 +436,8 @@ let test_fabric_verify_report_identical () =
   in
   let report workers jobs =
     let v =
-      Dce_repair.Verify.campaign ~workers ~jobs ~name:"fabric-verify" ~compilers ~seed:4242
-        ~count:6 ()
+      Dce_repair.Verify.campaign ~settings:(grid workers) ~jobs ~name:"fabric-verify" ~compilers
+        ~seed:4242 ~count:6 ()
     in
     Json.to_string (Campaign.Run_store.report_to_json v.Dce_repair.Verify.vy_report)
   in

@@ -3,7 +3,7 @@
 
    The load-bearing properties:
    - the engine at any [jobs]/[cache] setting is field-for-field identical
-     to the pre-engine sequential reducer ([Reduce.reduce_reference]);
+     to the pre-engine sequential reducer ([Reduce_reference.reduce]);
    - stages short-circuit (later stages are entered strictly less often);
    - the verdict and compile caches are observably transparent;
    - [Ast.hash_program] is a function of program structure (stable under
@@ -78,7 +78,7 @@ let test_engine_matches_reference () =
       | Some marker ->
         let predicate = dead_marker_predicate marker in
         let a = R.Reduce.reduce ~max_tests:60 ~predicate prog in
-        let b = R.Reduce.reduce_reference ~max_tests:60 ~predicate prog in
+        let b = Reduce_reference.reduce ~max_tests:60 ~predicate prog in
         incr compared;
         Alcotest.(check string)
           (Printf.sprintf "seed %d: program" seed)
@@ -107,7 +107,7 @@ let test_jobs_deterministic () =
   let old_pred =
     R.Reduce.marker_diff_predicate ~keep_missed_by:gcc_o3 ~eliminated_by:llvm_o3 ~marker
   in
-  let old_r = R.Reduce.reduce_reference ~max_tests:1500 ~predicate:old_pred prog in
+  let old_r = Reduce_reference.reduce ~max_tests:1500 ~predicate:old_pred prog in
   Alcotest.(check string) "matches reference reducer"
     (Dce_minic.Pretty.program_to_string old_r.R.Reduce.program)
     (Dce_minic.Pretty.program_to_string r1.R.Engine.program);

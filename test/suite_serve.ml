@@ -37,18 +37,105 @@ let temp_dir prefix =
    the derivation must never drift: these literals pin the ids the hunt CLI
    and the serve daemon have always produced. *)
 let test_run_ids_pinned () =
-  let id = Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed:42 ~count:3 in
-  Alcotest.(check string) "plain" "run-377cb1560fa9a5d" (id ~checked:false ~chaos_spec:None);
-  Alcotest.(check string) "chaos" "run-2d226f66565e067"
-    (id ~checked:false ~chaos_spec:(Some "crash@1"));
-  Alcotest.(check string) "checked" "run-283ef22a6e37064" (id ~checked:true ~chaos_spec:None);
+  let id ?chaos ~checked () =
+    Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed:42 ~count:3
+      (Campaign.Settings.v ?chaos ~checked ())
+  in
+  Alcotest.(check string) "plain" "run-377cb1560fa9a5d" (id ~checked:false ());
+  Alcotest.(check string) "chaos" "run-2d226f66565e067" (id ~chaos:"crash@1" ~checked:false ());
+  Alcotest.(check string) "checked" "run-283ef22a6e37064" (id ~checked:true ());
   Alcotest.(check string) "checked and chaos" "run-973292ef2ceabc2"
-    (id ~checked:true ~chaos_spec:(Some "crash@1,transient@0"));
+    (id ~chaos:"crash@1,transient@0" ~checked:true ());
   let job chaos = { Job.default_spec with Job.sp_seed = 42; sp_count = 3; sp_chaos = chaos } in
   Alcotest.(check (option string)) "serve job" (Some "run-377cb1560fa9a5d")
     (Serve.Runjob.run_id_of (job None));
   Alcotest.(check (option string)) "serve chaos job" (Some "run-2d226f66565e067")
     (Serve.Runjob.run_id_of (job (Some "crash@1")))
+
+(* ------------------------------------------------------------------ *)
+(* job specs: the settings they build, validation, wire compatibility  *)
+(* ------------------------------------------------------------------ *)
+
+let pinned_spec =
+  {
+    Job.default_spec with
+    Job.sp_kind = Job.Size_hunt;
+    sp_seed = 7;
+    sp_count = 12;
+    sp_lane = "nightly";
+    sp_deadline = Some 60.;
+    sp_case_deadline = Some 2.5;
+    sp_step_budget = Some 100_000;
+    sp_retries = 1;
+    sp_chaos = Some "crash@1";
+  }
+
+(* spec.json files outlive the daemon that wrote them: queued jobs in an
+   existing spool must survive an upgrade *)
+let pinned_spec_json =
+  {|{"kind":"size-hunt","seed":7,"count":12,"lane":"nightly","deadline":60.0,"case_deadline":2.5,"step_budget":100000,"retries":1,"strikes":2,"chaos":"crash@1","source":null,"marker":null}|}
+
+let decode_spec s =
+  match Json.of_string s with
+  | Ok j -> Job.spec_of_json j
+  | Error e -> Alcotest.failf "spec json: %s" e
+
+let test_spec_json_pinned () =
+  Alcotest.(check string) "spec.json bytes" pinned_spec_json
+    (Json.to_string (Job.spec_to_json pinned_spec));
+  Alcotest.(check bool) "decodes to the same spec" true
+    (decode_spec pinned_spec_json = pinned_spec);
+  let s = Job.settings ~workers:3 (decode_spec pinned_spec_json) in
+  Alcotest.(check (option (float 0.))) "case deadline wins" (Some 2.5) s.Campaign.Settings.deadline;
+  Alcotest.(check (option int)) "step budget" (Some 100_000) s.Campaign.Settings.step_budget;
+  Alcotest.(check int) "retries" 1 s.Campaign.Settings.retries;
+  Alcotest.(check (option string)) "chaos spec verbatim" (Some "crash@1")
+    (Option.map (fun c -> c.Campaign.Settings.spec) s.Campaign.Settings.chaos);
+  Alcotest.(check bool) "serve jobs never run checked" false s.Campaign.Settings.checked;
+  Alcotest.(check int) "workers from the daemon" 3 s.Campaign.Settings.workers;
+  (* a minimal hand-written spec: an integer whole-job deadline is the
+     per-case fallback *)
+  let s = Job.settings (decode_spec {|{"kind":"hunt","deadline":30}|}) in
+  Alcotest.(check (option (float 0.))) "job deadline as fallback" (Some 30.)
+    s.Campaign.Settings.deadline
+
+let test_spec_rejects_bad_settings () =
+  List.iter
+    (fun (what, json, flag) ->
+      match decode_spec json with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Failure msg -> Alcotest.(check bool) what true (Helpers.contains msg flag))
+    [
+      ("negative retries", {|{"kind":"hunt","retries":-1}|}, "--retries");
+      ("zero case deadline", {|{"kind":"hunt","case_deadline":0}|}, "--deadline");
+      ("negative job deadline", {|{"kind":"hunt","deadline":-1,"case_deadline":5}|}, "--deadline");
+      ("zero step budget", {|{"kind":"size-hunt","step_budget":0}|}, "--step-budget");
+      ("unparsable chaos", {|{"kind":"hunt","chaos":"explode@1"}|}, "--chaos");
+    ]
+
+(* both halves of a bisect job run under the job's settings: a step budget
+   that trips quarantines the cases in the corpus half (the report's
+   quarantined list) rather than reaching the bisection half alone *)
+let test_bisect_corpus_half_supervised () =
+  let root = temp_dir "dce_serve_bisect" in
+  Fun.protect
+    ~finally:(fun () -> Fsx.rm_rf root)
+    (fun () ->
+      let oc =
+        Serve.Runjob.execute ~runs_root:root ~workers:1 ~jobs:1
+          {
+            Job.default_spec with
+            Job.sp_kind = Job.Bisect;
+            sp_seed = 7;
+            sp_count = 3;
+            sp_step_budget = Some 1;
+          }
+      in
+      match oc.Serve.Runjob.oc_run_dir with
+      | None -> Alcotest.fail "bisect job wrote no run dir"
+      | Some dir ->
+        Alcotest.(check (list int)) "every corpus case tripped the budget" [ 0; 1; 2 ]
+          (Campaign.Run_store.load_report dir).Campaign.Run_store.r_quarantined)
 
 (* ------------------------------------------------------------------ *)
 (* write_atomic (satellite)                                            *)
@@ -255,6 +342,11 @@ let job_pid ~spool job =
 
 let alive pid = match Unix.kill pid 0 with () -> true | exception Unix.Unix_error _ -> false
 
+(* report.json, report.txt and meta.json of a run directory *)
+let run_artifacts dir =
+  let read f = read_file (Filename.concat dir f) in
+  (read "report.json", read "report.txt", read "meta.json")
+
 (* the uninterrupted baseline: the same executor the daemon's job child
    runs, in this process — what `dce_hunt hunt --run-root` produces *)
 let baseline_report () =
@@ -266,7 +358,7 @@ let baseline_report () =
   match outcome.Serve.Runjob.oc_run_dir with
   | None -> Alcotest.fail "baseline hunt produced no run dir"
   | Some dir ->
-    let r = (read_file (Filename.concat dir "report.json"), read_file (Filename.concat dir "report.txt")) in
+    let r = run_artifacts dir in
     Fsx.rm_rf root;
     r
 
@@ -280,8 +372,7 @@ let serve_report ~spool job =
   in
   match oc.Serve.Runjob.oc_run_dir with
   | None -> Alcotest.fail "job outcome carries no run dir"
-  | Some dir ->
-    (read_file (Filename.concat dir "report.json"), read_file (Filename.concat dir "report.txt"))
+  | Some dir -> run_artifacts dir
 
 let test_daemon_roundtrip () =
   let spool = temp_dir "dce_serve_rt" in
@@ -291,10 +382,16 @@ let test_daemon_roundtrip () =
   wait_socket socket;
   let job = submit_hunt ~socket () in
   Alcotest.(check string) "job completes" "done" (wait_terminal ~socket job);
-  let base_json, base_txt = baseline_report () in
-  let got_json, got_txt = serve_report ~spool job in
+  let base_json, base_txt, base_meta = baseline_report () in
+  let got_json, got_txt, got_meta = serve_report ~spool job in
   Alcotest.(check string) "report.json identical to direct run" base_json got_json;
   Alcotest.(check string) "report.txt identical to direct run" base_txt got_txt;
+  Alcotest.(check string) "meta.json identical to direct run" base_meta got_meta;
+  (* an out-of-range setting is an error reply, not a queued job *)
+  (match Serve.Client.submit ~socket { Job.default_spec with Job.sp_retries = -1 } with
+   | Ok id -> Alcotest.failf "bad spec queued as %s" id
+   | Error e ->
+     Alcotest.(check bool) "error names the setting" true (Helpers.contains e "--retries"));
   (match Serve.Client.shutdown ~socket with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "shutdown: %s" e);
@@ -358,8 +455,8 @@ let test_chaos_kill_job () =
   let st = Store.open_spool spool in
   let v = Job.view_of_events (Store.load_events st job) in
   Alcotest.(check int) "the kill cost one strike" 1 v.Job.v_strikes;
-  let base_json, base_txt = baseline_report () in
-  let got_json, got_txt = serve_report ~spool job in
+  let base_json, base_txt, _ = baseline_report () in
+  let got_json, got_txt, _ = serve_report ~spool job in
   Alcotest.(check string) "report.json identical after mid-job kill" base_json got_json;
   Alcotest.(check string) "report.txt identical after mid-job kill" base_txt got_txt;
   ignore (Serve.Client.shutdown ~socket);
@@ -382,8 +479,8 @@ let test_chaos_crash_daemon () =
      journal, possibly a still-running orphan child *)
   let pid2 = fork_daemon (test_config ~spool ()) in
   Alcotest.(check string) "job resumed to done" "done" (wait_terminal ~socket job);
-  let base_json, base_txt = baseline_report () in
-  let got_json, got_txt = serve_report ~spool job in
+  let base_json, base_txt, _ = baseline_report () in
+  let got_json, got_txt, _ = serve_report ~spool job in
   Alcotest.(check string) "report.json identical after daemon crash" base_json got_json;
   Alcotest.(check string) "report.txt identical after daemon crash" base_txt got_txt;
   ignore (Serve.Client.shutdown ~socket);
@@ -498,7 +595,8 @@ let test_fabric_sigterm_drain () =
     in
     let code =
       try
-        ignore (Campaign.Fabric.run ~codec ~workers:2 ~jobs:1 ~chunk:1 ~count:200 runner);
+        let settings = Campaign.Settings.v ~workers:2 ~chunk:1 () in
+        ignore (Campaign.Fabric.run ~codec ~settings ~jobs:1 ~count:200 runner);
         0
       with
       | Campaign.Fabric.Interrupted signo -> if signo = Sys.sigterm then 77 else 78
@@ -537,6 +635,11 @@ let test_fabric_sigterm_drain () =
 let suite =
   [
     Alcotest.test_case "run ids pinned" `Quick test_run_ids_pinned;
+    Alcotest.test_case "job spec: spec.json pinned, settings derived" `Quick test_spec_json_pinned;
+    Alcotest.test_case "job spec: out-of-range settings rejected" `Quick
+      test_spec_rejects_bad_settings;
+    Alcotest.test_case "bisect job: corpus half supervised" `Quick
+      test_bisect_corpus_half_supervised;
     Alcotest.test_case "fsx: write_atomic" `Quick test_write_atomic;
     Alcotest.test_case "run_store: list and gc" `Quick test_runs_list_and_gc;
     Alcotest.test_case "store: queue replay over a torn journal" `Quick test_queue_replay;

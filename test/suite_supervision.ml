@@ -107,9 +107,9 @@ let test_guard_cuts_passmgr () =
 
 let test_engine_timeout_quarantine () =
   (* deterministic flavour: a chaos hang against a step budget *)
-  let plan = [ { Chaos.inj_case = 2; inj_stage = "spin"; inj_fault = Chaos.Hang } ] in
+  let settings = Campaign.Settings.v ~step_budget:5_000 ~chaos:"hang@2:spin" () in
   let r =
-    Engine.run ~step_budget:5_000 ~chaos:plan ~jobs:1 ~count:4 (fun ctx i ->
+    Engine.run ~settings ~jobs:1 ~count:4 (fun ctx i ->
         Engine.stage ctx "spin" (fun () -> i * 2))
   in
   (match r.Engine.quarantine with
@@ -127,9 +127,9 @@ let test_engine_timeout_quarantine () =
 let test_engine_wall_clock_deadline () =
   (* the non-deterministic flavour: a real wall-clock deadline against an
      unbounded spin (kept tiny so the test costs ~0.2s) *)
-  let plan = [ { Chaos.inj_case = 0; inj_stage = "spin"; inj_fault = Chaos.Hang } ] in
+  let settings = Campaign.Settings.v ~deadline:0.2 ~chaos:"hang@0:spin" () in
   let r =
-    Engine.run ~deadline:0.2 ~chaos:plan ~jobs:1 ~count:1 (fun ctx _ ->
+    Engine.run ~settings ~jobs:1 ~count:1 (fun ctx _ ->
         Engine.stage ctx "spin" (fun () -> ()))
   in
   match r.Engine.quarantine with
@@ -137,9 +137,9 @@ let test_engine_wall_clock_deadline () =
   | qs -> Alcotest.failf "expected 1 timeout, got %d" (List.length qs)
 
 let test_engine_retry_recovers () =
-  let plan = [ { Chaos.inj_case = 1; inj_stage = "work"; inj_fault = Chaos.Transient 2 } ] in
+  let settings = Campaign.Settings.v ~retries:2 ~chaos:"transient2@1:work" () in
   let r =
-    Engine.run ~retries:2 ~chaos:plan ~jobs:1 ~count:3 (fun ctx i ->
+    Engine.run ~settings ~jobs:1 ~count:3 (fun ctx i ->
         Engine.stage ctx "work" (fun () -> i + 10))
   in
   Alcotest.(check (list int)) "no quarantine" []
@@ -151,9 +151,9 @@ let test_engine_retry_recovers () =
   Alcotest.(check bool) "summary mentions recovery" true (contains text "recovered")
 
 let test_engine_retry_exhausted () =
-  let plan = [ { Chaos.inj_case = 0; inj_stage = "work"; inj_fault = Chaos.Transient 5 } ] in
+  let settings = Campaign.Settings.v ~retries:2 ~chaos:"transient5@0:work" () in
   let r =
-    Engine.run ~retries:2 ~chaos:plan ~jobs:1 ~count:1 (fun ctx _ ->
+    Engine.run ~settings ~jobs:1 ~count:1 (fun ctx _ ->
         Engine.stage ctx "work" (fun () -> ()))
   in
   match r.Engine.quarantine with
@@ -237,10 +237,10 @@ let test_chaos_plan_parse () =
   | Ok _ -> Alcotest.fail "non-integer case must be rejected"
 
 let test_chaos_hang_refused_without_guard () =
-  let plan = [ { Chaos.inj_case = 0; inj_stage = "spin"; inj_fault = Chaos.Hang } ] in
   (* no deadline and no step budget: arming a hang must refuse loudly rather
      than stall the worker forever *)
-  let r = Engine.run ~chaos:plan ~jobs:1 ~count:1 (fun ctx _ -> Engine.stage ctx "spin" Fun.id) in
+  let settings = Campaign.Settings.v ~chaos:"hang@0:spin" () in
+  let r = Engine.run ~settings ~jobs:1 ~count:1 (fun ctx _ -> Engine.stage ctx "spin" Fun.id) in
   match r.Engine.quarantine with
   | [ q ] ->
     Alcotest.(check bool) "refusal names the guard" true
@@ -327,7 +327,7 @@ let test_bundles_written_by_campaign () =
     (fun () ->
       let c =
         Campaign.Corpus.run ~jobs:2 ~seed:4242 ~count:6
-          ~chaos:(Result.get_ok (Campaign.Chaos.of_string "crash@1,crash@4"))
+          ~settings:(Campaign.Settings.v ~chaos:"crash@1,crash@4" ())
           ~bundle_dir:dir ()
       in
       Alcotest.(check int) "two quarantined" 2 (List.length c.Campaign.Corpus.c_quarantine);
@@ -355,14 +355,13 @@ let test_bundles_written_by_campaign () =
 let soak_spec =
   "crash@3,hang@7:ground-truth,transient@11:differential,slow@13:instrument,corrupt@17"
 
-let soak_plan =
-  match Chaos.of_string soak_spec with Ok p -> p | Error e -> failwith e
-
 let soak_faulted = [ 3; 7; 17 ]  (* quarantined; 11 recovers, 13 only slows *)
 
 let run_soak ?journal jobs =
   Campaign.Corpus.run ?journal ~jobs ~seed:Suite_campaign.corpus_seed
-    ~count:Suite_campaign.corpus_count ~chaos:soak_plan ~step_budget:2_000_000 ~retries:2 ()
+    ~count:Suite_campaign.corpus_count
+    ~settings:(Campaign.Settings.v ~chaos:soak_spec ~step_budget:2_000_000 ~retries:2 ())
+    ()
 
 let soak1 = lazy (run_soak 1)
 
