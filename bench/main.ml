@@ -776,11 +776,12 @@ let print_oracles_bench () =
   let missed_total = ref 0 in
   List.iter
     (fun (prog, dead) ->
+      let session = C.Compiler.session ~cache:true prog in
       List.iter
         (fun compiler ->
           List.iter
             (fun level ->
-              let surv = C.Compiler.surviving_markers_cached compiler level prog in
+              let surv = (C.Compiler.observe session compiler level).C.Compiler.obs_markers in
               missed_total :=
                 !missed_total + List.length (List.filter (fun m -> Ir.Iset.mem m dead) surv))
             OC.inversion_levels)
@@ -790,11 +791,12 @@ let print_oracles_bench () =
   let regressions = ref 0 in
   List.iter
     (fun (prog, dead) ->
+      let session = C.Compiler.session ~cache:true prog in
       List.iter
         (fun compiler ->
           List.iter
             (fun (lo, hi) ->
-              let at l = C.Compiler.surviving_markers_cached compiler l prog in
+              let at l = (C.Compiler.observe session compiler l).C.Compiler.obs_markers in
               let s_lo = at lo and s_hi = at hi in
               Ir.Iset.iter
                 (fun m -> if (not (List.mem m s_lo)) && List.mem m s_hi then incr regressions)
@@ -1141,17 +1143,19 @@ let micro_benchmarks () =
         (Staged.stage (fun () -> ignore (Core.Ground_truth.compute sample)));
       Test.make ~name:"table1: compile gcc-sim -O3"
         (Staged.stage (fun () ->
-             ignore (C.Compiler.surviving_markers C.Gcc_sim.compiler C.Level.O3 sample)));
+             ignore (C.Compiler.observe (C.Compiler.session sample) C.Gcc_sim.compiler C.Level.O3)));
       Test.make ~name:"table1: compile llvm-sim -O3"
         (Staged.stage (fun () ->
-             ignore (C.Compiler.surviving_markers C.Llvm_sim.compiler C.Level.O3 sample)));
+             ignore (C.Compiler.observe (C.Compiler.session sample) C.Llvm_sim.compiler C.Level.O3)));
       Test.make ~name:"table2: primary marker graph"
         (Staged.stage (fun () -> ignore (Core.Primary.build sample_ir)));
       Test.make ~name:"tables: full 10-config analysis of one program"
         (Staged.stage (fun () -> ignore (Core.Analysis.run sample_raw)));
       Test.make ~name:"tables3/4: one bisection probe (compile at old version)"
         (Staged.stage (fun () ->
-             ignore (C.Compiler.surviving_markers C.Gcc_sim.compiler ~version:10 C.Level.O3 sample)));
+             ignore
+               (C.Compiler.observe (C.Compiler.session sample) C.Gcc_sim.compiler ~version:10
+                  C.Level.O3)));
       Test.make ~name:"table5: one diagnosis (feature flips)"
         (Staged.stage (fun () ->
              ignore (Core.Diagnose.run C.Gcc_sim.compiler C.Level.O3 sample ~marker:0)));

@@ -174,7 +174,7 @@ let compile_cmd =
     let prog = if instrument then Core.Instrument.program prog else prog in
     let compiler = compiler_of_string comp in
     let level = level_of_string level in
-    let ir = C.Compiler.compile_ir compiler ?version level prog in
+    let ir, _ = C.Compiler.run (C.Compiler.session prog) compiler ?version level in
     if dump_ir then print_string (Dce_ir.Printer.program_to_string ir)
     else print_string (Dce_backend.Asm.to_string (Dce_backend.Codegen.program ir))
   in
@@ -488,11 +488,12 @@ let value_hunt_cmd =
       Printf.printf "// %d probes, %d dead value checks planted\n"
         stats.Core.Value_instrument.probes_inserted stats.Core.Value_instrument.checks_planted;
       print_string (Dce_minic.Pretty.program_to_string vi);
+      let session = C.Compiler.session vi in
       List.iter
         (fun compiler ->
           List.iter
             (fun level ->
-              let surv = C.Compiler.surviving_markers compiler level vi in
+              let surv = (C.Compiler.observe session compiler level).C.Compiler.obs_markers in
               Printf.printf "%-9s %-4s keeps value checks {%s}\n" compiler.C.Compiler.name
                 (C.Level.to_string level)
                 (String.concat "," (List.map string_of_int surv)))
@@ -765,8 +766,9 @@ let bisect_campaign_cmd =
       value & flag
       & info [ "no-cache" ]
           ~doc:
-            "Disable the content-addressed probe cache (every probe recompiles).  Outcomes and \
-             probe counts are identical either way; this exists for measurement.")
+            "Disable the probe caches: no whole-compile memo and no per-case compile session, \
+             so every probe compiles from scratch.  Outcomes and probe counts are identical \
+             either way; this exists for measurement.")
   in
   let run seed count level jobs settings journal metrics no_cache exec =
     set_exec exec;
@@ -958,7 +960,7 @@ let explain_cmd =
          if Dce_minic.Ast.markers_of_program prog = [] then Core.Instrument.program prog
          else prog
        in
-       let _, t = C.Compiler.compile_traced compiler lv prog in
+       let _, t = C.Compiler.run (C.Compiler.session prog) compiler lv in
        Printf.printf "stage trace of %s (%d of %d scheduled stages executed):\n" path
          (List.length t)
          (List.length (C.Pipeline.stage_names feats));

@@ -14,10 +14,11 @@ let failures = ref 0
 
 let check ~listing ~src ~expect =
   let prog = Dce_minic.Typecheck.check_exn (Dce_minic.Parser.parse_program src) in
+  let session = C.Compiler.session prog in
   List.iter
     (fun (comp_name, level, marker, expect_eliminated, note) ->
       let compiler = if comp_name = "gcc" then C.Gcc_sim.compiler else C.Llvm_sim.compiler in
-      let surviving = C.Compiler.surviving_markers compiler level prog in
+      let surviving = (C.Compiler.observe session compiler level).C.Compiler.obs_markers in
       let eliminated = not (List.mem marker surviving) in
       let verdict = if eliminated = expect_eliminated then "ok " else "FAIL" in
       if eliminated <> expect_eliminated then incr failures;

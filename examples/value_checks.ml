@@ -49,11 +49,12 @@ let () =
 
     (* which configurations compute the loop results? *)
     print_endline "\nsurviving value checks per configuration:";
+    let session = C.Compiler.session instrumented in
     List.iter
       (fun compiler ->
         List.iter
           (fun level ->
-            let surv = C.Compiler.surviving_markers compiler level instrumented in
+            let surv = (C.Compiler.observe session compiler level).C.Compiler.obs_markers in
             Printf.printf "  %-9s %-4s keeps %d check(s) {%s}\n" compiler.C.Compiler.name
               (C.Level.to_string level) (List.length surv)
               (String.concat "," (List.map string_of_int surv)))

@@ -9,18 +9,20 @@ type regression = {
 
 type outcome = Regression of regression | Always_missed | Not_missed
 
-let find_regression_counted ?(search = `Exponential) ?(cache = false) compiler level prog ~marker =
+let find_regression_counted ?(search = `Exponential) ?session ?validate compiler level prog ~marker =
+  (match session with
+   | Some s when not (C.Compiler.program s == prog || C.Compiler.program s = prog) ->
+     invalid_arg "Bisect.find_regression: the session compiles another program"
+   | _ -> ());
   let head = C.Compiler.head compiler in
   let probes = ref 0 in
-  let surviving =
-    (* The cached probe goes through the content-addressed compile cache
-       keyed by (compiler, version, level, program): it answers for *every*
-       marker of the program at once, so bisections of sibling markers share
-       compiles.  Memoized compilation is observably identical to fresh
-       compilation, so the outcome — and the probe count — is the same
-       either way. *)
-    if cache then fun v -> C.Compiler.surviving_markers_cached compiler ~version:v level prog
-    else fun v -> C.Compiler.surviving_markers compiler ~version:v level prog
+  let surviving v =
+    (* A shared session answers every probe of every marker of the program
+       from its caches; without one, each probe compiles from scratch.
+       Memoized compilation is observably identical to fresh compilation,
+       so the outcome — and the probe count — is the same either way. *)
+    let s = match session with Some s -> s | None -> C.Compiler.session ?validate prog in
+    (C.Compiler.observe s compiler ~version:v level).C.Compiler.obs_markers
   in
   let eliminates version =
     incr probes;
@@ -71,8 +73,8 @@ let find_regression_counted ?(search = `Exponential) ?(cache = false) compiler l
   in
   (outcome, !probes)
 
-let find_regression ?search ?cache compiler level prog ~marker =
-  fst (find_regression_counted ?search ?cache compiler level prog ~marker)
+let find_regression ?search ?session ?validate compiler level prog ~marker =
+  fst (find_regression_counted ?search ?session ?validate compiler level prog ~marker)
 
 type component_row = { component : string; commits : int; files : int }
 

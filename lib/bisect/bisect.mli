@@ -27,7 +27,8 @@ type outcome =
 
 val find_regression :
   ?search:[ `Linear | `Exponential ] ->
-  ?cache:bool ->
+  ?session:Dce_compiler.Compiler.session ->
+  ?validate:bool ->
   Dce_compiler.Compiler.t ->
   Dce_compiler.Level.t ->
   Dce_minic.Ast.program ->
@@ -37,17 +38,21 @@ val find_regression :
     (default) probes HEAD-1, HEAD-2, HEAD-4, … then binary-searches;
     [`Linear] walks straight down (exact but more probes).
 
-    [cache] (default [false]) routes every probe through
-    {!Dce_compiler.Compiler.surviving_markers_cached}, the content-addressed
-    compile cache keyed by [(compiler, version, level, program)].  One cached
-    compile answers the probe for {e every} marker of the program, so
-    bisecting sibling markers of one test case compiles each probed version
-    once.  The outcome and the probe count are identical either way —
-    memoized compilation is observably transparent. *)
+    [session], a session of [prog], answers every probe: in a
+    [~cache:true] session one cached compile answers the probe for {e every}
+    marker of the program, and a pipeline that does run replays the stages
+    an adjacent version already ran, so bisecting sibling markers of one
+    test case compiles each probed version once.  Without a session each
+    probe compiles from scratch, in a fresh session built with [validate]
+    (default false; a given session carries its own).  The outcome and the
+    probe count are identical either way — memoized compilation is
+    observably transparent.  Raises [Invalid_argument] if [session] is not
+    a session of [prog]. *)
 
 val find_regression_counted :
   ?search:[ `Linear | `Exponential ] ->
-  ?cache:bool ->
+  ?session:Dce_compiler.Compiler.session ->
+  ?validate:bool ->
   Dce_compiler.Compiler.t ->
   Dce_compiler.Level.t ->
   Dce_minic.Ast.program ->

@@ -154,15 +154,19 @@ let run ?journal ?(cache = true) ?(level = C.Level.O3) ?settings ~jobs (corpus :
          (Array.to_list (Array.mapi (fun i c -> (i, c)) corpus.Corpus.c_cases)))
   in
   let count = Array.length work in
+  let validate = Settings.checked (Option.value ~default:Settings.default settings) in
   let runner ctx e =
     let ci, prog, pairs = work.(e) in
+    (* one session per case attempt, shared by both compilers and every
+       marker: the probes of adjacent versions replay each other's stages *)
+    let session = if cache then Some (C.Compiler.session ~validate ~cache prog) else None in
     let bisections =
       List.map
         (fun (compiler_name, marker) ->
           let outcome, probes =
             Engine.stage ctx "bisect" (fun () ->
-                Bisect.find_regression_counted ~cache (compiler_named compiler_name) level prog
-                  ~marker)
+                Bisect.find_regression_counted ?session ~validate (compiler_named compiler_name)
+                  level prog ~marker)
           in
           { bs_compiler = compiler_name; bs_marker = marker; bs_probes = probes;
             bs_outcome = outcome })

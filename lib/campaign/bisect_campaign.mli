@@ -9,13 +9,17 @@
     [jobs = N] is byte-identical to [jobs = 1], which equals running
     sequential per-marker {!Dce_bisect.Bisect.find_regression} yourself.
 
-    {b Probe cache.}  With [cache] (the default), every probe routes through
-    the content-addressed compile cache keyed by
-    [(compiler, version, level, Ast.hash_program)] — one compiled probe
-    version answers for {e every} marker of that program, so sibling markers
-    of a case (and journal-resumed re-runs) share compiles.  The cache is
-    observably transparent: outcomes and probe counts are identical with it
-    off.
+    {b Probe sessions.}  With [cache] (the default), each case gets one
+    [~cache:true] {!Dce_compiler.Compiler.session}, shared by both compilers
+    and every marker.  A probe first asks the whole-compile memo keyed by
+    [(compiler, version, level, program)] — one compiled probe version
+    answers for {e every} marker of that program, so sibling markers of a
+    case (and journal-resumed re-runs) share compiles — and a miss runs the
+    pipeline on the session's stage memo, replaying what adjacent versions
+    already ran.  Without [cache] every probe compiles from scratch.  In
+    checked mode ({!Settings.checked}) every stage a probe executes is
+    validated, on either path.  The caches are observably transparent: outcomes
+    and probe counts are identical with them off.
 
     {b Journal.}  Completed cases append a ["bisect-case"] JSONL record;
     resume skips them.  Records of unknown kind or verdict (e.g. from a

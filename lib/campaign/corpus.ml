@@ -407,6 +407,7 @@ let run_value ?journal ?settings ~jobs ~seed ~count () =
       match Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute vi) with
       | Core.Ground_truth.Rejected _ -> none
       | Core.Ground_truth.Valid truth ->
+        let session = C.Compiler.session vi in
         let kept =
           List.concat_map
             (fun compiler ->
@@ -414,7 +415,7 @@ let run_value ?journal ?settings ~jobs ~seed ~count () =
                 (fun level ->
                   let surv =
                     Engine.stage ctx "differential" (fun () ->
-                        C.Compiler.surviving_markers compiler level vi)
+                        (C.Compiler.observe session compiler level).C.Compiler.obs_markers)
                   in
                   (compiler.C.Compiler.name, level, List.length surv))
                 C.Level.all)

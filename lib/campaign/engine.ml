@@ -23,10 +23,10 @@ let stage ctx name f =
      attributed to [name], not to the enclosing stage *)
   Guard.poll ~site:name;
   Chaos.fire name;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dce_support.Clock.now () in
   match f () with
   | v ->
-    Metrics.record ctx.c_metrics name (Unix.gettimeofday () -. t0);
+    Metrics.record ctx.c_metrics name (Dce_support.Clock.now () -. t0);
     (* deliberately not restored on the exception path: the quarantine reads
        the innermost stage that was active at the throw point *)
     ctx.c_stage <- prev;

@@ -349,6 +349,7 @@ let run_inversion ?journal ?settings ~jobs ~seed ~count () =
       }
     | Core.Ground_truth.Valid truth ->
       let dead = truth.Core.Ground_truth.dead in
+      let session = C.Compiler.session ~cache:true instrumented in
       let surviving =
         Engine.stage ctx "differential" (fun () ->
             List.map
@@ -356,7 +357,9 @@ let run_inversion ?journal ?settings ~jobs ~seed ~count () =
                 ( comp.C.Compiler.name,
                   List.map
                     (fun level ->
-                      let markers = C.Compiler.surviving_markers_cached comp level instrumented in
+                      let markers =
+                        (C.Compiler.observe session comp level).C.Compiler.obs_markers
+                      in
                       (level, List.fold_left (fun s n -> Ir.Iset.add n s) Ir.Iset.empty markers))
                     inversion_levels ))
               compilers)
@@ -366,31 +369,18 @@ let run_inversion ?journal ?settings ~jobs ~seed ~count () =
         if pairs = [] then []
         else
           Engine.stage ctx "attribution" (fun () ->
-              (* traced compiles bypass the cache (traces are measurements),
-                 so share one per distinct (compiler, low level) *)
-              let memo = Hashtbl.create 4 in
+              (* traces come off the pipeline, not the whole-compile memo;
+                 a repeated (compiler, low level) replays from the session *)
               List.map
                 (fun (name, (iv : Core.Differential.inversion)) ->
-                  let key = (name, iv.Core.Differential.iv_low) in
-                  let attrib =
-                    match Hashtbl.find_opt memo key with
-                    | Some a -> a
-                    | None ->
-                      let _, trace =
-                        C.Compiler.surviving_markers_traced (compiler_named name)
-                          iv.Core.Differential.iv_low instrumented
-                      in
-                      let a = C.Passmgr.attribution trace in
-                      Hashtbl.replace memo key a;
-                      a
+                  let _, trace =
+                    C.Compiler.run session (compiler_named name) iv.Core.Differential.iv_low
                   in
                   let guilty =
                     match
-                      List.find_opt
-                        (fun (_, ms) -> List.mem iv.Core.Differential.iv_marker ms)
-                        attrib
+                      C.Passmgr.markers_eliminated_by trace ~marker:iv.Core.Differential.iv_marker
                     with
-                    | Some (stage, _) -> stage
+                    | Some r -> r.C.Passmgr.sr_label
                     | None -> "unknown"
                   in
                   { if_compiler = name; if_inversion = iv; if_guilty = guilty })
@@ -463,40 +453,52 @@ let inversion_quarantine_to_string t = quarantine_lines t.i_seeds t.i_quarantine
 type inv_bisection = {
   ib_case : int;
   ib_finding : inv_finding;
-  ib_outcome : Bisect.outcome;
+  ib_outcome : (Bisect.outcome, Engine.quarantined) result;
   ib_probes : int;
 }
 
 let bisect_inversions ?(cache = true) ?settings ~jobs t =
   let work = Array.of_list (inversion_findings t) in
+  let validate = Settings.checked (Option.value ~default:Settings.default settings) in
   let runner ctx e =
     let ci, f = work.(e) in
     let prog =
       Engine.stage ctx "regenerate" (fun () ->
           Core.Instrument.program (fst (Smith.generate (Smith.default_config t.i_seeds.(ci)))))
     in
+    (* one session per finding: its probes replay each other's stages *)
+    let session = if cache then Some (C.Compiler.session ~validate ~cache prog) else None in
     (* the marker survives at iv_high although a weaker level kills it:
        bisect the iv_high pipeline's history for the commit that lost it *)
     let outcome, probes =
       Engine.stage ctx "bisect" (fun () ->
-          Bisect.find_regression_counted ~cache (compiler_named f.if_compiler)
+          Bisect.find_regression_counted ?session ~validate (compiler_named f.if_compiler)
             f.if_inversion.Core.Differential.iv_high prog
             ~marker:f.if_inversion.Core.Differential.iv_marker)
     in
-    { ib_case = ci; ib_finding = f; ib_outcome = outcome; ib_probes = probes }
+    { ib_case = ci; ib_finding = f; ib_outcome = Ok outcome; ib_probes = probes }
   in
   let result =
     Engine.run ~campaign:"inv-bisect" ~seed:t.i_seed ?settings ~jobs ~count:(Array.length work)
       runner
   in
-  Array.to_list result.Engine.outcomes
-  |> List.filter_map (function Engine.Done b -> Some b | Engine.Crashed _ -> None)
+  Array.to_list
+    (Array.mapi
+       (fun e -> function
+         | Engine.Done b -> b
+         | Engine.Crashed q ->
+           let ci, f = work.(e) in
+           { ib_case = ci; ib_finding = f; ib_outcome = Error q; ib_probes = 0 })
+       result.Engine.outcomes)
 
 let inv_bisections_table rows =
   let verdict = function
-    | Bisect.Not_missed -> "not-missed"
-    | Bisect.Always_missed -> "always-missed"
-    | Bisect.Regression r -> "regression @ " ^ r.Bisect.offending.C.Version.id
+    | Ok Bisect.Not_missed -> "not-missed"
+    | Ok Bisect.Always_missed -> "always-missed"
+    | Ok (Bisect.Regression r) -> "regression @ " ^ r.Bisect.offending.C.Version.id
+    | Error (q : Engine.quarantined) ->
+      Printf.sprintf "quarantined: %s in %s" (Engine.fault_kind_name q.Engine.q_kind)
+        q.Engine.q_stage
   in
   Printf.sprintf "%d inversions bisected (%d probes)\n" (List.length rows)
     (Dce_support.Listx.sum (List.map (fun b -> b.ib_probes) rows))

@@ -137,8 +137,9 @@ val inversion_quarantine_to_string : inv_t -> string
 type inv_bisection = {
   ib_case : int;
   ib_finding : inv_finding;
-  ib_outcome : Dce_bisect.Bisect.outcome;
-  ib_probes : int;
+  ib_outcome : (Dce_bisect.Bisect.outcome, Engine.quarantined) result;
+      (** [Error] when the finding's engine case was quarantined *)
+  ib_probes : int;  (** 0 for a quarantined finding *)
 }
 
 val bisect_inversions :
@@ -147,8 +148,11 @@ val bisect_inversions :
   jobs:int ->
   inv_t ->
   inv_bisection list
-(** One bisection per inversion finding, on the Engine pool (no journal —
-    probes already route through the compile cache; [settings.workers] is
-    ignored), campaign order. *)
+(** One bisection per inversion finding, campaign order, on the Engine
+    pool (no journal — probes already route through the compile cache;
+    [settings.workers] is ignored).  Each finding is one engine case, with
+    its own supervision budget, and ([cache], default true) its own
+    session; {!Settings.checked} validates every stage a probe executes.
+    A quarantined finding is kept, with its fault as the outcome. *)
 
 val inv_bisections_table : inv_bisection list -> string

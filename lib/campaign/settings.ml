@@ -17,6 +17,7 @@ let at_least flag min n =
   n
 
 let jobs = at_least "--jobs" 1
+let slots = at_least "--slots" 1
 
 let v ?deadline ?step_budget ?(retries = 0) ?chaos ?(checked = false) ?(workers = 1) ?chunk () =
   Option.iter

@@ -44,6 +44,9 @@ val v :
 val jobs : int -> int
 (** [jobs n] is [n] when it is a valid [--jobs] value; raises like {!v}. *)
 
+val slots : int -> int
+(** The same check for [serve --slots]. *)
+
 val checked : t -> bool
 (** Whether to validate the IR after every pass: as requested, or forced
     by a corrupt-IR injection, which is invisible without it. *)

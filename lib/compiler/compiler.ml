@@ -10,62 +10,19 @@ let features t ?version level =
   let v = Option.value ~default:(head t) version in
   Version.features_at t.history v level
 
-let compile_ir_prepared t ?version level prepared =
-  Pipeline.run_prepared (features t ?version level) prepared
-
-let prepare ?validate ast = Pipeline.prepare ?validate (Dce_ir.Lower.program ast)
-
-let compile_ir_traced t ?version ?validate level ast =
-  compile_ir_prepared t ?version level (prepare ?validate ast)
-
-let compile_ir t ?version ?validate level ast =
-  fst (compile_ir_traced t ?version ?validate level ast)
-
-let compile_traced t ?version ?(validate = false) level ast =
-  let ir, trace = compile_ir_traced t ?version ~validate level ast in
-  (Dce_backend.Codegen.program ir, trace)
-
-let compile t ?version ?validate level ast =
-  fst (compile_traced t ?version ?validate level ast)
-
-let surviving_markers_prepared t ?version level prepared =
-  let ir, trace = compile_ir_prepared t ?version level prepared in
-  (Dce_backend.Asm.surviving_markers (Dce_backend.Codegen.program ir), trace)
-
-let surviving_markers_traced t ?version ?validate level ast =
-  surviving_markers_prepared t ?version level (prepare ?validate ast)
-
-let surviving_markers t ?version ?validate level ast =
-  fst (surviving_markers_traced t ?version ?validate level ast)
-
-(* ------------------------------------------------------------------ *)
-(* observables: everything the oracles read off one compile            *)
-(* ------------------------------------------------------------------ *)
-
-type observables = {
-  obs_markers : int list;
-  obs_size : int;
-}
-
-let observe asm =
-  { obs_markers = Dce_backend.Asm.surviving_markers asm; obs_size = Dce_backend.Asm.size asm }
-
-let observables t ?version ?validate level ast =
-  observe (compile t ?version ?validate level ast)
-
-(* ------------------------------------------------------------------ *)
-(* content-addressed compile caches (the reduction fast path)          *)
-(* ------------------------------------------------------------------ *)
-
 module Ast = Dce_minic.Ast
 module Lower = Dce_ir.Lower
 
-(* Per-function lowering memo.  Lowering a function reads nothing but the
-   function itself and the global name→type environment (see {!Lower.func}),
-   so (environment signature, function) is a complete key; candidates of a
-   reduction share almost every function with their parent, so all but the
-   edited function hit.  The cached IR is shared structurally — the IR is
-   persistent data (symbols' init arrays are never written after build). *)
+(* ------------------------------------------------------------------ *)
+(* the per-function lowering memo                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Lowering a function reads nothing but the function itself and the
+   global name→type environment (see {!Lower.func}), so (environment
+   signature, function) is a complete key; candidates of a reduction share
+   almost every function with their parent, so all but the edited function
+   hit.  The cached IR is shared structurally — the IR is persistent data
+   (symbols' init arrays are never written after build). *)
 let lower_fn_cache :
     ((string * Ast.typ) list * Ast.func, Dce_ir.Ir.func * Dce_ir.Ir.symbol list) Compile_cache.t =
   Compile_cache.create
@@ -79,6 +36,41 @@ let lower_cached ast =
         (Lower.env_signature env, fn)
         (fun () -> Lower.func env fn))
     ast
+
+(* ------------------------------------------------------------------ *)
+(* sessions                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type session = {
+  s_ast : Ast.program;
+  s_validate : bool;
+  s_cache : bool;
+  mutable s_lowered : (Dce_ir.Ir.program * Pipeline.prepared) option;
+}
+
+let session ?(validate = false) ?(cache = false) ast =
+  { s_ast = ast; s_validate = validate; s_cache = cache; s_lowered = None }
+
+(* lowered on first demand: a session whose every compile the whole-compile
+   memo answers never lowers at all *)
+let prepared s =
+  match s.s_lowered with
+  | Some l -> l
+  | None ->
+    let ir = if s.s_cache then lower_cached s.s_ast else Lower.program s.s_ast in
+    let l = (ir, Pipeline.prepare ~validate:s.s_validate ir) in
+    s.s_lowered <- Some l;
+    l
+
+let program s = s.s_ast
+let lowered s = fst (prepared s)
+
+let run s t ?version level = Pipeline.run_prepared (features t ?version level) (snd (prepared s))
+
+type observables = {
+  obs_markers : int list;
+  obs_size : int;
+}
 
 (* Whole-compile observables memo: (compiler, version, level, program) →
    surviving markers + assembly size.  The program itself is part of the key
@@ -96,17 +88,17 @@ let surviving_cache : (string * int * Level.t * Ast.program, observables) Compil
       Hashtbl.hash (name, v, level) lxor Ast.hash_program prog)
     ~equal:( = ) ()
 
-let observables_cached t ?version level ast =
+let observe s t ?version level =
   let v = Option.value ~default:(head t) version in
-  Compile_cache.find_or_add surviving_cache (t.name, v, level, ast) (fun () ->
-      let feats = features t ~version:v level in
-      let ir = Pipeline.run feats (lower_cached ast) in
-      observe (Dce_backend.Codegen.program ir))
-
-let surviving_markers_cached t ?version level ast =
-  (observables_cached t ?version level ast).obs_markers
-
-let asm_size_cached t ?version level ast = (observables_cached t ?version level ast).obs_size
+  let compile () =
+    let asm = Dce_backend.Codegen.program (fst (run s t ~version:v level)) in
+    { obs_markers = Dce_backend.Asm.surviving_markers asm; obs_size = Dce_backend.Asm.size asm }
+  in
+  (* the memo's entries were not validated, so a validating session never
+     reads them *)
+  if s.s_cache && not s.s_validate then
+    Compile_cache.find_or_add surviving_cache (t.name, v, level, s.s_ast) compile
+  else compile ()
 
 type cache_stats = {
   cs_surviving : Compile_cache.counters;  (** whole-compile memo; misses = pipelines run *)

@@ -3,7 +3,32 @@
     Compilation is [MiniC AST → Lower → Pipeline(features) → Codegen], where
     the features come from the history at the requested version (HEAD by
     default).  This is the object the core library drives for differential
-    testing and that {!Dce_bisect} binary-searches over. *)
+    testing and that {!Dce_bisect} binary-searches over.
+
+    {1 Three caching layers}
+
+    Every compile goes through a {!session}: one program, lowered once,
+    compiled by any number of (compiler, version, level) configurations.
+    Three transparent memos sit under it:
+
+    + the {b whole-compile memo}, process-global, keyed by
+      [(compiler name, version, level, program)], storing the
+      {!observables}, so a marker probe and a size probe share an entry.
+      Only [~cache:true] sessions consult it, and
+      {!cache_stats}[.cs_surviving.misses] counts the pipelines it ran;
+    + the {b session stage memo} ({!Pipeline.prepared}), keyed by
+      [(pass key, input IR)]: adjacent versions differ in one feature, so
+      most of their stages replay;
+    + the {b per-function lowering memo}, process-global, keyed by
+      [(global environment, function)], which [~cache:true] sessions lower
+      through.
+
+    A session is mutable, belongs to one domain, and keeps every stage
+    input alive until dropped, so callers scope it to one program of one
+    case: {!Dce_core.Analysis} one per case, uncached; a bisection campaign
+    one per case, shared by both compilers and every marker; a level-inversion
+    bisection one per finding; a staged reduction predicate a fresh one per
+    compile.  Never keep one for a whole campaign. *)
 
 type t = {
   name : string;
@@ -21,101 +46,48 @@ val head : t -> int
 
 val features : t -> ?version:int -> Level.t -> Features.t
 
-val compile_ir :
-  t -> ?version:int -> ?validate:bool -> Level.t -> Dce_minic.Ast.program -> Dce_ir.Ir.program
-(** Lower and optimize; the result is what {!Dce_backend.Codegen} consumes.
-    [version] defaults to HEAD. *)
+(** {1 Compiling} *)
 
-val compile :
-  t -> ?version:int -> ?validate:bool -> Level.t -> Dce_minic.Ast.program -> Dce_backend.Asm.t
-(** Full compilation to pseudo-assembly. *)
+type session
+(** One program with its lowering and its pipeline stage memo. *)
 
-val surviving_markers :
-  t -> ?version:int -> ?validate:bool -> Level.t -> Dce_minic.Ast.program -> int list
-(** Convenience: marker ids still present in the generated assembly.
-    [validate] (default false) runs {!Dce_ir.Validate} after every pass,
-    raising {!Passmgr.Ir_invalid} on the first stage that breaks the IR. *)
+val session : ?validate:bool -> ?cache:bool -> Dce_minic.Ast.program -> session
+(** Runs nothing yet: the program is lowered on first demand.  [validate]
+    (default false) runs {!Dce_ir.Validate} after every executed stage,
+    raising {!Passmgr.Ir_invalid} on the first stage that breaks the IR; the
+    memo then replays only validated stages.  [cache] (default false) lowers
+    through the per-function lowering memo and lets {!observe} use the
+    whole-compile memo — except in a validating session, whose compiles
+    never read entries that were not validated. *)
 
-(** {1 Traced variants}
+val program : session -> Dce_minic.Ast.program
+(** The program the session was made for. *)
 
-    Same results as the functions above, plus the {!Pipeline} stage trace
-    (per-stage wall time, IR deltas, markers eliminated). *)
+val lowered : session -> Dce_ir.Ir.program
+(** The lowered program every configuration of the session starts from. *)
 
-val compile_ir_traced :
-  t ->
-  ?version:int ->
-  ?validate:bool ->
-  Level.t ->
-  Dce_minic.Ast.program ->
-  Dce_ir.Ir.program * Passmgr.trace
+val run : session -> t -> ?version:int -> Level.t -> Dce_ir.Ir.program * Passmgr.trace
+(** Optimize the session's program for one configuration ([version]
+    defaults to HEAD) on the session's stage memo; the result is what
+    {!Dce_backend.Codegen} consumes.  The trace is the per-stage record
+    (wall time, IR deltas, markers eliminated); a replayed stage keeps the
+    record, time included, of the run that executed it. *)
 
-val compile_traced :
-  t ->
-  ?version:int ->
-  ?validate:bool ->
-  Level.t ->
-  Dce_minic.Ast.program ->
-  Dce_backend.Asm.t * Passmgr.trace
-
-val surviving_markers_traced :
-  t ->
-  ?version:int ->
-  ?validate:bool ->
-  Level.t ->
-  Dce_minic.Ast.program ->
-  int list * Passmgr.trace
-
-(** {1 Compiling a prepared program} *)
-
-val surviving_markers_prepared :
-  t -> ?version:int -> Level.t -> Pipeline.prepared -> int list * Passmgr.trace
-(** {!surviving_markers_traced} from an already lowered program: the configs
-    of one program share its lowering and its pipeline stage memo
-    ({!Pipeline.prepare}, which also carries the [validate] choice). *)
-
-(** {1 Observables}
-
-    Everything the oracles read off one compiled program.  The marker oracle
-    consumes [obs_markers]; the code-size oracle consumes [obs_size]
+(** Everything the oracles read off one compiled program.  The marker
+    oracle consumes [obs_markers]; the code-size oracle consumes [obs_size]
     ({!Dce_backend.Asm.size} of the same assembly).  Bundling them means one
-    compile — and one cache entry — answers both. *)
-
+    compile — and one whole-compile memo entry — answers both. *)
 type observables = {
-  obs_markers : int list;  (** surviving marker ids, deduplicated, sorted *)
+  obs_markers : int list;  (** surviving marker ids in the generated assembly *)
   obs_size : int;  (** {!Dce_backend.Asm.size} of the generated assembly *)
 }
 
-val observables :
-  t -> ?version:int -> ?validate:bool -> Level.t -> Dce_minic.Ast.program -> observables
+val observe : session -> t -> ?version:int -> Level.t -> observables
+(** {!run}, code generation, and the assembly scan.  In a [~cache:true]
+    session the whole-compile memo answers first, and only a miss runs the
+    pipeline (on the session's stage memo). *)
 
-(** {1 Content-addressed compile caching}
-
-    The reduction engine's fast path: {!surviving_markers_cached} memoizes
-    whole compiles keyed by [(compiler, version, level, program)] — the
-    program compared structurally on every lookup, so hash collisions cannot
-    alias two candidates — and lowers through a per-function memo keyed by
-    [(global environment, function-body hash)], so candidates that touch one
-    function re-lower only that function.  Results are bit-identical to
-    {!surviving_markers} (memoized compilation is observably transparent,
-    like the {!Passmgr} analysis cache).  Both caches are process-global,
-    domain-safe, and shared across configurations and reductions. *)
-
-val observables_cached : t -> ?version:int -> Level.t -> Dce_minic.Ast.program -> observables
-(** Same result as {!observables}; a full pipeline executes only on a memo
-    miss (counted in {!cache_stats}).  The memo stores the whole observable
-    record, so a marker probe and a size probe of the same
-    [(compiler, version, level, program)] share one compile — this is what
-    lets a size campaign ride on the marker campaign's cache (and vice
-    versa) for free. *)
-
-val surviving_markers_cached :
-  t -> ?version:int -> Level.t -> Dce_minic.Ast.program -> int list
-(** [(observables_cached ...).obs_markers] — same result as
-    {!surviving_markers}. *)
-
-val asm_size_cached : t -> ?version:int -> Level.t -> Dce_minic.Ast.program -> int
-(** [(observables_cached ...).obs_size] — {!Dce_backend.Asm.size} of the
-    compiled program, through the same memo. *)
+(** {1 Cache counters} *)
 
 type cache_stats = {
   cs_surviving : Compile_cache.counters;
@@ -125,3 +97,5 @@ type cache_stats = {
 
 val cache_stats : unit -> cache_stats
 val clear_caches : unit -> unit
+(** Empty both process-global memos and zero their counters.  Sessions keep
+    their own stage memos. *)

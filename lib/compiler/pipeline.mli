@@ -48,8 +48,8 @@ val run_traced :
 type prepared
 (** One program with its stage memo ({!Passmgr.memo}, one per IR form).
     Mutable and single-domain: share it among the configs of one program
-    inside one analysis, never across programs or domains; it keeps every
-    stage input it has seen alive until it is dropped. *)
+    (callers reach it through {!Compiler.session}), never across programs
+    or domains; it keeps every stage input it has seen alive until dropped. *)
 
 val prepare : ?validate:bool -> Dce_ir.Ir.program -> prepared
 (** Runs nothing yet.  Every run on the result validates its stages when

@@ -33,16 +33,15 @@ let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
   with
   | Ground_truth.Rejected reason -> Rejected reason
   | Ground_truth.Valid truth ->
-    (* one lowering feeds the primary graph and every config; the configs
-       share one stage memo too, so a stage runs in the first config's
-       "differential" phase that needs it (a fault there keeps its
+    (* one session: its lowering feeds the primary graph and every config,
+       and the configs share its stage memo, so a stage runs in the first
+       config's "differential" phase that needs it (a fault there keeps its
        historical stage) and later configs replay it *)
-    let ir, graph =
+    let session = C.Compiler.session ~validate:checked instrumented in
+    let graph =
       hook.wrap "primary-graph" (fun () ->
-          let ir = Dce_ir.Lower.program instrumented in
-          (ir, Primary.build ~live_blocks:truth.Ground_truth.live_blocks ir))
+          Primary.build ~live_blocks:truth.Ground_truth.live_blocks (C.Compiler.lowered session))
     in
-    let prepared = C.Pipeline.prepare ~validate:checked ir in
     let configs =
       List.concat_map
         (fun compiler ->
@@ -51,7 +50,7 @@ let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
               let cfg = { Differential.compiler; level; version = None } in
               let surviving, cfg_trace =
                 hook.wrap "differential" (fun () ->
-                    Differential.surviving_prepared cfg prepared)
+                    Differential.surviving_traced session cfg)
               in
               let missed = Differential.missed ~surviving ~dead:truth.Ground_truth.dead in
               let primary_missed =

@@ -3,9 +3,9 @@
 
     Instrument → ground truth by execution → compile with both compilers at
     all five levels → surviving-marker sets → missed / primary-missed sets
-    per configuration.  The instrumented program is lowered once, for the
-    primary graph and for every configuration, and the configurations share
-    one pipeline stage memo ({!Dce_compiler.Pipeline.prepare}). *)
+    per configuration.  One uncached {!Dce_compiler.Compiler.session} per
+    case lowers the instrumented program once, for the primary graph and for
+    every configuration, and the configurations share its stage memo. *)
 
 type per_config = {
   cfg_compiler : string;

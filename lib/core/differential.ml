@@ -9,16 +9,16 @@ let config_name cfg =
   | None -> base
   | Some v -> Printf.sprintf "%s @v%d" base v
 
-let surviving_prepared cfg prepared =
-  let markers, trace =
-    C.Compiler.surviving_markers_prepared cfg.compiler ?version:cfg.version cfg.level prepared
-  in
-  (List.fold_left (fun s n -> Ir.Iset.add n s) Ir.Iset.empty markers, trace)
+let iset_of markers = List.fold_left (fun s n -> Ir.Iset.add n s) Ir.Iset.empty markers
 
-let surviving_traced ?validate cfg prog =
-  surviving_prepared cfg (C.Pipeline.prepare ?validate (Dce_ir.Lower.program prog))
+let surviving_traced session cfg =
+  let ir, trace = C.Compiler.run session cfg.compiler ?version:cfg.version cfg.level in
+  (iset_of (Dce_backend.Asm.surviving_markers (Dce_backend.Codegen.program ir)), trace)
 
-let surviving ?validate cfg prog = fst (surviving_traced ?validate cfg prog)
+let observe session cfg = C.Compiler.observe session cfg.compiler ?version:cfg.version cfg.level
+
+let surviving ?validate cfg prog =
+  iset_of (observe (C.Compiler.session ?validate prog) cfg).C.Compiler.obs_markers
 
 let missed ~surviving ~dead = Ir.Iset.inter surviving dead
 
@@ -42,22 +42,15 @@ let missed_vs_other ~mine ~other = Ir.Iset.diff mine other
 (* code-size oracle                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let asm_size ?(cache = true) cfg prog =
-  if cache then C.Compiler.asm_size_cached cfg.compiler ?version:cfg.version cfg.level prog
-  else (C.Compiler.observables cfg.compiler ?version:cfg.version cfg.level prog).obs_size
-
 let default_size_levels = [ C.Level.Os; C.Level.O2 ]
 
 let size_curve ?(cache = true) ?(levels = default_size_levels) ~compilers prog =
+  let session = C.Compiler.session ~cache prog in
   List.concat_map
     (fun (c : C.Compiler.t) ->
       List.map
         (fun level ->
-          let size =
-            if cache then C.Compiler.asm_size_cached c level prog
-            else (C.Compiler.observables c level prog).obs_size
-          in
-          (c.C.Compiler.name, level, size))
+          (c.C.Compiler.name, level, (C.Compiler.observe session c level).C.Compiler.obs_size))
         levels)
     compilers
 
@@ -183,14 +176,11 @@ let inversions ~dead per_level =
 
 let inversions_of ?(cache = true) ?(levels = [ C.Level.O1; C.Level.Os; C.Level.O2; C.Level.O3 ])
     ~dead compiler prog =
+  let session = C.Compiler.session ~cache prog in
   let per_level =
     List.map
       (fun level ->
-        let markers =
-          if cache then C.Compiler.surviving_markers_cached compiler level prog
-          else C.Compiler.surviving_markers compiler level prog
-        in
-        (level, List.fold_left (fun s n -> Ir.Iset.add n s) Ir.Iset.empty markers))
+        (level, iset_of (C.Compiler.observe session compiler level).C.Compiler.obs_markers))
       levels
   in
   inversions ~dead per_level

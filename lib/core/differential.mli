@@ -16,23 +16,16 @@ val config_name : config -> string
 (** e.g. ["gcc-sim -O3"] or ["llvm-sim -O2 @v17"]. *)
 
 val surviving : ?validate:bool -> config -> Dce_minic.Ast.program -> Dce_ir.Ir.Iset.t
-(** Compile the instrumented program and scan the assembly.  [validate]
-    (default false) checks the IR after every pass, raising
-    {!Dce_compiler.Passmgr.Ir_invalid} naming the guilty stage. *)
+(** Compile the instrumented program in a fresh session and scan the
+    assembly.  [validate] (default false) checks the IR after every pass,
+    raising {!Dce_compiler.Passmgr.Ir_invalid} naming the guilty stage. *)
 
 val surviving_traced :
-  ?validate:bool ->
-  config ->
-  Dce_minic.Ast.program ->
-  Dce_ir.Ir.Iset.t * Dce_compiler.Passmgr.trace
-(** Like {!surviving}, also returning the pipeline stage trace — which pass
-    eliminated which marker, with timing and IR deltas. *)
-
-val surviving_prepared :
-  config -> Dce_compiler.Pipeline.prepared -> Dce_ir.Ir.Iset.t * Dce_compiler.Passmgr.trace
-(** {!surviving_traced} from the lowered program with its pipeline stage
-    memo ({!Dce_compiler.Pipeline.prepare}); the configs of one program
-    pass the same [prepared]. *)
+  Dce_compiler.Compiler.session -> config -> Dce_ir.Ir.Iset.t * Dce_compiler.Passmgr.trace
+(** The configuration's surviving markers in the session's program, plus
+    the pipeline stage trace — which pass eliminated which marker, with
+    timing and IR deltas.  The configs of one program pass the same
+    session, so they share its lowering and stage memo. *)
 
 val missed :
   surviving:Dce_ir.Ir.Iset.t -> dead:Dce_ir.Ir.Iset.t -> Dce_ir.Ir.Iset.t
@@ -64,10 +57,6 @@ val missed_vs_other :
     self-evident miss needing no second compiler).  All sizes route through
     the content-addressed compile cache, so a campaign pays one compile per
     (config, program) across {e both} the marker and size oracles. *)
-
-val asm_size : ?cache:bool -> config -> Dce_minic.Ast.program -> int
-(** {!Dce_backend.Asm.size} of the configuration's output.  [cache] (default
-    true) routes through {!Dce_compiler.Compiler.observables_cached}. *)
 
 val default_size_levels : Dce_compiler.Level.t list
 (** [[-Os; -O2]] — the minimum the size oracle needs. *)

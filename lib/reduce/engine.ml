@@ -110,7 +110,7 @@ let preload vc nstages path =
 
 let reduce ?(max_tests = 4000) ?(jobs = 1) ?(cache = true) ?journal ~predicate prog =
   if jobs < 1 then invalid_arg "Engine.reduce: jobs must be >= 1";
-  let wall0 = Unix.gettimeofday () in
+  let wall0 = Dce_support.Clock.now () in
   let stages0 = Predicate.counts predicate in
   let nstages = List.length stages0 in
   let compile0 = Compiler.cache_stats () in
@@ -267,7 +267,7 @@ let reduce ?(max_tests = 4000) ?(jobs = 1) ?(cache = true) ?journal ~predicate p
   in
   let final, rounds = rounds_loop prog 0 in
   Option.iter Campaign.Journal.close jnl;
-  let wall = Unix.gettimeofday () -. wall0 in
+  let wall = Dce_support.Clock.now () -. wall0 in
   let s_stages =
     List.map2
       (fun (a : Predicate.stage_count) (b : Predicate.stage_count) ->

@@ -53,9 +53,9 @@ let run t prog =
          as one candidate's crash *)
       Dce_support.Guard.poll ~site:("reduce:" ^ st.st_name);
       Atomic.incr t.entered.(i);
-      let t0 = Unix.gettimeofday () in
+      let t0 = Dce_support.Clock.now () in
       let res = try Ok (st.st_run p) with e -> Error (Printexc.to_string e) in
-      samples := (st.st_name, Unix.gettimeofday () -. t0) :: !samples;
+      samples := (st.st_name, Dce_support.Clock.now () -. t0) :: !samples;
       match res with
       | Ok (Some p') -> go (i + 1) p'
       | Ok None ->
@@ -127,11 +127,15 @@ let of_fun predicate =
       };
     ]
 
-let survives_in ~compile_cache ~marker (cfg : Dce_core.Differential.config) p =
-  if compile_cache then
-    List.mem marker
-      (Dce_compiler.Compiler.surviving_markers_cached cfg.compiler ?version:cfg.version cfg.level p)
-  else Dce_ir.Ir.Iset.mem marker (Dce_core.Differential.surviving cfg p)
+(* A fresh session per compile: with [compile_cache] the whole-compile memo
+   answers first, exactly as for any other cached probe. *)
+let observe ~compile_cache (cfg : Dce_core.Differential.config) p =
+  Dce_compiler.Compiler.observe
+    (Dce_compiler.Compiler.session ~cache:compile_cache p)
+    cfg.compiler ?version:cfg.version cfg.level
+
+let survives_in ~compile_cache ~marker cfg p =
+  List.mem marker (observe ~compile_cache cfg p).Dce_compiler.Compiler.obs_markers
 
 let marker_diff ?exec ~compile_cache ~keep_missed_by ~eliminated_by ~marker () =
   let survives = survives_in ~compile_cache ~marker in
@@ -176,9 +180,7 @@ let marker_diff ?exec ~compile_cache ~keep_missed_by ~eliminated_by ~marker () =
    The valid-execution stage keeps the candidate a campaign-valid test case,
    exactly the rejection rule of the hunt that produced the finding. *)
 let size_gap ?exec ~compile_cache ~larger ~smaller ?(min_ratio = 1.25) ?(min_gap = 1) () =
-  let size (cfg : Dce_core.Differential.config) p =
-    Dce_core.Differential.asm_size ~cache:compile_cache cfg p
-  in
+  let size cfg p = (observe ~compile_cache cfg p).Dce_compiler.Compiler.obs_size in
   v ~compile_cached:compile_cache
     [
       typecheck_stage;

@@ -13,6 +13,9 @@
     forwards the {e normalized} program, exactly as the original reducer
     did before calling its predicate.
 
+    The pipeline stages of the built-in predicates compile each
+    configuration in a fresh {!Dce_compiler.Compiler.session}.
+
     Stage exceptions are caught and attributed ([Crashed]) rather than
     propagated — the engine's per-candidate fault isolation. *)
 
@@ -47,8 +50,8 @@ type t
 
 val v : ?compile_cached:bool -> stage list -> t
 (** Build a predicate from ordered stages (cheapest first by convention).
-    [compile_cached] declares that pipeline stages go through
-    {!Dce_compiler.Compiler.surviving_markers_cached}, which tells the
+    [compile_cached] declares that pipeline stages compile in
+    [~cache:true] sessions, through the whole-compile memo, which tells the
     engine to read real pipeline counts off the compile cache.  Raises
     [Invalid_argument] on an empty list. *)
 

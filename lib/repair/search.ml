@@ -20,10 +20,14 @@ let default_max_pairs = 64
    through the content-addressed compile cache — the patched compiler's
    name embeds the edit signature, so every (candidate, program) cell is
    its own cache entry, and a re-search (or the jobs-determinism test)
-   hits instead of recompiling. *)
+   hits instead of recompiling.  Each probe compiles in its own session:
+   BENCH_repair's gated search_cache_speedup divides the cold search by the
+   cached re-search, and a session shared across patched compilers would
+   speed up the cold side alone. *)
 let eliminates compiler level prog ~marker edits =
   let patched = Edit.patched compiler ~level edits in
-  not (List.mem marker (C.Compiler.surviving_markers_cached patched level prog))
+  let session = C.Compiler.session ~cache:true prog in
+  not (List.mem marker (C.Compiler.observe session patched level).C.Compiler.obs_markers)
 
 (* Evaluate a candidate batch on the Domain pool.  Results land in a
    case-indexed array (the engine's determinism contract), so the passing

@@ -108,13 +108,14 @@ let campaign ?journal ?settings ?(jobs = 1) ~name ~compilers ~seed ~count () =
       { vc_seed = case_seed; vc_rejected = Some reason; vc_rows = [] }
     | Core.Ground_truth.Valid truth ->
       let dead = truth.Core.Ground_truth.dead in
+      let session = C.Compiler.session ~cache:true instrumented in
       let rows =
         Engine.stage ctx "differential" (fun () ->
             List.concat_map
               (fun (compiler, display) ->
                 List.map
                   (fun level ->
-                    let obs = C.Compiler.observables_cached compiler level instrumented in
+                    let obs = C.Compiler.observe session compiler level in
                     let missed =
                       List.filter (fun m -> Ir.Iset.mem m dead) obs.C.Compiler.obs_markers
                     in

@@ -77,8 +77,9 @@ let triage ~programs findings =
       let fixed =
         not
           (List.mem example.Stats.f_marker
-             (C.Compiler.surviving_markers compiler ~version:full_version example.Stats.f_level
-                prog))
+             (C.Compiler.observe (C.Compiler.session prog) compiler ~version:full_version
+                example.Stats.f_level)
+               .C.Compiler.obs_markers)
       in
       let status =
         if List.mem (comp, signature) known_bugs then Duplicate

@@ -749,6 +749,11 @@ let drain st =
   log st "drained"
 
 let run cf =
+  (* a bad setting is a usage error now, before the spool, lock or socket
+     exists — not a failure of every job submitted later *)
+  ignore (Dce_campaign.Settings.v ~workers:cf.cf_workers ());
+  ignore (Dce_campaign.Settings.jobs cf.cf_jobs);
+  ignore (Dce_campaign.Settings.slots cf.cf_slots);
   let store = Store.open_spool cf.cf_spool in
   let lock_fd = acquire_lock cf in
   let listen_fd = bind_socket cf in

@@ -44,4 +44,6 @@ val run : config -> unit
     close the socket, stop dispatching, let in-flight jobs finish (signal
     path: SIGTERM them and wait [cf_drain_grace], then SIGKILL), requeue
     interrupted jobs strike-free, persist everything, release the lock.
-    Raises [Failure] when another daemon already holds the spool lock. *)
+    Raises [Failure] when another daemon already holds the spool lock, and,
+    before touching the spool, when [cf_workers], [cf_jobs] or [cf_slots]
+    is below 1 (the {!Dce_campaign.Settings} message naming the flag). *)

@@ -29,8 +29,20 @@ let compiler_named = function
   | "llvm" -> C.Llvm_sim.compiler
   | other -> Alcotest.failf "unknown compiler %s" other
 
-let surviving ?version comp level src =
-  C.Compiler.surviving_markers (compiler_named comp) ?version level (parse src)
+(* one compile in its own session: the reference a shared session must
+   agree with *)
+let compile_ir ?version ?validate compiler level prog =
+  fst (C.Compiler.run (C.Compiler.session ?validate prog) compiler ?version level)
+
+let markers_of ?version ?validate ?cache compiler level prog =
+  (C.Compiler.observe (C.Compiler.session ?validate ?cache prog) compiler ?version level)
+    .C.Compiler.obs_markers
+
+let asm_size ?(cache = true) (cfg : Core.Differential.config) prog =
+  (C.Compiler.observe (C.Compiler.session ~cache prog) cfg.compiler ?version:cfg.version cfg.level)
+    .C.Compiler.obs_size
+
+let surviving ?version comp level src = markers_of (compiler_named comp) ?version level (parse src)
 
 let eliminates ?version comp level marker src =
   not (List.mem marker (surviving ?version comp level src))

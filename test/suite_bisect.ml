@@ -6,6 +6,8 @@
    - last_good/offending_index invariants checked against the compiler
    - component-table dedup (hash-set path) and ordering
    - probe cache transparency: cached and uncached bisections are identical
+   - shared sessions: same outcomes, probes and pipeline executions as
+     session-less probes; a corrupt-IR plan is blamed on its pass
    - campaign determinism: jobs N = jobs 1 = sequential find_regression
    - campaign checkpoint/resume from a torn journal *)
 
@@ -48,7 +50,7 @@ let regression_triples = lazy begin
               match Bisect.find_regression compiler C.Level.O3 prog ~marker with
               | Bisect.Regression r -> found := (compiler, prog, marker, r) :: !found
               | Bisect.Always_missed | Bisect.Not_missed -> ())
-          (C.Compiler.surviving_markers compiler C.Level.O3 prog))
+          (markers_of compiler C.Level.O3 prog))
       compilers;
     incr seed
   done;
@@ -131,7 +133,7 @@ let test_regression_invariants () =
         r.Bisect.offending_index;
       Alcotest.(check bool) "positive probe count" true (r.Bisect.compilations > 0);
       let missed_at v =
-        List.mem marker (C.Compiler.surviving_markers compiler ~version:v C.Level.O3 prog)
+        List.mem marker (markers_of compiler ~version:v C.Level.O3 prog)
       in
       Alcotest.(check bool) "eliminated at last_good" false (missed_at r.Bisect.last_good);
       Alcotest.(check bool) "missed at offending version" true (missed_at r.Bisect.offending_index);
@@ -144,11 +146,15 @@ let test_cache_transparency () =
   List.iter
     (fun (compiler, prog, marker, _) ->
       C.Compiler.clear_caches ();
-      let key (o, probes) = (outcome_key o, probes) in
-      let cached = key (Bisect.find_regression_counted ~cache:true compiler C.Level.O3 prog ~marker) in
-      (* run the cached variant twice: a warm cache must not change anything *)
-      let warm = key (Bisect.find_regression_counted ~cache:true compiler C.Level.O3 prog ~marker) in
-      let uncached = key (Bisect.find_regression_counted ~cache:false compiler C.Level.O3 prog ~marker) in
+      let bisect ?session () =
+        let o, probes = Bisect.find_regression_counted ?session compiler C.Level.O3 prog ~marker in
+        (outcome_key o, probes)
+      in
+      let session = C.Compiler.session ~cache:true prog in
+      let cached = bisect ~session () in
+      (* again on the same session: warm memos must not change anything *)
+      let warm = bisect ~session () in
+      let uncached = bisect () in
       Alcotest.(check bool) "cached = uncached (outcome and probes)" true (cached = uncached);
       Alcotest.(check bool) "warm cache identical" true (warm = cached))
     (Lazy.force regression_triples)
@@ -261,6 +267,118 @@ let test_campaign_equals_sequential () =
       | Campaign.Corpus.Case (Core.Analysis.Rejected _, _) | Campaign.Corpus.Quarantined _ -> ())
     c.Campaign.Corpus.c_cases
 
+let sim_named name = List.find (fun c -> c.C.Compiler.name = name) compilers
+
+(* the campaign's (program, compiler, marker) targets, case by case *)
+let campaign_targets () =
+  let c = Lazy.force corpus in
+  let programs = Campaign.Corpus.instrumented_programs c in
+  Array.to_list c.Campaign.Corpus.c_cases
+  |> List.mapi (fun i case ->
+         match case with
+         | Campaign.Corpus.Case (Core.Analysis.Analyzed a, _) ->
+           let pairs =
+             List.concat_map
+               (fun (pc : Core.Analysis.per_config) ->
+                 if pc.Core.Analysis.cfg_level = C.Level.O3 then
+                   List.map
+                     (fun m -> (sim_named pc.Core.Analysis.cfg_compiler, m))
+                     (Ir.Iset.elements pc.Core.Analysis.missed)
+                 else [])
+               a.Core.Analysis.configs
+           in
+           if pairs = [] then None else Some (programs.(i), pairs)
+         | _ -> None)
+  |> List.filter_map Fun.id
+
+(* Every missed marker of every case, bisected on the case's one shared
+   session, gives the outcome and probe count of session-less probes. *)
+let test_shared_session_transparent () =
+  C.Compiler.clear_caches ();
+  let targets = campaign_targets () in
+  Alcotest.(check bool) "some targets" true (targets <> []);
+  List.iter
+    (fun (prog, pairs) ->
+      let session = C.Compiler.session ~cache:true prog in
+      List.iter
+        (fun (compiler, marker) ->
+          let key (o, probes) = (outcome_key o, probes) in
+          Alcotest.(check bool) "shared session = no session (outcome and probes)" true
+            (key (Bisect.find_regression_counted ~session compiler C.Level.O3 prog ~marker)
+            = key (Bisect.find_regression_counted compiler C.Level.O3 prog ~marker)))
+        pairs)
+    targets
+
+(* Sharing a session changes which stages execute, never which pipelines
+   run: the campaign, one session per case, misses the whole-compile memo
+   exactly as often as the same bisections on a session per marker — while
+   executing fewer stages. *)
+let test_sessions_keep_pipeline_count () =
+  let c = Lazy.force corpus in
+  let pipelines_and_stages f =
+    C.Compiler.clear_caches ();
+    C.Passmgr.reset_counters ();
+    f ();
+    ( (C.Compiler.cache_stats ()).C.Compiler.cs_surviving.C.Compile_cache.misses,
+      (C.Passmgr.counters ()).C.Passmgr.memo_misses )
+  in
+  let shared_pipelines, shared_stages =
+    pipelines_and_stages (fun () -> ignore (Bc.run ~jobs:1 c))
+  in
+  let alone_pipelines, alone_stages =
+    pipelines_and_stages (fun () ->
+        List.iter
+          (fun (prog, pairs) ->
+            List.iter
+              (fun (compiler, marker) ->
+                ignore
+                  (Bisect.find_regression_counted
+                     ~session:(C.Compiler.session ~cache:true prog)
+                     compiler C.Level.O3 prog ~marker))
+              pairs)
+          (campaign_targets ()))
+  in
+  Alcotest.(check bool) "pipelines ran" true (shared_pipelines > 0);
+  Alcotest.(check int) "same pipeline executions" alone_pipelines shared_pipelines;
+  Alcotest.(check bool) "fewer stages executed" true (shared_stages < alone_stages)
+
+(* A corrupt-IR plan makes every probe validate, with or without the
+   probe caches: the planted case is quarantined as ir-invalid blaming the
+   corrupted pass, and every other case reports exactly what a clean run
+   does. *)
+let test_campaign_corruption_blamed () =
+  let c = Lazy.force corpus in
+  let clean = Bc.run ~jobs:1 c in
+  let settings = Campaign.Settings.v ~chaos:"corrupt@0:gvn" () in
+  let chaos cache =
+    let t = Bc.run ~cache ~settings ~jobs:1 c in
+    (match t.Bc.b_quarantine with
+     | [ q ] ->
+       Alcotest.(check int) "planted case" 0 q.Engine.q_case;
+       Alcotest.(check string) "stage" "bisect" q.Engine.q_stage;
+       Alcotest.(check bool) "ir-invalid" true (q.Engine.q_kind = Engine.Ir_invalid);
+       Alcotest.(check bool) "blames gvn" true
+         (contains q.Engine.q_error "pass gvn produced invalid IR")
+     | qs -> Alcotest.failf "expected 1 quarantined case, got %d" (List.length qs));
+    Alcotest.(check (list string)) "other cases unchanged"
+      (List.tl (cases_json clean)) (List.tl (cases_json t));
+    t
+  in
+  let cached = chaos true and uncached = chaos false in
+  Alcotest.(check string) "same quarantine with and without caches"
+    (Bc.quarantine_to_string cached) (Bc.quarantine_to_string uncached)
+
+(* A session answers only for the program it was made for. *)
+let test_session_of_another_program () =
+  let prog = Core.Instrument.program (parse "int main(void) { return 0; }") in
+  let other = Core.Instrument.program (parse "int main(void) { return 1; }") in
+  Alcotest.check_raises "another program's session"
+    (Invalid_argument "Bisect.find_regression: the session compiles another program")
+    (fun () ->
+      ignore
+        (Bisect.find_regression ~session:(C.Compiler.session other) C.Gcc_sim.compiler
+           C.Level.O3 prog ~marker:0))
+
 let temp_journal () = Filename.temp_file "dce_bisect_test" ".jsonl"
 
 let read_file path =
@@ -309,4 +427,8 @@ let suite =
     ("campaign: jobs determinism", `Slow, test_campaign_jobs_determinism);
     ("campaign: equals sequential bisection", `Slow, test_campaign_equals_sequential);
     ("campaign: resume from torn journal", `Slow, test_campaign_resume);
+    ("session: shared per case, transparent", `Slow, test_shared_session_transparent);
+    ("session: pipeline executions unchanged", `Slow, test_sessions_keep_pipeline_count);
+    ("session: campaign corruption blamed", `Slow, test_campaign_corruption_blamed);
+    ("session: another program's session refused", `Quick, test_session_of_another_program);
   ]

@@ -4,6 +4,7 @@
 
 open Helpers
 module C = Dce_compiler
+module Campaign = Dce_campaign
 module Ir = Dce_ir.Ir
 module I = Dce_interp.Interp
 
@@ -164,7 +165,7 @@ int main(void) {
   List.iter
     (fun compiler ->
       List.iter
-        (fun level -> ignore (C.Compiler.compile_ir compiler ~validate:true level prog))
+        (fun level -> ignore (compile_ir compiler ~validate:true level prog))
         C.Level.all)
     [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
 
@@ -180,7 +181,7 @@ int main(void) {
 }
 |} in
   let size compiler level =
-    Dce_backend.Asm.instruction_count (C.Compiler.compile compiler level prog)
+    Dce_backend.Asm.instruction_count (Dce_backend.Codegen.program (compile_ir compiler level prog))
   in
   List.iter
     (fun compiler ->
@@ -196,7 +197,7 @@ let qcheck_tests =
     let base = I.run (Dce_ir.Lower.program instr) in
     match base.I.outcome with
     | I.Finished _ ->
-      let opt = C.Compiler.compile_ir compiler ~validate:true level instr in
+      let opt = compile_ir compiler ~validate:true level instr in
       I.equivalent base (I.run opt)
     | I.Trap _ | I.Out_of_fuel -> true (* rejected programs are out of scope *)
   in
@@ -218,7 +219,7 @@ let qcheck_tests =
         | I.Finished _ ->
           List.for_all
             (fun v ->
-              let opt = C.Compiler.compile_ir C.Gcc_sim.compiler ~version:v C.Level.O2 prog in
+              let opt = compile_ir C.Gcc_sim.compiler ~version:v C.Level.O2 prog in
               I.equivalent base (I.run opt))
             [ 3; 10; 17 ]
         | I.Trap _ | I.Out_of_fuel -> true);
@@ -281,13 +282,74 @@ let test_repeat_compile_identical () =
     (fun compiler ->
       List.iter
         (fun level ->
-          let asm () = Dce_backend.Asm.to_string (C.Compiler.compile compiler level prog) in
+          let asm () =
+            Dce_backend.Asm.to_string (Dce_backend.Codegen.program (compile_ir compiler level prog))
+          in
           let first = asm () in
           Alcotest.(check string)
             (Printf.sprintf "%s %s" compiler.C.Compiler.name (C.Level.to_string level))
             first (asm ()))
         C.Level.all)
     [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+
+(* ---- sessions ---- *)
+
+let compilers = [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+
+let fresh_observe compiler ?version level prog =
+  let feats = C.Compiler.features compiler ?version level in
+  let asm =
+    Dce_backend.Codegen.program (C.Pipeline.run feats (Dce_ir.Lower.program prog))
+  in
+  (Dce_backend.Asm.surviving_markers asm, Dce_backend.Asm.size asm)
+
+(* One session shared by every version x level of both compilers answers
+   exactly what a fresh lower-and-compile does, cached or not. *)
+let test_session_transparent () =
+  let prog = Core.Instrument.program (smith_program 3) in
+  C.Compiler.clear_caches ();
+  let uncached = C.Compiler.session prog and cached = C.Compiler.session ~cache:true prog in
+  List.iter
+    (fun compiler ->
+      for v = 0 to C.Compiler.head compiler do
+        List.iter
+          (fun level ->
+            let expected = fresh_observe compiler ~version:v level prog in
+            List.iter
+              (fun s ->
+                let o = C.Compiler.observe s compiler ~version:v level in
+                if (o.C.Compiler.obs_markers, o.C.Compiler.obs_size) <> expected then
+                  Alcotest.failf "%s v%d %s: session diverges" compiler.C.Compiler.name v
+                    (C.Level.to_string level))
+              [ uncached; cached ])
+          C.Level.all
+      done)
+    compilers
+
+(* A validating session stores only stages that passed validation: a stage
+   whose output a planted corruption broke is blamed, kept out of the memo,
+   and executes again (cleanly) on the next compile.  Nor does a validating
+   session read the whole-compile memo, whose entries were not validated. *)
+let test_checked_session_replays_validated () =
+  let prog = Core.Instrument.program (smith_program 7) in
+  let gcc = C.Gcc_sim.compiler in
+  let s = C.Compiler.session ~validate:true ~cache:true prog in
+  let plan =
+    [ { Campaign.Chaos.inj_case = 0; inj_stage = "gvn"; inj_fault = Campaign.Chaos.Corrupt_ir } ]
+  in
+  Campaign.Chaos.arm plan ~case:0 ~attempt:0;
+  Fun.protect ~finally:Campaign.Chaos.disarm (fun () ->
+      match C.Compiler.observe s gcc C.Level.O3 with
+      | _ -> Alcotest.fail "corruption after gvn went unnoticed"
+      | exception C.Passmgr.Ir_invalid { pass; _ } ->
+        Alcotest.(check string) "guilty pass" "gvn" pass);
+  C.Compiler.clear_caches ();
+  let o = C.Compiler.observe s gcc C.Level.O3 in
+  Alcotest.(check bool) "the broken stage re-executes cleanly" true
+    ((o.C.Compiler.obs_markers, o.C.Compiler.obs_size) = fresh_observe gcc C.Level.O3 prog);
+  let cs = (C.Compiler.cache_stats ()).C.Compiler.cs_surviving in
+  Alcotest.(check int) "whole-compile memo untouched" 0
+    (cs.C.Compile_cache.hits + cs.C.Compile_cache.misses)
 
 let suite =
   [
@@ -309,5 +371,8 @@ let suite =
     ("compile: all configs validate", `Quick, test_compile_validates_all_configs);
     ("compile: foldable code shrinks", `Quick, test_higher_levels_never_slower_code);
     ("compile: a repeated compile gives identical asm", `Quick, test_repeat_compile_identical);
+    ("session: shared across versions and levels", `Slow, test_session_transparent);
+    ("session: checked replays only validated stages", `Quick,
+     test_checked_session_replays_validated);
   ]
   @ qcheck_tests

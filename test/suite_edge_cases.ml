@@ -225,7 +225,7 @@ let test_capabilities_grow_until_regressions () =
   in
   let head = C.Compiler.head C.Gcc_sim.compiler in
   let eliminated_at v =
-    not (List.mem 0 (C.Compiler.surviving_markers C.Gcc_sim.compiler ~version:v C.Level.O1 prog))
+    not (List.mem 0 (markers_of C.Gcc_sim.compiler ~version:v C.Level.O1 prog))
   in
   let first = ref None in
   for v = 0 to head do
@@ -248,9 +248,9 @@ int main(void) { if (b[i]) { use(1); } return 0; }
 |}) in
   let full = List.length C.Gcc_sim.compiler.C.Compiler.history in
   Alcotest.(check bool) "head misses" true
-    (List.mem 0 (C.Compiler.surviving_markers C.Gcc_sim.compiler C.Level.O3 prog));
+    (List.mem 0 (markers_of C.Gcc_sim.compiler C.Level.O3 prog));
   Alcotest.(check bool) "full history (with fixes) eliminates" false
-    (List.mem 0 (C.Compiler.surviving_markers C.Gcc_sim.compiler ~version:full C.Level.O3 prog))
+    (List.mem 0 (markers_of C.Gcc_sim.compiler ~version:full C.Level.O3 prog))
 
 (* ---- instrumentation corners ---- *)
 

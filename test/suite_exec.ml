@@ -65,7 +65,7 @@ let test_soak_optimized () =
         (fun comp ->
           List.iter
             (fun level ->
-              let ir = Dce_compiler.Compiler.compile_ir comp level prog in
+              let ir = compile_ir comp level prog in
               check_parity ~fuel:300_000
                 ~what:
                   (Printf.sprintf "seed %d (%s %s)" seed comp.Dce_compiler.Compiler.name

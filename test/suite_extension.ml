@@ -12,7 +12,7 @@ let value_instr src =
   | None -> Alcotest.fail "profiling failed"
 
 let surviving_markers compiler level prog =
-  C.Compiler.surviving_markers compiler level prog
+  markers_of compiler level prog
 
 let test_plants_loop_sum_check () =
   let prog, stats = value_instr {|

@@ -98,8 +98,8 @@ let size_gap_src = "int main(void) { int t = 0; while (t < 1) { t = t + 1; } ret
 let test_size_known_gap_real_program () =
   let prog = parse size_gap_src in
   let gcc = C.Gcc_sim.compiler in
-  let os = D.asm_size { D.compiler = gcc; level = C.Level.Os; version = None } prog in
-  let o2 = D.asm_size { D.compiler = gcc; level = C.Level.O2; version = None } prog in
+  let os = asm_size { D.compiler = gcc; level = C.Level.Os; version = None } prog in
+  let o2 = asm_size { D.compiler = gcc; level = C.Level.O2; version = None } prog in
   Alcotest.(check bool) "known gap: -Os strictly larger than own -O2" true (os > o2);
   let findings = D.size_findings ~compilers:[ gcc ] prog in
   Alcotest.(check bool) "intra finding reported" true
@@ -110,19 +110,19 @@ let test_size_routes_through_compile_cache () =
   let prog = parse size_gap_src in
   let gcc = C.Gcc_sim.compiler in
   C.Compiler.clear_caches ();
-  let s1 = C.Compiler.asm_size_cached gcc C.Level.Os prog in
+  let s1 = asm_size { D.compiler = gcc; level = C.Level.Os; version = None } prog in
   let c1 = (C.Compiler.cache_stats ()).C.Compiler.cs_surviving in
-  let s2 = C.Compiler.asm_size_cached gcc C.Level.Os prog in
+  let s2 = asm_size { D.compiler = gcc; level = C.Level.Os; version = None } prog in
   (* the sibling observable of the same compile is a hit, not a second
      pipeline: one cache entry answers both oracles *)
-  let markers = C.Compiler.surviving_markers_cached gcc C.Level.Os prog in
+  let markers = markers_of ~cache:true gcc C.Level.Os prog in
   let c2 = (C.Compiler.cache_stats ()).C.Compiler.cs_surviving in
   Alcotest.(check int) "size stable" s1 s2;
   Alcotest.(check int) "one miss total" c1.C.Compile_cache.misses c2.C.Compile_cache.misses;
   Alcotest.(check bool) "two more hits" true
     (c2.C.Compile_cache.hits >= c1.C.Compile_cache.hits + 1);
   Alcotest.(check bool) "marker view agrees with uncached" true
-    (markers = C.Compiler.surviving_markers gcc C.Level.Os prog)
+    (markers = markers_of gcc C.Level.Os prog)
 
 (* ------------------------------------------------------------------ *)
 (* inversions: crafted per-level surviving sets                        *)
@@ -180,7 +180,7 @@ let test_inversions_real_pipeline () =
         Alcotest.(check bool) "low is strictly weaker" true
           (C.Level.rank iv.D.iv_low < C.Level.rank iv.D.iv_high);
         (* verify the claim against the raw compiler: dead at low, alive at high *)
-        let surv l = C.Compiler.surviving_markers C.Gcc_sim.compiler l prog in
+        let surv l = markers_of C.Gcc_sim.compiler l prog in
         Alcotest.(check bool) "marker dead at low" false (List.mem iv.D.iv_marker (surv iv.D.iv_low));
         Alcotest.(check bool) "marker alive at high" true
           (List.mem iv.D.iv_marker (surv iv.D.iv_high)))
@@ -260,6 +260,52 @@ let test_inversion_campaign_resume () =
   Alcotest.(check string) "report equal after resume" (O.inversion_report full)
     (O.inversion_report resumed);
   Sys.remove path
+
+(* Each inversion finding is its own engine case with its own step
+   budget: a budget that covers the costliest single finding quarantines
+   nothing, even where one corpus case holds several findings whose polls
+   add up past it.  A budget of one poll quarantines every finding, and
+   each stays in the result with its fault. *)
+let test_inversion_bisect_budget_per_finding () =
+  let t = O.run_inversion ~jobs:1 ~seed:4242 ~count:10 () in
+  let findings = O.inversion_findings t in
+  (* the polls one finding's bisection spends: its engine stages plus
+     every stage of every from-scratch probe *)
+  let polls (ci, (f : O.inv_finding)) =
+    let g = Dce_support.Guard.create ~steps:max_int () in
+    Dce_support.Guard.with_guard g (fun () ->
+        Dce_support.Guard.poll ~site:"regenerate";
+        let prog =
+          Core.Instrument.program (fst (Smith.generate (Smith.default_config t.O.i_seeds.(ci))))
+        in
+        Dce_support.Guard.poll ~site:"bisect";
+        ignore
+          (Dce_bisect.Bisect.find_regression_counted
+             (compiler_named (if f.O.if_compiler = "gcc-sim" then "gcc" else "llvm"))
+             f.O.if_inversion.D.iv_high prog ~marker:f.O.if_inversion.D.iv_marker));
+    (ci, Dce_support.Guard.steps_used g)
+  in
+  let costs = List.map polls findings in
+  let budget = 8 + List.fold_left (fun m (_, n) -> max m n) 0 costs in
+  let case_sum ci = Dce_support.Listx.sum (List.filter_map (fun (c, n) -> if c = ci then Some n else None) costs) in
+  Alcotest.(check bool) "some case's findings together exceed the budget" true
+    (List.exists (fun (ci, _) -> case_sum ci > budget) costs);
+  let run settings = O.bisect_inversions ~cache:false ~settings ~jobs:2 t in
+  let quarantined rows =
+    List.length (List.filter (fun b -> Result.is_error b.O.ib_outcome) rows)
+  in
+  let per_finding = run (Campaign.Settings.v ~step_budget:budget ()) in
+  Alcotest.(check int) "one row per finding" (List.length findings) (List.length per_finding);
+  Alcotest.(check int) "nothing quarantined" 0 (quarantined per_finding);
+  Alcotest.(check string) "same rows as unbudgeted"
+    (O.inv_bisections_table (run Campaign.Settings.default))
+    (O.inv_bisections_table per_finding);
+  let starved = run (Campaign.Settings.v ~step_budget:1 ()) in
+  Alcotest.(check int) "starved: every finding kept" (List.length findings) (List.length starved);
+  Alcotest.(check int) "starved: every finding quarantined" (List.length findings)
+    (quarantined starved);
+  Alcotest.(check bool) "the table names the fault" true
+    (contains (O.inv_bisections_table starved) "quarantined: timeout in")
 
 let test_size_codec_round_trip () =
   let sc =
@@ -347,8 +393,8 @@ let test_size_gap_reduction_preserves_gap () =
   let reduced = result.Dce_reduce.Engine.program in
   Alcotest.(check bool) "reduced program still exhibits the size gap" true
     (passes predicate reduced);
-  let os = D.asm_size (gcc_at C.Level.Os) reduced
-  and o2 = D.asm_size (gcc_at C.Level.O2) reduced in
+  let os = asm_size (gcc_at C.Level.Os) reduced
+  and o2 = asm_size (gcc_at C.Level.O2) reduced in
   Alcotest.(check bool) "gap visible in raw sizes" true (os > o2)
 
 let first_gcc_inversion prog =
@@ -389,7 +435,7 @@ let test_level_inversion_reduction_preserves_inversion () =
     (result.Dce_reduce.Engine.final_size <= result.Dce_reduce.Engine.initial_size);
   Alcotest.(check bool) "reduced program still exhibits the inversion" true
     (passes predicate reduced);
-  let surv l = C.Compiler.surviving_markers C.Gcc_sim.compiler l reduced in
+  let surv l = markers_of C.Gcc_sim.compiler l reduced in
   Alcotest.(check bool) "low still eliminates" false (List.mem iv.D.iv_marker (surv iv.D.iv_low));
   Alcotest.(check bool) "high still keeps" true (List.mem iv.D.iv_marker (surv iv.D.iv_high))
 
@@ -444,7 +490,7 @@ let qcheck_tests =
             List.for_all
               (fun level ->
                 let cfg = { D.compiler = c; level; version = None } in
-                D.asm_size ~cache:false cfg prog = D.asm_size ~cache:false cfg reparsed)
+                asm_size ~cache:false cfg prog = asm_size ~cache:false cfg reparsed)
               C.Level.all)
           compilers);
   ]
@@ -465,6 +511,7 @@ let suite =
       test_inversion_campaign_jobs_determinism );
     ("size campaign: torn-journal resume", `Slow, test_size_campaign_resume);
     ("inversion campaign: torn-journal resume", `Slow, test_inversion_campaign_resume);
+    ("inversion bisect: one budget per finding", `Slow, test_inversion_bisect_budget_per_finding);
     ("size-case codec round-trip", `Quick, test_size_codec_round_trip);
     ("inversion-case codec re-derives findings", `Quick, test_inv_codec_rederives_findings);
     ("predicate: size gap stages", `Quick, test_size_gap_predicate);

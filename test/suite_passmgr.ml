@@ -190,10 +190,14 @@ int main(void) {
 }
 |}
 
+let traced_markers compiler level prog =
+  let ir, trace = C.Compiler.run (C.Compiler.session prog) compiler level in
+  (Dce_backend.Asm.surviving_markers (Dce_backend.Codegen.program ir), trace)
+
 let check_attribution ~src ~eliminator ~misser =
   let prog = parse src in
   let surv_e, trace_e =
-    C.Compiler.surviving_markers_traced (compiler_named eliminator) C.Level.O3 prog
+    traced_markers (compiler_named eliminator) C.Level.O3 prog
   in
   Alcotest.(check bool)
     (eliminator ^ " eliminates marker 0")
@@ -206,7 +210,7 @@ let check_attribution ~src ~eliminator ~misser =
        true r.Pm.sr_changed
    | None -> Alcotest.failf "%s trace does not attribute marker 0" eliminator);
   let surv_m, trace_m =
-    C.Compiler.surviving_markers_traced (compiler_named misser) C.Level.O3 prog
+    traced_markers (compiler_named misser) C.Level.O3 prog
   in
   Alcotest.(check bool) (misser ^ " keeps marker 0") true (List.mem 0 surv_m);
   Alcotest.(check bool)
@@ -290,7 +294,7 @@ let test_validated_smoke_corpus () =
       List.iter
         (fun compiler ->
           List.iter
-            (fun level -> ignore (C.Compiler.compile compiler ~validate:true level instr))
+            (fun level -> ignore (compile_ir compiler ~validate:true level instr))
             C.Level.all)
         [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ])
     corpus
@@ -379,8 +383,8 @@ let reference_steps ?(steps = max_int) instr =
       Dce_support.Guard.with_guard g (fun () ->
           List.map
             (fun (compiler, level) ->
-              Core.Differential.surviving_traced { Core.Differential.compiler; level; version = None }
-                instr)
+              Core.Differential.surviving_traced (C.Compiler.session instr)
+                { Core.Differential.compiler; level; version = None })
             configs)
     with
     | results -> Ok results

@@ -99,8 +99,8 @@ let qcheck_tests =
             a.Core.Analysis.configs);
     qtest ~count:10 "compilation is deterministic" gen_seed (fun seed ->
         let prog = Core.Instrument.program (smith_program seed) in
-        let a = C.Compiler.surviving_markers C.Gcc_sim.compiler C.Level.O3 prog in
-        let b = C.Compiler.surviving_markers C.Gcc_sim.compiler C.Level.O3 prog in
+        let a = markers_of C.Gcc_sim.compiler C.Level.O3 prog in
+        let b = markers_of C.Gcc_sim.compiler C.Level.O3 prog in
         a = b);
     qtest ~count:10 "assembly scan agrees with the optimized IR" gen_seed (fun seed ->
         (* the observation channel (scanning pseudo-asm for callq DCEMarkerN)
@@ -119,7 +119,7 @@ let qcheck_tests =
         let all = Dce_minic.Ast.markers_of_program prog in
         List.for_all
           (fun m -> List.mem m all)
-          (C.Compiler.surviving_markers C.Llvm_sim.compiler C.Level.O3 prog));
+          (markers_of C.Llvm_sim.compiler C.Level.O3 prog));
     qtest ~count:8 "O0 misses a superset of O1's misses" gen_seed (fun seed ->
         (* O0 runs a strict subset of O1's pipeline, so anything O0 eliminates
            O1 eliminates too *)
@@ -132,7 +132,7 @@ let qcheck_tests =
               List.fold_left
                 (fun s m -> Ir.Iset.add m s)
                 Ir.Iset.empty
-                (C.Compiler.surviving_markers C.Gcc_sim.compiler level prog)
+                (markers_of C.Gcc_sim.compiler level prog)
             in
             Ir.Iset.inter surv truth.Core.Ground_truth.dead
           in

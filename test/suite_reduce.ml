@@ -196,9 +196,9 @@ let test_compile_cache_transparent () =
       let prog = Core.Instrument.program (smith_program seed) in
       List.iter
         (fun (comp, level) ->
-          let plain = C.Compiler.surviving_markers comp level prog in
-          let cached = C.Compiler.surviving_markers_cached comp level prog in
-          let again = C.Compiler.surviving_markers_cached comp level prog in
+          let plain = markers_of comp level prog in
+          let cached = markers_of ~cache:true comp level prog in
+          let again = markers_of ~cache:true comp level prog in
           Alcotest.(check (list int)) "cached = plain" plain cached;
           Alcotest.(check (list int)) "memo hit = plain" plain again)
         [ (C.Gcc_sim.compiler, C.Level.O3); (C.Llvm_sim.compiler, C.Level.O2) ])

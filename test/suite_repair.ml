@@ -40,7 +40,7 @@ let test_search_finds_guilty_fix () =
   (* precondition: the marker really is missed at HEAD *)
   Alcotest.(check bool) "repro misses the marker" true
     (List.mem repro_marker
-       (C.Compiler.surviving_markers C.Gcc_sim.compiler C.Level.O3 prog));
+       (Helpers.markers_of C.Gcc_sim.compiler C.Level.O3 prog));
   let s = Repair.Search.search C.Gcc_sim.compiler C.Level.O3 prog ~marker:repro_marker in
   Alcotest.(check bool) "guilty stage attributed" true (s.Repair.Search.so_guilty_stage <> None);
   Alcotest.(check bool) "a single-flag fix exists" true (s.Repair.Search.so_passing <> []);
@@ -51,7 +51,7 @@ let test_search_finds_guilty_fix () =
   let edits = List.hd s.Repair.Search.so_passing in
   let patched = Repair.Edit.patched C.Gcc_sim.compiler ~level:C.Level.O3 edits in
   Alcotest.(check bool) "patched compiler eliminates the marker" false
-    (List.mem repro_marker (C.Compiler.surviving_markers patched C.Level.O3 prog));
+    (List.mem repro_marker (Helpers.markers_of patched C.Level.O3 prog));
   Alcotest.(check bool) "weaker levels untouched" true
     (C.Compiler.features patched C.Level.O2 = C.Compiler.features C.Gcc_sim.compiler C.Level.O2);
   Alcotest.(check bool) "patched name embeds the edit signature" true

@@ -550,6 +550,26 @@ let test_sigterm_drain () =
   ignore (wait_pid pid2);
   Fsx.rm_rf spool
 
+(* out-of-range serve settings are refused before the daemon creates its
+   spool, takes the lock or binds the socket *)
+let test_bad_settings_refused_at_start () =
+  let root = temp_dir "dce_serve_bad" in
+  let spool = Filename.concat root "spool" in
+  let cf = test_config ~spool () in
+  List.iter
+    (fun (flag, cf) ->
+      match Serve.Daemon.run cf with
+      | () -> Alcotest.failf "%s 0 accepted" flag
+      | exception Failure msg ->
+        Alcotest.(check string) (flag ^ " message") (flag ^ ": must be >= 1 (got 0)") msg;
+        Alcotest.(check bool) (flag ^ ": no spool created") false (Sys.file_exists spool))
+    [
+      ("--workers", { cf with Serve.Daemon.cf_workers = 0 });
+      ("--jobs", { cf with Serve.Daemon.cf_jobs = 0 });
+      ("--slots", { cf with Serve.Daemon.cf_slots = 0 });
+    ];
+  Fsx.rm_rf root
+
 (* two daemons, one spool: the lock must turn the second away *)
 let test_spool_lock_exclusive () =
   let spool = temp_dir "dce_serve_lock" in
@@ -657,6 +677,8 @@ let suite =
     Alcotest.test_case "daemon: SIGTERM drains, requeues, releases the lock" `Slow
       test_sigterm_drain;
     Alcotest.test_case "daemon: spool lock is exclusive" `Quick test_spool_lock_exclusive;
+    Alcotest.test_case "daemon: bad settings refused at start" `Quick
+      test_bad_settings_refused_at_start;
     Alcotest.test_case "fabric: SIGTERM drains the fleet and raises" `Quick
       test_fabric_sigterm_drain;
   ]

@@ -94,7 +94,7 @@ let test_guard_cuts_passmgr () =
   let g = Guard.create ~steps:3 () in
   match
     Guard.with_guard g (fun () ->
-        C.Compiler.surviving_markers (compiler_named "gcc") C.Level.O3 prog)
+        markers_of (compiler_named "gcc") C.Level.O3 prog)
   with
   | _ -> Alcotest.fail "expected the guard to cut the pipeline"
   | exception Guard.Budget_exceeded { site; steps; _ } ->
@@ -257,7 +257,7 @@ let test_checked_mode_blames_pass () =
   Chaos.arm plan ~case:0 ~attempt:0;
   Fun.protect ~finally:Chaos.disarm (fun () ->
       match
-        C.Compiler.surviving_markers ~validate:true (compiler_named "gcc") C.Level.O2 prog
+        markers_of ~validate:true (compiler_named "gcc") C.Level.O2 prog
       with
       | _ -> Alcotest.fail "corrupted IR must fail validation"
       | exception C.Passmgr.Ir_invalid { pass; errors } ->
@@ -269,7 +269,7 @@ let test_checked_mode_blames_pass () =
      checked for corrupt plans *)
   Chaos.arm plan ~case:0 ~attempt:0;
   Fun.protect ~finally:Chaos.disarm (fun () ->
-      match C.Compiler.surviving_markers (compiler_named "gcc") C.Level.O2 prog with
+      match markers_of (compiler_named "gcc") C.Level.O2 prog with
       | _ -> ()
       | exception C.Passmgr.Ir_invalid _ ->
         Alcotest.fail "unchecked run must not classify the fault"
