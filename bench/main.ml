@@ -143,7 +143,9 @@ let print_campaign_metrics () =
   print_string (Campaign.Metrics.to_string c.Campaign.Corpus.c_metrics);
   if c.Campaign.Corpus.c_quarantine <> [] then begin
     Printf.printf "%d case(s) quarantined:\n" (List.length c.Campaign.Corpus.c_quarantine);
-    print_string (Campaign.Corpus.quarantine_to_string c)
+    print_string
+      (Campaign.Engine.quarantine_to_string ~seeds:c.Campaign.Corpus.c_seeds
+         c.Campaign.Corpus.c_quarantine)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -185,7 +187,9 @@ let print_tables34 () =
   if b.Campaign.Bisect_campaign.b_quarantine <> [] then begin
     Printf.printf "%d case(s) quarantined:\n"
       (List.length b.Campaign.Bisect_campaign.b_quarantine);
-    print_string (Campaign.Bisect_campaign.quarantine_to_string b)
+    print_string
+      (Campaign.Engine.quarantine_to_string ~seeds:b.Campaign.Bisect_campaign.b_seeds
+         (Campaign.Bisect_campaign.corpus_quarantine b))
   end
 
 let bisect_bench_json : Campaign.Json.t ref = ref Campaign.Json.Null
@@ -747,7 +751,7 @@ let print_oracles_bench () =
   let t0 = Unix.gettimeofday () in
   let inv = OC.run_inversion ~jobs ~seed:20220228 ~count:corpus_size () in
   let t_inv = Unix.gettimeofday () -. t0 in
-  let sf = OC.size_findings s in
+  let sf = OC.size_findings ~ratio:OC.default_ratio s in
   let cross, intra =
     List.partition (function _, Core.Differential.Size_cross _ -> true | _ -> false) sf
   in
@@ -764,7 +768,7 @@ let print_oracles_bench () =
      and the paper's cross-level regressions, as independent passes over the
      same corpus — every surviving-set query below is a cache hit *)
   let valid =
-    Array.to_list inv.OC.i_cases
+    Array.to_list inv.Campaign.Engine.result.Campaign.Engine.outcomes
     |> List.filter_map (function
          | Campaign.Engine.Done ic when ic.OC.ic_rejected = None ->
            Some

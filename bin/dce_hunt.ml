@@ -35,10 +35,9 @@ let read_program path =
   | Error errs -> failwith (String.concat "\n" errs)
 
 let compiler_of_string ?(flag = "--compiler") s =
-  match s with
-  | "gcc" | "gcc-sim" -> C.Gcc_sim.compiler
-  | "llvm" | "llvm-sim" -> C.Llvm_sim.compiler
-  | other -> failwith (Printf.sprintf "%s: unknown compiler %S (use gcc or llvm)" flag other)
+  let name = match s with "gcc" | "llvm" -> s ^ "-sim" | _ -> s in
+  try Core.Analysis.compiler_of_name name
+  with Failure _ -> failwith (Printf.sprintf "%s: unknown compiler %S (use gcc or llvm)" flag s)
 
 let level_of_string ?(flag = "--level") s =
   match C.Level.of_string s with
@@ -299,17 +298,25 @@ let settings_arg ?(supervised = true) ?(chaos = false) () =
     $ if_ chaos checked_arg false
     $ workers_arg $ chunk_arg)
 
-let print_epilogue ?(metrics = false) ~quarantine ~quarantine_text ~resumed summary =
+let print_epilogue ?(metrics = false) ~seeds ~quarantine ~resumed summary =
   if quarantine <> [] then begin
     Printf.printf "%d case(s) quarantined (campaign completed without them):\n"
       (List.length quarantine);
-    print_string quarantine_text
+    print_string (Campaign.Engine.quarantine_to_string ~seeds quarantine)
   end;
   if resumed > 0 then Printf.printf "(%d case(s) restored from the journal, not re-run)\n" resumed;
   if summary.Campaign.Metrics.journal_skipped > 0 then
     Printf.printf "(%d journal record(s) skipped — unreadable or from another build — and re-run)\n"
       summary.Campaign.Metrics.journal_skipped;
   if metrics then print_string (Campaign.Metrics.to_string summary)
+
+let print_corpus_epilogue ~metrics (c : Campaign.Corpus.t) =
+  print_epilogue ~metrics ~seeds:c.c_seeds ~quarantine:c.c_quarantine ~resumed:c.c_resumed
+    c.c_metrics
+
+let print_seeded_epilogue ~metrics (s : _ Campaign.Engine.seeded) =
+  print_epilogue ~metrics ~seeds:s.seeds ~quarantine:s.result.quarantine
+    ~resumed:s.result.resumed s.result.metrics
 
 (* ---------- per-run artifact directories ---------- *)
 
@@ -349,15 +356,12 @@ let hunt_cmd =
   in
   let run seed count jobs settings journal run_root metrics bundle_dir minimize_bundles exec =
     set_exec exec;
-    let run_id = Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed ~count settings in
-    let run_dir = Option.map (fun root -> Campaign.Run_store.dir_of ~root ~id:run_id) run_root in
     let journal =
-      match (journal, run_dir) with
-      | (Some _ as j), _ -> j
-      | None, Some dir ->
-        Dce_support.Fsx.mkdir_p dir;
-        Some (Campaign.Run_store.journal_path dir)
-      | None, None -> None
+      match (journal, run_root) with
+      | None, Some root ->
+        let id = Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed ~count settings in
+        Some (Campaign.Run_store.journal_path (Campaign.Run_store.dir_of ~root ~id))
+      | j, _ -> j
     in
     let c = Campaign.Corpus.run ?journal ~settings ?bundle_dir ~jobs ~seed ~count () in
     let stats = Campaign.Corpus.stats c in
@@ -381,9 +385,7 @@ let hunt_cmd =
           (C.Level.to_string f.Dce_report.Stats.f_level)
           f.Dce_report.Stats.f_witness)
       (Dce_support.Listx.take 10 interesting);
-    print_epilogue ~metrics ~quarantine:c.Campaign.Corpus.c_quarantine
-      ~quarantine_text:(Campaign.Corpus.quarantine_to_string c)
-      ~resumed:c.Campaign.Corpus.c_resumed c.Campaign.Corpus.c_metrics;
+    print_corpus_epilogue ~metrics c;
     (match bundle_dir with
      | Some dir when c.Campaign.Corpus.c_quarantine <> [] ->
        Printf.printf "crash bundles written under %s/\n" dir;
@@ -403,17 +405,13 @@ let hunt_cmd =
          Printf.printf "%d bundle(s) auto-minimized\n" n
        end
      | _ -> ());
-    match run_root with
-    | None -> ()
-    | Some root ->
-      let report = Campaign.Corpus.report ~campaign:"hunt" ~seed ~count c in
-      let meta = Campaign.Run_store.meta ~campaign:"hunt" ~seed ~count settings in
-      let report_text = Campaign.Corpus.report_text c in
-      let dir =
-        Campaign.Run_store.write ~report_text ~root ~id:run_id ~meta
-          ~metrics:c.Campaign.Corpus.c_metrics report
-      in
-      Printf.printf "run artifacts written to %s\n" dir
+    Option.iter
+      (fun root ->
+        Campaign.Run_store.persist ~report_text:(Campaign.Corpus.report_text c) ~root settings
+          ~metrics:c.c_metrics
+          (Campaign.Corpus.report ~campaign:"hunt" ~seed ~count c)
+        |> Printf.printf "run artifacts written to %s\n")
+      run_root
   in
   Cmd.v
     (Cmd.info "hunt"
@@ -435,12 +433,7 @@ let triage_cmd =
   let run seed count jobs settings journal metrics exec =
     set_exec exec;
     let c = Campaign.Corpus.run ?journal ~settings ~jobs ~seed ~count () in
-    let stats = Campaign.Corpus.stats c in
-    let programs = Campaign.Corpus.instrumented_programs c in
-    let reports =
-      Dce_report.Triage.triage ~programs
-        (stats.Dce_report.Stats.findings @ stats.Dce_report.Stats.regression_findings)
-    in
+    let reports = Campaign.Corpus.triage c in
     print_string (Dce_report.Triage.table5 reports);
     print_endline "report clusters:";
     List.iter
@@ -455,9 +448,7 @@ let triage_cmd =
           r.Dce_report.Triage.r_occurrences r.Dce_report.Triage.r_example_program
           r.Dce_report.Triage.r_example_marker)
       reports;
-    print_epilogue ~metrics ~quarantine:c.Campaign.Corpus.c_quarantine
-      ~quarantine_text:(Campaign.Corpus.quarantine_to_string c)
-      ~resumed:c.Campaign.Corpus.c_resumed c.Campaign.Corpus.c_metrics
+    print_corpus_epilogue ~metrics c
   in
   Cmd.v
     (Cmd.info "triage"
@@ -498,23 +489,12 @@ let value_hunt_cmd =
                 (C.Level.to_string level)
                 (String.concat "," (List.map string_of_int surv)))
             C.Level.all)
-        [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+        Core.Analysis.default_compilers
   in
   let run_corpus seed count jobs settings journal metrics =
     let v = Campaign.Corpus.run_value ?journal ~settings ~jobs ~seed ~count () in
     print_string (Campaign.Corpus.value_table v);
-    let quarantine_text =
-      String.concat ""
-        (List.map
-           (fun (q : Campaign.Engine.quarantined) ->
-             Printf.sprintf "  case %d (seed %d): crashed in stage %s: %s\n"
-               q.Campaign.Engine.q_case
-               v.Campaign.Corpus.v_seeds.(q.Campaign.Engine.q_case)
-               q.Campaign.Engine.q_stage q.Campaign.Engine.q_error)
-           v.Campaign.Corpus.v_quarantine)
-    in
-    print_epilogue ~metrics ~quarantine:v.Campaign.Corpus.v_quarantine ~quarantine_text
-      ~resumed:v.Campaign.Corpus.v_resumed v.Campaign.Corpus.v_metrics
+    print_seeded_epilogue ~metrics v
   in
   let run path seed count jobs settings journal metrics exec =
     set_exec exec;
@@ -538,7 +518,8 @@ let size_hunt_cmd =
   let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
   let ratio =
     Arg.(
-      value & opt float 1.25
+      value
+      & opt float Campaign.Oracle_campaign.default_ratio
       & info [ "ratio" ] ~docv:"R"
           ~doc:
             "Cross-compiler threshold: flag a case when one compiler's -Os output is at least \
@@ -547,11 +528,9 @@ let size_hunt_cmd =
   in
   let run seed count ratio jobs settings journal metrics exec =
     set_exec exec;
-    let s = Campaign.Oracle_campaign.run_size ?journal ~ratio ~settings ~jobs ~seed ~count () in
-    print_string (Campaign.Oracle_campaign.size_report s);
-    print_epilogue ~metrics ~quarantine:s.Campaign.Oracle_campaign.s_quarantine
-      ~quarantine_text:(Campaign.Oracle_campaign.size_quarantine_to_string s)
-      ~resumed:s.Campaign.Oracle_campaign.s_resumed s.Campaign.Oracle_campaign.s_metrics
+    let s = Campaign.Oracle_campaign.run_size ?journal ~settings ~jobs ~seed ~count () in
+    print_string (Campaign.Oracle_campaign.size_report ~ratio s);
+    print_seeded_epilogue ~metrics s
   in
   Cmd.v
     (Cmd.info "size-hunt"
@@ -585,9 +564,7 @@ let level_hunt_cmd =
       print_string
         (Campaign.Oracle_campaign.inv_bisections_table
            (Campaign.Oracle_campaign.bisect_inversions ~settings ~jobs t));
-    print_epilogue ~metrics ~quarantine:t.Campaign.Oracle_campaign.i_quarantine
-      ~quarantine_text:(Campaign.Oracle_campaign.inversion_quarantine_to_string t)
-      ~resumed:t.Campaign.Oracle_campaign.i_resumed t.Campaign.Oracle_campaign.i_metrics
+    print_seeded_epilogue ~metrics t
   in
   Cmd.v
     (Cmd.info "level-hunt"
@@ -777,14 +754,12 @@ let bisect_campaign_cmd =
       Campaign.Bisect_campaign.run ?journal ~cache:(not no_cache) ~level:(level_of_string level)
         ~settings ~jobs corpus
     in
-    print_epilogue ~quarantine:corpus.Campaign.Corpus.c_quarantine
-      ~quarantine_text:(Campaign.Corpus.quarantine_to_string corpus) ~resumed:0
-      corpus.Campaign.Corpus.c_metrics;
+    print_corpus_epilogue ~metrics:false corpus;
     print_string (Campaign.Bisect_campaign.summary b);
     print_string (Campaign.Bisect_campaign.component_tables b);
-    print_epilogue ~metrics ~quarantine:b.Campaign.Bisect_campaign.b_quarantine
-      ~quarantine_text:(Campaign.Bisect_campaign.quarantine_to_string b)
-      ~resumed:b.Campaign.Bisect_campaign.b_resumed b.Campaign.Bisect_campaign.b_metrics
+    print_epilogue ~metrics ~seeds:b.b_seeds
+      ~quarantine:(Campaign.Bisect_campaign.corpus_quarantine b)
+      ~resumed:b.b_resumed b.b_metrics
   in
   Cmd.v
     (Cmd.info "bisect-campaign"
@@ -1127,7 +1102,10 @@ let submit_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "chaos" ] ~docv:"PLAN" ~doc:"Campaign-level chaos plan (hunt jobs only).")
+      & info [ "chaos" ] ~docv:"PLAN"
+          ~doc:
+            "Campaign-level chaos plan, for every campaign kind (hunt, triage, size-hunt, \
+             level-hunt, and both halves of bisect); reduce jobs ignore it.")
   in
   let source =
     Arg.(

@@ -19,7 +19,6 @@ type case_report = {
 
 type t = {
   b_level : C.Level.t;
-  b_jobs : int;
   b_cases : case_report Engine.case_outcome array;
   b_corpus_cases : int array;
   b_seeds : int array;
@@ -28,13 +27,7 @@ type t = {
   b_quarantine : Engine.quarantined list;
   b_metrics : Metrics.summary;
   b_resumed : int;
-  b_skipped : int;
 }
-
-let compiler_named = function
-  | "gcc-sim" -> C.Gcc_sim.compiler
-  | "llvm-sim" -> C.Llvm_sim.compiler
-  | other -> failwith (Printf.sprintf "bisect campaign: unknown compiler %S" other)
 
 (* ------------------------------------------------------------------ *)
 (* target derivation                                                   *)
@@ -134,7 +127,7 @@ let decode_report j =
             bs_compiler = compiler_name;
             bs_marker = Json.get_int bj "marker";
             bs_probes = Json.get_int bj "probes";
-            bs_outcome = outcome_of_json ~compiler:(compiler_named compiler_name) bj;
+            bs_outcome = outcome_of_json ~compiler:(Core.Analysis.compiler_of_name compiler_name) bj;
           })
         (Json.get_list j "bisections");
   }
@@ -165,8 +158,8 @@ let run ?journal ?(cache = true) ?(level = C.Level.O3) ?settings ~jobs (corpus :
         (fun (compiler_name, marker) ->
           let outcome, probes =
             Engine.stage ctx "bisect" (fun () ->
-                Bisect.find_regression_counted ?session ~validate (compiler_named compiler_name)
-                  level prog ~marker)
+                Bisect.find_regression_counted ?session ~validate
+                  (Core.Analysis.compiler_of_name compiler_name) level prog ~marker)
           in
           { bs_compiler = compiler_name; bs_marker = marker; bs_probes = probes;
             bs_outcome = outcome })
@@ -193,7 +186,6 @@ let run ?journal ?(cache = true) ?(level = C.Level.O3) ?settings ~jobs (corpus :
   in
   {
     b_level = level;
-    b_jobs = jobs;
     b_cases = result.Engine.outcomes;
     b_corpus_cases = Array.map (fun (i, _, _) -> i) work;
     b_seeds = corpus.Corpus.c_seeds;
@@ -202,7 +194,6 @@ let run ?journal ?(cache = true) ?(level = C.Level.O3) ?settings ~jobs (corpus :
     b_quarantine = result.Engine.quarantine;
     b_metrics = result.Engine.metrics;
     b_resumed = result.Engine.resumed;
-    b_skipped = result.Engine.skipped;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -233,6 +224,11 @@ let commits_by_compiler t =
             if comp = name then Some r.Bisect.offending else None)
           (regressions t) ))
     [ "llvm-sim"; "gcc-sim" ]
+
+let corpus_quarantine t =
+  List.map
+    (fun (q : Engine.quarantined) -> { q with q_case = t.b_corpus_cases.(q.q_case) })
+    t.b_quarantine
 
 let summary t =
   let bs = bisections t in
@@ -273,12 +269,3 @@ let component_tables t =
       end)
     (commits_by_compiler t);
   Buffer.contents buf
-
-let quarantine_to_string t =
-  String.concat ""
-    (List.map
-       (fun (q : Engine.quarantined) ->
-         let ci = t.b_corpus_cases.(q.Engine.q_case) in
-         Printf.sprintf "  case %d (seed %d): crashed in stage %s: %s\n" ci
-           t.b_seeds.(ci) q.Engine.q_stage q.Engine.q_error)
-       t.b_quarantine)

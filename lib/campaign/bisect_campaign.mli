@@ -41,7 +41,6 @@ type case_report = {
 
 type t = {
   b_level : Dce_compiler.Level.t;
-  b_jobs : int;
   b_cases : case_report Engine.case_outcome array;
       (** one slot per corpus case that had missed markers at the level *)
   b_corpus_cases : int array;  (** engine slot → corpus index *)
@@ -51,7 +50,6 @@ type t = {
   b_quarantine : Engine.quarantined list;
   b_metrics : Metrics.summary;
   b_resumed : int;
-  b_skipped : int;  (** journal records skipped on resume *)
 }
 
 val run :
@@ -82,12 +80,14 @@ val commits_by_compiler :
     ["gcc-sim"] (Table 4); duplicates preserved (one entry per regression —
     {!Dce_bisect.Bisect.component_table} deduplicates). *)
 
+val corpus_quarantine : t -> Engine.quarantined list
+(** [b_quarantine] with each case renumbered from its engine slot to its
+    corpus index, the number reports name it by (its seed is
+    [b_seeds.(q_case)]). *)
+
 val summary : t -> string
 (** One line: pairs, cases, level, verdict counts, total probes. *)
 
 val component_tables : t -> string
 (** The rendered Tables 3/4: per compiler, offending commits deduplicated
     and grouped by component with distinct-file counts. *)
-
-val quarantine_to_string : t -> string
-(** One line per quarantined case: corpus index, seed, stage, error. *)

@@ -29,29 +29,12 @@ type payload = {
   p_raw : Dce_minic.Ast.program;
 }
 
-let iset_to_json s = Json.List (List.map (fun i -> Json.Int i) (Ir.Iset.elements s))
-
-let iset_of_json j =
-  match Json.to_list j with
-  | Some l -> List.fold_left (fun s v -> Ir.Iset.add (Json.int_exn v) s) Ir.Iset.empty l
-  | None -> failwith "journal record: expected a marker list"
-
-let level_to_json l = Json.String (C.Level.to_string l)
-
-let level_of_json j =
-  match Json.to_str j with
-  | Some s -> (
-    match C.Level.of_string s with
-    | Some l -> l
-    | None -> failwith (Printf.sprintf "journal record: unknown level %S" s))
-  | None -> failwith "journal record: expected a level string"
-
 let config_to_json (pc : Core.Analysis.per_config) =
   Json.Obj
     [
       ("compiler", Json.String pc.Core.Analysis.cfg_compiler);
-      ("level", level_to_json pc.Core.Analysis.cfg_level);
-      ("surviving", iset_to_json pc.Core.Analysis.surviving);
+      ("level", Json.of_level pc.Core.Analysis.cfg_level);
+      ("surviving", Json.of_iset pc.Core.Analysis.surviving);
       ( "attrib",
         Json.List
           (List.map
@@ -95,8 +78,8 @@ let encode_payload p =
       (common
       @ [
           ("kind", Json.String "analyzed");
-          ("alive", iset_to_json truth.Core.Ground_truth.alive);
-          ("dead", iset_to_json truth.Core.Ground_truth.dead);
+          ("alive", Json.of_iset truth.Core.Ground_truth.alive);
+          ("dead", Json.of_iset truth.Core.Ground_truth.dead);
           ("steps", Json.Int truth.Core.Ground_truth.steps);
           ("live_blocks", Json.List live_blocks);
           ("configs", Json.List (List.map config_to_json a.Core.Analysis.configs));
@@ -109,8 +92,8 @@ let decode_payload j =
   | "rejected" ->
     { p_seed = seed; p_outcome = Core.Analysis.Rejected (Json.get_str j "reason"); p_raw = raw }
   | "analyzed" ->
-    let alive = iset_of_json (Json.get j "alive") in
-    let dead = iset_of_json (Json.get j "dead") in
+    let alive = Json.iset_exn (Json.get j "alive") in
+    let dead = Json.iset_exn (Json.get j "dead") in
     let live_blocks =
       List.fold_left
         (fun acc entry ->
@@ -142,7 +125,7 @@ let decode_payload j =
     let configs =
       List.map
         (fun cj ->
-          let surviving = iset_of_json (Json.get cj "surviving") in
+          let surviving = Json.iset_exn (Json.get cj "surviving") in
           let attrib =
             List.map
               (fun entry ->
@@ -157,7 +140,7 @@ let decode_payload j =
           let missed = Core.Differential.missed ~surviving ~dead in
           {
             Core.Analysis.cfg_compiler = Json.get_str cj "compiler";
-            cfg_level = level_of_json (Json.get cj "level");
+            cfg_level = Json.level_exn (Json.get cj "level");
             surviving;
             missed;
             primary_missed = Core.Primary.primary_missed graph ~alive ~missed;
@@ -246,23 +229,10 @@ let instrumented_programs t =
       | Quarantined _ -> Lazy.force trivial_main)
     t.c_cases
 
-let quarantine_to_string t =
-  String.concat ""
-    (List.map
-       (fun (q : Engine.quarantined) ->
-         let verb =
-           match q.Engine.q_kind with
-           | Engine.Crash -> "crashed"
-           | Engine.Timeout -> "timed out"
-           | Engine.Ir_invalid -> "produced invalid IR"
-         in
-         Printf.sprintf "  case %d (seed %d): %s in stage %s%s: %s\n" q.Engine.q_case
-           t.c_seeds.(q.Engine.q_case) verb q.Engine.q_stage
-           (if q.Engine.q_retries > 0 then
-              Printf.sprintf " (after %d retries)" q.Engine.q_retries
-            else "")
-           q.Engine.q_error)
-       t.c_quarantine)
+let triage t =
+  let stats = stats t in
+  Dce_report.Triage.triage ~programs:(instrumented_programs t)
+    (stats.Stats.findings @ stats.Stats.regression_findings)
 
 (* Fold a corpus campaign into the cross-run comparison report: per-case
    missed dead markers per configuration, plus each compiler's level
@@ -360,7 +330,7 @@ let encode_value vc =
         Json.List
           (List.map
              (fun (comp, level, n) ->
-               Json.List [ Json.String comp; level_to_json level; Json.Int n ])
+               Json.List [ Json.String comp; Json.of_level level; Json.Int n ])
              vc.vc_kept) );
     ]
 
@@ -374,21 +344,13 @@ let decode_value j =
           match Json.to_list entry with
           | Some [ comp; level; n ] -> (
             match (Json.to_str comp, Json.to_int n) with
-            | Some comp, Some n -> (comp, level_of_json level, n)
+            | Some comp, Some n -> (comp, Json.level_exn level, n)
             | _ -> failwith "journal record: bad kept entry")
           | _ -> failwith "journal record: bad kept entry")
         (Json.get_list j "kept");
   }
 
 let value_codec = { Engine.encode = encode_value; decode = decode_value }
-
-type value_campaign = {
-  v_cases : value_case Engine.case_outcome array;
-  v_quarantine : Engine.quarantined list;
-  v_metrics : Metrics.summary;
-  v_seeds : int array;
-  v_resumed : int;
-}
 
 let run_value ?journal ?settings ~jobs ~seed ~count () =
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
@@ -419,7 +381,7 @@ let run_value ?journal ?settings ~jobs ~seed ~count () =
                   in
                   (compiler.C.Compiler.name, level, List.length surv))
                 C.Level.all)
-            [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+            Core.Analysis.default_compilers
         in
         {
           vc_seed = case_seed;
@@ -427,19 +389,14 @@ let run_value ?journal ?settings ~jobs ~seed ~count () =
           vc_kept = kept;
         })
   in
-  let result =
-    Fabric.run ?journal ~codec:value_codec ~campaign:"value-hunt" ~seed ?settings ~jobs ~count
-      runner
-  in
   {
-    v_cases = result.Engine.outcomes;
-    v_quarantine = result.Engine.quarantine;
-    v_metrics = result.Engine.metrics;
-    v_seeds = seeds;
-    v_resumed = result.Engine.resumed;
+    Engine.seeds;
+    result =
+      Fabric.run ?journal ~codec:value_codec ~campaign:"value-hunt" ~seed ?settings ~jobs ~count
+        runner;
   }
 
-let value_table v =
+let value_table (v : value_case Engine.seeded) =
   let total = ref 0 in
   let kept : (string * C.Level.t, int) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
@@ -452,11 +409,11 @@ let value_table v =
               (n + Option.value ~default:0 (Hashtbl.find_opt kept (comp, level))))
           vc.vc_kept
       | Engine.Crashed _ -> ())
-    v.v_cases;
+    v.result.outcomes;
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "%d value checks planted over %d programs (all dead by construction)\n"
-       !total (Array.length v.v_cases));
+       !total (Array.length v.result.outcomes));
   Buffer.add_string buf
     (Dce_report.Tables.render
        ~header:[ "Level"; "gcc-sim"; "llvm-sim" ]

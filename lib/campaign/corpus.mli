@@ -63,9 +63,9 @@ val instrumented_programs : t -> Dce_minic.Ast.program array
 (** Instrumented program per corpus slot (the triage/bisect input);
     quarantined slots hold a trivial empty [main]. *)
 
-val quarantine_to_string : t -> string
-(** One line per quarantined case: index, seed, fault kind, guilty stage,
-    retry count when nonzero, error. *)
+val triage : t -> Dce_report.Triage.report list
+(** The Table-5 reports: every cross-compiler and cross-level finding,
+    diagnosed and deduplicated by {!Dce_report.Triage.triage}. *)
 
 val report : campaign:string -> seed:int -> count:int -> t -> Run_store.report
 (** Fold the campaign into the canonical (sorted) cross-run comparison
@@ -87,14 +87,6 @@ type value_case = {
       (** (compiler, level, surviving check count) per configuration *)
 }
 
-type value_campaign = {
-  v_cases : value_case Engine.case_outcome array;
-  v_quarantine : Engine.quarantined list;
-  v_metrics : Metrics.summary;
-  v_seeds : int array;
-  v_resumed : int;
-}
-
 val run_value :
   ?journal:string ->
   ?settings:Settings.t ->
@@ -102,8 +94,8 @@ val run_value :
   seed:int ->
   count:int ->
   unit ->
-  value_campaign
+  value_case Engine.seeded
 
-val value_table : value_campaign -> string
+val value_table : value_case Engine.seeded -> string
 (** Totals line plus the per-level "% checks missed" table (the bench's
     §4.4 extension table, now campaign-powered). *)

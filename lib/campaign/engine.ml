@@ -72,8 +72,25 @@ type 'a result = {
   quarantine : quarantined list;
   metrics : Metrics.summary;
   resumed : int;
-  skipped : int;
 }
+
+type 'a seeded = { seeds : int array; result : 'a result }
+
+let quarantine_to_string ~seeds qs =
+  String.concat ""
+    (List.map
+       (fun q ->
+         let verb =
+           match q.q_kind with
+           | Crash -> "crashed"
+           | Timeout -> "timed out"
+           | Ir_invalid -> "produced invalid IR"
+         in
+         Printf.sprintf "  case %d (seed %d): %s in stage %s%s: %s\n" q.q_case seeds.(q.q_case)
+           verb q.q_stage
+           (if q.q_retries > 0 then Printf.sprintf " (after %d retries)" q.q_retries else "")
+           q.q_error)
+       qs)
 
 (* ------------------------------------------------------------------ *)
 (* journal record codec                                                *)
@@ -255,7 +272,7 @@ let with_session ?journal ?codec ?(campaign = "campaign") ?(seed = 0)
   let campaign =
     if chaos = [] then campaign else campaign ^ "+chaos[" ^ Chaos.signature chaos ^ "]"
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dce_support.Clock.now () in
   let cache0 = Passmgr.counters () in
   let chaos0 = Chaos.fired_count () in
   let outcomes = Array.make count None in
@@ -332,7 +349,7 @@ let finish ?fabric ?(cache = []) ?(chaos_fired = 0) ~stage s metrics =
     Array.to_list outcomes |> List.filter_map (function Crashed q -> Some q | Done _ -> None)
   in
   let count_kind k = List.length (List.filter (fun q -> q.q_kind = k) quarantine) in
-  let wall = Unix.gettimeofday () -. s.s_t0 in
+  let wall = Dce_support.Clock.now () -. s.s_t0 in
   let cache =
     List.fold_left (counters_map2 ( + )) (counters_delta s.s_cache0 (Passmgr.counters ())) cache
   in
@@ -345,7 +362,6 @@ let finish ?fabric ?(cache = []) ?(chaos_fired = 0) ~stage s metrics =
         ~chaos_fired:(Chaos.fired_count () - s.s_chaos0 + chaos_fired)
         ?fabric ~cases:(Array.length outcomes - s.s_resumed) ~wall ~cache metrics;
     resumed = s.s_resumed;
-    skipped = s.s_skipped;
   }
 
 (* ------------------------------------------------------------------ *)

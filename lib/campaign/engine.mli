@@ -92,12 +92,22 @@ type 'a result = {
   quarantine : quarantined list;     (** crashed cases, ascending *)
   metrics : Metrics.summary;
   resumed : int;  (** cases restored from the journal instead of executed *)
-  skipped : int;
-      (** journal records ignored on resume (unreadable, unknown kind, or
-          out of range) — the forward-compatibility path: a journal written
-          by a different build re-runs those cases instead of aborting.
-          Also reported as [metrics.journal_skipped]. *)
 }
+
+type 'a seeded = {
+  seeds : int array;  (** generator seed of each corpus case *)
+  result : 'a result;
+}
+(** A corpus campaign's outcome: the engine result plus the per-case
+    generator seeds, which name a quarantined case to the user and let a
+    later stage regenerate it. *)
+
+val quarantine_to_string : seeds:int array -> quarantined list -> string
+(** The quarantine printer of every campaign: one line per case,
+    ["  case I (seed S): VERB in stage STAGE: ERROR"], where [S] is
+    [seeds.(I)], VERB is [crashed], [timed out] or [produced invalid IR],
+    and [" (after N retries)"] follows the stage when retries were
+    spent. *)
 
 val run :
   ?journal:string ->

@@ -268,7 +268,7 @@ let run (type a) ?journal ?(codec : a Engine.codec option) ?campaign ?seed
           incr chunks_dispatched;
           w.ws_pending <- cases;
           w.ws_deadline <-
-            (match chunk_deadline with Some d -> Unix.gettimeofday () +. d | None -> infinity);
+            (match chunk_deadline with Some d -> Dce_support.Clock.now () +. d | None -> infinity);
           send_to w
             (op "chunk"
                [
@@ -432,7 +432,7 @@ let run (type a) ?journal ?(codec : a Engine.codec option) ?campaign ?seed
             spawn_worker ()
           done;
           while !live <> [] do
-            let now = Unix.gettimeofday () in
+            let now = Dce_support.Clock.now () in
             (* impatient shutdown: a second signal stops waiting for in-flight
                chunks and kills the fleet outright (the journal still holds
                every record received so far) *)

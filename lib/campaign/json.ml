@@ -267,3 +267,22 @@ let get_list v key =
   match get v key with
   | List l -> l
   | x -> failwith (Printf.sprintf "journal record: field %S is not a list: %s" key (to_string x))
+
+(* ------------------------------------------------------------------ *)
+(* shared value codecs                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let of_level l = String (Dce_compiler.Level.to_string l)
+
+let level_exn v =
+  match Option.bind (to_str v) Dce_compiler.Level.of_string with
+  | Some l -> l
+  | None -> failwith (Printf.sprintf "journal record: expected a level, got %s" (to_string v))
+
+module Iset = Dce_ir.Ir.Iset
+
+let of_iset s = List (List.map (fun i -> Int i) (Iset.elements s))
+
+let iset_exn = function
+  | List l -> List.fold_left (fun s v -> Iset.add (int_exn v) s) Iset.empty l
+  | v -> failwith (Printf.sprintf "journal record: expected a marker list, got %s" (to_string v))

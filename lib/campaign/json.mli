@@ -39,3 +39,15 @@ val get_int : t -> string -> int
 val get_str : t -> string -> string
 val get_list : t -> string -> t list
 val int_exn : t -> int
+
+(** {1 Shared value codecs}
+
+    The one wire shape of an optimization level (its
+    {!Dce_compiler.Level.to_string}, e.g. ["-O2"]) and of a marker set (an
+    ascending list of ints), shared by every journal record kind and by the
+    run report.  The decoders raise [Failure] on any other shape. *)
+
+val of_level : Dce_compiler.Level.t -> t
+val level_exn : t -> Dce_compiler.Level.t
+val of_iset : Dce_ir.Ir.Iset.t -> t
+val iset_exn : t -> Dce_ir.Ir.Iset.t

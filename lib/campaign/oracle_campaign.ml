@@ -4,43 +4,23 @@ module Ir = Dce_ir.Ir
 module Smith = Dce_smith.Smith
 module Bisect = Dce_bisect.Bisect
 
-let compilers = [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+let compilers = Core.Analysis.default_compilers
 
-let compiler_named = function
-  | "gcc-sim" -> C.Gcc_sim.compiler
-  | "llvm-sim" -> C.Llvm_sim.compiler
-  | other -> failwith (Printf.sprintf "oracle campaign: unknown compiler %S" other)
-
-(* ------------------------------------------------------------------ *)
-(* shared JSON helpers (same wire shapes as the corpus codec)          *)
-(* ------------------------------------------------------------------ *)
-
-let iset_to_json s = Json.List (List.map (fun i -> Json.Int i) (Ir.Iset.elements s))
-
-let iset_of_json j =
-  match Json.to_list j with
-  | Some l -> List.fold_left (fun s v -> Ir.Iset.add (Json.int_exn v) s) Ir.Iset.empty l
-  | None -> failwith "journal record: expected a marker list"
-
-let level_to_json l = Json.String (C.Level.to_string l)
-
-let level_of_json j =
-  match Json.to_str j with
-  | Some s -> (
-    match C.Level.of_string s with
-    | Some l -> l
-    | None -> failwith (Printf.sprintf "journal record: unknown level %S" s))
-  | None -> failwith "journal record: expected a level string"
-
-let quarantine_lines seeds qs =
-  String.concat ""
-    (List.map
-       (fun (q : Engine.quarantined) ->
-         Printf.sprintf "  case %d (seed %d): %s in stage %s: %s\n" q.Engine.q_case
-           seeds.(q.Engine.q_case)
-           (Engine.fault_kind_name q.Engine.q_kind)
-           q.Engine.q_stage q.Engine.q_error)
-       qs)
+(* The run report of an oracle campaign: its finding rows, plus which
+   cases were quarantined. *)
+let run_report ~campaign ~seed ~sizes ~inversions (t : _ Engine.seeded) =
+  Run_store.sort_report
+    {
+      Run_store.r_campaign = campaign;
+      r_seed = seed;
+      r_count = Array.length t.result.outcomes;
+      r_compilers = List.map (fun (c : C.Compiler.t) -> c.C.Compiler.name) compilers;
+      r_misses = [];
+      r_sizes = sizes;
+      r_inversions = inversions;
+      r_rejected = [];
+      r_quarantined = List.map (fun (q : Engine.quarantined) -> q.q_case) t.result.quarantine;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* size campaign: the "size-case" record kind                          *)
@@ -50,19 +30,6 @@ type size_case = {
   sc_seed : int;
   sc_rejected : string option;
   sc_curve : (string * C.Level.t * int) list;
-}
-
-type size_t = {
-  s_seed : int;
-  s_count : int;
-  s_jobs : int;
-  s_ratio : float;
-  s_seeds : int array;
-  s_cases : size_case Engine.case_outcome array;
-  s_quarantine : Engine.quarantined list;
-  s_metrics : Metrics.summary;
-  s_resumed : int;
-  s_skipped : int;
 }
 
 (* The journal stores the size curve, not the findings: findings are a pure
@@ -81,7 +48,7 @@ let encode_size sc =
             Json.List
               (List.map
                  (fun (name, level, size) ->
-                   Json.List [ Json.String name; level_to_json level; Json.Int size ])
+                   Json.List [ Json.String name; Json.of_level level; Json.Int size ])
                  sc.sc_curve) );
         ])
 
@@ -104,7 +71,7 @@ let decode_size j =
           match Json.to_list entry with
           | Some [ name; level; size ] -> (
             match (Json.to_str name, Json.to_int size) with
-            | Some name, Some size -> (name, level_of_json level, size)
+            | Some name, Some size -> (name, Json.level_exn level, size)
             | _ -> failwith "journal record: bad curve entry")
           | _ -> failwith "journal record: bad curve entry")
         (Json.get_list j "curve")
@@ -113,7 +80,7 @@ let decode_size j =
 
 let size_codec = { Engine.encode = encode_size; decode = decode_size }
 
-let run_size ?journal ?(ratio = 1.25) ?settings ~jobs ~seed ~count () =
+let run_size ?journal ?settings ~jobs ~seed ~count () =
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in
@@ -137,37 +104,28 @@ let run_size ?journal ?(ratio = 1.25) ?settings ~jobs ~seed ~count () =
       in
       { sc_seed = case_seed; sc_rejected = None; sc_curve = curve }
   in
-  let result =
-    Fabric.run ?journal ~codec:size_codec ~campaign:"size-hunt" ~seed ?settings ~jobs ~count runner
-  in
   {
-    s_seed = seed;
-    s_count = count;
-    s_jobs = jobs;
-    s_ratio = ratio;
-    s_seeds = seeds;
-    s_cases = result.Engine.outcomes;
-    s_quarantine = result.Engine.quarantine;
-    s_metrics = result.Engine.metrics;
-    s_resumed = result.Engine.resumed;
-    s_skipped = result.Engine.skipped;
+    Engine.seeds;
+    result =
+      Fabric.run ?journal ~codec:size_codec ~campaign:"size-hunt" ~seed ?settings ~jobs ~count
+        runner;
   }
 
-let size_findings t =
-  Array.to_list (Array.mapi (fun i c -> (i, c)) t.s_cases)
+let default_ratio = 1.25
+
+let size_findings ~ratio (t : size_case Engine.seeded) =
+  Array.to_list (Array.mapi (fun i c -> (i, c)) t.result.outcomes)
   |> List.concat_map (function
        | i, Engine.Done sc when sc.sc_rejected = None ->
-         List.map
-           (fun f -> (i, f))
-           (Core.Differential.size_findings_of ~ratio:t.s_ratio sc.sc_curve)
+         List.map (fun f -> (i, f)) (Core.Differential.size_findings_of ~ratio sc.sc_curve)
        | _ -> [])
 
-let size_report t =
-  let findings = size_findings t in
+let size_report ~ratio (t : size_case Engine.seeded) =
+  let findings = size_findings ~ratio t in
   let rejected =
     Array.fold_left
       (fun acc -> function Engine.Done sc when sc.sc_rejected <> None -> acc + 1 | _ -> acc)
-      0 t.s_cases
+      0 t.result.outcomes
   in
   let is_cross = function _, Core.Differential.Size_cross _ -> true | _ -> false in
   let cross = List.length (List.filter is_cross findings) in
@@ -176,7 +134,7 @@ let size_report t =
   Buffer.add_string buf
     (Printf.sprintf
        "%d programs (%d rejected), %d size findings (%d cross, %d intra; ratio >= %.2f)\n"
-       t.s_count rejected (List.length findings) cross intra t.s_ratio);
+       (Array.length t.result.outcomes) rejected (List.length findings) cross intra ratio);
   Buffer.add_string buf
     (Dce_report.Oracle_report.size_histogram
        (List.map (fun (_, f) -> Core.Differential.size_ratio f) findings));
@@ -190,7 +148,23 @@ let size_report t =
          (Dce_report.Oracle_report.tally (List.map (fun (_, f) -> guilty_label f) findings)));
   Buffer.contents buf
 
-let size_quarantine_to_string t = quarantine_lines t.s_seeds t.s_quarantine
+(* The run report of a size campaign: each finding's two sizes become
+   report rows, so campaign-diff compares two size runs cell by cell. *)
+let size_run_report ~ratio ~seed (t : size_case Engine.seeded) =
+  let row i compiler level size =
+    { Run_store.z_case = i; z_compiler = compiler; z_level = level; z_size = size }
+  in
+  let sizes =
+    List.concat_map
+      (fun (i, (f : Core.Differential.size_finding)) ->
+        match f with
+        | Core.Differential.Size_cross { level; larger; larger_size; smaller; smaller_size } ->
+          [ row i larger level larger_size; row i smaller level smaller_size ]
+        | Core.Differential.Size_intra { compiler; os_size; o2_size } ->
+          [ row i compiler C.Level.Os os_size; row i compiler C.Level.O2 o2_size ])
+      (size_findings ~ratio t)
+  in
+  run_report ~campaign:"size-hunt" ~seed ~sizes ~inversions:[] t
 
 (* ------------------------------------------------------------------ *)
 (* level-inversion campaign: the "inversion-case" record kind          *)
@@ -208,18 +182,6 @@ type inv_case = {
   ic_dead : Ir.Iset.t;
   ic_surviving : (string * (C.Level.t * Ir.Iset.t) list) list;
   ic_findings : inv_finding list;
-}
-
-type inv_t = {
-  i_seed : int;
-  i_count : int;
-  i_jobs : int;
-  i_seeds : int array;
-  i_cases : inv_case Engine.case_outcome array;
-  i_quarantine : Engine.quarantined list;
-  i_metrics : Metrics.summary;
-  i_resumed : int;
-  i_skipped : int;
 }
 
 (* O0 keeps everything by construction, so it never eliminates and only
@@ -244,7 +206,7 @@ let encode_inv ic =
     Json.Obj
       (common
       @ [
-          ("dead", iset_to_json ic.ic_dead);
+          ("dead", Json.of_iset ic.ic_dead);
           ( "surviving",
             Json.List
               (List.map
@@ -255,7 +217,7 @@ let encode_inv ic =
                        ( "levels",
                          Json.List
                            (List.map
-                              (fun (l, s) -> Json.List [ level_to_json l; iset_to_json s ])
+                              (fun (l, s) -> Json.List [ Json.of_level l; Json.of_iset s ])
                               per_level) );
                      ])
                  ic.ic_surviving) );
@@ -287,7 +249,7 @@ let decode_inv j =
       ic_findings = [];
     }
   | None ->
-    let dead = iset_of_json (Json.get j "dead") in
+    let dead = Json.iset_exn (Json.get j "dead") in
     let surviving =
       List.map
         (fun cj ->
@@ -295,7 +257,7 @@ let decode_inv j =
             List.map
               (fun entry ->
                 match Json.to_list entry with
-                | Some [ level; markers ] -> (level_of_json level, iset_of_json markers)
+                | Some [ level; markers ] -> (Json.level_exn level, Json.iset_exn markers)
                 | _ -> failwith "journal record: bad surviving entry")
               (Json.get_list cj "levels") ))
         (Json.get_list j "surviving")
@@ -374,7 +336,8 @@ let run_inversion ?journal ?settings ~jobs ~seed ~count () =
               List.map
                 (fun (name, (iv : Core.Differential.inversion)) ->
                   let _, trace =
-                    C.Compiler.run session (compiler_named name) iv.Core.Differential.iv_low
+                    C.Compiler.run session (Core.Analysis.compiler_of_name name)
+                      iv.Core.Differential.iv_low
                   in
                   let guilty =
                     match
@@ -389,43 +352,31 @@ let run_inversion ?journal ?settings ~jobs ~seed ~count () =
       { ic_seed = case_seed; ic_rejected = None; ic_dead = dead; ic_surviving = surviving;
         ic_findings = findings }
   in
-  let result =
-    Fabric.run ?journal ~codec:inv_codec ~campaign:"level-hunt" ~seed ?settings ~jobs ~count runner
-  in
   {
-    i_seed = seed;
-    i_count = count;
-    i_jobs = jobs;
-    i_seeds = seeds;
-    i_cases = result.Engine.outcomes;
-    i_quarantine = result.Engine.quarantine;
-    i_metrics = result.Engine.metrics;
-    i_resumed = result.Engine.resumed;
-    i_skipped = result.Engine.skipped;
+    Engine.seeds;
+    result =
+      Fabric.run ?journal ~codec:inv_codec ~campaign:"level-hunt" ~seed ?settings ~jobs ~count
+        runner;
   }
 
-let inversion_findings t =
-  Array.to_list (Array.mapi (fun i c -> (i, c)) t.i_cases)
+let inversion_findings (t : inv_case Engine.seeded) =
+  Array.to_list (Array.mapi (fun i c -> (i, c)) t.result.outcomes)
   |> List.concat_map (function
        | i, Engine.Done ic -> List.map (fun f -> (i, f)) ic.ic_findings
        | _, Engine.Crashed _ -> [])
 
-let inversion_report t =
+let inversion_report (t : inv_case Engine.seeded) =
   let findings = inversion_findings t in
-  let rejected =
-    Array.fold_left
-      (fun acc -> function Engine.Done ic when ic.ic_rejected <> None -> acc + 1 | _ -> acc)
-      0 t.i_cases
+  let count p =
+    Array.fold_left (fun acc -> function Engine.Done ic when p ic -> acc + 1 | _ -> acc) 0
+      t.result.outcomes
   in
-  let affected =
-    Array.fold_left
-      (fun acc -> function Engine.Done ic when ic.ic_findings <> [] -> acc + 1 | _ -> acc)
-      0 t.i_cases
-  in
+  let rejected = count (fun ic -> ic.ic_rejected <> None) in
+  let affected = count (fun ic -> ic.ic_findings <> []) in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf "%d programs (%d rejected), %d level inversions over %d affected programs\n"
-       t.i_count rejected (List.length findings) affected);
+       (Array.length t.result.outcomes) rejected (List.length findings) affected);
   if findings <> [] then begin
     Buffer.add_string buf
       (Dce_report.Oracle_report.count_table ~label:"Inversion" ~count:"Count"
@@ -444,7 +395,20 @@ let inversion_report t =
   end;
   Buffer.contents buf
 
-let inversion_quarantine_to_string t = quarantine_lines t.i_seeds t.i_quarantine
+(* The run report of a level-inversion campaign: one row per finding. *)
+let inversion_run_report ~seed (t : inv_case Engine.seeded) =
+  let row (i, f) =
+    let iv = f.if_inversion in
+    {
+      Run_store.v_case = i;
+      v_compiler = f.if_compiler;
+      v_marker = iv.Core.Differential.iv_marker;
+      v_low = iv.Core.Differential.iv_low;
+      v_high = iv.Core.Differential.iv_high;
+    }
+  in
+  run_report ~campaign:"level-hunt" ~seed ~sizes:[]
+    ~inversions:(List.map row (inversion_findings t)) t
 
 (* ------------------------------------------------------------------ *)
 (* bisecting inversions over the commit model                          *)
@@ -464,7 +428,7 @@ let bisect_inversions ?(cache = true) ?settings ~jobs t =
     let ci, f = work.(e) in
     let prog =
       Engine.stage ctx "regenerate" (fun () ->
-          Core.Instrument.program (fst (Smith.generate (Smith.default_config t.i_seeds.(ci)))))
+          Core.Instrument.program (fst (Smith.generate (Smith.default_config t.seeds.(ci)))))
     in
     (* one session per finding: its probes replay each other's stages *)
     let session = if cache then Some (C.Compiler.session ~validate ~cache prog) else None in
@@ -472,15 +436,15 @@ let bisect_inversions ?(cache = true) ?settings ~jobs t =
        bisect the iv_high pipeline's history for the commit that lost it *)
     let outcome, probes =
       Engine.stage ctx "bisect" (fun () ->
-          Bisect.find_regression_counted ?session ~validate (compiler_named f.if_compiler)
+          Bisect.find_regression_counted ?session ~validate
+            (Core.Analysis.compiler_of_name f.if_compiler)
             f.if_inversion.Core.Differential.iv_high prog
             ~marker:f.if_inversion.Core.Differential.iv_marker)
     in
     { ib_case = ci; ib_finding = f; ib_outcome = Ok outcome; ib_probes = probes }
   in
   let result =
-    Engine.run ~campaign:"inv-bisect" ~seed:t.i_seed ?settings ~jobs ~count:(Array.length work)
-      runner
+    Engine.run ~campaign:"inv-bisect" ?settings ~jobs ~count:(Array.length work) runner
   in
   Array.to_list
     (Array.mapi

@@ -33,45 +33,39 @@ type size_case = {
   sc_curve : (string * Dce_compiler.Level.t * int) list;
 }
 
-type size_t = {
-  s_seed : int;
-  s_count : int;
-  s_jobs : int;
-  s_ratio : float;  (** cross-compiler threshold (reporting parameter) *)
-  s_seeds : int array;
-  s_cases : size_case Engine.case_outcome array;
-  s_quarantine : Engine.quarantined list;
-  s_metrics : Metrics.summary;
-  s_resumed : int;
-  s_skipped : int;
-}
-
 val size_codec : size_case Engine.codec
 (** The ["size-case"] journal record codec (exposed for tests). *)
 
 val run_size :
   ?journal:string ->
-  ?ratio:float ->
   ?settings:Settings.t ->
   jobs:int ->
   seed:int ->
   count:int ->
   unit ->
-  size_t
-(** [ratio] defaults to 1.25.  Programs that trap or exhaust the
-    ground-truth executor's fuel are rejected, exactly as in the marker
-    campaign.  [settings] are the supervision and placement controls of
-    {!Fabric.run} (byte-identical output at any [workers], as everywhere). *)
+  size_case Engine.seeded
+(** Programs that trap or exhaust the ground-truth executor's fuel are
+    rejected, exactly as in the marker campaign.  [settings] are the
+    supervision and placement controls of {!Fabric.run} (byte-identical
+    output at any [workers], as everywhere). *)
 
-val size_findings : size_t -> (int * Dce_core.Differential.size_finding) list
+val default_ratio : float
+(** 1.25: the cross-compiler threshold [dce_hunt size-hunt] and the serve
+    daemon's size jobs report with. *)
+
+val size_findings :
+  ratio:float -> size_case Engine.seeded -> (int * Dce_core.Differential.size_finding) list
 (** [(corpus case, finding)] pairs, ascending case order — derived from the
-    journaled curves with the campaign's [ratio]. *)
+    journaled curves with the cross-compiler threshold [ratio], a reporting
+    parameter. *)
 
-val size_report : size_t -> string
+val size_report : ratio:float -> size_case Engine.seeded -> string
 (** Summary line ("… N size findings …"), size-delta histogram, and
     per-guilty-config counts. *)
 
-val size_quarantine_to_string : size_t -> string
+val size_run_report : ratio:float -> seed:int -> size_case Engine.seeded -> Run_store.report
+(** The persisted [report.json] of a ["size-hunt"] run with master seed
+    [seed]: both sizes of every finding as size rows. *)
 
 (** {1 Level-inversion campaign} *)
 
@@ -91,18 +85,6 @@ type inv_case = {
   ic_findings : inv_finding list;
 }
 
-type inv_t = {
-  i_seed : int;
-  i_count : int;
-  i_jobs : int;
-  i_seeds : int array;
-  i_cases : inv_case Engine.case_outcome array;
-  i_quarantine : Engine.quarantined list;
-  i_metrics : Metrics.summary;
-  i_resumed : int;
-  i_skipped : int;
-}
-
 val inversion_levels : Dce_compiler.Level.t list
 (** [[O1; Os; O2; O3]] — [O0] never eliminates, so it is excluded. *)
 
@@ -116,17 +98,19 @@ val run_inversion :
   seed:int ->
   count:int ->
   unit ->
-  inv_t
+  inv_case Engine.seeded
 
-val inversion_findings : inv_t -> (int * inv_finding) list
+val inversion_findings : inv_case Engine.seeded -> (int * inv_finding) list
 (** [(corpus case, finding)] pairs, ascending case order, gcc-sim before
     llvm-sim within a case, ascending marker within a compiler. *)
 
-val inversion_report : inv_t -> string
+val inversion_report : inv_case Engine.seeded -> string
 (** Summary line ("… N level inversions …"), per-(compiler, low→high)
     counts, and per-guilty-pass counts. *)
 
-val inversion_quarantine_to_string : inv_t -> string
+val inversion_run_report : seed:int -> inv_case Engine.seeded -> Run_store.report
+(** The persisted [report.json] of a ["level-hunt"] run with master seed
+    [seed]: one inversion row per finding. *)
 
 (** {1 Bisecting inversions}
 
@@ -146,7 +130,7 @@ val bisect_inversions :
   ?cache:bool ->
   ?settings:Settings.t ->
   jobs:int ->
-  inv_t ->
+  inv_case Engine.seeded ->
   inv_bisection list
 (** One bisection per inversion finding, campaign order, on the Engine
     pool (no journal — probes already route through the compile cache;

@@ -83,7 +83,7 @@ let miss_json m =
     [
       ("case", Json.Int m.m_case);
       ("compiler", Json.String m.m_compiler);
-      ("level", Json.String (C.Level.to_string m.m_level));
+      ("level", Json.of_level m.m_level);
       ("marker", Json.Int m.m_marker);
     ]
 
@@ -93,8 +93,8 @@ let inv_json v =
       ("case", Json.Int v.v_case);
       ("compiler", Json.String v.v_compiler);
       ("marker", Json.Int v.v_marker);
-      ("low", Json.String (C.Level.to_string v.v_low));
-      ("high", Json.String (C.Level.to_string v.v_high));
+      ("low", Json.of_level v.v_low);
+      ("high", Json.of_level v.v_high);
     ]
 
 let size_delta_json d =
@@ -102,7 +102,7 @@ let size_delta_json d =
     [
       ("case", Json.Int d.sd_case);
       ("compiler", Json.String d.sd_compiler);
-      ("level", Json.String (C.Level.to_string d.sd_level));
+      ("level", Json.of_level d.sd_level);
       ("size_a", Json.Int d.sd_a);
       ("size_b", Json.Int d.sd_b);
     ]

@@ -94,20 +94,13 @@ let sort_report r =
 
 (* ---------------- JSON codec ---------------- *)
 
-let level_to_json l = Json.String (C.Level.to_string l)
-
-let level_of_json j =
-  match Option.bind (Json.to_str j) C.Level.of_string with
-  | Some l -> l
-  | None -> failwith (Printf.sprintf "run report: bad level %s" (Json.to_string j))
-
 let report_to_json r =
   let miss m =
     Json.Obj
       [
         ("case", Json.Int m.m_case);
         ("compiler", Json.String m.m_compiler);
-        ("level", level_to_json m.m_level);
+        ("level", Json.of_level m.m_level);
         ("marker", Json.Int m.m_marker);
       ]
   in
@@ -116,7 +109,7 @@ let report_to_json r =
       [
         ("case", Json.Int z.z_case);
         ("compiler", Json.String z.z_compiler);
-        ("level", level_to_json z.z_level);
+        ("level", Json.of_level z.z_level);
         ("size", Json.Int z.z_size);
       ]
   in
@@ -126,8 +119,8 @@ let report_to_json r =
         ("case", Json.Int v.v_case);
         ("compiler", Json.String v.v_compiler);
         ("marker", Json.Int v.v_marker);
-        ("low", level_to_json v.v_low);
-        ("high", level_to_json v.v_high);
+        ("low", Json.of_level v.v_low);
+        ("high", Json.of_level v.v_high);
       ]
   in
   Json.Obj
@@ -148,7 +141,7 @@ let report_of_json j =
     {
       m_case = Json.get_int m "case";
       m_compiler = Json.get_str m "compiler";
-      m_level = level_of_json (Json.get m "level");
+      m_level = Json.level_exn (Json.get m "level");
       m_marker = Json.get_int m "marker";
     }
   in
@@ -156,7 +149,7 @@ let report_of_json j =
     {
       z_case = Json.get_int z "case";
       z_compiler = Json.get_str z "compiler";
-      z_level = level_of_json (Json.get z "level");
+      z_level = Json.level_exn (Json.get z "level");
       z_size = Json.get_int z "size";
     }
   in
@@ -165,8 +158,8 @@ let report_of_json j =
       v_case = Json.get_int v "case";
       v_compiler = Json.get_str v "compiler";
       v_marker = Json.get_int v "marker";
-      v_low = level_of_json (Json.get v "low");
-      v_high = level_of_json (Json.get v "high");
+      v_low = Json.level_exn (Json.get v "low");
+      v_high = Json.level_exn (Json.get v "high");
     }
   in
   let str_exn v =
@@ -217,6 +210,12 @@ let write ?report_text ~root ~id ~meta ~metrics report =
    | Some text -> write_file (Filename.concat dir "report.txt") text
    | None -> ());
   dir
+
+let persist ~report_text ~root settings ~metrics r =
+  let campaign = r.r_campaign and seed = r.r_seed and count = r.r_count in
+  write ~report_text ~root
+    ~id:(campaign_run_id ~campaign ~seed ~count settings)
+    ~meta:(meta ~campaign ~seed ~count settings) ~metrics r
 
 let load_json path =
   match Json.of_string (String.trim (read_file path)) with

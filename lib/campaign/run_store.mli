@@ -24,10 +24,6 @@ val campaign_run_id : campaign:string -> seed:int -> count:int -> Settings.t -> 
     extras.  Budgets, jobs and workers are excluded on purpose — the report
     is identical across them. *)
 
-val meta : campaign:string -> seed:int -> count:int -> Settings.t -> Json.t
-(** The [meta.json] of such a run: campaign, seed, count, and the same two
-    settings the id folds in. *)
-
 (** {1 The comparison report} *)
 
 type miss = {
@@ -92,6 +88,14 @@ val write :
 (** Create [<root>/<id>/] (parents included) and write [meta.json],
     [report.json] (sorted canonically), [metrics.json], and — when given —
     [report.txt].  Returns the directory path. *)
+
+val persist :
+  report_text:string -> root:string -> Settings.t -> metrics:Metrics.summary -> report -> string
+(** {!write} a corpus campaign run under its {!campaign_run_id}, with the
+    campaign, seed and count taken from the report, and a [meta.json]
+    holding those three plus the same two settings the id folds in.  The
+    one persist path of [dce_hunt hunt --run-root] and of the serve
+    daemon's jobs, so both write byte-identical [meta.json]s. *)
 
 val load_report : string -> report
 (** Read back [<dir>/report.json]; raises [Failure] naming the path when the

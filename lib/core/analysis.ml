@@ -22,11 +22,16 @@ type outcome = Analyzed of t | Rejected of string
 type phase_hook = { wrap : 'a. string -> (unit -> 'a) -> 'a }
 
 let default_hook = { wrap = (fun _name f -> f ()) }
-let default_compilers () = [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+let default_compilers = [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ]
+
+let compiler_of_name name =
+  match List.find_opt (fun (c : C.Compiler.t) -> c.C.Compiler.name = name) default_compilers with
+  | Some c -> c
+  | None -> failwith (Printf.sprintf "unknown compiler %S" name)
 
 let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
     ?(hook = default_hook) prog =
-  let compilers = match compilers with Some cs -> cs | None -> default_compilers () in
+  let compilers = match compilers with Some cs -> cs | None -> default_compilers in
   let instrumented = hook.wrap "instrument" (fun () -> Instrument.program prog) in
   match
     hook.wrap "ground-truth" (fun () -> Ground_truth.compute ?exec ?fuel instrumented)

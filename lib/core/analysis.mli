@@ -36,6 +36,15 @@ type phase_hook = { wrap : 'a. string -> (unit -> 'a) -> 'a }
     uses it to time phases and to attribute per-case faults to the guilty
     stage; the default hook just runs the thunk. *)
 
+val default_compilers : Dce_compiler.Compiler.t list
+(** Both simulated compilers at HEAD: [[gcc-sim; llvm-sim]]. *)
+
+val compiler_of_name : string -> Dce_compiler.Compiler.t
+(** The default compiler whose name is [name] (["gcc-sim"] or
+    ["llvm-sim"]): the one way back from a name carried by a report, a
+    finding or a journal record to its compiler.  Raises [Failure] on any
+    other name. *)
+
 val run :
   ?compilers:Dce_compiler.Compiler.t list ->
   ?levels:Dce_compiler.Level.t list ->

@@ -80,7 +80,7 @@ let run ?(jobs = 1) ?(settings = Campaign.Settings.default) ?(seed = 20220228) ?
                 (List.map (fun r -> Json.String r.Core.Diagnose.repair_name) edits) );
           ]
       in
-      Some (Run_store.write ~root ~id ~meta ~metrics:v.Verify.vy_metrics v.Verify.vy_report)
+      Some (Run_store.write ~root ~id ~meta ~metrics:v.Verify.vy_result.metrics v.Verify.vy_report)
     | _ -> None
   in
   let base_name = base_campaign_name compiler in
@@ -116,7 +116,7 @@ let run ?(jobs = 1) ?(settings = Campaign.Settings.default) ?(seed = 20220228) ?
     match accepted with
     | None -> (None, None, None)
     | Some (edits, verdict, v, name) ->
-      (Some (edits, verdict), Some v.Verify.vy_metrics, write_artifacts name edits v)
+      (Some (edits, verdict), Some v.Verify.vy_result.metrics, write_artifacts name edits v)
   in
   {
     rr_compiler = compiler.C.Compiler.name;
@@ -126,7 +126,7 @@ let run ?(jobs = 1) ?(settings = Campaign.Settings.default) ?(seed = 20220228) ?
     rr_tried = tried;
     rr_accepted = accepted_min;
     rr_base_report = base.Verify.vy_report;
-    rr_base_metrics = base.Verify.vy_metrics;
+    rr_base_metrics = base.Verify.vy_result.metrics;
     rr_patched_metrics = patched_metrics;
     rr_base_dir = base_dir;
     rr_patched_dir = patched_dir;
@@ -146,7 +146,7 @@ let record_to_json r =
   Json.Obj
     [
       ("compiler", Json.String r.rr_compiler);
-      ("level", Json.String (C.Level.to_string r.rr_level));
+      ("level", Json.of_level r.rr_level);
       ("marker", Json.Int r.rr_marker);
       ( "guilty_stage",
         match r.rr_search.Search.so_guilty_stage with

@@ -32,21 +32,9 @@ type vrow = {
 
 type vcase = { vc_seed : int; vc_rejected : string option; vc_rows : vrow list }
 
-type t = {
-  vy_report : Run_store.report;
-  vy_metrics : Campaign.Metrics.summary;
-  vy_quarantine : Engine.quarantined list;
-  vy_resumed : int;
-}
+type t = { vy_report : Run_store.report; vy_result : vcase Engine.result }
 
 (* ---------------- journal codec ---------------- *)
-
-let level_to_json l = Json.String (C.Level.to_string l)
-
-let level_of_json j =
-  match Option.bind (Json.to_str j) C.Level.of_string with
-  | Some l -> l
-  | None -> failwith "journal record: bad level"
 
 let encode_case c =
   let common = [ ("kind", Json.String "verify-case"); ("seed", Json.Int c.vc_seed) ] in
@@ -63,7 +51,7 @@ let encode_case c =
                    Json.Obj
                      [
                        ("compiler", Json.String r.vr_compiler);
-                       ("level", level_to_json r.vr_level);
+                       ("level", Json.of_level r.vr_level);
                        ("missed", Json.List (List.map (fun m -> Json.Int m) r.vr_missed));
                        ("size", Json.Int r.vr_size);
                      ])
@@ -82,7 +70,7 @@ let decode_case j =
     let row r =
       {
         vr_compiler = Json.get_str r "compiler";
-        vr_level = level_of_json (Json.get r "level");
+        vr_level = Json.level_exn (Json.get r "level");
         vr_missed = List.map Json.int_exn (Json.get_list r "missed");
         vr_size = Json.get_int r "size";
       }
@@ -210,9 +198,4 @@ let campaign ?journal ?settings ?(jobs = 1) ~name ~compilers ~seed ~count () =
         r_quarantined = !quarantined;
       }
   in
-  {
-    vy_report = report;
-    vy_metrics = result.Engine.metrics;
-    vy_quarantine = result.Engine.quarantine;
-    vy_resumed = result.Engine.resumed;
-  }
+  { vy_report = report; vy_result = result }

@@ -24,9 +24,7 @@ type vcase = { vc_seed : int; vc_rejected : string option; vc_rows : vrow list }
 
 type t = {
   vy_report : Dce_campaign.Run_store.report;
-  vy_metrics : Dce_campaign.Metrics.summary;
-  vy_quarantine : Dce_campaign.Engine.quarantined list;
-  vy_resumed : int;
+  vy_result : vcase Dce_campaign.Engine.result;  (** the sweep the report folds *)
 }
 
 val codec : vcase Dce_campaign.Engine.codec

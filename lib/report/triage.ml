@@ -19,9 +19,6 @@ type report = {
    GCC #80603, previously reported by GCC's own developers (paper Listing 9f) *)
 let known_bugs = [ ("gcc-sim", "uniform-arrays") ]
 
-let compiler_of_name name =
-  if name = "gcc-sim" then C.Gcc_sim.compiler else C.Llvm_sim.compiler
-
 let status_name = function
   | Confirmed -> "confirmed"
   | Fixed -> "fixed"
@@ -43,7 +40,7 @@ let triage ~programs findings =
       let prog = programs.(f.Stats.f_program) in
       let d =
         Core.Diagnose.run
-          (compiler_of_name f.Stats.f_compiler)
+          (Core.Analysis.compiler_of_name f.Stats.f_compiler)
           f.Stats.f_level prog ~marker:f.Stats.f_marker
       in
       let r = (Core.Diagnose.signature d, d.Core.Diagnose.guilty_stage) in
@@ -71,7 +68,7 @@ let triage ~programs findings =
       let fs = List.rev !fs in
       let example = List.hd fs in
       let _, guilty = diagnose example in
-      let compiler = compiler_of_name comp in
+      let compiler = Core.Analysis.compiler_of_name comp in
       let full_version = List.length compiler.C.Compiler.history in
       let prog = programs.(example.Stats.f_program) in
       let fixed =

@@ -2,30 +2,18 @@ module Json = Dce_campaign.Json
 module Campaign = Dce_campaign
 module Core = Dce_core
 module C = Dce_compiler
-module Fsx = Dce_support.Fsx
 
 (* Executing one job inside the forked job child.  Each kind maps onto the
    corresponding campaign entry point with the journal routed into the
    job's Run_store directory, so a killed job (worker death, daemon crash,
-   drain) resumes from its journal on the next attempt — and a hunt job's
-   artifacts are byte-identical to `dce_hunt hunt --run-root` with the same
-   parameters, because both sides share Corpus.report / Corpus.report_text
-   and the same run-id derivation. *)
-
-let campaign_of_kind = function
-  | Job.Hunt -> "hunt"
-  | Job.Triage -> "triage"
-  | Job.Size_hunt -> "size-hunt"
-  | Job.Level_hunt -> "level-hunt"
-  | Job.Bisect -> "bisect"
-  | Job.Reduce -> "reduce"
+   drain) resumes from its journal on the next attempt. *)
 
 let run_id_of spec =
   match spec.Job.sp_kind with
   | Job.Reduce -> None
   | kind ->
     Some
-      (Campaign.Run_store.campaign_run_id ~campaign:(campaign_of_kind kind)
+      (Campaign.Run_store.campaign_run_id ~campaign:(Job.kind_to_string kind)
          ~seed:spec.Job.sp_seed ~count:spec.Job.sp_count (Job.settings spec))
 
 let journal_of ~runs_root spec =
@@ -64,191 +52,88 @@ let outcome_of_json j =
     oc_summary = Option.value ~default:"" (Option.bind (Json.member "summary" j) Json.to_str);
   }
 
-let persist ~runs_root ~spec ~report_text ~metrics report =
-  let meta =
-    Campaign.Run_store.meta ~campaign:(campaign_of_kind spec.Job.sp_kind) ~seed:spec.Job.sp_seed
-      ~count:spec.Job.sp_count (Job.settings spec)
-  in
-  Campaign.Run_store.write ~report_text ~root:runs_root ~id:(Option.get (run_id_of spec)) ~meta
-    ~metrics report
+(* Every campaign kind ends alike: persist the run under its id through the
+   same Run_store call as `dce_hunt hunt --run-root`, and summarize it. *)
+let persist ~runs_root ~settings ~report_text ~metrics ~resumed ~quarantine ~findings ~summary
+    (report : Campaign.Run_store.report) =
+  let dir = Campaign.Run_store.persist ~report_text ~root:runs_root settings ~metrics report in
+  {
+    oc_run_dir = Some dir;
+    oc_cases = report.r_count;
+    oc_resumed = resumed;
+    oc_quarantined = List.length quarantine;
+    oc_findings = findings;
+    oc_summary = summary;
+  }
 
 let run_corpus ~runs_root ~settings ~jobs spec =
   Campaign.Corpus.run ?journal:(journal_of ~runs_root spec) ~settings ~jobs
     ~seed:spec.Job.sp_seed ~count:spec.Job.sp_count ()
 
+let persist_corpus ~runs_root ~settings ~report_text ~findings ~summary ~campaign spec
+    (c : Campaign.Corpus.t) =
+  persist ~runs_root ~settings ~report_text ~metrics:c.c_metrics ~resumed:c.c_resumed
+    ~quarantine:c.c_quarantine ~findings ~summary
+    (Campaign.Corpus.report ~campaign ~seed:spec.Job.sp_seed ~count:spec.Job.sp_count c)
+
+let persist_seeded ~runs_root ~settings ~report_text ~findings ~summary
+    (s : _ Campaign.Engine.seeded) report =
+  persist ~runs_root ~settings ~report_text ~metrics:s.result.metrics ~resumed:s.result.resumed
+    ~quarantine:s.result.quarantine ~findings ~summary report
+
 let execute_hunt ~runs_root ~settings ~jobs spec =
-  let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
   let c = run_corpus ~runs_root ~settings ~jobs spec in
-  let report = Campaign.Corpus.report ~campaign:"hunt" ~seed ~count c in
-  let dir =
-    persist ~runs_root ~spec
-      ~report_text:(Campaign.Corpus.report_text c)
-      ~metrics:c.Campaign.Corpus.c_metrics report
-  in
   let stats = Campaign.Corpus.stats c in
-  {
-    oc_run_dir = Some dir;
-    oc_cases = count;
-    oc_resumed = c.Campaign.Corpus.c_resumed;
-    oc_quarantined = List.length c.Campaign.Corpus.c_quarantine;
-    oc_findings = List.length stats.Dce_report.Stats.findings;
-    oc_summary = Dce_report.Stats.prevalence stats;
-  }
+  persist_corpus ~runs_root ~settings ~report_text:(Campaign.Corpus.report_text c)
+    ~findings:(List.length stats.Dce_report.Stats.findings)
+    ~summary:(Dce_report.Stats.prevalence stats) ~campaign:"hunt" spec c
 
 let execute_triage ~runs_root ~settings ~jobs spec =
-  let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
   let c = run_corpus ~runs_root ~settings ~jobs spec in
-  let stats = Campaign.Corpus.stats c in
-  let programs = Campaign.Corpus.instrumented_programs c in
-  let reports =
-    Dce_report.Triage.triage ~programs
-      (stats.Dce_report.Stats.findings @ stats.Dce_report.Stats.regression_findings)
-  in
-  let report = Campaign.Corpus.report ~campaign:"triage" ~seed ~count c in
-  let dir =
-    persist ~runs_root ~spec
-      ~report_text:(Dce_report.Triage.table5 reports)
-      ~metrics:c.Campaign.Corpus.c_metrics report
-  in
-  {
-    oc_run_dir = Some dir;
-    oc_cases = count;
-    oc_resumed = c.Campaign.Corpus.c_resumed;
-    oc_quarantined = List.length c.Campaign.Corpus.c_quarantine;
-    oc_findings = List.length reports;
-    oc_summary = Printf.sprintf "%d deduplicated reports" (List.length reports);
-  }
+  let reports = Campaign.Corpus.triage c in
+  persist_corpus ~runs_root ~settings ~report_text:(Dce_report.Triage.table5 reports)
+    ~findings:(List.length reports)
+    ~summary:(Printf.sprintf "%d deduplicated reports" (List.length reports))
+    ~campaign:"triage" spec c
 
 let execute_size ~runs_root ~settings ~jobs spec =
-  let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
+  let module O = Campaign.Oracle_campaign in
+  let seed = spec.Job.sp_seed and ratio = O.default_ratio in
   let s =
-    Campaign.Oracle_campaign.run_size ?journal:(journal_of ~runs_root spec) ~settings ~jobs ~seed
-      ~count ()
+    O.run_size ?journal:(journal_of ~runs_root spec) ~settings ~jobs ~seed
+      ~count:spec.Job.sp_count ()
   in
-  let findings = Campaign.Oracle_campaign.size_findings s in
-  (* fold the finding sizes into report rows so campaign-diff can compare
-     two size runs cell by cell *)
-  let sizes =
-    List.concat_map
-      (fun (i, f) ->
-        match (f : Core.Differential.size_finding) with
-        | Core.Differential.Size_cross { level; larger; larger_size; smaller; smaller_size } ->
-          [
-            { Campaign.Run_store.z_case = i; z_compiler = larger; z_level = level; z_size = larger_size };
-            { Campaign.Run_store.z_case = i; z_compiler = smaller; z_level = level; z_size = smaller_size };
-          ]
-        | Core.Differential.Size_intra { compiler; os_size; o2_size } ->
-          [
-            { Campaign.Run_store.z_case = i; z_compiler = compiler; z_level = C.Level.Os; z_size = os_size };
-            { Campaign.Run_store.z_case = i; z_compiler = compiler; z_level = C.Level.O2; z_size = o2_size };
-          ])
-      findings
-  in
-  let report =
-    Campaign.Run_store.sort_report
-      {
-        Campaign.Run_store.r_campaign = "size-hunt";
-        r_seed = seed;
-        r_count = count;
-        r_compilers = [ "gcc-sim"; "llvm-sim" ];
-        r_misses = [];
-        r_sizes = sizes;
-        r_inversions = [];
-        r_rejected = [];
-        r_quarantined =
-          List.map
-            (fun q -> q.Campaign.Engine.q_case)
-            s.Campaign.Oracle_campaign.s_quarantine;
-      }
-  in
-  let dir =
-    persist ~runs_root ~spec
-      ~report_text:(Campaign.Oracle_campaign.size_report s)
-      ~metrics:s.Campaign.Oracle_campaign.s_metrics report
-  in
-  {
-    oc_run_dir = Some dir;
-    oc_cases = count;
-    oc_resumed = s.Campaign.Oracle_campaign.s_resumed;
-    oc_quarantined = List.length s.Campaign.Oracle_campaign.s_quarantine;
-    oc_findings = List.length findings;
-    oc_summary = Printf.sprintf "%d size findings" (List.length findings);
-  }
+  let findings = List.length (O.size_findings ~ratio s) in
+  persist_seeded ~runs_root ~settings ~report_text:(O.size_report ~ratio s) ~findings
+    ~summary:(Printf.sprintf "%d size findings" findings)
+    s (O.size_run_report ~ratio ~seed s)
 
 let execute_level ~runs_root ~settings ~jobs spec =
-  let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
+  let module O = Campaign.Oracle_campaign in
+  let seed = spec.Job.sp_seed in
   let t =
-    Campaign.Oracle_campaign.run_inversion ?journal:(journal_of ~runs_root spec) ~settings ~jobs
-      ~seed ~count ()
+    O.run_inversion ?journal:(journal_of ~runs_root spec) ~settings ~jobs ~seed
+      ~count:spec.Job.sp_count ()
   in
-  let findings = Campaign.Oracle_campaign.inversion_findings t in
-  let invs =
-    List.map
-      (fun (i, (f : Campaign.Oracle_campaign.inv_finding)) ->
-        {
-          Campaign.Run_store.v_case = i;
-          v_compiler = f.Campaign.Oracle_campaign.if_compiler;
-          v_marker = f.Campaign.Oracle_campaign.if_inversion.Core.Differential.iv_marker;
-          v_low = f.Campaign.Oracle_campaign.if_inversion.Core.Differential.iv_low;
-          v_high = f.Campaign.Oracle_campaign.if_inversion.Core.Differential.iv_high;
-        })
-      findings
-  in
-  let report =
-    Campaign.Run_store.sort_report
-      {
-        Campaign.Run_store.r_campaign = "level-hunt";
-        r_seed = seed;
-        r_count = count;
-        r_compilers = [ "gcc-sim"; "llvm-sim" ];
-        r_misses = [];
-        r_sizes = [];
-        r_inversions = invs;
-        r_rejected = [];
-        r_quarantined =
-          List.map
-            (fun q -> q.Campaign.Engine.q_case)
-            t.Campaign.Oracle_campaign.i_quarantine;
-      }
-  in
-  let dir =
-    persist ~runs_root ~spec
-      ~report_text:(Campaign.Oracle_campaign.inversion_report t)
-      ~metrics:t.Campaign.Oracle_campaign.i_metrics report
-  in
-  {
-    oc_run_dir = Some dir;
-    oc_cases = count;
-    oc_resumed = t.Campaign.Oracle_campaign.i_resumed;
-    oc_quarantined = List.length t.Campaign.Oracle_campaign.i_quarantine;
-    oc_findings = List.length findings;
-    oc_summary = Printf.sprintf "%d level inversions" (List.length findings);
-  }
+  let findings = List.length (O.inversion_findings t) in
+  persist_seeded ~runs_root ~settings ~report_text:(O.inversion_report t) ~findings
+    ~summary:(Printf.sprintf "%d level inversions" findings)
+    t (O.inversion_run_report ~seed t)
 
 let execute_bisect ~runs_root ~settings ~jobs spec =
-  let seed = spec.Job.sp_seed and count = spec.Job.sp_count in
+  let module B = Campaign.Bisect_campaign in
   (* the corpus re-generates deterministically, under the same supervision;
      the expensive bisection half journals into the run directory and
      resumes *)
-  let corpus = Campaign.Corpus.run ~settings ~jobs ~seed ~count () in
-  let b =
-    Campaign.Bisect_campaign.run ?journal:(journal_of ~runs_root spec) ~settings ~jobs corpus
+  let corpus =
+    Campaign.Corpus.run ~settings ~jobs ~seed:spec.Job.sp_seed ~count:spec.Job.sp_count ()
   in
-  let report = Campaign.Corpus.report ~campaign:"bisect" ~seed ~count corpus in
-  let report_text =
-    Campaign.Bisect_campaign.summary b ^ Campaign.Bisect_campaign.component_tables b
-  in
-  let dir =
-    persist ~runs_root ~spec ~report_text ~metrics:b.Campaign.Bisect_campaign.b_metrics report
-  in
-  {
-    oc_run_dir = Some dir;
-    oc_cases = count;
-    oc_resumed = b.Campaign.Bisect_campaign.b_resumed;
-    oc_quarantined = List.length b.Campaign.Bisect_campaign.b_quarantine;
-    oc_findings = 0;
-    oc_summary = String.trim (Campaign.Bisect_campaign.summary b);
-  }
+  let b = B.run ?journal:(journal_of ~runs_root spec) ~settings ~jobs corpus in
+  persist ~runs_root ~settings ~report_text:(B.summary b ^ B.component_tables b)
+    ~metrics:b.B.b_metrics ~resumed:b.B.b_resumed ~quarantine:b.B.b_quarantine ~findings:0
+    ~summary:(String.trim (B.summary b))
+    (Campaign.Corpus.report ~campaign:"bisect" ~seed:spec.Job.sp_seed
+       ~count:spec.Job.sp_count corpus)
 
 let execute_reduce ~jobs spec =
   let source =

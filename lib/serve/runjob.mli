@@ -3,10 +3,14 @@
     Each {!Job.kind} maps onto the corresponding campaign entry point with
     the checkpoint journal routed into the job's {!Dce_campaign.Run_store}
     directory, so a killed attempt (worker death, daemon crash, drain)
-    resumes per-case on the next one.  A [hunt] job's artifacts are
-    byte-identical to [dce_hunt hunt --run-root] with the same parameters:
-    both sides share {!Dce_campaign.Corpus.report},
-    {!Dce_campaign.Corpus.report_text}, and the run-id derivation. *)
+    resumes per-case on the next one.  Every kind with a run persists it
+    through {!Dce_campaign.Run_store.persist}, the same call as
+    [dce_hunt hunt --run-root], and folds its report with its runner's
+    module ({!Dce_campaign.Corpus.report},
+    {!Dce_campaign.Oracle_campaign.size_run_report},
+    {!Dce_campaign.Oracle_campaign.inversion_run_report}); so a [hunt]
+    job's artifacts are byte-identical to the CLI's with the same
+    parameters. *)
 
 val run_id_of : Job.spec -> string option
 (** The stable {!Dce_campaign.Run_store.run_id} this job persists under;

@@ -250,9 +250,7 @@ let test_engine_journal_robustness () =
   executed := [];
   let r = Engine.run ~journal:path ~codec:toy_codec ~seed:9 ~jobs:2 ~count:6 runner in
   Alcotest.(check int) "two cases restored" 2 r.Engine.resumed;
-  Alcotest.(check int) "four records skipped" 4 r.Engine.skipped;
-  Alcotest.(check int) "skipped surfaced in metrics" 4
-    r.Engine.metrics.Metrics.journal_skipped;
+  Alcotest.(check int) "four records skipped" 4 r.Engine.metrics.Metrics.journal_skipped;
   Alcotest.(check int) "skipped cases re-executed" 4 (List.length !executed);
   Alcotest.(check bool) "outcomes equal the clean run" true
     (r.Engine.outcomes = clean.Engine.outcomes);
@@ -317,7 +315,10 @@ let test_fault_isolation () =
        [ a.Engine.q_case; b.Engine.q_case ];
      Alcotest.(check string) "guilty stage" "generate" a.Engine.q_stage;
      Alcotest.(check bool) "error recorded" true (contains a.Engine.q_error "injected");
-     let text = Campaign.Corpus.quarantine_to_string crashed in
+     let text =
+       Engine.quarantine_to_string ~seeds:crashed.Campaign.Corpus.c_seeds
+         crashed.Campaign.Corpus.c_quarantine
+     in
      Alcotest.(check bool) "report names the seed" true
        (contains text (string_of_int crashed.Campaign.Corpus.c_seeds.(1)))
    | qs -> Alcotest.failf "expected 2 quarantined cases, got %d" (List.length qs));
@@ -419,7 +420,7 @@ let test_value_campaign_determinism () =
   let a = Campaign.Corpus.run_value ~jobs:1 ~seed:corpus_seed ~count:6 () in
   let b = Campaign.Corpus.run_value ~jobs:3 ~seed:corpus_seed ~count:6 () in
   Alcotest.(check bool) "value cases identical" true
-    (a.Campaign.Corpus.v_cases = b.Campaign.Corpus.v_cases);
+    (a.Engine.result.outcomes = b.Engine.result.outcomes);
   Alcotest.(check string) "value table identical" (Campaign.Corpus.value_table a)
     (Campaign.Corpus.value_table b)
 
@@ -457,6 +458,34 @@ let json_gen =
 let json_roundtrip =
   qtest ~count:300 "json: of_string (to_string v) = v" json_gen (fun v ->
       Json.of_string (Json.to_string v) = Ok v)
+
+(* The one level and marker-set codec shared by every record kind:
+   encoding then decoding is the identity, and decoding any other value
+   either returns or raises Failure, never anything else. *)
+let level_iset_roundtrip =
+  let open QCheck2.Gen in
+  qtest ~count:300 "json: level and marker-set codec round-trips"
+    (pair (oneofl C.Level.all) (list_size (int_bound 20) int))
+    (fun (level, markers) ->
+      let s = Ir.Iset.of_list markers in
+      Json.level_exn (Json.of_level level) = level
+      && Ir.Iset.equal (Json.iset_exn (Json.of_iset s)) s)
+
+let level_iset_decoders_total =
+  let open QCheck2.Gen in
+  let near_miss =
+    oneof
+      [
+        map Json.of_level (oneofl C.Level.all);
+        map (fun s -> Json.String s) (oneofl [ ""; "-"; "O2"; "-os"; "-O9"; "O3 " ]);
+        map (fun l -> Json.List l) (list_size (int_bound 5) (oneof [ map (fun i -> Json.Int i) int; json_gen ]));
+      ]
+  in
+  qtest ~count:500 "json: level and marker-set decoders return or raise Failure"
+    (oneof [ json_gen; near_miss ])
+    (fun v ->
+      let total decode = match decode v with _ -> true | exception Failure _ -> true in
+      total Json.level_exn && total Json.iset_exn)
 
 let test_json_escaping () =
   let v = Json.Obj [ ("k\"ey\n", Json.String "a\tb\\c\x01d\xc3\xa9") ] in
@@ -516,6 +545,8 @@ let suite =
     ("checkpoint/resume: oracle record kinds skipped", `Slow, test_corpus_journal_oracle_kinds);
     ("value campaign: jobs determinism", `Slow, test_value_campaign_determinism);
     json_roundtrip;
+    level_iset_roundtrip;
+    level_iset_decoders_total;
     ("json: escaping and truncation", `Quick, test_json_escaping);
     ("json: non-finite floats serialize as null", `Quick, test_json_nonfinite);
     ("metrics: nearest-rank percentile", `Quick, test_percentile);

@@ -76,13 +76,14 @@ let test_fabric_corpus_report_identical () =
   Alcotest.(check int) "no quarantine" 0 (List.length grid.Campaign.Corpus.c_quarantine)
 
 let test_fabric_size_report_identical () =
-  let solo = Campaign.Oracle_campaign.run_size ~jobs:1 ~seed:4242 ~count:8 () in
-  let grid = Campaign.Oracle_campaign.run_size ~settings:(grid 2) ~jobs:2 ~seed:4242 ~count:8 () in
-  Alcotest.(check string) "size report byte-identical"
-    (Campaign.Oracle_campaign.size_report solo)
-    (Campaign.Oracle_campaign.size_report grid);
+  let module O = Campaign.Oracle_campaign in
+  let ratio = O.default_ratio in
+  let solo = O.run_size ~jobs:1 ~seed:4242 ~count:8 () in
+  let grid = O.run_size ~settings:(grid 2) ~jobs:2 ~seed:4242 ~count:8 () in
+  Alcotest.(check string) "size report byte-identical" (O.size_report ~ratio solo)
+    (O.size_report ~ratio grid);
   Alcotest.(check bool) "size findings identical" true
-    (Campaign.Oracle_campaign.size_findings solo = Campaign.Oracle_campaign.size_findings grid)
+    (O.size_findings ~ratio solo = O.size_findings ~ratio grid)
 
 (* ------------------------------------------------------------------ *)
 (* journal interop: fabric <-> engine, across a torn journal           *)

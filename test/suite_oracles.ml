@@ -209,19 +209,21 @@ let truncate_journal path ~cases =
   let kept = List.filteri (fun i _ -> i <= cases) lines in
   write_file path (String.concat "\n" kept ^ "\n{\"case\":99,\"stat")
 
+let ratio = O.default_ratio
+
 let test_size_campaign_jobs_determinism () =
   let run jobs = O.run_size ~jobs ~seed:4242 ~count:10 () in
   let a = run 1 and b = run 3 and c = run 4 in
-  Alcotest.(check bool) "cases 1=3" true (a.O.s_cases = b.O.s_cases);
-  Alcotest.(check bool) "cases 1=4" true (a.O.s_cases = c.O.s_cases);
-  Alcotest.(check string) "report 1=3" (O.size_report a) (O.size_report b);
-  Alcotest.(check string) "report 1=4" (O.size_report a) (O.size_report c)
+  Alcotest.(check bool) "cases 1=3" true (a.result.outcomes = b.result.outcomes);
+  Alcotest.(check bool) "cases 1=4" true (a.result.outcomes = c.result.outcomes);
+  Alcotest.(check string) "report 1=3" (O.size_report ~ratio a) (O.size_report ~ratio b);
+  Alcotest.(check string) "report 1=4" (O.size_report ~ratio a) (O.size_report ~ratio c)
 
 let test_inversion_campaign_jobs_determinism () =
   let run jobs = O.run_inversion ~jobs ~seed:4242 ~count:10 () in
   let a = run 1 and b = run 3 and c = run 4 in
-  Alcotest.(check bool) "cases 1=3" true (a.O.i_cases = b.O.i_cases);
-  Alcotest.(check bool) "cases 1=4" true (a.O.i_cases = c.O.i_cases);
+  Alcotest.(check bool) "cases 1=3" true (a.result.outcomes = b.result.outcomes);
+  Alcotest.(check bool) "cases 1=4" true (a.result.outcomes = c.result.outcomes);
   Alcotest.(check string) "report 1=3" (O.inversion_report a) (O.inversion_report b);
   Alcotest.(check string) "report 1=4" (O.inversion_report a) (O.inversion_report c)
 
@@ -230,10 +232,10 @@ let test_size_campaign_resume () =
   let full = O.run_size ~journal:path ~jobs:1 ~seed:555 ~count:8 () in
   truncate_journal path ~cases:3;
   let resumed = O.run_size ~journal:path ~jobs:2 ~seed:555 ~count:8 () in
-  Alcotest.(check int) "three size-cases restored" 3 resumed.O.s_resumed;
-  Alcotest.(check bool) "cases equal after resume" true (full.O.s_cases = resumed.O.s_cases);
-  Alcotest.(check string) "report equal after resume" (O.size_report full)
-    (O.size_report resumed);
+  Alcotest.(check int) "three size-cases restored" 3 resumed.result.resumed;
+  Alcotest.(check bool) "cases equal after resume" true (full.result.outcomes = resumed.result.outcomes);
+  Alcotest.(check string) "report equal after resume" (O.size_report ~ratio full)
+    (O.size_report ~ratio resumed);
   Sys.remove path
 
 (* inv_case holds Isets, whose AVL shape depends on insertion order:
@@ -245,14 +247,14 @@ let inv_cases_rendered t =
       | Campaign.Engine.Done c ->
         Campaign.Json.to_string (O.inv_codec.Campaign.Engine.encode c)
       | Campaign.Engine.Crashed q -> "crashed:" ^ string_of_int q.Campaign.Engine.q_case)
-    t.O.i_cases
+    t.Campaign.Engine.result.outcomes
 
 let test_inversion_campaign_resume () =
   let path = temp_journal () in
   let full = O.run_inversion ~journal:path ~jobs:1 ~seed:555 ~count:8 () in
   truncate_journal path ~cases:3;
   let resumed = O.run_inversion ~journal:path ~jobs:2 ~seed:555 ~count:8 () in
-  Alcotest.(check int) "three inversion-cases restored" 3 resumed.O.i_resumed;
+  Alcotest.(check int) "three inversion-cases restored" 3 resumed.result.resumed;
   Alcotest.(check bool) "cases equal after resume" true
     (inv_cases_rendered full = inv_cases_rendered resumed);
   Alcotest.(check bool) "findings equal after resume" true
@@ -276,12 +278,12 @@ let test_inversion_bisect_budget_per_finding () =
     Dce_support.Guard.with_guard g (fun () ->
         Dce_support.Guard.poll ~site:"regenerate";
         let prog =
-          Core.Instrument.program (fst (Smith.generate (Smith.default_config t.O.i_seeds.(ci))))
+          Core.Instrument.program (fst (Smith.generate (Smith.default_config t.seeds.(ci))))
         in
         Dce_support.Guard.poll ~site:"bisect";
         ignore
           (Dce_bisect.Bisect.find_regression_counted
-             (compiler_named (if f.O.if_compiler = "gcc-sim" then "gcc" else "llvm"))
+             (Core.Analysis.compiler_of_name f.O.if_compiler)
              f.O.if_inversion.D.iv_high prog ~marker:f.O.if_inversion.D.iv_marker));
     (ci, Dce_support.Guard.steps_used g)
   in

@@ -124,6 +124,30 @@ let test_engine_timeout_quarantine () =
   (* the other cases were unaffected *)
   Alcotest.(check bool) "case 1 done" true (r.Engine.outcomes.(1) = Engine.Done 2)
 
+(* Every campaign prints its quarantine through one printer: a step budget
+   that trips reads "timed out" in the value campaign and in the bisection
+   campaign alike. *)
+let test_quarantine_wording_shared () =
+  let budget n = Campaign.Settings.v ~step_budget:n () in
+  let check_lines what lines =
+    Alcotest.(check bool) (what ^ ": something quarantined") true (lines <> []);
+    List.iter
+      (fun line ->
+        if not (contains line "timed out in stage") || contains line "crashed" then
+          Alcotest.failf "%s: quarantine line %S" what line)
+      lines
+  in
+  let split text = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+  let v = Campaign.Corpus.run_value ~settings:(budget 50) ~jobs:1 ~seed:42 ~count:4 () in
+  check_lines "value-hunt"
+    (split (Engine.quarantine_to_string ~seeds:v.Engine.seeds v.Engine.result.Engine.quarantine));
+  let corpus = Campaign.Corpus.run ~jobs:1 ~seed:42 ~count:6 () in
+  let b = Campaign.Bisect_campaign.run ~settings:(budget 400) ~jobs:1 corpus in
+  check_lines "bisect-campaign"
+    (split
+       (Engine.quarantine_to_string ~seeds:corpus.Campaign.Corpus.c_seeds
+          (Campaign.Bisect_campaign.corpus_quarantine b)))
+
 let test_engine_wall_clock_deadline () =
   (* the non-deterministic flavour: a real wall-clock deadline against an
      unbounded spin (kept tiny so the test costs ~0.2s) *)
@@ -477,6 +501,8 @@ let suite =
     Alcotest.test_case "engine: hang quarantined as timeout" `Quick
       test_engine_timeout_quarantine;
     Alcotest.test_case "engine: wall-clock deadline" `Quick test_engine_wall_clock_deadline;
+    Alcotest.test_case "quarantine: one wording for every campaign" `Quick
+      test_quarantine_wording_shared;
     Alcotest.test_case "engine: transient fault recovers by retry" `Quick
       test_engine_retry_recovers;
     Alcotest.test_case "engine: retry budget exhausts into quarantine" `Quick
