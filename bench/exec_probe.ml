@@ -45,21 +45,21 @@ let () =
   in
   let reps = 12 in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dce_support.Clock.now () in
     for _ = 1 to reps do
       ignore (f ())
     done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
+    (Dce_support.Clock.now () -. t0) /. float_of_int reps
   in
   Printf.printf "%-14s %9s %11s %11s %11s %7s\n" "program" "steps" "interp-ms" "compile-ms"
     "vm-run-ms" "x(e2e)";
   List.iter
     (fun (name, ir) ->
-      let ri = Exec.run ~backend:Exec.Interp ir in
-      let rv = Exec.run ~backend:Exec.Vm ir in
+      let ri = I.run ir in
+      let rv = Dce_exec.Bc_vm.run (Dce_exec.Bc_compile.program ir) in
       if not (Exec.results_equal ri rv) then Printf.printf "%-14s DIVERGENCE\n" name
       else begin
-        let ti = time (fun () -> Exec.run ~backend:Exec.Interp ir) in
+        let ti = time (fun () -> I.run ir) in
         let tc = time (fun () -> Dce_exec.Bc_compile.program ir) in
         let cp = Dce_exec.Bc_compile.program ir in
         let tr = time (fun () -> Dce_exec.Bc_vm.run cp) in

@@ -329,13 +329,17 @@ let print_supervision_bench () =
 
 module Exec = Dce_exec.Exec
 
+(* Run [ir] on the bytecode VM, compile included — what the VM costs a
+   run that {!Exec.run} hands off to it. *)
+let vm_run ir = Dce_exec.Bc_vm.run (Dce_exec.Bc_compile.program ir)
+
 (* The VM's contract is "identical results, a multiple of the throughput".
    Parity is asserted before any timing — a fast wrong executor is
    worthless — then executed-steps/sec is measured on a loop-heavy program
    (≈1.2M steps, the ground-truth fuel regime) plus a slice of generated
    corpus programs for realism.  Both end-to-end throughput (compile +
-   run, what Exec.run costs a campaign) and run-only throughput (the
-   bytecode reused) are reported; the ≥5x bar applies end-to-end. *)
+   run) and run-only throughput (the bytecode reused) are reported; the
+   ≥5x bar applies end-to-end. *)
 let print_exec_bench () =
   section "Executor: bytecode VM vs reference interpreter";
   let hot =
@@ -368,30 +372,30 @@ int main(void) {
   let parity_ok =
     List.for_all
       (fun ir ->
-        Exec.results_equal (Exec.run ~backend:Exec.Interp ir) (Exec.run ~backend:Exec.Vm ir))
+        Exec.results_equal (Dce_interp.Interp.run ir) (vm_run ir))
       irs
   in
   Printf.printf "parity on %d programs: %s\n" (List.length irs)
     (if parity_ok then "identical results under both backends" else "DIVERGENCE");
   let total_steps =
-    List.fold_left (fun acc ir -> acc + (Exec.run ~backend:Exec.Vm ir).Dce_interp.Interp.steps) 0 irs
+    List.fold_left (fun acc ir -> acc + (vm_run ir).Dce_interp.Interp.steps) 0 irs
   in
   let reps = 12 in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dce_support.Clock.now () in
     for _ = 1 to reps do
       List.iter f irs
     done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
+    (Dce_support.Clock.now () -. t0) /. float_of_int reps
   in
-  let interp_s = time (fun ir -> ignore (Exec.run ~backend:Exec.Interp ir)) in
-  let vm_s = time (fun ir -> ignore (Exec.run ~backend:Exec.Vm ir)) in
+  let interp_s = time (fun ir -> ignore (Dce_interp.Interp.run ir)) in
+  let vm_s = time (fun ir -> ignore (vm_run ir)) in
   let compiled = List.map Dce_exec.Bc_compile.program irs in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dce_support.Clock.now () in
   for _ = 1 to reps do
     List.iter (fun cp -> ignore (Dce_exec.Bc_vm.run cp)) compiled
   done;
-  let vm_run_s = (Unix.gettimeofday () -. t0) /. float_of_int reps in
+  let vm_run_s = (Dce_support.Clock.now () -. t0) /. float_of_int reps in
   let sps s = float_of_int total_steps /. s in
   let speedup = sps vm_s /. sps interp_s in
   Printf.printf "workload: %d programs, %d executed steps per pass, %d passes\n"

@@ -16,7 +16,7 @@
                 compare two persisted campaign runs table by table
      explain    show a configuration's feature matrix, pass schedule, history
 
-   Argument errors (unknown compiler/level/oracle/executor, missing --marker)
+   Argument errors (unknown compiler/level/oracle, missing --marker)
    are reported as a one-line usage error naming the offending flag, exit 2 —
    never as an escaped exception with a backtrace. *)
 
@@ -45,27 +45,6 @@ let level_of_string ?(flag = "--level") s =
   | None -> failwith (Printf.sprintf "%s: unknown level %S (use O0, O1, Os, O2, O3)" flag s)
 
 let iset_to_string s = String.concat "," (List.map string_of_int (Ir.Iset.elements s))
-
-(* ---------- executor backend (shared by every executing subcommand) ---------- *)
-
-let exec_arg =
-  Arg.(
-    value & opt string "vm"
-    & info [ "exec" ] ~docv:"vm|interp"
-        ~doc:
-          "Ground-truth executor backend: $(b,vm) compiles lowered IR to register bytecode and \
-           runs the flat VM (default); $(b,interp) is the tree-walking reference interpreter. \
-           Both produce identical results — markers, blocks, events, step counts — so every \
-           report is byte-identical across backends; interp exists as the oracle to cross-check \
-           the VM.")
-
-let set_exec s =
-  match Dce_exec.Exec.of_string s with
-  | Some b -> Dce_exec.Exec.set_default b
-  | None ->
-    failwith
-      (Printf.sprintf "--exec: unknown executor %S (use %s)" s
-         (String.concat " or " Dce_exec.Exec.all_names))
 
 (* ---------- generate ---------- *)
 
@@ -105,8 +84,7 @@ let analyze_cmd =
       & info [ "trace" ]
           ~doc:"Show per-configuration pass attribution (which stage eliminated which marker).")
   in
-  let run path diagnose trace exec =
-    set_exec exec;
+  let run path diagnose trace =
     let prog = read_program path in
     match Core.Analysis.run prog with
     | Core.Analysis.Rejected reason -> Printf.printf "rejected: %s\n" reason
@@ -156,7 +134,7 @@ let analyze_cmd =
        ~doc:
          "Instrument a program, execute it for ground truth, and compare both simulated \
           compilers at every level.")
-    Term.(const run $ file_arg $ diagnose $ trace $ exec_arg)
+    Term.(const run $ file_arg $ diagnose $ trace)
 
 (* ---------- compile ---------- *)
 
@@ -354,8 +332,7 @@ let hunt_cmd =
             "Auto-minimize each written crash bundle through the reduction engine (best effort; \
              adds repro-min.c when the fault reproduces and shrinks).")
   in
-  let run seed count jobs settings journal run_root metrics bundle_dir minimize_bundles exec =
-    set_exec exec;
+  let run seed count jobs settings journal run_root metrics bundle_dir minimize_bundles =
     let journal =
       match (journal, run_root) with
       | None, Some root ->
@@ -423,15 +400,14 @@ let hunt_cmd =
           processes with dynamic work stealing.")
     Term.(
       const run $ seed $ count $ jobs_arg $ settings_arg ~chaos:true () $ journal_arg
-      $ run_root_arg $ metrics_arg $ bundle_dir $ minimize_bundles $ exec_arg)
+      $ run_root_arg $ metrics_arg $ bundle_dir $ minimize_bundles)
 
 (* ---------- triage ---------- *)
 
 let triage_cmd =
   let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
   let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let run seed count jobs settings journal metrics exec =
-    set_exec exec;
+  let run seed count jobs settings journal metrics =
     let c = Campaign.Corpus.run ?journal ~settings ~jobs ~seed ~count () in
     let reports = Campaign.Corpus.triage c in
     print_string (Dce_report.Triage.table5 reports);
@@ -456,8 +432,7 @@ let triage_cmd =
          "Run the full reporting pipeline on a generated corpus: differential campaign, \
           root-cause diagnosis, deduplication into reports, and Table-5 style statuses.")
     Term.(
-      const run $ seed $ count $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
-      $ exec_arg)
+      const run $ seed $ count $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg)
 
 (* ---------- value-hunt (the §4.4 extension) ---------- *)
 
@@ -496,8 +471,7 @@ let value_hunt_cmd =
     print_string (Campaign.Corpus.value_table v);
     print_seeded_epilogue ~metrics v
   in
-  let run path seed count jobs settings journal metrics exec =
-    set_exec exec;
+  let run path seed count jobs settings journal metrics =
     match path with
     | Some path -> run_file path
     | None -> run_corpus seed count jobs settings journal metrics
@@ -509,7 +483,7 @@ let value_hunt_cmd =
           configurations prove them — on one file, or as a campaign over a generated corpus.")
     Term.(
       const run $ file_opt $ seed $ count $ jobs_arg $ settings_arg () $ journal_arg
-      $ metrics_arg $ exec_arg)
+      $ metrics_arg)
 
 (* ---------- size-hunt ---------- *)
 
@@ -526,8 +500,7 @@ let size_hunt_cmd =
              $(docv) times the other's.  A reporting parameter only — the journal stores size \
              curves, so resuming with a different $(docv) re-thresholds without recompiling.")
   in
-  let run seed count ratio jobs settings journal metrics exec =
-    set_exec exec;
+  let run seed count ratio jobs settings journal metrics =
     let s = Campaign.Oracle_campaign.run_size ?journal ~settings ~jobs ~seed ~count () in
     print_string (Campaign.Oracle_campaign.size_report ~ratio s);
     print_seeded_epilogue ~metrics s
@@ -540,8 +513,7 @@ let size_hunt_cmd =
           its own -O2 — run over $(b,--jobs) worker domains, resumable via $(b,--journal), \
           with sizes routed through the content-addressed compile cache.")
     Term.(
-      const run $ seed $ count $ ratio $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
-      $ exec_arg)
+      const run $ seed $ count $ ratio $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg)
 
 (* ---------- level-hunt ---------- *)
 
@@ -556,8 +528,7 @@ let level_hunt_cmd =
             "Also bisect every inversion through the keeping level's feature-flag commit \
              history (probe-cached, on the worker pool) and print the offending commits.")
   in
-  let run seed count bisect jobs settings journal metrics exec =
-    set_exec exec;
+  let run seed count bisect jobs settings journal metrics =
     let t = Campaign.Oracle_campaign.run_inversion ?journal ~settings ~jobs ~seed ~count () in
     print_string (Campaign.Oracle_campaign.inversion_report t);
     if bisect then
@@ -574,8 +545,7 @@ let level_hunt_cmd =
           attribute each to the pass the strong level is missing, and optionally \
           $(b,--bisect) each inversion to its offending commit.")
     Term.(
-      const run $ seed $ count $ bisect $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
-      $ exec_arg)
+      const run $ seed $ count $ bisect $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg)
 
 (* ---------- reduce ---------- *)
 
@@ -639,8 +609,7 @@ let reduce_cmd =
              The reduction result is identical either way; this exists for measurement.")
   in
   let run path marker oracle min_ratio min_gap keeper keeper_level elim elim_level max_tests jobs
-      journal stats no_cache exec =
-    set_exec exec;
+      journal stats no_cache =
     let prog = read_program path in
     let prog =
       if Dce_minic.Ast.markers_of_program prog = [] then Core.Instrument.program prog else prog
@@ -701,7 +670,7 @@ let reduce_cmd =
           results are byte-identical for every jobs value and cache setting.")
     Term.(
       const run $ file_arg $ marker $ oracle $ min_ratio $ min_gap $ keeper $ keeper_level $ elim
-      $ elim_level $ max_tests $ jobs_arg $ journal_arg $ stats $ no_cache $ exec_arg)
+      $ elim_level $ max_tests $ jobs_arg $ journal_arg $ stats $ no_cache)
 
 (* ---------- bisect ---------- *)
 
@@ -747,8 +716,7 @@ let bisect_campaign_cmd =
              so every probe compiles from scratch.  Outcomes and probe counts are identical \
              either way; this exists for measurement.")
   in
-  let run seed count level jobs settings journal metrics no_cache exec =
-    set_exec exec;
+  let run seed count level jobs settings journal metrics no_cache =
     let corpus = Campaign.Corpus.run ~settings ~jobs ~seed ~count () in
     let b =
       Campaign.Bisect_campaign.run ?journal ~cache:(not no_cache) ~level:(level_of_string level)
@@ -770,7 +738,7 @@ let bisect_campaign_cmd =
           commits into the paper's component tables (Tables 3/4).")
     Term.(
       const run $ seed $ count $ level $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
-      $ no_cache $ exec_arg)
+      $ no_cache)
 
 (* ---------- repair ---------- *)
 
@@ -808,8 +776,7 @@ let repair_cmd =
       & info [ "max-pairs" ] ~docv:"N"
           ~doc:"Probe budget for the pair stage of the search (default 64).")
   in
-  let run path marker comp level seed count verify_limit max_pairs jobs settings run_root exec =
-    set_exec exec;
+  let run path marker comp level seed count verify_limit max_pairs jobs settings run_root =
     let marker =
       match marker with
       | Some m -> m
@@ -865,7 +832,7 @@ let repair_cmd =
           record is byte-identical across $(b,--jobs) and $(b,--workers).")
     Term.(
       const run $ file_arg $ marker $ comp $ level $ seed $ count $ verify_limit $ max_pairs
-      $ jobs_arg $ settings_arg ~supervised:false () $ run_root_arg $ exec_arg)
+      $ jobs_arg $ settings_arg ~supervised:false () $ run_root_arg)
 
 (* ---------- campaign-diff ---------- *)
 

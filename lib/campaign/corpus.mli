@@ -48,8 +48,8 @@ val run :
     {!Settings.checked} holds, the IR is validated after every optimization
     pass, quarantining validation failures as [Ir_invalid] blaming the
     guilty pass.  [bundle_dir] writes a {!Bundle} repro directory for every
-    quarantined case (the source is regenerated from the case seed).  The
-    ground-truth executor is the ambient {!Dce_exec.Exec.default}. *)
+    quarantined case (the source is regenerated from the case seed).  Ground
+    truth runs on {!Dce_exec.Exec.run}, which picks its own backend. *)
 
 val outcomes : t -> (int * (Dce_core.Analysis.outcome * Dce_minic.Ast.program)) list
 (** Non-quarantined cases with their corpus indices, ascending — the input

@@ -35,15 +35,13 @@ let header_to_json h =
       ("count", Json.Int h.h_count);
     ]
 
+(* a first line that is not a complete header is no header at all: [load]
+   answers [None] rather than raising on a foreign or mangled file *)
 let header_of_json j =
-  match Json.member "journal" j with
-  | Some (Json.String "dce-campaign") ->
-    Some
-      {
-        h_campaign = Json.get_str j "campaign";
-        h_seed = Json.get_int j "seed";
-        h_count = Json.get_int j "count";
-      }
+  let field key = Json.member key j in
+  match (field "journal", field "campaign", field "seed", field "count") with
+  | Some (Json.String "dce-campaign"), Some (Json.String c), Some (Json.Int s), Some (Json.Int n) ->
+    Some { h_campaign = c; h_seed = s; h_count = n }
   | _ -> None
 
 (* read all complete (newline-terminated) lines; an unterminated tail is the

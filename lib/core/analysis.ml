@@ -29,12 +29,10 @@ let compiler_of_name name =
   | Some c -> c
   | None -> failwith (Printf.sprintf "unknown compiler %S" name)
 
-let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
-    ?(hook = default_hook) prog =
-  let compilers = match compilers with Some cs -> cs | None -> default_compilers in
+let run ?(checked = false) ?(hook = default_hook) prog =
   let instrumented = hook.wrap "instrument" (fun () -> Instrument.program prog) in
   match
-    hook.wrap "ground-truth" (fun () -> Ground_truth.compute ?exec ?fuel instrumented)
+    hook.wrap "ground-truth" (fun () -> Ground_truth.compute instrumented)
   with
   | Ground_truth.Rejected reason -> Rejected reason
   | Ground_truth.Valid truth ->
@@ -69,8 +67,8 @@ let run ?compilers ?(levels = C.Level.all) ?fuel ?exec ?(checked = false)
                 primary_missed;
                 cfg_trace;
               })
-            levels)
-        compilers
+            C.Level.all)
+        default_compilers
     in
     Analyzed { instrumented; truth; graph; configs }
 

@@ -46,16 +46,12 @@ val compiler_of_name : string -> Dce_compiler.Compiler.t
     other name. *)
 
 val run :
-  ?compilers:Dce_compiler.Compiler.t list ->
-  ?levels:Dce_compiler.Level.t list ->
-  ?fuel:int ->
-  ?exec:Dce_exec.Exec.backend ->
   ?checked:bool ->
   ?hook:phase_hook ->
   Dce_minic.Ast.program ->
   outcome
 (** [run raw_program] — the program must be uninstrumented and type-checked.
-    Defaults: both simulated compilers at HEAD, all five levels.  [checked]
+    Runs both simulated compilers at HEAD at all five levels.  [checked]
     (default false) validates the IR after every optimization pass during the
     differential phase, raising {!Dce_compiler.Passmgr.Ir_invalid} naming the
     guilty pass — the campaign engine quarantines that as a distinct

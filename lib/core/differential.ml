@@ -23,18 +23,12 @@ let surviving ?validate cfg prog =
 let missed ~surviving ~dead = Ir.Iset.inter surviving dead
 
 (* Semantic oracle for pass pipelines: two IR programs are equivalent when
-   their executions agree on outcome and event sequence.  Runs through the
-   shared executor so the VM backend is exercised everywhere passes are
-   checked; any divergence can be re-judged against the Interp backend. *)
-let semantics_preserved ?exec a b =
-  Dce_interp.Interp.equivalent
-    (Dce_exec.Exec.run ?backend:exec a)
-    (Dce_exec.Exec.run ?backend:exec b)
+   their executions agree on outcome and event sequence. *)
+let semantics_preserved a b =
+  Dce_interp.Interp.equivalent (Dce_exec.Exec.run a) (Dce_exec.Exec.run b)
 
-let semantics_preserved_strict ?exec a b =
-  Dce_interp.Interp.equivalent_strict
-    (Dce_exec.Exec.run ?backend:exec a)
-    (Dce_exec.Exec.run ?backend:exec b)
+let semantics_preserved_strict a b =
+  Dce_interp.Interp.equivalent_strict (Dce_exec.Exec.run a) (Dce_exec.Exec.run b)
 
 let missed_vs_other ~mine ~other = Ir.Iset.diff mine other
 
@@ -42,16 +36,14 @@ let missed_vs_other ~mine ~other = Ir.Iset.diff mine other
 (* code-size oracle                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let default_size_levels = [ C.Level.Os; C.Level.O2 ]
-
-let size_curve ?(cache = true) ?(levels = default_size_levels) ~compilers prog =
+let size_curve ?(cache = true) ~compilers prog =
   let session = C.Compiler.session ~cache prog in
   List.concat_map
     (fun (c : C.Compiler.t) ->
       List.map
         (fun level ->
           (c.C.Compiler.name, level, (C.Compiler.observe session c level).C.Compiler.obs_size))
-        levels)
+        [ C.Level.Os; C.Level.O2 ])
     compilers
 
 type size_finding =
@@ -132,8 +124,8 @@ let size_findings_of ?(ratio = 1.25) curve =
   in
   cross @ intra
 
-let size_findings ?cache ?ratio ?levels ~compilers prog =
-  size_findings_of ?ratio (size_curve ?cache ?levels ~compilers prog)
+let size_findings ?cache ?ratio ~compilers prog =
+  size_findings_of ?ratio (size_curve ?cache ~compilers prog)
 
 (* ------------------------------------------------------------------ *)
 (* level-inversion oracle                                              *)
@@ -174,13 +166,12 @@ let inversions ~dead per_level =
     dead []
   |> List.sort (fun a b -> compare a.iv_marker b.iv_marker)
 
-let inversions_of ?(cache = true) ?(levels = [ C.Level.O1; C.Level.Os; C.Level.O2; C.Level.O3 ])
-    ~dead compiler prog =
+let inversions_of ?(cache = true) ~dead compiler prog =
   let session = C.Compiler.session ~cache prog in
   let per_level =
     List.map
       (fun level ->
         (level, iset_of (C.Compiler.observe session compiler level).C.Compiler.obs_markers))
-      levels
+      [ C.Level.O1; C.Level.Os; C.Level.O2; C.Level.O3 ]
   in
   inversions ~dead per_level

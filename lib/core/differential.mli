@@ -31,15 +31,13 @@ val missed :
   surviving:Dce_ir.Ir.Iset.t -> dead:Dce_ir.Ir.Iset.t -> Dce_ir.Ir.Iset.t
 (** Markers the configuration kept although they are dead. *)
 
-val semantics_preserved :
-  ?exec:Dce_exec.Exec.backend -> Dce_ir.Ir.program -> Dce_ir.Ir.program -> bool
+val semantics_preserved : Dce_ir.Ir.program -> Dce_ir.Ir.program -> bool
 (** Whether two IR programs (e.g. before/after a transformation) are
     observationally equivalent — same outcome, same event sequence — when
-    executed under the given backend (default ambient).  This is
-    {!Dce_interp.Interp.equivalent} routed through the shared executor. *)
+    executed.  This is {!Dce_interp.Interp.equivalent} routed through the
+    shared executor {!Dce_exec.Exec.run}. *)
 
-val semantics_preserved_strict :
-  ?exec:Dce_exec.Exec.backend -> Dce_ir.Ir.program -> Dce_ir.Ir.program -> bool
+val semantics_preserved_strict : Dce_ir.Ir.program -> Dce_ir.Ir.program -> bool
 (** {!semantics_preserved} plus identical final global memory. *)
 
 val missed_vs_other :
@@ -58,16 +56,13 @@ val missed_vs_other :
     the content-addressed compile cache, so a campaign pays one compile per
     (config, program) across {e both} the marker and size oracles. *)
 
-val default_size_levels : Dce_compiler.Level.t list
-(** [[-Os; -O2]] — the minimum the size oracle needs. *)
-
 val size_curve :
   ?cache:bool ->
-  ?levels:Dce_compiler.Level.t list ->
   compilers:Dce_compiler.Compiler.t list ->
   Dce_minic.Ast.program ->
   (string * Dce_compiler.Level.t * int) list
-(** Size of every (compiler, level) cell at HEAD, in the given order.  This
+(** Size of every (compiler, level) cell at HEAD for the levels the size
+    oracle needs, [[-Os; -O2]], in that order per compiler.  This
     is the complete input of {!size_findings_of} — journaling the curve lets
     findings be re-derived (even re-thresholded) without recompiling. *)
 
@@ -98,7 +93,6 @@ val size_findings_of : ?ratio:float -> (string * Dce_compiler.Level.t * int) lis
 val size_findings :
   ?cache:bool ->
   ?ratio:float ->
-  ?levels:Dce_compiler.Level.t list ->
   compilers:Dce_compiler.Compiler.t list ->
   Dce_minic.Ast.program ->
   size_finding list
@@ -128,10 +122,9 @@ val inversions :
 
 val inversions_of :
   ?cache:bool ->
-  ?levels:Dce_compiler.Level.t list ->
   dead:Dce_ir.Ir.Iset.t ->
   Dce_compiler.Compiler.t ->
   Dce_minic.Ast.program ->
   inversion list
-(** Compile (cached by default) at [levels] (default [O1; Os; O2; O3] — [O0]
-    keeps everything, so it only adds noise) and run {!inversions}. *)
+(** Compile (cached by default) at [O1; Os; O2; O3] — [O0] keeps
+    everything, so it only adds noise — and run {!inversions}. *)

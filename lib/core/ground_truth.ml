@@ -13,7 +13,7 @@ let block_live t fn l = Ir.Bset.mem (fn, l) t.live_blocks
 
 type outcome = Valid of t | Rejected of string
 
-let compute ?exec ?(fuel = 2_000_000) prog =
+let compute ?fuel prog =
   if not (Dce_minic.Typecheck.has_main prog) then Rejected "no main function"
   else begin
     let ir = Dce_ir.Lower.program prog in
@@ -21,7 +21,7 @@ let compute ?exec ?(fuel = 2_000_000) prog =
       List.fold_left (fun s n -> Ir.Iset.add n s) Ir.Iset.empty
         (Dce_minic.Ast.markers_of_program prog)
     in
-    let result = Dce_exec.Exec.run ?backend:exec ~fuel ir in
+    let result = Dce_exec.Exec.run ?fuel ir in
     match result.I.outcome with
     | I.Finished _ ->
       let alive = result.I.executed_markers in

@@ -25,7 +25,6 @@ type outcome =
   | Valid of t
   | Rejected of string  (** trap / fuel exhaustion / no main *)
 
-val compute : ?exec:Dce_exec.Exec.backend -> ?fuel:int -> Dce_minic.Ast.program -> outcome
+val compute : ?fuel:int -> Dce_minic.Ast.program -> outcome
 (** [compute instrumented_program]: lowers (no optimization) and executes
-    under the given executor backend (default: the ambient
-    {!Dce_exec.Exec.default}). *)
+    with {!Dce_exec.Exec.run} (default fuel 2,000,000 steps). *)

@@ -76,9 +76,9 @@ let insert_probes prog =
   ({ prog with p_funcs = probe_funcs }, mapping, !next_probe)
 
 (* phase B: profile — observed integer values per probe *)
-let profile ?exec probed =
+let profile probed =
   let ir = Dce_ir.Lower.program probed in
-  let r = Dce_exec.Exec.run ?backend:exec ir in
+  let r = Dce_exec.Exec.run ir in
   match r.I.outcome with
   | I.Finished _ ->
     let values : (int, [ `Stable of int | `Unstable ]) Hashtbl.t = Hashtbl.create 32 in
@@ -124,11 +124,11 @@ let plant prog values mapping max_checks =
   in
   ({ prog with p_funcs = rewrite_funcs }, !planted)
 
-let instrument ?exec ?(max_checks = 32) prog =
+let instrument ?(max_checks = 32) prog =
   if markers_of_program prog <> [] then
     invalid_arg "Value_instrument.instrument: program already instrumented";
   let probed, mapping, inserted = insert_probes prog in
-  match profile ?exec probed with
+  match profile probed with
   | None -> None
   | Some values ->
     let final, planted = plant probed values mapping max_checks in

@@ -23,10 +23,8 @@ type stats = {
 }
 
 val instrument :
-  ?exec:Dce_exec.Exec.backend ->
   ?max_checks:int ->
   Dce_minic.Ast.program ->
   (Dce_minic.Ast.program * stats) option
 (** [instrument raw_program] (must be marker-free and have [main]).
-    [None] when profiling fails (trap, fuel).  Default cap: 32 checks.
-    The profiling run uses the given executor backend (default ambient). *)
+    [None] when profiling fails (trap, fuel).  Default cap: 32 checks. *)

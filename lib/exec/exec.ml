@@ -1,20 +1,20 @@
 module I = Dce_interp.Interp
 
-type backend = Vm | Interp
+(* Steps the interpreter gets before a run is handed to the VM.  Above the
+   longest Smith program (≈1.1k steps) and well below the ≈23–25k-step
+   point where the VM's ≈2.4 ms bytecode compile pays for itself, so
+   generated programs never pay that compile and a run handed off to the
+   VM wastes ≈0.5 ms of interpretation. *)
+let interp_steps = 4096
 
-let ambient = Atomic.make Vm
-let default () = Atomic.get ambient
-let set_default b = Atomic.set ambient b
-
-let name = function Vm -> "vm" | Interp -> "interp"
-let of_string = function "vm" -> Some Vm | "interp" -> Some Interp | _ -> None
-let all_names = [ "vm"; "interp" ]
-
-let run ?backend ?fuel ?max_depth prog =
-  let b = match backend with Some b -> b | None -> Atomic.get ambient in
-  match b with
-  | Interp -> I.run ?fuel ?max_depth prog
-  | Vm -> Bc_vm.run ?fuel ?max_depth (Bc_compile.program prog)
+let run ?fuel ?max_depth prog =
+  match fuel with
+  | Some f when f <= interp_steps -> I.run ~fuel:f ?max_depth prog
+  | _ -> (
+    let leg = I.run ~fuel:interp_steps ?max_depth prog in
+    match leg.I.outcome with
+    | I.Out_of_fuel -> Bc_vm.run ?fuel ?max_depth (Bc_compile.program prog)
+    | _ -> leg)
 
 let results_equal (a : I.result) (b : I.result) =
   a.I.outcome = b.I.outcome && a.I.events = b.I.events

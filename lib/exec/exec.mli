@@ -1,40 +1,39 @@
-(** The shared executor interface: one entry point for ground-truth
-    execution, selectable between the bytecode VM (default) and the
-    tree-walking reference interpreter.
+(** The shared executor: one entry point for ground-truth execution that
+    picks its own backend.
 
     Every execution consumer (ground truth, differential checks, value
     instrumentation, reduction predicates, campaign stages) calls {!run}
-    instead of naming an executor; the backend is either passed explicitly
-    or taken from the process-wide ambient default ([dce_hunt --exec
-    vm|interp] sets it before any domain spawns).  Both backends produce
-    the same {!Dce_interp.Interp.result} — same step accounting, same
-    default fuel — so journals, metrics, and Guard budgets mean the same
-    thing regardless of backend.
+    instead of naming an executor.  Two backends each win on one kind of
+    program:
+
+    - the tree-walking {!Dce_interp.Interp} has no set-up cost, so it wins
+      on the short terminating programs a generator emits (Smith programs
+      run a few hundred steps, at most ≈1.1k);
+    - the bytecode VM ({!Bc_compile} then {!Bc_vm}) pays ≈2.4 ms to compile
+      but runs a long program 4–9× faster, so it wins on long runs, such as a
+      reduction candidate that loops until its fuel runs out.
+
+    {!run} therefore starts on the interpreter with at most 4096 steps of
+    fuel and, only when that leg runs out of fuel below the caller's fuel,
+    reruns the program from the start on the VM with the caller's fuel.
+    Both backends produce the same {!Dce_interp.Interp.result} — same step
+    accounting, same default fuel — so the result is always the one
+    [Interp.run ~fuel] would return.
+
+    {b Guard polls.}  Both legs poll the ambient {!Dce_support.Guard} every
+    256 steps, the interpreter at site ["interp"] and the VM at site
+    ["vm"].  A run that finishes within 4096 steps polls exactly as under
+    [Interp.run].  A handed-off run polls again from the VM's start, so the
+    15 polls of the interpreter leg (one per 256 of its 4095 steps) count
+    twice against a step budget.
 
     The interpreter stays the semantic oracle: the VM's compiler and
     allocator are extra machinery that could drift, so the differential
-    soak ([test/suite_exec.ml]) and any suspicious finding are checked
-    against [Interp]. *)
+    soak ([test/suite_exec.ml]) holds the two backends to {!results_equal}. *)
 
-type backend =
-  | Vm      (** compile to {!Bc} bytecode and run {!Bc_vm} (default) *)
-  | Interp  (** the reference {!Dce_interp.Interp} *)
-
-val default : unit -> backend
-(** The ambient default, readable from any domain. *)
-
-val set_default : backend -> unit
-(** Set the ambient default (done once by the CLI before workers spawn). *)
-
-val name : backend -> string
-val of_string : string -> backend option
-val all_names : string list
-
-val run :
-  ?backend:backend -> ?fuel:int -> ?max_depth:int -> Dce_ir.Ir.program ->
-  Dce_interp.Interp.result
-(** Execute [main] under the given (or ambient) backend; defaults match
-    {!Dce_interp.Interp.run}. *)
+val run : ?fuel:int -> ?max_depth:int -> Dce_ir.Ir.program -> Dce_interp.Interp.result
+(** Execute [main]; same contract, defaults and result as
+    {!Dce_interp.Interp.run} (fuel 2,000,000, call depth 256). *)
 
 val results_equal : Dce_interp.Interp.result -> Dce_interp.Interp.result -> bool
 (** Full value equality of results — outcome, events, marker and block

@@ -62,7 +62,7 @@ val equivalent_strict : result -> result -> bool
 
 (** {1 Shared evaluation semantics}
 
-    Exported so the bytecode VM ({!Dce_exec.Bc_vm}) reuses the exact same
+    Exported so the bytecode VM in [dce_exec] reuses the exact same
     value semantics — same trap messages, same extern hashing, same
     checksums — rather than reimplementing them and drifting. *)
 

@@ -137,7 +137,7 @@ let observe ~compile_cache (cfg : Dce_core.Differential.config) p =
 let survives_in ~compile_cache ~marker cfg p =
   List.mem marker (observe ~compile_cache cfg p).Dce_compiler.Compiler.obs_markers
 
-let marker_diff ?exec ~compile_cache ~keep_missed_by ~eliminated_by ~marker () =
+let marker_diff ~compile_cache ~keep_missed_by ~eliminated_by ~marker () =
   let survives = survives_in ~compile_cache ~marker in
   v ~compile_cached:compile_cache
     [
@@ -155,7 +155,7 @@ let marker_diff ?exec ~compile_cache ~keep_missed_by ~eliminated_by ~marker () =
         st_cost = Execution;
         st_run =
           (fun p ->
-            match Dce_core.Ground_truth.compute ?exec p with
+            match Dce_core.Ground_truth.compute p with
             | Dce_core.Ground_truth.Valid truth
               when Dce_ir.Ir.Iset.mem marker truth.Dce_core.Ground_truth.dead ->
               Some p
@@ -179,7 +179,7 @@ let marker_diff ?exec ~compile_cache ~keep_missed_by ~eliminated_by ~marker () =
    difference, and a repro below the absolute floor stops being a repro).
    The valid-execution stage keeps the candidate a campaign-valid test case,
    exactly the rejection rule of the hunt that produced the finding. *)
-let size_gap ?exec ~compile_cache ~larger ~smaller ?(min_ratio = 1.25) ?(min_gap = 1) () =
+let size_gap ~compile_cache ~larger ~smaller ?(min_ratio = 1.25) ?(min_gap = 1) () =
   let size cfg p = (observe ~compile_cache cfg p).Dce_compiler.Compiler.obs_size in
   v ~compile_cached:compile_cache
     [
@@ -189,7 +189,7 @@ let size_gap ?exec ~compile_cache ~larger ~smaller ?(min_ratio = 1.25) ?(min_gap
         st_cost = Execution;
         st_run =
           (fun p ->
-            match Dce_core.Ground_truth.compute ?exec p with
+            match Dce_core.Ground_truth.compute p with
             | Dce_core.Ground_truth.Valid _ -> Some p
             | Dce_core.Ground_truth.Rejected _ -> None);
       };
@@ -216,7 +216,7 @@ let size_gap ?exec ~compile_cache ~larger ~smaller ?(min_ratio = 1.25) ?(min_gap
    must stay dead by execution, eliminated at the weak level, and alive at
    the strong one — {!marker_diff} with both configs pointing at the same
    compiler. *)
-let level_inversion ?exec ~compile_cache ~compiler ~low ~high ~marker () =
+let level_inversion ~compile_cache ~compiler ~low ~high ~marker () =
   let survives level p =
     survives_in ~compile_cache ~marker
       { Dce_core.Differential.compiler; level; version = None }
@@ -235,7 +235,7 @@ let level_inversion ?exec ~compile_cache ~compiler ~low ~high ~marker () =
         st_cost = Execution;
         st_run =
           (fun p ->
-            match Dce_core.Ground_truth.compute ?exec p with
+            match Dce_core.Ground_truth.compute p with
             | Dce_core.Ground_truth.Valid truth
               when Dce_ir.Ir.Iset.mem marker truth.Dce_core.Ground_truth.dead ->
               Some p

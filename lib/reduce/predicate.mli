@@ -60,7 +60,6 @@ val of_fun : (Ast.program -> bool) -> t
     sequence of the original reducer. *)
 
 val marker_diff :
-  ?exec:Dce_exec.Exec.backend ->
   compile_cache:bool ->
   keep_missed_by:Dce_core.Differential.config ->
   eliminated_by:Dce_core.Differential.config ->
@@ -71,11 +70,9 @@ val marker_diff :
     typecheck → marker-present (free syntactic filter) → ground-truth
     (marker dead under execution) → keeper-survives → eliminator-kills.
     Equivalent to {!Dce_reduce.Reduce.marker_diff_predicate} preceded by
-    typechecking.  [exec] selects the ground-truth executor backend
-    (default ambient). *)
+    typechecking. *)
 
 val size_gap :
-  ?exec:Dce_exec.Exec.backend ->
   compile_cache:bool ->
   larger:Dce_core.Differential.config ->
   smaller:Dce_core.Differential.config ->
@@ -95,7 +92,6 @@ val size_gap :
     real pipeline counts off the compile cache instead. *)
 
 val level_inversion :
-  ?exec:Dce_exec.Exec.backend ->
   compile_cache:bool ->
   compiler:Dce_compiler.Compiler.t ->
   low:Dce_compiler.Level.t ->

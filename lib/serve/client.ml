@@ -86,9 +86,9 @@ let state_of_status j =
    retried until the timeout — the daemon may be mid-restart, which is a
    scenario we explicitly support, not an error. *)
 let wait ?(timeout = 300.) ?(poll = 0.1) ~socket ~job () =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = Dce_support.Clock.now () +. timeout in
   let rec loop () =
-    if Unix.gettimeofday () > deadline then
+    if Dce_support.Clock.now () > deadline then
       Error (Printf.sprintf "timed out after %gs waiting for %s" timeout job)
     else
       let next () =

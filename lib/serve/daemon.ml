@@ -135,10 +135,15 @@ let log st fmt =
       end)
     fmt
 
-let now () = Unix.gettimeofday ()
+(* Wall time, only for what the spool persists — event stamps and the
+   backoff not-before that must survive a daemon restart — and for checks
+   against those.  In-memory deadlines and durations read the monotonic
+   [Clock.now], which a wall-clock jump can neither trip nor extend. *)
+let wall () = Unix.gettimeofday ()
+let now = Dce_support.Clock.now
 
 let append st jr ev =
-  Store.append st.store jr.j_id ~time:(now ()) ev;
+  Store.append st.store jr.j_id ~time:(wall ()) ev;
   (match ev with
    | Job.Queued -> jr.j_state <- Job.S_queued
    | Job.Running pid -> jr.j_state <- Job.S_running pid
@@ -292,7 +297,7 @@ let dispatch st =
   if not st.draining then begin
     let free = st.cf.cf_slots - List.length st.running in
     if free > 0 then begin
-      let t = now () in
+      let t = wall () in
       let ready =
         Hashtbl.fold
           (fun _ jr acc ->
@@ -372,7 +377,7 @@ let settle st rn status =
         let backoff = st.cf.cf_backoff *. (2. ** float_of_int (strikes - 1)) in
         append st jr
           (Job.Requeued
-             { rq_reason = reason; rq_strike = true; rq_not_before = now () +. backoff });
+             { rq_reason = reason; rq_strike = true; rq_not_before = wall () +. backoff });
         log st "%s: strike %d (%s), retrying in %.1fs" jr.j_id strikes reason backoff
       end
     end
@@ -519,7 +524,7 @@ let handle_request st cl req =
         match Job.spec_of_json sj with
         | exception Failure msg -> respond st cl (Proto.err msg)
         | spec ->
-          let id = Store.submit st.store ~time:(now ()) spec in
+          let id = Store.submit st.store ~time:(wall ()) spec in
           let jr =
             {
               j_id = id;
@@ -557,7 +562,7 @@ let handle_request st cl req =
         cl.cl_watch <- Some jr.j_id;
         cl.cl_last_progress <- -1;
         cl.cl_last_state <- "";
-        cl.cl_last_sent <- 0.
+        cl.cl_last_sent <- neg_infinity
       end)
   | Some "cancel" -> (
     match find_job () with
@@ -808,7 +813,7 @@ let run cf =
                       cl_fd = cfd;
                       cl_buf = Buffer.create 512;
                       cl_watch = None;
-                      cl_last_sent = 0.;
+                      cl_last_sent = neg_infinity;
                       cl_last_progress = -1;
                       cl_last_state = "";
                       cl_closed = false;

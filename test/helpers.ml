@@ -47,9 +47,8 @@ let surviving ?version comp level src = markers_of (compiler_named comp) ?versio
 let eliminates ?version comp level marker src =
   not (List.mem marker (surviving ?version comp level src))
 
-(* observable equivalence of a program before and after a transformation;
-   routed through the shared executor, so the VM backend is soak-tested by
-   every pass-correctness property in the suite *)
+(* observable equivalence of a program before and after a transformation,
+   executed by the shared executor exactly as campaigns execute programs *)
 let check_equivalent ~name original transformed =
   if not (Core.Differential.semantics_preserved original transformed) then
     Alcotest.failf "%s changed observable behaviour" name

@@ -487,6 +487,65 @@ let level_iset_decoders_total =
       let total decode = match decode v with _ -> true | exception Failure _ -> true in
       total Json.level_exn && total Json.iset_exn)
 
+(* The journal decoder on hostile bytes.  A written journal followed by any
+   suffix (a torn write, a foreign process appending, disk garbage) loads
+   without raising and returns the written records first; any whole file
+   loads to [None] or [Some], never an exception. *)
+let journal_bytes_gen =
+  let open QCheck2.Gen in
+  let byte = oneof [ char; oneofl [ '\n'; '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; '-'; '9'; 'e' ] ] in
+  let noise = string_size ~gen:byte (int_bound 200) in
+  (* a line that is valid JSON, often a near-miss header, so decoding gets
+     past the parser *)
+  let json_line =
+    let field = pair (oneofl [ "journal"; "version"; "campaign"; "seed"; "count" ]) json_gen in
+    map
+      (fun (header, fields) ->
+        Json.to_string (Json.Obj ((if header then [ ("journal", Json.String "dce-campaign") ] else []) @ fields))
+        ^ "\n")
+      (pair bool (list_size (int_bound 5) field))
+  in
+  map (String.concat "") (list_size (int_range 1 4) (oneof [ noise; json_line ]))
+
+let journal_header = { Campaign.Journal.h_campaign = "fuzz"; h_seed = 7; h_count = 3 }
+
+let with_temp_journal f =
+  let path = temp_journal () in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let journal_suffix_tolerated =
+  qtest ~count:200 "journal: written records survive any appended suffix"
+    QCheck2.Gen.(pair (list_size (int_bound 6) json_gen) journal_bytes_gen)
+    (fun (records, suffix) ->
+      with_temp_journal (fun path ->
+          let j = Campaign.Journal.open_append ~path journal_header in
+          List.iter (Campaign.Journal.append j) records;
+          Campaign.Journal.close j;
+          let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+          output_string oc suffix;
+          close_out oc;
+          match Campaign.Journal.load ~path with
+          | Some (h, loaded, _) ->
+            h = journal_header
+            && List.length loaded >= List.length records
+            && List.filteri (fun i _ -> i < List.length records) loaded = records
+          | None -> false))
+
+let journal_load_total =
+  (* half the files start with a valid header, so the record decoder runs *)
+  let header_line =
+    lazy
+      (with_temp_journal (fun path ->
+           Campaign.Journal.close (Campaign.Journal.open_append ~path journal_header);
+           read_file path))
+  in
+  qtest ~count:500 "journal: load on arbitrary bytes returns, never raises"
+    QCheck2.Gen.(pair bool journal_bytes_gen)
+    (fun (with_header, bytes) ->
+      with_temp_journal (fun path ->
+          write_file path ((if with_header then Lazy.force header_line else "") ^ bytes);
+          match Campaign.Journal.load ~path with None | Some _ -> true))
+
 let test_json_escaping () =
   let v = Json.Obj [ ("k\"ey\n", Json.String "a\tb\\c\x01d\xc3\xa9") ] in
   Alcotest.(check bool) "awkward strings round-trip" true
@@ -547,6 +606,8 @@ let suite =
     json_roundtrip;
     level_iset_roundtrip;
     level_iset_decoders_total;
+    journal_suffix_tolerated;
+    journal_load_total;
     ("json: escaping and truncation", `Quick, test_json_escaping);
     ("json: non-finite floats serialize as null", `Quick, test_json_nonfinite);
     ("metrics: nearest-rank percentile", `Quick, test_percentile);

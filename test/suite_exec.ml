@@ -1,6 +1,7 @@
-(* The bytecode executor: VM-vs-interpreter differential soak, trap/fuel/
-   Guard parity, and allocator sanity.  The interpreter is the oracle; the
-   VM must produce bit-identical results — same outcome (including trap
+(* The executors: VM-vs-interpreter differential soak, trap/fuel/Guard
+   parity, allocator sanity, and the backend selector [Exec.run].  The
+   interpreter is the oracle; the VM, and [Exec.run] whichever backend it
+   picks, must produce bit-identical results — same outcome (including trap
    messages), same event list, same marker and block sets, same step
    count, same final-global checksums. *)
 
@@ -27,9 +28,12 @@ let explain_diff (a : I.result) (b : I.result) =
   else if a.I.final_globals <> b.I.final_globals then "final globals differ"
   else "equal"
 
+(* the VM end to end: bytecode compile, then run *)
+let vm ?fuel ir = E.Bc_vm.run ?fuel (E.Bc_compile.program ir)
+
 let check_parity ?fuel ~what ir =
-  let ri = E.Exec.run ~backend:E.Exec.Interp ?fuel ir in
-  let rv = E.Exec.run ~backend:E.Exec.Vm ?fuel ir in
+  let ri = I.run ?fuel ir in
+  let rv = vm ?fuel ir in
   if not (E.Exec.results_equal ri rv) then
     Alcotest.failf "%s: VM diverges from interpreter (%s)" what (explain_diff ri rv)
 
@@ -104,8 +108,8 @@ let test_fuel_parity () =
   let ir = lower "int main(void) { int i = 0; while (1) { i = i + 1; } return i; }" in
   List.iter
     (fun fuel ->
-      let ri = E.Exec.run ~backend:E.Exec.Interp ~fuel ir in
-      let rv = E.Exec.run ~backend:E.Exec.Vm ~fuel ir in
+      let ri = I.run ~fuel ir in
+      let rv = vm ~fuel ir in
       Alcotest.(check bool)
         (Printf.sprintf "fuel %d parity" fuel)
         true
@@ -133,12 +137,12 @@ let test_missing_block_parity () =
       }
   in
   check_parity ~what:"jump to missing block" broken;
-  (match (E.Exec.run ~backend:E.Exec.Vm broken).I.outcome with
+  (match (vm broken).I.outcome with
    | I.Trap m -> Alcotest.(check string) "message" "jump to missing block L4242 in main" m
    | o -> Alcotest.failf "expected trap, got %s" (pp_outcome o));
   (* the missing target still counts as an entered block, like the oracle *)
   Alcotest.(check bool) "missing block recorded" true
-    (Ir.Bset.mem ("main", 4242) (E.Exec.run ~backend:E.Exec.Vm broken).I.executed_blocks)
+    (Ir.Bset.mem ("main", 4242) (vm broken).I.executed_blocks)
 
 let test_undefined_register_parity () =
   let ir = lower "int main(void) { return 0; }" in
@@ -153,8 +157,8 @@ let test_undefined_register_parity () =
   in
   (* step counts may differ by design here (the VM checks the sentinel
      before the op's tick), so compare outcome only *)
-  let ri = E.Exec.run ~backend:E.Exec.Interp broken in
-  let rv = E.Exec.run ~backend:E.Exec.Vm broken in
+  let ri = I.run broken in
+  let rv = vm broken in
   Alcotest.(check bool) "both trap on undefined register" true
     (ri.I.outcome = rv.I.outcome);
   match rv.I.outcome with
@@ -265,16 +269,14 @@ let test_no_main_parity () =
 
 let test_guard_budget_parity () =
   let ir = lower "int main(void) { int i = 0; while (1) { i = i + 1; } return i; }" in
-  let trip backend =
+  let trip run =
     try
-      Guard.with_guard
-        (Guard.create ~steps:40 ())
-        (fun () -> ignore (E.Exec.run ~backend ir));
+      Guard.with_guard (Guard.create ~steps:40 ()) (fun () -> ignore (run ir));
       Alcotest.fail "expected Budget_exceeded"
     with Guard.Budget_exceeded { site; steps; _ } -> (site, steps)
   in
-  let si, ni = trip E.Exec.Interp in
-  let sv, nv = trip E.Exec.Vm in
+  let si, ni = trip (fun ir -> I.run ir) in
+  let sv, nv = trip (fun ir -> vm ir) in
   Alcotest.(check string) "interp site" "interp" si;
   Alcotest.(check string) "vm site" "vm" sv;
   (* both backends poll at the same execution steps, so the budget trips
@@ -315,36 +317,106 @@ int main(void) {
   let cf = cp.E.Bc.cp_funcs.(0) in
   Alcotest.(check bool) "coalesces disjoint lifetimes" true (cf.E.Bc.cf_nregs < cf.E.Bc.cf_nvars)
 
-(* ---- campaign reports are backend-independent ---- *)
+(* ---- campaign ground truth is the interpreter's ---- *)
 
 let test_campaign_report_parity () =
-  (* the rendered report tables must be byte-identical whichever backend
-     computed ground truth, at any worker count *)
+  (* every case's ground truth, whichever backend [Exec.run] picked for it,
+     must be what the reference interpreter computes, and the rendered
+     report tables must be byte-identical at any worker count *)
   let module Stats = Dce_report.Stats in
   let tables c =
     let st = Dce_campaign.Corpus.stats c in
     (Stats.table1 st, Stats.table2 st, Stats.attribution_table st)
   in
   let seed = 20220228 and count = 12 in
-  (* the campaign runs on the ambient backend, selected as the CLI does *)
-  let under backend f =
-    let prev = E.Exec.default () in
-    E.Exec.set_default backend;
-    Fun.protect ~finally:(fun () -> E.Exec.set_default prev) f
-  in
-  let reference =
-    under E.Exec.Interp (fun () -> tables (Dce_campaign.Corpus.run ~jobs:1 ~seed ~count ()))
-  in
+  let reference = Dce_campaign.Corpus.run ~jobs:1 ~seed ~count () in
+  List.iter
+    (fun (i, (outcome, raw)) ->
+      let ri = I.run (Dce_ir.Lower.program (Core.Instrument.program raw)) in
+      match (outcome, ri.I.outcome) with
+      | Core.Analysis.Analyzed a, I.Finished _ ->
+        let truth = a.Core.Analysis.truth in
+        Alcotest.(check bool)
+          (Printf.sprintf "case %d: alive markers" i)
+          true
+          (Ir.Iset.equal truth.Core.Ground_truth.alive ri.I.executed_markers);
+        Alcotest.(check bool)
+          (Printf.sprintf "case %d: live blocks" i)
+          true
+          (Ir.Bset.equal truth.Core.Ground_truth.live_blocks ri.I.executed_blocks);
+        Alcotest.(check int) (Printf.sprintf "case %d: steps" i) ri.I.steps
+          truth.Core.Ground_truth.steps
+      | Core.Analysis.Rejected _, (I.Trap _ | I.Out_of_fuel) -> ()
+      | _, o -> Alcotest.failf "case %d: campaign verdict disagrees with interp (%s)" i (pp_outcome o))
+    (Dce_campaign.Corpus.outcomes reference);
+  let r1, r2, rattr = tables reference in
   List.iter
     (fun jobs ->
-      let t1, t2, attr =
-        under E.Exec.Vm (fun () -> tables (Dce_campaign.Corpus.run ~jobs ~seed ~count ()))
-      in
-      let r1, r2, rattr = reference in
-      Alcotest.(check string) (Printf.sprintf "table1 (vm, jobs=%d)" jobs) r1 t1;
-      Alcotest.(check string) (Printf.sprintf "table2 (vm, jobs=%d)" jobs) r2 t2;
-      Alcotest.(check string) (Printf.sprintf "attribution (vm, jobs=%d)" jobs) rattr attr)
-    [ 1; 3; 4 ]
+      let t1, t2, attr = tables (Dce_campaign.Corpus.run ~jobs ~seed ~count ()) in
+      Alcotest.(check string) (Printf.sprintf "table1 (jobs=%d)" jobs) r1 t1;
+      Alcotest.(check string) (Printf.sprintf "table2 (jobs=%d)" jobs) r2 t2;
+      Alcotest.(check string) (Printf.sprintf "attribution (jobs=%d)" jobs) rattr attr)
+    [ 3; 4 ]
+
+(* ---- the backend selector: Exec.run = Interp.run at the same fuel ---- *)
+
+(* a loop of [n] iterations: its step count grows linearly with [n]
+   (≈7 steps per iteration) *)
+let loop_src n =
+  Printf.sprintf
+    "int g; int main(void) { int i = 0; while (i < %d) { g = g + i; i = i + 1; } return g & 255; }"
+    n
+
+(* [Exec.run] must return exactly [Interp.run]'s result at the same fuel *)
+let check_selector ?fuel ~what ir =
+  let ri = I.run ?fuel ir in
+  let re = E.Exec.run ?fuel ir in
+  if not (E.Exec.results_equal ri re) then
+    Alcotest.failf "%s: Exec.run diverges from Interp.run (%s)" what (explain_diff ri re);
+  ri
+
+let test_selector () =
+  let finished r = match r.I.outcome with I.Finished _ -> true | _ -> false in
+  let trapped r = match r.I.outcome with I.Trap _ -> true | _ -> false in
+  let out_of_fuel r = r.I.outcome = I.Out_of_fuel in
+  List.iter
+    (fun (what, fuel, src, expected) ->
+      let r = check_selector ?fuel ~what (lower src) in
+      if not (expected r) then
+        Alcotest.failf "%s: unexpected run (%s after %d steps)" what (pp_outcome r.I.outcome)
+          r.I.steps)
+    [
+      ("finishes under the hand-off", None, loop_src 10, fun r -> finished r && r.I.steps < 4096);
+      ("finishes past the hand-off", None, loop_src 1500, fun r -> finished r && r.I.steps > 8000);
+      ( "exhausts the default fuel",
+        None,
+        "int main(void) { int i = 0; while (1) { i = i + 1; } return i; }",
+        out_of_fuel );
+      ( "traps past the hand-off",
+        None,
+        "int b[2]; int main(void) { int i = 0; while (i < 2000) { i = i + 1; } return b[i]; }",
+        fun r -> trapped r && r.I.steps > 4096 );
+      (* a caller fuel below the hand-off point is the interpreter's to spend *)
+      ("caller fuel 1000, long run", Some 1000, loop_src 1500, out_of_fuel);
+      ("caller fuel 1000, short run", Some 1000, loop_src 10, finished);
+    ]
+
+let test_selector_guard_polls () =
+  (* polls served by a guard that never trips *)
+  let polls run ir =
+    let g = Guard.create ~steps:1_000_000 () in
+    Guard.with_guard g (fun () -> ignore (run ir));
+    Guard.steps_used g
+  in
+  let short = lower (loop_src 300) in
+  let ni = polls (fun ir -> I.run ir) short in
+  Alcotest.(check bool) "short run polls" true (ni > 0);
+  Alcotest.(check int) "short run: same polls as Interp.run" ni (polls E.Exec.run short);
+  (* a handed-off run polls again from the VM's start: the 15 polls of the
+     interpreter leg's 4095 steps count twice *)
+  let long = lower (loop_src 1500) in
+  Alcotest.(check int) "handed-off run: 15 extra polls" (polls (fun ir -> I.run ir) long + 15)
+    (polls E.Exec.run long)
 
 let test_disasm_smoke () =
   let cp = E.Bc_compile.program (lower "int main(void) { return 40 + 2; }") in
@@ -369,5 +441,7 @@ let suite =
     Alcotest.test_case "guard budget parity" `Quick test_guard_budget_parity;
     Alcotest.test_case "allocation sanity" `Quick test_allocation_sanity;
     Alcotest.test_case "campaign report parity" `Slow test_campaign_report_parity;
+    Alcotest.test_case "selector: Exec.run = Interp.run" `Quick test_selector;
+    Alcotest.test_case "selector: guard polls" `Quick test_selector_guard_polls;
     Alcotest.test_case "disassembler" `Quick test_disasm_smoke;
   ]

@@ -445,9 +445,6 @@ let test_level_inversion_reduction_preserves_inversion () =
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let vm = Option.get (Dce_exec.Exec.of_string "vm")
-let interp = Option.get (Dce_exec.Exec.of_string "interp")
-
 let qcheck_tests =
   let gen_seed = QCheck2.Gen.(int_range 1 10000000) in
   let compilers = [ C.Gcc_sim.compiler; C.Llvm_sim.compiler ] in
@@ -458,17 +455,20 @@ let qcheck_tests =
         cached = D.size_findings ~cache:false ~compilers prog
         && cached = D.size_findings ~cache:true ~compilers prog);
     qtest ~count:10 "inversion verdicts independent of executor backend" gen_seed (fun seed ->
+        (* ground truth through [Exec.run] gives the verdicts that the
+           reference interpreter's dead set gives *)
         let prog = Core.Instrument.program (smith_program seed) in
-        let invs exec =
-          match Core.Ground_truth.compute ~exec prog with
-          | Core.Ground_truth.Rejected r -> Error r
-          | Core.Ground_truth.Valid truth ->
-            Ok
-              (List.map
-                 (fun c -> D.inversions_of ~dead:truth.Core.Ground_truth.dead c prog)
-                 compilers)
-        in
-        invs vm = invs interp);
+        let invs dead = List.map (fun c -> D.inversions_of ~dead c prog) compilers in
+        let r = Dce_interp.Interp.run (Dce_ir.Lower.program prog) in
+        match (Core.Ground_truth.compute prog, r.Dce_interp.Interp.outcome) with
+        | Core.Ground_truth.Valid truth, Dce_interp.Interp.Finished _ ->
+          let all = truth.Core.Ground_truth.all in
+          invs truth.Core.Ground_truth.dead
+          = invs (Dce_ir.Ir.Iset.diff all r.Dce_interp.Interp.executed_markers)
+        | Core.Ground_truth.Rejected _, (Dce_interp.Interp.Trap _ | Dce_interp.Interp.Out_of_fuel)
+          ->
+          true
+        | _ -> false);
     qtest ~count:10 "inversions are cache-transparent" gen_seed (fun seed ->
         let prog = Core.Instrument.program (smith_program seed) in
         match Core.Ground_truth.compute prog with
