@@ -21,7 +21,11 @@ val open_append : ?existing:(header * Json.t list * int) option -> path:string -
 (** Open [path] for appending, creating parent directories as needed.  When
     the file is empty or new, the header line is written first; when it
     already has content, the existing header must match (the resume case) —
-    a mismatch raises [Failure] naming both parameter sets.
+    a mismatch raises [Failure] naming both parameter sets.  A file with a
+    complete first line that is no journal header is refused with [Failure]
+    naming [path], and left untouched; a file whose only content is an
+    unterminated first line (a campaign killed before its header was
+    flushed) starts over.
 
     [existing] is the result of a {!load} the caller already performed; pass
     it to avoid parsing the journal a second time on open (the engine loads

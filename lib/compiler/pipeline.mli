@@ -46,7 +46,9 @@ val run_traced :
 (** {1 The stage memo} *)
 
 type prepared
-(** One program with its stage memo ({!Passmgr.memo}, one per IR form).
+(** One program with its stage memo ({!Passmgr.memo}, one per IR form) and
+    its Meminfo memo ({!Passmgr.meminfo_memo}), which every config's run
+    consults, so a program any config reaches is analyzed once.
     Mutable and single-domain: share it among the configs of one program
     (callers reach it through {!Compiler.session}), never across programs
     or domains; it keeps every stage input it has seen alive until dropped. *)

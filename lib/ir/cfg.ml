@@ -41,17 +41,22 @@ let edge_count fn =
       if Iset.mem l reach then acc + List.length (successors b.b_term) else acc)
     fn.fn_blocks 0
 
+let is_phi = function Def (_, Phi _) -> true | _ -> false
+
 (* converting some phis to copies can interleave copies among phis; restore
    the phis-first prefix (a stable partition, so relative orders survive).
    Moving a converted copy below the remaining phis is semantically neutral:
    its operand is a predecessor-end value, which no phi of this block can
-   redefine under SSA. *)
+   redefine under SSA.  A block already in order is returned itself. *)
 let normalize_phi_prefix b =
-  let is_phi = function Def (_, Phi _) -> true | _ -> false in
-  if List.exists is_phi b.b_instrs then
+  let rec phis_first = function
+    | [] -> true
+    | i :: rest -> if is_phi i then phis_first rest else not (List.exists is_phi rest)
+  in
+  if phis_first b.b_instrs then b
+  else
     let phis, rest = List.partition is_phi b.b_instrs in
     { b with b_instrs = phis @ rest }
-  else b
 
 let remove_unreachable_blocks fn =
   let reach = reachable fn in
@@ -73,27 +78,23 @@ let remove_unreachable_blocks fn =
     { fn with fn_blocks = blocks }
   end
 
+(* Every block with phis is normalized, pruned or not: a caller (SCCP's
+   rewrite) may hand over phis it turned into copies. *)
 let prune_phi_args fn =
   let preds = predecessors fn in
-  let blocks =
-    Imap.mapi
-      (fun l b ->
-        let ps = Option.value ~default:[] (Imap.find_opt l preds) in
-        let instrs =
-          List.map
-            (fun i ->
-              match i with
-              | Def (v, Phi args) -> (
-                let args' = List.filter (fun (p, _) -> List.mem p ps) args in
-                if List.length args' = List.length args then i
-                else
-                  match args' with
-                  | [ (_, a) ] -> Def (v, Op a)
-                  | _ -> Def (v, Phi args'))
-              | _ -> i)
-            b.b_instrs
-        in
-        normalize_phi_prefix { b with b_instrs = instrs })
-      fn.fn_blocks
-  in
-  { fn with fn_blocks = blocks }
+  map_blocks
+    (fun l b ->
+      let ps = Option.value ~default:[] (Imap.find_opt l preds) in
+      let prune i =
+        match i with
+        | Def (v, Phi args) -> (
+          let args' = List.filter (fun (p, _) -> List.mem p ps) args in
+          if List.length args' = List.length args then i
+          else
+            match args' with
+            | [ (_, a) ] -> Def (v, Op a)
+            | _ -> Def (v, Phi args'))
+        | _ -> i
+      in
+      normalize_phi_prefix (with_instrs b (Dce_support.Listx.map_shared prune b.b_instrs)))
+    fn

@@ -29,8 +29,11 @@ val prune_phi_args : Ir.func -> Ir.func
 (** Drops phi arguments whose predecessor edge no longer exists (passes that
     fold branches to jumps call this to restore the phi/CFG invariant).
     Single-argument phis become copies, re-ordered below the remaining phis
-    so the phis-first block invariant holds. *)
+    so the phis-first block invariant holds — in every block, pruned or not,
+    so a caller that turned phis into copies gets them re-ordered too.
+    Returns the function itself when it changes nothing. *)
 
 val normalize_phi_prefix : Ir.block -> Ir.block
 (** Stable-partitions instructions so phis form the block prefix again —
-    required after converting individual phis to plain copies. *)
+    required after converting individual phis to plain copies.  A block
+    already in that order is returned itself. *)

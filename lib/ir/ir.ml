@@ -76,7 +76,25 @@ let successors = function
     List.sort_uniq compare targets
   | Ret _ -> []
 
-let map_func f prog = { prog with prog_funcs = List.map f prog.prog_funcs }
+let map_func f prog =
+  let funcs = Dce_support.Listx.map_shared f prog.prog_funcs in
+  if funcs == prog.prog_funcs then prog else { prog with prog_funcs = funcs }
+
+(* [Imap.add] over an existing key keeps the tree's shape, so the result is
+   structurally what [Imap.mapi] would build, and physically the input when
+   [f] changes nothing *)
+let map_blocks f fn =
+  let blocks =
+    Imap.fold
+      (fun l b acc ->
+        let b' = f l b in
+        if b' == b then acc else Imap.add l b' acc)
+      fn.fn_blocks fn.fn_blocks
+  in
+  if blocks == fn.fn_blocks then fn else { fn with fn_blocks = blocks }
+
+let with_instrs b instrs = if instrs == b.b_instrs then b else { b with b_instrs = instrs }
+let with_term b term = if term == b.b_term then b else { b with b_term = term }
 
 let update_func prog fn =
   {
@@ -112,27 +130,68 @@ let def_of_instr = function
   | Call (res, _, _) -> res
   | Store _ | Marker _ -> None
 
-let map_rvalue_operands f = function
-  | Op a -> Op (f a)
-  | Unary (op, a) -> Unary (op, f a)
-  | Binary (op, a, b) -> Binary (op, f a, f b)
-  | Addr (s, a) -> Addr (s, f a)
-  | Ptradd (a, b) -> Ptradd (f a, f b)
-  | Load a -> Load (f a)
-  | Phi args -> Phi (List.map (fun (l, a) -> (l, f a)) args)
+(* The mappers return their argument itself when [f] returns every operand
+   itself, so a rewrite that changes nothing allocates nothing and stays
+   physically shared.  Operands are mapped in the order the plain
+   constructor applications these replaced evaluated them. *)
+let map_rvalue_operands f rv =
+  match rv with
+  | Op a ->
+    let a' = f a in
+    if a' == a then rv else Op a'
+  | Unary (op, a) ->
+    let a' = f a in
+    if a' == a then rv else Unary (op, a')
+  | Binary (op, a, b) ->
+    let b' = f b in
+    let a' = f a in
+    if a' == a && b' == b then rv else Binary (op, a', b')
+  | Addr (s, a) ->
+    let a' = f a in
+    if a' == a then rv else Addr (s, a')
+  | Ptradd (a, b) ->
+    let b' = f b in
+    let a' = f a in
+    if a' == a && b' == b then rv else Ptradd (a', b')
+  | Load a ->
+    let a' = f a in
+    if a' == a then rv else Load a'
+  | Phi args ->
+    let args' =
+      Dce_support.Listx.map_shared
+        (fun ((l, a) as arg) ->
+          let a' = f a in
+          if a' == a then arg else (l, a'))
+        args
+    in
+    if args' == args then rv else Phi args'
 
-let map_instr_operands f = function
-  | Def (v, rv) -> Def (v, map_rvalue_operands f rv)
-  | Store (a, v) -> Store (f a, f v)
-  | Call (res, name, args) -> Call (res, name, List.map f args)
-  | Marker n -> Marker n
+let map_instr_operands f i =
+  match i with
+  | Def (v, rv) ->
+    let rv' = map_rvalue_operands f rv in
+    if rv' == rv then i else Def (v, rv')
+  | Store (a, v) ->
+    let v' = f v in
+    let a' = f a in
+    if a' == a && v' == v then i else Store (a', v')
+  | Call (res, name, args) ->
+    let args' = Dce_support.Listx.map_shared f args in
+    if args' == args then i else Call (res, name, args')
+  | Marker _ -> i
 
-let map_terminator_operands f = function
-  | Jmp l -> Jmp l
-  | Br (c, lt, lf) -> Br (f c, lt, lf)
-  | Switch (c, cases, dflt) -> Switch (f c, cases, dflt)
-  | Ret None -> Ret None
-  | Ret (Some a) -> Ret (Some (f a))
+let map_terminator_operands f t =
+  match t with
+  | Jmp _ | Ret None -> t
+  | Br (c, lt, lf) ->
+    let c' = f c in
+    if c' == c then t else Br (c', lt, lf)
+  | Switch (c, cases, dflt) ->
+    let c' = f c in
+    if c' == c then t else Switch (c', cases, dflt)
+  | Ret (Some a) ->
+    let a' = f a in
+    if a' == a then t else Ret (Some a')
 
 let map_terminator_labels f = function
   | Jmp l -> Jmp (f l)
@@ -147,13 +206,7 @@ let has_side_effect = function
 let instr_count fn =
   Imap.fold (fun _ b acc -> acc + List.length b.b_instrs + 1) fn.fn_blocks 0
 
-let program_instr_count prog =
-  List.fold_left (fun acc fn -> acc + instr_count fn) 0 prog.prog_funcs
-
 let block_count fn = Imap.cardinal fn.fn_blocks
-
-let program_block_count prog =
-  List.fold_left (fun acc fn -> acc + block_count fn) 0 prog.prog_funcs
 
 let iter_instrs f fn =
   Imap.iter (fun l b -> List.iter (fun i -> f l i) b.b_instrs) fn.fn_blocks

@@ -102,6 +102,22 @@ val successors : terminator -> label list
 (** Successor labels in order, without duplicates. *)
 
 val map_func : (func -> func) -> program -> program
+(** The program itself (physically) when [f] returns every function
+    itself; unchanged functions stay shared otherwise. *)
+
+val map_blocks : (label -> block -> block) -> func -> func
+(** Like mapping [fn_blocks] with [Imap.mapi], and structurally equal to
+    it, but only the changed bindings are rebuilt: the function itself when
+    [f] returns every block itself.  [f] sees the labels in increasing
+    order. *)
+
+val with_instrs : block -> instr list -> block
+(** The block with these instructions; the block itself when the list is
+    its own. *)
+
+val with_term : block -> terminator -> block
+(** The block with this terminator; the block itself when it is its own. *)
+
 val update_func : program -> func -> program
 (** Replaces the function with the same name. *)
 
@@ -118,7 +134,9 @@ val def_of_instr : instr -> var option
 (** The register defined, if any. *)
 
 val map_instr_operands : (operand -> operand) -> instr -> instr
-(** Rewrites every operand (phi arguments included, labels untouched). *)
+(** Rewrites every operand (phi arguments included, labels untouched).
+    Returns the instruction itself when [f] returns every operand itself;
+    so does {!map_terminator_operands}. *)
 
 val map_terminator_operands : (operand -> operand) -> terminator -> terminator
 
@@ -131,12 +149,8 @@ val has_side_effect : instr -> bool
 val instr_count : func -> int
 (** Number of instructions, a size measure for inlining heuristics. *)
 
-val program_instr_count : program -> int
-
 val block_count : func -> int
 (** Number of basic blocks (unreachable ones included). *)
-
-val program_block_count : program -> int
 
 val iter_instrs : (label -> instr -> unit) -> func -> unit
 (** Iterates in increasing label order; deterministic. *)

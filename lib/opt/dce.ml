@@ -29,8 +29,7 @@ let run fn =
     | Def (v, _) -> Hashtbl.mem live v
     | Store _ | Call _ | Marker _ -> true
   in
-  let blocks = Imap.map (fun b -> { b with b_instrs = List.filter keep b.b_instrs }) fn.fn_blocks in
-  { fn with fn_blocks = blocks }
+  map_blocks (fun _ b -> with_instrs b (Dce_support.Listx.filter_shared keep b.b_instrs)) fn
 
 let run_program prog = { prog with prog_funcs = List.map run prog.prog_funcs }
 

@@ -70,13 +70,14 @@ let run config info ~is_main fn =
          | Jmp _ | Br _ | Switch _ -> ());
       (* terminator operand reads are register reads; memory unaffected *)
       let kept = ref [] in
+      let dropped = ref false in
       List.iter
         (fun i ->
           match i with
           | Store (p, _) -> (
             match Meminfo.resolve_addr dt p with
             | Meminfo.Asym (s, Some k) ->
-              if cell_dead ds s k then () (* dead store: drop *)
+              if cell_dead ds s k then dropped := true (* dead store: drop *)
               else begin
                 add_cell ds s k;
                 kept := i :: !kept
@@ -114,10 +115,9 @@ let run config info ~is_main fn =
             Meminfo.Sset.iter (fun s -> alive_sym ds s) extern_refs;
             kept := i :: !kept)
         (List.rev b.b_instrs);
-      { b with b_instrs = !kept }
+      if !dropped then { b with b_instrs = !kept } else b
     in
-    let blocks = Imap.mapi process_block fn.fn_blocks in
-    { fn with fn_blocks = blocks }
+    map_blocks process_block fn
   end
 
 let info = Passinfo.v ~requires:[ Passinfo.Meminfo ] ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "dse"

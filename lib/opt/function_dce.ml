@@ -17,15 +17,18 @@ let run prog =
     end
   in
   List.iter visit keep_roots;
-  let funcs = List.filter (fun fn -> Hashtbl.mem reachable fn.fn_name) prog.prog_funcs in
+  let funcs =
+    Dce_support.Listx.filter_shared (fun fn -> Hashtbl.mem reachable fn.fn_name) prog.prog_funcs
+  in
   let syms =
-    List.filter
+    Dce_support.Listx.filter_shared
       (fun sym ->
         match sym.sym_kind with
         | `Global -> true
         | `Frame owner -> Hashtbl.mem reachable owner)
       prog.prog_syms
   in
-  { prog with prog_funcs = funcs; prog_syms = syms }
+  if funcs == prog.prog_funcs && syms == prog.prog_syms then prog
+  else { prog with prog_funcs = funcs; prog_syms = syms }
 
 let info = Passinfo.v "function-dce"

@@ -25,16 +25,12 @@ let copy_prop fn =
         | _ -> op)
   in
   let resolve = resolve 8 in
-  let blocks =
-    Imap.map
-      (fun b ->
-        {
-          b_instrs = List.map (map_instr_operands resolve) b.b_instrs;
-          b_term = map_terminator_operands resolve b.b_term;
-        })
-      fn.fn_blocks
-  in
-  { fn with fn_blocks = blocks }
+  map_blocks
+    (fun _ b ->
+      with_term
+        (with_instrs b (Dce_support.Listx.map_shared (map_instr_operands resolve) b.b_instrs))
+        (map_terminator_operands resolve b.b_term))
+    fn
 
 let canonical_rvalue rv =
   match rv with
@@ -58,7 +54,7 @@ let cse ?dom fn =
     let added = ref [] in
     let b = Imap.find l !blocks in
     let instrs =
-      List.map
+      Dce_support.Listx.map_shared
         (fun i ->
           match i with
           | Def (v, rv) -> (
@@ -74,74 +70,71 @@ let cse ?dom fn =
           | _ -> i)
         b.b_instrs
     in
-    blocks := Imap.add l { b with b_instrs = instrs } !blocks;
+    if instrs != b.b_instrs then blocks := Imap.add l { b with b_instrs = instrs } !blocks;
     List.iter walk (Dom.children dom l);
     List.iter (Hashtbl.remove table) !added
   in
   walk fn.fn_entry;
-  { fn with fn_blocks = !blocks }
+  if !blocks == fn.fn_blocks then fn else { fn with fn_blocks = !blocks }
 
 (* block-local store-to-load and load-to-load forwarding *)
 let forward config info fn =
   let dt = Meminfo.deftab fn in
   let extern_mods = Meminfo.extern_mod_set info in
-  let blocks =
-    Imap.map
-      (fun b ->
-        let avail : (string * int, operand) Hashtbl.t = Hashtbl.create 16 in
-        let clobber_sym s =
-          let keys = Hashtbl.fold (fun k _ acc -> k :: acc) avail [] in
-          List.iter (fun (s', k) -> if s' = s then Hashtbl.remove avail (s', k)) keys
-        in
-        let clobber_unknown () =
-          let keys = Hashtbl.fold (fun k _ acc -> k :: acc) avail [] in
-          List.iter
-            (fun (s, k) ->
-              if config.precision <> Alias.Full || Meminfo.unknown_may_touch info s then
-                Hashtbl.remove avail (s, k))
-            keys
-        in
-        let clobber_set syms =
-          Meminfo.Sset.iter clobber_sym syms;
-          ()
-        in
-        let instrs =
-          List.map
-            (fun i ->
-              match i with
-              | Def (v, Load p) -> (
-                match Meminfo.resolve_addr dt p with
-                | Meminfo.Asym (s, Some k) -> (
-                  match Hashtbl.find_opt avail (s, k) with
-                  | Some op -> Def (v, Op op)
-                  | None ->
-                    Hashtbl.replace avail (s, k) (Reg v);
-                    i)
-                | Meminfo.Asym (_, None) | Meminfo.Aunknown -> i)
-              | Def _ -> i
-              | Store (p, value) ->
-                (match Meminfo.resolve_addr dt p with
-                 | Meminfo.Asym (s, Some k) -> Hashtbl.replace avail (s, k) value
-                 | Meminfo.Asym (s, None) -> clobber_sym s
-                 | Meminfo.Aunknown ->
-                   if config.precision = Alias.Full then clobber_unknown ()
-                   else Hashtbl.reset avail);
-                i
-              | Call (_, name, _) ->
-                (if Meminfo.is_defined_function info name then
-                   if config.use_call_summaries then clobber_set (Meminfo.mod_set info name)
-                   else Hashtbl.reset avail
-                 else clobber_set extern_mods);
-                i
-              | Marker _ ->
-                clobber_set extern_mods;
-                i)
-            b.b_instrs
-        in
-        { b with b_instrs = instrs })
-      fn.fn_blocks
-  in
-  { fn with fn_blocks = blocks }
+  map_blocks
+    (fun _ b ->
+      let avail : (string * int, operand) Hashtbl.t = Hashtbl.create 16 in
+      let clobber_sym s =
+        let keys = Hashtbl.fold (fun k _ acc -> k :: acc) avail [] in
+        List.iter (fun (s', k) -> if s' = s then Hashtbl.remove avail (s', k)) keys
+      in
+      let clobber_unknown () =
+        let keys = Hashtbl.fold (fun k _ acc -> k :: acc) avail [] in
+        List.iter
+          (fun (s, k) ->
+            if config.precision <> Alias.Full || Meminfo.unknown_may_touch info s then
+              Hashtbl.remove avail (s, k))
+          keys
+      in
+      let clobber_set syms =
+        Meminfo.Sset.iter clobber_sym syms;
+        ()
+      in
+      let instrs =
+        Dce_support.Listx.map_shared
+          (fun i ->
+            match i with
+            | Def (v, Load p) -> (
+              match Meminfo.resolve_addr dt p with
+              | Meminfo.Asym (s, Some k) -> (
+                match Hashtbl.find_opt avail (s, k) with
+                | Some op -> Def (v, Op op)
+                | None ->
+                  Hashtbl.replace avail (s, k) (Reg v);
+                  i)
+              | Meminfo.Asym (_, None) | Meminfo.Aunknown -> i)
+            | Def _ -> i
+            | Store (p, value) ->
+              (match Meminfo.resolve_addr dt p with
+               | Meminfo.Asym (s, Some k) -> Hashtbl.replace avail (s, k) value
+               | Meminfo.Asym (s, None) -> clobber_sym s
+               | Meminfo.Aunknown ->
+                 if config.precision = Alias.Full then clobber_unknown ()
+                 else Hashtbl.reset avail);
+              i
+            | Call (_, name, _) ->
+              (if Meminfo.is_defined_function info name then
+                 if config.use_call_summaries then clobber_set (Meminfo.mod_set info name)
+                 else Hashtbl.reset avail
+               else clobber_set extern_mods);
+              i
+            | Marker _ ->
+              clobber_set extern_mods;
+              i)
+          b.b_instrs
+      in
+      with_instrs b instrs)
+    fn
 
 let run ?dom config info fn =
   let fn = copy_prop fn in

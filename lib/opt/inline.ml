@@ -235,7 +235,8 @@ let run config prog =
     done;
     !fn
   in
-  let funcs = List.map inline_into !prog_ref.prog_funcs in
-  { !prog_ref with prog_funcs = funcs }
+  let funcs = Dce_support.Listx.map_shared inline_into prog.prog_funcs in
+  if funcs == prog.prog_funcs && !prog_ref == prog then prog
+  else { !prog_ref with prog_funcs = funcs }
 
 let info = Passinfo.v ~requires:[ Passinfo.Cfg ] "inline"

@@ -30,39 +30,33 @@ let callsite_constants prog callee_name arity =
   else Some consts
 
 let specialize fn consts =
-  let subst = function
+  let subst op =
+    match op with
     | Reg v -> (
       let rec find i = function
-        | [] -> Reg v
+        | [] -> op
         | p :: rest -> (
-          if p = v then match consts.(i) with Some k -> Const k | None -> Reg v
+          if p = v then match consts.(i) with Some k -> Const k | None -> op
           else find (i + 1) rest)
       in
       find 0 fn.fn_params)
-    | Const n -> Const n
+    | Const _ -> op
   in
-  let blocks =
-    Imap.map
-      (fun b ->
-        {
-          b_instrs = List.map (map_instr_operands subst) b.b_instrs;
-          b_term = map_terminator_operands subst b.b_term;
-        })
-      fn.fn_blocks
-  in
-  { fn with fn_blocks = blocks }
+  map_blocks
+    (fun _ b ->
+      with_term
+        (with_instrs b (Dce_support.Listx.map_shared (map_instr_operands subst) b.b_instrs))
+        (map_terminator_operands subst b.b_term))
+    fn
 
 let run prog =
-  let funcs =
-    List.map
-      (fun fn ->
-        if (not fn.fn_static) || fn.fn_name = "main" || fn.fn_params = [] then fn
-        else
-          match callsite_constants prog fn.fn_name (List.length fn.fn_params) with
-          | Some consts when Array.exists (fun c -> c <> None) consts -> specialize fn consts
-          | Some _ | None -> fn)
-      prog.prog_funcs
-  in
-  { prog with prog_funcs = funcs }
+  Ir.map_func
+    (fun fn ->
+      if (not fn.fn_static) || fn.fn_name = "main" || fn.fn_params = [] then fn
+      else
+        match callsite_constants prog fn.fn_name (List.length fn.fn_params) with
+        | Some consts when Array.exists (fun c -> c <> None) consts -> specialize fn consts
+        | Some _ | None -> fn)
+    prog
 
 let info = Passinfo.v ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "ipa-cp"

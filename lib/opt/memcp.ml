@@ -246,25 +246,13 @@ let run config info fn =
         rpo;
       if Hashtbl.length rewrites = 0 then fn
       else begin
-        let blocks =
-          Imap.map
-            (fun b ->
-              {
-                b with
-                b_instrs =
-                  List.map
-                    (fun i ->
-                      match i with
-                      | Def (v, Load _) -> (
-                        match Hashtbl.find_opt rewrites v with
-                        | Some rv -> Def (v, rv)
-                        | None -> i)
-                      | _ -> i)
-                    b.b_instrs;
-              })
-            fn.fn_blocks
+        let rewrite i =
+          match i with
+          | Def (v, Load _) -> (
+            match Hashtbl.find_opt rewrites v with Some rv -> Def (v, rv) | None -> i)
+          | _ -> i
         in
-        { fn with fn_blocks = blocks }
+        map_blocks (fun _ b -> with_instrs b (Dce_support.Listx.map_shared rewrite b.b_instrs)) fn
       end
     end
   end

@@ -19,7 +19,9 @@
 
 (** The analyses the manager knows how to cache. *)
 type analysis =
-  | Meminfo      (** whole-program {!Meminfo.analyze} *)
+  | Meminfo
+      (** whole-program {!Meminfo.analyze}; the manager looks it up by
+          program, so declaring it preserved has no effect *)
   | Cfg          (** per-function predecessor maps *)
   | Dominators   (** per-function dominator trees *)
 

@@ -135,19 +135,17 @@ let run config fn =
         rv'
       | _ -> rv
     in
-    let blocks =
-      Imap.map
-        (fun b ->
-          {
-            b with
-            b_instrs =
-              List.map
-                (fun i -> match i with Def (v, rv) -> Def (v, rewrite rv v) | _ -> i)
-                b.b_instrs;
-          })
-        !fn.fn_blocks
+    let rewrite_instr i =
+      match i with
+      | Def (v, rv) ->
+        let rv' = rewrite rv v in
+        if rv' == rv then i else Def (v, rv')
+      | _ -> i
     in
-    fn := { !fn with fn_blocks = blocks }
+    fn :=
+      map_blocks
+        (fun _ b -> with_instrs b (Dce_support.Listx.map_shared rewrite_instr b.b_instrs))
+        !fn
   done;
   !fn
 

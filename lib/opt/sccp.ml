@@ -170,7 +170,7 @@ let run config info fn =
       match i with
       | Def (v, rv) -> (
         match lat.(v) with
-        | Cint k -> Def (v, Op (Const k))
+        | Cint k -> ( match rv with Op (Const k') when k' = k -> i | _ -> Def (v, Op (Const k)))
         | Cptr (s, o) -> (
           match rv with
           | Addr (_, Const _) -> i (* already an address constant *)
@@ -191,13 +191,16 @@ let run config info fn =
         | _ -> term)
       | Jmp _ | Ret _ -> term
     in
-    let blocks =
-      Imap.map
-        (fun b -> { b_instrs = List.map rewrite_instr b.b_instrs; b_term = rewrite_term b.b_term })
-        fn.fn_blocks
+    let fn =
+      map_blocks
+        (fun _ b ->
+          with_term
+            (with_instrs b (Dce_support.Listx.map_shared rewrite_instr b.b_instrs))
+            (rewrite_term b.b_term))
+        fn
     in
     (* folded branches removed edges: restore the phi/CFG invariant *)
-    Cfg.prune_phi_args { fn with fn_blocks = blocks }
+    Cfg.prune_phi_args fn
   end
 
 let info = Passinfo.v ~requires:[ Passinfo.Meminfo ] "sccp"

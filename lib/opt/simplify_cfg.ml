@@ -33,19 +33,19 @@ let fold_constant_terms fn =
       | None -> term)
     | Jmp _ | Ret _ -> term
   in
-  let blocks = Imap.map (fun b -> { b with b_term = fold_term b.b_term }) fn.fn_blocks in
-  ({ fn with fn_blocks = blocks }, !changed)
+  (map_blocks (fun _ b -> with_term b (fold_term b.b_term)) fn, !changed)
 
 (* drop phi arguments whose predecessor edge no longer exists (constant
    branch folding removes edges without removing blocks) *)
 let prune_phi_args fn =
   let fn' = Cfg.prune_phi_args fn in
-  (fn', fn'.fn_blocks <> fn.fn_blocks)
+  (fn', fn' != fn)
 
 (* replace phis that have a single distinct non-self argument with copies *)
 let simplify_phis fn =
   let changed = ref false in
-  let simplify v = function
+  let simplify v rv =
+    match rv with
     | Phi args ->
       let distinct =
         Dce_support.Listx.uniq
@@ -59,23 +59,24 @@ let simplify_phis fn =
          (* phi of only itself: value never defined on any path; any constant *)
          changed := true;
          Op (Const 0)
-       | _ -> Phi args)
-    | rv -> rv
+       | _ -> rv)
+    | _ -> rv
   in
-  let blocks =
-    Imap.map
-      (fun b ->
+  let simplify_instr i =
+    match i with
+    | Def (v, rv) ->
+      let rv' = simplify v rv in
+      if rv' == rv then i else Def (v, rv')
+    | _ -> i
+  in
+  let fn' =
+    map_blocks
+      (fun _ b ->
         Cfg.normalize_phi_prefix
-          {
-            b with
-            b_instrs =
-              List.map
-                (fun i -> match i with Def (v, rv) -> Def (v, simplify v rv) | _ -> i)
-                b.b_instrs;
-          })
-      fn.fn_blocks
+          (with_instrs b (Dce_support.Listx.map_shared simplify_instr b.b_instrs)))
+      fn
   in
-  ({ fn with fn_blocks = blocks }, !changed)
+  (fn', !changed)
 
 (* merge B into A when A ends with Jmp B and B's only predecessor is A *)
 let merge_chains fn =
@@ -136,7 +137,7 @@ let merge_chains fn =
         done
       end)
     fn.fn_blocks;
-  ({ fn with fn_blocks = !blocks }, !changed)
+  if !changed then ({ fn with fn_blocks = !blocks }, true) else (fn, false)
 
 (* retarget predecessors of empty forwarding blocks (just "Jmp C") *)
 let skip_empty_blocks fn =
@@ -175,7 +176,7 @@ let skip_empty_blocks fn =
         end
       | _ -> ())
     fn.fn_blocks;
-  ({ fn with fn_blocks = !blocks }, !changed)
+  if !changed then ({ fn with fn_blocks = !blocks }, true) else (fn, false)
 
 let run fn =
   let rec fixpoint fn rounds =
@@ -183,7 +184,7 @@ let run fn =
     else begin
       let fn, c1 = fold_constant_terms fn in
       let fn' = Cfg.remove_unreachable_blocks fn in
-      let c2 = not (fn' == fn) in
+      let c2 = fn' != fn in
       let fn = fn' in
       let fn, c6 = prune_phi_args fn in
       let fn, c3 = simplify_phis fn in

@@ -77,8 +77,7 @@ let run config prog =
         else fn)
       fn loops
   in
-  let funcs = List.map vectorize_func prog.prog_funcs in
-  let prog = { prog with prog_funcs = funcs } in
+  let prog = Ir.map_func vectorize_func prog in
   if !pool_used && find_symbol prog pool_name = None then
     {
       prog with

@@ -224,8 +224,8 @@ let run ?dom ?preds config fn =
     let preds = match preds with Some f -> f () | None -> Cfg.predecessors fn in
     let reach = Cfg.reachable fn in
     let changed = ref false in
-    let blocks =
-      Imap.mapi
+    let fn' =
+      map_blocks
         (fun l b ->
           if not (Iset.mem l reach) then b
           else begin
@@ -244,7 +244,7 @@ let run ?dom ?preds config fn =
               | None -> Hashtbl.replace local v r
             in
             let instrs =
-              List.map
+              Dce_support.Listx.map_shared
                 (fun i ->
                   match i with
                   | Def (v, Binary (cmp, a, b')) when Ops.is_comparison cmp -> (
@@ -278,11 +278,11 @@ let run ?dom ?preds config fn =
                 else b.b_term)
               | t -> t
             in
-            { b_instrs = instrs; b_term = term }
+            with_term (with_instrs b instrs) term
           end)
-        fn.fn_blocks
+        fn
     in
-    if !changed then Cfg.prune_phi_args { fn with fn_blocks = blocks } else fn
+    if !changed then Cfg.prune_phi_args fn' else fn
   end
 
 let info = Passinfo.v ~requires:[ Passinfo.Cfg; Passinfo.Dominators ] "vrp"

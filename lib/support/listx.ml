@@ -7,6 +7,22 @@ let rec drop n xs =
   | [] -> []
   | _ :: rest -> if n <= 0 then xs else drop (n - 1) rest
 
+(* Both keep the longest unchanged suffix of the input, and the input
+   itself when nothing changed, so callers can test for a change with [==]. *)
+let rec map_shared f = function
+  | [] -> []
+  | x :: rest as l ->
+    let x' = f x in
+    let rest' = map_shared f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
+let rec filter_shared p = function
+  | [] -> []
+  | x :: rest as l ->
+    let keep = p x in
+    let rest' = filter_shared p rest in
+    if not keep then rest' else if rest' == rest then l else x :: rest'
+
 let split_at n xs = (take n xs, drop n xs)
 
 let group_by key xs =

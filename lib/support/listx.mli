@@ -6,6 +6,16 @@ val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
 (** The list without its first [n] elements ([[]] if shorter). *)
 
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+(** [List.map] for an [f] that returns its argument itself when it changes
+    nothing: the result is the input list itself (physically) when [f] does
+    so for every element, and shares the input's unchanged suffix
+    otherwise.  Applies [f] left to right. *)
+
+val filter_shared : ('a -> bool) -> 'a list -> 'a list
+(** [List.filter] that returns the input list itself when it keeps every
+    element, and shares the input's fully kept suffix otherwise. *)
+
 val split_at : int -> 'a list -> 'a list * 'a list
 (** [split_at n xs] is [(take n xs, drop n xs)]. *)
 

@@ -347,6 +347,24 @@ let test_corpus_resume () =
   Alcotest.(check string) "table1 equal" (Stats.table1 sa) (Stats.table1 sb);
   Sys.remove path
 
+(* a --journal path naming someone else's file: the campaign refuses it by
+   name and leaves the file as it was, rather than truncating it; a torn
+   first line (a campaign killed before its header was flushed) still starts
+   over *)
+let test_corpus_journal_foreign_file () =
+  let path = temp_journal () in
+  let notes = "shopping list\n- eggs\n" in
+  write_file path notes;
+  (match Campaign.Corpus.run ~journal:path ~jobs:1 ~seed:3 ~count:1 () with
+   | _ -> Alcotest.fail "a foreign file was accepted as a journal"
+   | exception Failure msg ->
+     Alcotest.(check bool) "the error names the path" true (contains msg path));
+  Alcotest.(check string) "the file is untouched" notes (read_file path);
+  write_file path "{\"journal\":\"dce-cam";
+  let c = Campaign.Corpus.run ~journal:path ~jobs:1 ~seed:3 ~count:1 () in
+  Alcotest.(check int) "a torn first line starts over" 0 c.Campaign.Corpus.c_resumed;
+  Sys.remove path
+
 (* replace the first occurrence of [needle] in [hay] *)
 let replace_first hay needle replacement =
   let n = String.length needle and m = String.length hay in
@@ -601,6 +619,8 @@ let suite =
     ("fault isolation: injected crash quarantined", `Slow, test_fault_isolation);
     ("checkpoint/resume: corpus campaign", `Slow, test_corpus_resume);
     ("checkpoint/resume: unknown record kind skipped", `Slow, test_corpus_journal_unknown_kind);
+    ("checkpoint/resume: a foreign --journal file is refused", `Quick,
+     test_corpus_journal_foreign_file);
     ("checkpoint/resume: oracle record kinds skipped", `Slow, test_corpus_journal_oracle_kinds);
     ("value campaign: jobs determinism", `Slow, test_value_campaign_determinism);
     json_roundtrip;
