@@ -213,7 +213,13 @@ let test_journal_double_open_fails () =
    | exception Failure msg ->
      Alcotest.(check bool) "message names the lock" true (contains msg "locked");
      Alcotest.(check bool) "message names the path" true (contains msg path));
-  (* the refused opener must not have damaged the live journal *)
+  (* an opener that loaded the file before the live campaign wrote its
+     header is refused for the lock too, not as a foreign file *)
+  (match Journal.open_append ~existing:None ~path header with
+   | _ -> Alcotest.fail "an open that loaded before the header was written must fail"
+   | exception Failure msg ->
+     Alcotest.(check bool) "stale load: message names the lock" true (contains msg "locked"));
+  (* the refused openers must not have damaged the live journal *)
   Journal.append j1 (Campaign.Json.Obj [ ("case", Campaign.Json.Int 0) ]);
   Journal.close j1;
   (* after close the lock is released and reopening resumes normally *)
