@@ -162,6 +162,7 @@ let codec = { Engine.encode = encode_payload; decode = decode_payload }
 (* ------------------------------------------------------------------ *)
 
 let run ?journal ?(settings = Settings.default) ?bundle_dir ~jobs ~seed ~count () =
+  Settings.check_cases ~count settings;
   let checked = Settings.checked settings in
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
@@ -353,6 +354,7 @@ let decode_value j =
 let value_codec = { Engine.encode = encode_value; decode = decode_value }
 
 let run_value ?journal ?settings ~jobs ~seed ~count () =
+  Option.iter (Settings.check_cases ~count) settings;
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in

@@ -47,5 +47,15 @@ let default = v ()
 
 let plan t = match t.chaos with Some c -> c.plan | None -> []
 
+let check_cases ~count t =
+  List.iter
+    (fun (inj : Chaos.injection) ->
+      if inj.inj_case >= count then
+        failwith
+          (Printf.sprintf
+             "--chaos: case %d is out of range: the campaign has %d case(s), numbered from 0"
+             inj.inj_case count))
+    (plan t)
+
 (* a corrupt-IR injection is invisible without per-pass validation *)
 let checked t = t.checked || Chaos.has_corrupt (plan t)

@@ -53,3 +53,9 @@ val checked : t -> bool
 
 val plan : t -> Chaos.plan
 (** The chaos plan; [[]] without one. *)
+
+val check_cases : count:int -> t -> unit
+(** Raises [Failure] naming [--chaos] when the plan names a case index at
+    or past [count]: a fault planted in a case the campaign does not have
+    would silently never fire.  Runners whose case count is known before
+    they start call it. *)

@@ -8,8 +8,8 @@ end
 
 module Pmap = Map.Make (Pair)
 
-let construct fn =
-  let fn = Cfg.remove_unreachable_blocks fn in
+let construct input =
+  let fn = Cfg.remove_unreachable_blocks input in
   let dom = Dom.compute fn in
   let preds = Cfg.predecessors fn in
   (* 1. definition sites per register *)
@@ -85,19 +85,13 @@ let construct fn =
       !phis_at Pmap.empty
   in
   let phi_args : (label * operand) list Pmap.t ref = ref Pmap.empty in
-  let stacks : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let top v =
-    match Hashtbl.find_opt stacks v with
-    | Some (x :: _) -> Some x
-    | Some [] | None -> None
-  in
-  let push v x =
-    Hashtbl.replace stacks v (x :: Option.value ~default:[] (Hashtbl.find_opt stacks v))
-  in
+  let stacks = Regtab.create fn.fn_next_var [] in
+  let top v = match Regtab.get stacks v with x :: _ -> Some x | [] -> None in
+  let push v x = Regtab.set stacks v (x :: Regtab.get stacks v) in
   let pop v =
-    match Hashtbl.find_opt stacks v with
-    | Some (_ :: rest) -> Hashtbl.replace stacks v rest
-    | Some [] | None -> failwith "ssa: pop on empty stack"
+    match Regtab.get stacks v with
+    | _ :: rest -> Regtab.set stacks v rest
+    | [] -> failwith "ssa: pop on empty stack"
   in
   (* parameters define themselves at entry *)
   List.iter (fun v -> push v v) fn.fn_params;
@@ -209,6 +203,8 @@ let construct fn =
   in
   let fn = { fn with fn_blocks = final_blocks; fn_next_var = !next; fn_var_names = !names } in
   Validate.func_exn Validate.Ssa fn;
-  fn
+  (* every definition takes a fresh register, so only a function that
+     allocated none can have come out equal to its input *)
+  if !next = input.fn_next_var && compare fn input = 0 then input else fn
 
-let construct_program prog = { prog with prog_funcs = List.map construct prog.prog_funcs }
+let construct_program prog = map_func construct prog

@@ -11,6 +11,10 @@
     register/frame classification in {!Lower}). *)
 
 val construct : Ir.func -> Ir.func
-(** Raises [Failure] on malformed input (validated internally). *)
+(** Raises [Failure] on malformed input (validated internally).  A function
+    construction leaves structurally equal (no register defined, no block
+    unreachable) is returned itself. *)
 
 val construct_program : Ir.program -> Ir.program
+(** {!construct} on every function; the program itself when it returns
+    every function itself. *)

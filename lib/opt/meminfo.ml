@@ -19,21 +19,21 @@ type t = {
   externs_mod : Sset.t;
 }
 
-type deftab = (int, rvalue) Hashtbl.t
+type deftab = rvalue option Regtab.t
 
 let deftab fn =
-  let tbl = Hashtbl.create 128 in
-  iter_instrs (fun _ i -> match i with Def (v, rv) -> Hashtbl.replace tbl v rv | _ -> ()) fn;
+  let tbl = Regtab.create fn.fn_next_var None in
+  iter_instrs (fun _ i -> match i with Def (v, rv) -> Regtab.set tbl v (Some rv) | _ -> ()) fn;
   tbl
 
-let def_rvalue (tbl : deftab) v = Hashtbl.find_opt tbl v
+let def_rvalue = Regtab.get
 
 let def_rvalue_resolved (tbl : deftab) v =
   let rec go fuel v =
     if fuel <= 0 then None
     else
-      match Hashtbl.find_opt tbl v with
-      | Some (Op (Reg w)) -> ( match go (fuel - 1) w with None -> Hashtbl.find_opt tbl v | r -> r)
+      match Regtab.get tbl v with
+      | Some (Op (Reg w)) as def -> ( match go (fuel - 1) w with None -> def | r -> r)
       | r -> r
   in
   go 8 v
@@ -132,10 +132,10 @@ let analyze prog =
       let unknown_load = ref false in
       (* track which registers (transitively) hold a symbol's address, to
          detect escapes through operands *)
-      let reg_syms : (int, Sset.t) Hashtbl.t = Hashtbl.create 64 in
+      let reg_syms = Regtab.create fn.fn_next_var Sset.empty in
       let syms_of = function
         | Const _ -> Sset.empty
-        | Reg v -> Option.value ~default:Sset.empty (Hashtbl.find_opt reg_syms v)
+        | Reg v -> Regtab.get reg_syms v
       in
       (* two passes so that phis see later defs *)
       for _round = 1 to 2 do
@@ -152,8 +152,8 @@ let analyze prog =
                   List.fold_left (fun acc (_, a) -> Sset.union acc (syms_of a)) Sset.empty args
                 | Load _ -> Sset.empty
               in
-              let existing = Option.value ~default:Sset.empty (Hashtbl.find_opt reg_syms v) in
-              Hashtbl.replace reg_syms v (Sset.union existing s)
+              let existing = Regtab.get reg_syms v in
+              if not (Sset.subset s existing) then Regtab.set reg_syms v (Sset.union existing s)
             | Store _ | Call _ | Marker _ -> ())
           fn
       done;

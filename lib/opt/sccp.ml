@@ -27,14 +27,15 @@ let truthy_lat = function
 let run config info fn =
   if Imap.cardinal fn.fn_blocks > config.block_limit then fn
   else begin
-    let nvars = fn.fn_next_var in
-    let lat = Array.make (max 1 nvars) Top in
-    List.iter (fun p -> lat.(p) <- Bot) fn.fn_params;
-    let edge_exec : (label * label, unit) Hashtbl.t = Hashtbl.create 64 in
-    let block_exec : (label, unit) Hashtbl.t = Hashtbl.create 64 in
+    let lat = Regtab.create fn.fn_next_var Top in
+    List.iter (fun p -> Regtab.set lat p Bot) fn.fn_params;
+    (* executable blocks, and each block's executable successor edges *)
+    let block_exec = Regtab.create fn.fn_next_label false in
+    let edge_exec = Regtab.create fn.fn_next_label [] in
+    let edge_executable src dst = List.exists (Int.equal dst) (Regtab.get edge_exec src) in
     let operand_lat = function
       | Const n -> Cint n
-      | Reg v -> lat.(v)
+      | Reg v -> Regtab.get lat v
     in
     let eval_binary op a b =
       match (op, a, b) with
@@ -109,7 +110,7 @@ let run config info fn =
       | Phi args ->
         List.fold_left
           (fun acc (pred, a) ->
-            if Hashtbl.mem edge_exec (pred, l) then join acc (operand_lat a) else acc)
+            if edge_executable pred l then join acc (operand_lat a) else acc)
           Top args
     in
     let feasible_succs term =
@@ -128,37 +129,38 @@ let run config info fn =
       | Ret _ -> []
     in
     (* chaotic iteration over executable blocks until stable *)
-    Hashtbl.replace block_exec fn.fn_entry ();
+    Regtab.set block_exec fn.fn_entry true;
     let changed = ref true in
     while !changed do
       changed := false;
       Imap.iter
         (fun l b ->
-          if Hashtbl.mem block_exec l then begin
+          if Regtab.get block_exec l then begin
             List.iter
               (fun i ->
                 match i with
                 | Def (v, rv) ->
-                  let nv = join lat.(v) (eval_rvalue l rv) in
-                  if nv <> lat.(v) then begin
-                    lat.(v) <- nv;
+                  let old = Regtab.get lat v in
+                  let nv = join old (eval_rvalue l rv) in
+                  if nv <> old then begin
+                    Regtab.set lat v nv;
                     changed := true
                   end
                 | Call (Some v, _, _) ->
-                  if lat.(v) <> Bot then begin
-                    lat.(v) <- Bot;
+                  if Regtab.get lat v <> Bot then begin
+                    Regtab.set lat v Bot;
                     changed := true
                   end
                 | Call (None, _, _) | Store _ | Marker _ -> ())
               b.b_instrs;
             List.iter
               (fun s ->
-                if not (Hashtbl.mem edge_exec (l, s)) then begin
-                  Hashtbl.replace edge_exec (l, s) ();
+                if not (edge_executable l s) then begin
+                  Regtab.set edge_exec l (s :: Regtab.get edge_exec l);
                   changed := true
                 end;
-                if not (Hashtbl.mem block_exec s) then begin
-                  Hashtbl.replace block_exec s ();
+                if not (Regtab.get block_exec s) then begin
+                  Regtab.set block_exec s true;
                   changed := true
                 end)
               (feasible_succs b.b_term)
@@ -169,7 +171,7 @@ let run config info fn =
     let rewrite_instr i =
       match i with
       | Def (v, rv) -> (
-        match lat.(v) with
+        match Regtab.get lat v with
         | Cint k -> ( match rv with Op (Const k') when k' = k -> i | _ -> Def (v, Op (Const k)))
         | Cptr (s, o) -> (
           match rv with

@@ -99,21 +99,20 @@ let decide_cmp op a b =
   | _ -> None
 
 type analysis = {
-  base : range array;
+  base : range Regtab.t;
   dt : Meminfo.deftab;
 }
 
 let operand_range an refin = function
   | Const k -> singleton k
   | Reg v -> (
-    let r = an.base.(v) in
+    let r = Regtab.get an.base v in
     match Imap.find_opt v refin with
     | Some r' -> ( match meet r r' with Some m -> m | None -> r')
     | None -> r)
 
 let compute_base config fn =
-  let n = max 1 fn.fn_next_var in
-  let base = Array.make n full in
+  let base = Regtab.create fn.fn_next_var full in
   let dt = Meminfo.deftab fn in
   let an = { base; dt } in
   let rpo = Cfg.reverse_postorder fn in
@@ -144,8 +143,9 @@ let compute_base config fn =
                     (List.tl args)
                 | Load _ | Addr _ | Ptradd _ -> full
               in
-              if round < 4 then base.(v) <- r
-              else if base.(v) <> r then base.(v) <- full (* widen what is unstable *)
+              if round < 4 then Regtab.set base v r
+              else if Regtab.get base v <> r then
+                Regtab.set base v full (* widen what is unstable *)
             | _ -> ())
           (block fn l).b_instrs)
       rpo
@@ -190,7 +190,7 @@ let refine_from_condition config an cond_var holds refin =
      | _ -> refin)
   | Some (Binary (Ops.Shl, Reg x, _)) when holds && config.shift_rule ->
     (* cond = x << y and cond != 0 holds: then x != 0; usable when x >= 0 *)
-    let cur = an.base.(x) in
+    let cur = Regtab.get an.base x in
     if cur.lo >= 0 then add x { lo = max 1 cur.lo; hi = cur.hi } refin else refin
   | _ -> refin
 
@@ -239,7 +239,7 @@ let run ?dom ?preds config fn =
               | _ -> operand_range an refin op
             in
             let note v r =
-              match meet an.base.(v) r with
+              match meet (Regtab.get an.base v) r with
               | Some m -> Hashtbl.replace local v m
               | None -> Hashtbl.replace local v r
             in

@@ -116,7 +116,11 @@ let spec_of_json j =
   in
   (* refuse, rather than queue, out-of-range settings; the whole-job
      deadline is checked even when a case deadline overrides it *)
-  (try List.iter (fun s -> ignore (settings s)) [ spec; { spec with sp_case_deadline = None } ]
+  (try
+     List.iter (fun s -> ignore (settings s)) [ spec; { spec with sp_case_deadline = None } ];
+     (* every kind but reduce runs a corpus of [count] cases *)
+     if spec.sp_kind <> Reduce then
+       Dce_campaign.Settings.check_cases ~count:spec.sp_count (settings spec)
    with Failure msg -> failwith ("job spec: " ^ msg));
   spec
 

@@ -43,8 +43,9 @@ val settings : ?workers:int -> spec -> Dce_campaign.Settings.t
 val spec_to_json : spec -> Dce_campaign.Json.t
 val spec_of_json : Dce_campaign.Json.t -> spec
 (** Raises [Failure] on a missing/unknown kind, or when the budgets, retry
-    count or chaos plan are out of range ({!settings} fails, or the
-    whole-job deadline is not positive); other fields default. *)
+    count or chaos plan are out of range ({!settings} fails, the whole-job
+    deadline is not positive, or the plan names a case at or past [count]);
+    other fields default. *)
 
 (** {1 Lifecycle events} *)
 

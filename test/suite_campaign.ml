@@ -276,6 +276,14 @@ let test_settings_validation () =
   rejects "--deadline" (fun () -> S.v ~deadline:Float.nan ());
   rejects "--step-budget" (fun () -> S.v ~step_budget:0 ());
   rejects "--chaos" (fun () -> S.v ~chaos:"explode@1" ());
+  (* a planted case past the corpus would never fire: refused before any
+     case runs, by every runner that knows its case count *)
+  rejects "--chaos" (fun () ->
+      Campaign.Corpus.run ~settings:(S.v ~chaos:"crash@9" ()) ~jobs:1 ~seed:42 ~count:4 ());
+  rejects "--chaos" (fun () ->
+      Campaign.Oracle_campaign.run_size ~settings:(S.v ~chaos:"crash@1,hang@4:spin" ()) ~jobs:1
+        ~seed:42 ~count:4 ());
+  S.check_cases ~count:4 (S.v ~chaos:"crash@3" ());
   rejects "--jobs" (fun () -> S.jobs 0);
   Alcotest.(check int) "valid jobs pass through" 3 (S.jobs 3);
   let s = S.v ~deadline:5. ~step_budget:100 ~retries:2 ~workers:2 ~chunk:4 () in

@@ -323,9 +323,43 @@ let test_printer_mentions_markers () =
   let text = Dce_ir.Printer.program_to_string ir in
   Alcotest.(check bool) "marker printed" true (contains text "marker 7")
 
+(* Regtab against an Imap reference: keys past the initial size grow the
+   table, negative keys read the default and refuse a write, and writing the
+   default value reads back like any other *)
+let regtab_matches_imap (size, default, ops) =
+  let module R = Dce_ir.Regtab in
+  let t = R.create size default in
+  let expect r k = Option.value ~default (Ir.Imap.find_opt k r) in
+  let final =
+    List.fold_left
+      (fun r (is_set, (k, v)) ->
+        if not is_set then begin
+          if R.get t k <> expect r k then QCheck2.Test.fail_reportf "get %d" k;
+          r
+        end
+        else if k < 0 then
+          match R.set t k v with
+          | () -> QCheck2.Test.fail_reportf "set %d accepted" k
+          | exception Invalid_argument _ -> r
+        else begin
+          R.set t k v;
+          Ir.Imap.add k v r
+        end)
+      Ir.Imap.empty ops
+  in
+  for k = -80 to 400 do
+    if R.get t k <> expect final k then QCheck2.Test.fail_reportf "final get %d" k
+  done;
+  true
+
 (* qcheck: SSA construction preserves behaviour on generated programs *)
 let qcheck_tests =
   [
+    qtest ~count:300 "regtab: set/get agree with an Imap"
+      QCheck2.Gen.(
+        triple (int_range 0 100) (int_range (-2) 2)
+          (list_size (int_range 0 200) (pair bool (pair (int_range (-80) 400) (int_range (-2) 2)))))
+      regtab_matches_imap;
     qtest ~count:25 "ssa: validates and preserves behaviour (generated)"
       QCheck2.Gen.(int_range 1 100000)
       (fun seed ->

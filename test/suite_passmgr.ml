@@ -460,12 +460,12 @@ let test_front_corruption_blames_stage () =
 
 (* ---- sharing ---- *)
 
-(* A pass that changes nothing hands back its input itself, so the stage's
-   diff, the next stage's memo lookup and the bookkeeping all settle on
-   [==].  SSA construction rebuilds every function by design and is the one
-   exception.  Every stage of the static schedule executes here, each on a
-   fresh manager; [check] sees the pass's own output before the manager
-   re-shares it. *)
+(* A pass that changes nothing hands back its input itself, and a pass
+   hands back itself every function it leaves structurally equal, so the
+   stage's diff, the next stage's memo lookup and the bookkeeping all
+   settle on [==].  Every stage of the static schedule executes here, SSA
+   construction included, each on a fresh manager; [check] sees the pass's
+   own output before the manager re-shares it. *)
 let test_unchanged_stages_return_input () =
   let corpus = Dce_smith.Smith.generate_corpus ~seed:20220228 ~count:12 in
   List.iter
@@ -480,9 +480,56 @@ let test_unchanged_stages_return_input () =
                  let prog', record =
                    Pm.run_pass ~check:(fun _ p -> out := p) (Pm.create (Pm.meminfo_memo ()) prog) pass prog
                  in
-                 if (not record.Pm.sr_changed) && pass.Pm.p_label <> "ssa" && !out != prog then
+                 if (not record.Pm.sr_changed) && !out != prog then
                    Alcotest.failf "%s: no-op stage %s returned a copy of its input"
                      (config_name cfg) pass.Pm.p_label;
+                 List.iter
+                   (fun fa ->
+                     match Ir.find_func prog fa.Ir.fn_name with
+                     | Some fb when fa != fb && compare fa fb = 0 ->
+                       Alcotest.failf "%s: stage %s returned a copy of unchanged function %s"
+                         (config_name cfg) pass.Pm.p_label fa.Ir.fn_name
+                     | Some _ | None -> ())
+                   !out.Ir.prog_funcs;
+                 prog')
+               ir
+               (C.Pipeline.static_passes (C.Compiler.features compiler level))))
+        configs)
+    corpus
+
+(* [Meminfo.def_rvalue] answers, for every register of every function at
+   every stage of every config, what a walk into a [Hashtbl] answers (in
+   pre-SSA form a register may have several definitions: the last one
+   wins), also for registers past [fn_next_var] *)
+let test_deftab_matches_hashtbl () =
+  let corpus = Dce_smith.Smith.generate_corpus ~seed:8080 ~count:20 in
+  let check_program where (prog : Ir.program) =
+    List.iter
+      (fun fn ->
+        let reference = Hashtbl.create 64 in
+        Ir.iter_instrs
+          (fun _ i -> match i with Ir.Def (v, rv) -> Hashtbl.replace reference v rv | _ -> ())
+          fn;
+        let dt = Mi.deftab fn in
+        for v = 0 to fn.Ir.fn_next_var + 8 do
+          if Mi.def_rvalue dt v <> Hashtbl.find_opt reference v then
+            Alcotest.failf "%s: %s register %d" where fn.Ir.fn_name v
+        done)
+      prog.Ir.prog_funcs
+  in
+  List.iteri
+    (fun p (raw, _kinds) ->
+      let ir = Dce_ir.Lower.program (Core.Instrument.program raw) in
+      check_program (Printf.sprintf "program %d lowered" p) ir;
+      List.iter
+        (fun ((compiler, level) as cfg) ->
+          ignore
+            (List.fold_left
+               (fun prog pass ->
+                 let prog', _ = Pm.run_pass (Pm.create (Pm.meminfo_memo ()) prog) pass prog in
+                 check_program
+                   (Printf.sprintf "program %d, %s after %s" p (config_name cfg) pass.Pm.p_label)
+                   prog';
                  prog')
                ir
                (C.Pipeline.static_passes (C.Compiler.features compiler level))))
@@ -579,5 +626,6 @@ let suite =
     ("pin: IR and untimed traces of 40 programs x 10 configs", `Slow, test_pipeline_output_pin);
     ("sharing: a no-op stage returns its input", `Slow, test_unchanged_stages_return_input);
     ("sharing: rewrites return their own output", `Quick, test_rewrites_return_their_output);
+    ("deftab: def_rvalue = a Hashtbl walk at every stage", `Slow, test_deftab_matches_hashtbl);
     ("meminfo memo: one analysis per distinct program", `Quick, test_meminfo_memo_count);
   ]

@@ -111,6 +111,7 @@ let test_spec_rejects_bad_settings () =
       ("negative job deadline", {|{"kind":"hunt","deadline":-1,"case_deadline":5}|}, "--deadline");
       ("zero step budget", {|{"kind":"size-hunt","step_budget":0}|}, "--step-budget");
       ("unparsable chaos", {|{"kind":"hunt","chaos":"explode@1"}|}, "--chaos");
+      ("chaos past the corpus", {|{"kind":"triage","count":4,"chaos":"crash@9"}|}, "--chaos");
     ]
 
 (* both halves of a bisect job run under the job's settings: a step budget
