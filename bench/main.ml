@@ -53,7 +53,7 @@ let section_log : (string * float * string) list ref = ref []
 let run_section name f =
   if not (section_wanted name) then ()
   else
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dce_support.Clock.now () in
   let text =
     match json_path with
     | None ->
@@ -79,7 +79,7 @@ let run_section name f =
       print_string text;
       text
   in
-  section_log := (name, Unix.gettimeofday () -. t0, text) :: !section_log
+  section_log := (name, Dce_support.Clock.now () -. t0, text) :: !section_log
 
 (* ------------------------------------------------------------------ *)
 (* corpus and analysis (shared by all tables)                          *)
@@ -243,9 +243,22 @@ let print_bisect_bench () =
 (* Supervision: guard overhead and chaos containment                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Bechamel's OLS estimate of one run of each test, in ns, by name *)
+let bechamel_ns test =
+  let open Bechamel in
+  let instances = [ Toolkit.Instance.monotonic_clock ] in
+  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 10) () in
+  let raw = Benchmark.all cfg instances test in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  Hashtbl.fold
+    (fun name r acc ->
+      (name, match Analyze.OLS.estimates r with Some [ est ] -> Some est | _ -> None) :: acc)
+    (Analyze.all ols Toolkit.Instance.monotonic_clock raw)
+    []
+
 (* The guard's promise is "pay nothing when unarmed, almost nothing when
-   armed": the interpreter polls every 256 steps, so the bench runs one
-   interpreter-heavy program three ways and compares wall time.  The chaos
+   armed": the interpreter polls every 256 steps, so the bench times one
+   interpreter-heavy program with and without an armed guard.  The chaos
    half re-runs a small campaign under a five-fault plan and shows the
    containment cost: faulted cases quarantined or recovered, total wall
    within a small factor of the fault-free run. *)
@@ -256,40 +269,39 @@ let print_supervision_bench () =
     Dce_ir.Lower.program
       (Core.Instrument.program (fst (Smith.generate (Smith.default_config 4242))))
   in
-  let reps = 20 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
+  (* one run takes well under a millisecond: Bechamel's regression over
+     thousands of runs, not a loop of a few timer reads *)
+  let time name f =
+    match bechamel_ns (Bechamel.Test.make ~name (Bechamel.Staged.stage f)) with
+    | [ (_, Some ns) ] -> ns /. 1e9
+    | _ -> 0.
   in
-  let bare = time (fun () -> Dce_interp.Interp.run ir) in
+  let bare = time "unguarded" (fun () -> Dce_interp.Interp.run ir) in
   let armed =
-    time (fun () ->
+    time "guarded" (fun () ->
         Guard.with_guard
           (Guard.create ~deadline:3600.0 ~steps:max_int ())
           (fun () -> Dce_interp.Interp.run ir))
   in
   let overhead = if bare > 0. then (armed -. bare) /. bare *. 100. else 0. in
   Printf.printf
-    "interpreter, %d reps: unguarded %.3fms/run, deadline+step guard %.3fms/run (%+.1f%% \
+    "interpreter, Bechamel OLS: unguarded %.3fms/run, deadline+step guard %.3fms/run (%+.1f%% \
      overhead)\n"
-    reps (bare *. 1e3) (armed *. 1e3) overhead;
+    (bare *. 1e3) (armed *. 1e3) overhead;
   let chaos =
     "crash@3,hang@7:ground-truth,transient@11:differential,slow@13:instrument,corrupt@17"
   in
   let cases = 30 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dce_support.Clock.now () in
   let plain = Campaign.Corpus.run ~jobs ~seed:4242 ~count:cases () in
-  let plain_wall = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
+  let plain_wall = Dce_support.Clock.now () -. t0 in
+  let t0 = Dce_support.Clock.now () in
   let chaotic =
     Campaign.Corpus.run ~jobs ~seed:4242 ~count:cases
       ~settings:(Campaign.Settings.v ~chaos ~step_budget:2_000_000 ~retries:2 ())
       ()
   in
-  let chaos_wall = Unix.gettimeofday () -. t0 in
+  let chaos_wall = Dce_support.Clock.now () -. t0 in
   let m = chaotic.Campaign.Corpus.c_metrics in
   Printf.printf
     "chaos campaign (%d cases, 5-fault plan): %.2fs vs %.2fs fault-free; %d quarantined (%d \
@@ -749,12 +761,12 @@ let print_oracles_bench () =
   C.Compiler.clear_caches ();
   let snap () = (C.Compiler.cache_stats ()).C.Compiler.cs_surviving in
   let c0 = snap () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dce_support.Clock.now () in
   let s = OC.run_size ~jobs ~seed:20220228 ~count:corpus_size () in
-  let t_size = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
+  let t_size = Dce_support.Clock.now () -. t0 in
+  let t0 = Dce_support.Clock.now () in
   let inv = OC.run_inversion ~jobs ~seed:20220228 ~count:corpus_size () in
-  let t_inv = Unix.gettimeofday () -. t0 in
+  let t_inv = Dce_support.Clock.now () -. t0 in
   let sf = OC.size_findings ~ratio:OC.default_ratio s in
   let cross, intra =
     List.partition (function _, Core.Differential.Size_cross _ -> true | _ -> false) sf
@@ -903,10 +915,10 @@ let print_fabric_bench () =
         i)
   in
   let timed_run workers =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dce_support.Clock.now () in
     let settings = Campaign.Settings.v ~workers () in
     let r = Campaign.Fabric.run ~codec:toy_codec ~settings ~jobs:1 ~count:cases runner in
-    (Unix.gettimeofday () -. t0, r)
+    (Dce_support.Clock.now () -. t0, r)
   in
   let wall_1, r1 = timed_run 1 in
   let wall_2, _ = timed_run 2 in
@@ -935,12 +947,12 @@ let print_fabric_bench () =
   in
   let round_robin p = (p mod 8 * 4) + (p / 8) in
   let timed_skew ~chunk runner =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dce_support.Clock.now () in
     let r =
       Campaign.Fabric.run ~codec:toy_codec ~settings:(Campaign.Settings.v ~chunk ~workers:4 ())
         ~jobs:1 ~count:skew_cases runner
     in
-    (Unix.gettimeofday () -. t0, r.Campaign.Engine.outcomes)
+    (Dce_support.Clock.now () -. t0, r.Campaign.Engine.outcomes)
   in
   let wall_static, by_position =
     timed_skew ~chunk:8 (fun ctx p -> skew_runner ctx (round_robin p))
@@ -1046,9 +1058,9 @@ let print_repair_bench () =
   in
   let marker = 34 in
   let timed f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dce_support.Clock.now () in
     let r = f () in
-    (Unix.gettimeofday () -. t0, r)
+    (Dce_support.Clock.now () -. t0, r)
   in
   (* every probe is a patched-compiler compile through the content-addressed
      cache, so a re-search is nearly free — that is the probes-per-repair
@@ -1171,28 +1183,20 @@ let micro_benchmarks () =
         (Staged.stage (fun () -> ignore (Smith.generate (Smith.default_config 99))));
     ]
   in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg instances test in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    Hashtbl.iter
-      (fun name ols_result ->
-        match Analyze.OLS.estimates ols_result with
-        | Some [ est ] -> Printf.printf "  %-52s %10.1f us/run\n" name (est /. 1000.0)
-        | _ -> Printf.printf "  %-52s (no estimate)\n" name)
-      results
-  in
-  List.iter (fun t -> benchmark (Test.make_grouped ~name:"dce" [ t ])) tests
+  List.iter
+    (fun t ->
+      List.iter
+        (function
+          | name, Some ns -> Printf.printf "  %-52s %10.1f us/run\n" name (ns /. 1000.0)
+          | name, None -> Printf.printf "  %-52s (no estimate)\n" name)
+        (bechamel_ns (Test.make_grouped ~name:"dce" [ t ])))
+    tests
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   Printf.printf "DCE-lens reproduction harness — corpus of %d generated programs\n" corpus_size;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dce_support.Clock.now () in
   C.Passmgr.reset_counters ();
   List.iter
     (fun (name, f) -> run_section name f)
@@ -1217,7 +1221,7 @@ let () =
       ("fabric", print_fabric_bench);
       ("repair", print_repair_bench);
     ];
-  Printf.printf "\nreproduction sections completed in %.1fs\n" (Unix.gettimeofday () -. t0);
+  Printf.printf "\nreproduction sections completed in %.1fs\n" (Dce_support.Clock.now () -. t0);
   run_section "micro_benchmarks" micro_benchmarks;
   match json_path with
   | None -> ()
@@ -1238,7 +1242,7 @@ let () =
         [
           ("corpus_size", Campaign.Json.Int corpus_size);
           ("jobs", Campaign.Json.Int jobs);
-          ("wall_seconds", Campaign.Json.Float (Unix.gettimeofday () -. t0));
+          ("wall_seconds", Campaign.Json.Float (Dce_support.Clock.now () -. t0));
           ("sections", Campaign.Json.List sections);
           ("reduce", !reduce_bench_json);
           ("bisect", !bisect_bench_json);

@@ -53,6 +53,7 @@ let generate_cmd =
   let count = Arg.(value & opt int 10 & info [ "count" ] ~docv:"N" ~doc:"Programs to generate.") in
   let out = Arg.(value & opt string "corpus" & info [ "out" ] ~docv:"DIR" ~doc:"Output directory.") in
   let run seed count out =
+    Dce_campaign.Settings.check_cases ~count Dce_campaign.Settings.default;
     Dce_support.Fsx.mkdir_p out;
     List.iteri
       (fun i (prog, kinds) ->

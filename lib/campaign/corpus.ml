@@ -354,7 +354,7 @@ let decode_value j =
 let value_codec = { Engine.encode = encode_value; decode = decode_value }
 
 let run_value ?journal ?settings ~jobs ~seed ~count () =
-  Option.iter (Settings.check_cases ~count) settings;
+  Settings.check_cases ~count (Option.value ~default:Settings.default settings);
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in

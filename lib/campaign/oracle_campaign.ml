@@ -81,7 +81,7 @@ let decode_size j =
 let size_codec = { Engine.encode = encode_size; decode = decode_size }
 
 let run_size ?journal ?settings ~jobs ~seed ~count () =
-  Option.iter (Settings.check_cases ~count) settings;
+  Settings.check_cases ~count (Option.value ~default:Settings.default settings);
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in
@@ -292,7 +292,7 @@ let decode_inv j =
 let inv_codec = { Engine.encode = encode_inv; decode = decode_inv }
 
 let run_inversion ?journal ?settings ~jobs ~seed ~count () =
-  Option.iter (Settings.check_cases ~count) settings;
+  Settings.check_cases ~count (Option.value ~default:Settings.default settings);
   let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
   let runner ctx i =
     let case_seed = seeds.(i) in

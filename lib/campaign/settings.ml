@@ -48,6 +48,7 @@ let default = v ()
 let plan t = match t.chaos with Some c -> c.plan | None -> []
 
 let check_cases ~count t =
+  ignore (at_least "--count" 0 count);
   List.iter
     (fun (inj : Chaos.injection) ->
       if inj.inj_case >= count then

@@ -55,7 +55,7 @@ val plan : t -> Chaos.plan
 (** The chaos plan; [[]] without one. *)
 
 val check_cases : count:int -> t -> unit
-(** Raises [Failure] naming [--chaos] when the plan names a case index at
-    or past [count]: a fault planted in a case the campaign does not have
-    would silently never fire.  Runners whose case count is known before
-    they start call it. *)
+(** Raises [Failure] naming [--count] when [count] is negative, and naming
+    [--chaos] when the plan names a case index at or past [count]: a fault
+    planted in a case the campaign does not have would silently never fire.
+    Runners whose case count is known before they start call it. *)

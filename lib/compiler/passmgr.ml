@@ -1,5 +1,4 @@
 module Ir = Dce_ir.Ir
-module Pi = Dce_opt.Passinfo
 
 (* ------------------------------------------------------------------ *)
 (* checked mode and fault injection                                    *)
@@ -119,28 +118,27 @@ let meminfo_memo () : meminfo_memo = Hashtbl.create 16
 (* A function's trace figures *)
 type func_stats = { fs_blocks : int; fs_instrs : int; fs_markers : Ir.Iset.t }
 
-(* What the manager knows of one function: its hash, and its figures,
-   measured on first demand (a replayed stage needs none). *)
-type func_info = { fi_hash : int; fi_stats : func_stats Lazy.t }
+(* A function's predecessor map and dominator tree, computed on first
+   request.  The cell holds no function: a stage's output function shares
+   the cell of the same-named function it replaced when the two have the
+   same CFG inputs, so whichever filled it answers for both. *)
+type cfg_cell = {
+  mutable c_preds : Ir.label list Ir.Imap.t option;
+  mutable c_dom : Dce_ir.Dom.t option;
+}
+
+(* What the manager knows of one function: its hash, its figures, measured
+   on first demand (a replayed stage needs none), and its CFG analyses. *)
+type func_info = { fi_hash : int; fi_stats : func_stats Lazy.t; fi_cfg : cfg_cell }
 
 type t = {
   mutable cur : Ir.program;
   meminfos : meminfo_memo;
-  preds : (string, Ir.label list Ir.Imap.t) Hashtbl.t;
-  doms : (string, Dce_ir.Dom.t) Hashtbl.t;
   mutable infos_of : Ir.func list;  (* the function list last looked at *)
   mutable infos : (Ir.func * func_info) list;  (* and what is known of it *)
 }
 
-let create meminfos prog =
-  {
-    cur = prog;
-    meminfos;
-    preds = Hashtbl.create 8;
-    doms = Hashtbl.create 8;
-    infos_of = [];
-    infos = [];
-  }
+let create meminfos prog = { cur = prog; meminfos; infos_of = []; infos = [] }
 
 let func_stats fn =
   {
@@ -149,9 +147,30 @@ let func_stats fn =
     fs_markers = Ir.Iset.of_list (Ir.marker_ids fn);
   }
 
+(* Whether two functions agree on everything [Cfg.predecessors] and
+   [Dom.compute] read: the entry, the block labels and each block's
+   successor list, in order. *)
+let same_cfg (a : Ir.func) (b : Ir.func) =
+  a.Ir.fn_entry = b.Ir.fn_entry
+  && (a.Ir.fn_blocks == b.Ir.fn_blocks
+     || Ir.Imap.equal
+          (fun ba bb ->
+            ba.Ir.b_term == bb.Ir.b_term || Ir.successors ba.Ir.b_term = Ir.successors bb.Ir.b_term)
+          a.Ir.fn_blocks b.Ir.fn_blocks)
+
+(* A function the last list did not hold keeps the CFG analyses of the
+   same-named function there when [same_cfg] holds. *)
+let new_info prev fn =
+  let fi_cfg =
+    match List.find_opt (fun (f, _) -> String.equal f.Ir.fn_name fn.Ir.fn_name) prev with
+    | Some (f, i) when same_cfg f fn -> i.fi_cfg
+    | Some _ | None -> { c_preds = None; c_dom = None }
+  in
+  { fi_hash = func_hash fn; fi_stats = lazy (func_stats fn); fi_cfg }
+
 (* Found by physical identity, so only the functions the last program did
-   not hold are hashed and measured: after [diff_programs] re-shared a
-   stage's output, those are the functions the stage changed. *)
+   not hold are hashed and measured: once [reshare] has handed back the
+   functions a stage left equal, those are the functions it changed. *)
 let func_infos t (prog : Ir.program) =
   if prog.Ir.prog_funcs != t.infos_of then begin
     t.infos <-
@@ -159,7 +178,7 @@ let func_infos t (prog : Ir.program) =
         (fun fn ->
           match List.assq_opt fn t.infos with
           | Some i -> (fn, i)
-          | None -> (fn, { fi_hash = func_hash fn; fi_stats = lazy (func_stats fn) }))
+          | None -> (fn, new_info t.infos fn))
         prog.Ir.prog_funcs;
     t.infos_of <- prog.Ir.prog_funcs
   end;
@@ -179,106 +198,69 @@ let meminfo t =
     Hashtbl.add t.meminfos hash (t.cur, mi);
     mi
 
+(* A function of the current program answers from its cell; any other is
+   analyzed afresh and counted as a miss. *)
+let cfg_cell t fn = Option.map (fun i -> i.fi_cfg) (List.assq_opt fn (func_infos t t.cur))
+
 let predecessors t fn =
-  match Hashtbl.find_opt t.preds fn.Ir.fn_name with
+  let cell = cfg_cell t fn in
+  match Option.bind cell (fun c -> c.c_preds) with
   | Some p ->
     bump c_cfg_hits;
     p
   | None ->
     bump c_cfg_misses;
     let p = Dce_ir.Cfg.predecessors fn in
-    Hashtbl.replace t.preds fn.Ir.fn_name p;
+    Option.iter (fun c -> c.c_preds <- Some p) cell;
     p
 
 let dominators t fn =
-  match Hashtbl.find_opt t.doms fn.Ir.fn_name with
+  let cell = cfg_cell t fn in
+  match Option.bind cell (fun c -> c.c_dom) with
   | Some d ->
     bump c_dom_hits;
     d
   | None ->
     bump c_dom_misses;
     let d = Dce_ir.Dom.compute fn in
-    Hashtbl.replace t.doms fn.Ir.fn_name d;
+    Option.iter (fun c -> c.c_dom <- Some d) cell;
     d
 
 (* ------------------------------------------------------------------ *)
-(* change detection and invalidation                                   *)
+(* re-sharing a stage's output                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Which functions a pass changed.  [Structure] covers everything that makes
-   name-keyed per-function caches unsafe wholesale: symbols, externs, or the
-   function list itself changed. *)
-type change = Unchanged | Funcs of string list | Structure
-
-(* The change, and the output with every part structurally equal to the
-   input's replaced by the input's own: the next stage's comparisons and
-   lookups then settle on [==], and a no-op stage returns its input. *)
-let diff_programs (before : Ir.program) (after : Ir.program) =
-  if before == after then (Unchanged, before)
+(* The output with every part structurally equal to the input's replaced by
+   the input's own: the next stage's comparisons and lookups then settle on
+   [==], and a stage that changed nothing returns its input. *)
+let reshare (before : Ir.program) (after : Ir.program) =
+  if before == after then before
   else begin
     let pick eq b a = if eq b a then b else a in
     let syms = pick same before.Ir.prog_syms after.Ir.prog_syms in
     let externs = pick ( = ) before.Ir.prog_externs after.Ir.prog_externs in
-    let names p = List.map (fun f -> f.Ir.fn_name) p.Ir.prog_funcs in
-    let rebuild funcs = { Ir.prog_syms = syms; prog_funcs = funcs; prog_externs = externs } in
-    if syms == before.Ir.prog_syms && externs == before.Ir.prog_externs && names before = names after
-    then begin
-      let changed = ref [] in
-      let funcs =
-        List.map2
-          (fun fb fa ->
-            if same fb fa then fb
-            else begin
-              changed := fb.Ir.fn_name :: !changed;
-              fa
-            end)
-          before.Ir.prog_funcs after.Ir.prog_funcs
-      in
-      match !changed with [] -> (Unchanged, before) | names -> (Funcs names, rebuild funcs)
-    end
-    else
-      let share fa =
-        match Ir.find_func before fa.Ir.fn_name with Some fb -> pick same fb fa | None -> fa
-      in
-      (Structure, rebuild (List.map share after.Ir.prog_funcs))
+    let share fa =
+      match Ir.find_func before fa.Ir.fn_name with Some fb -> pick same fb fa | None -> fa
+    in
+    let funcs = List.map share after.Ir.prog_funcs in
+    if
+      syms == before.Ir.prog_syms
+      && externs == before.Ir.prog_externs
+      && List.equal ( == ) funcs before.Ir.prog_funcs
+    then before
+    else { Ir.prog_syms = syms; prog_funcs = funcs; prog_externs = externs }
   end
-
-(* Meminfo needs no invalidation: the memo is keyed by the program. *)
-let invalidate t (info : Pi.t) = function
-  | Unchanged -> ()
-  | Structure ->
-    (* name-keyed caches cannot survive a change to the function set, even
-       under a [preserves] declaration *)
-    Hashtbl.reset t.preds;
-    Hashtbl.reset t.doms
-  | Funcs names ->
-    List.iter
-      (fun n ->
-        if not (Pi.preserves info Pi.Cfg) then Hashtbl.remove t.preds n;
-        if not (Pi.preserves info Pi.Dominators) then Hashtbl.remove t.doms n)
-      names
 
 (* ------------------------------------------------------------------ *)
 (* passes and instrumented execution                                   *)
 (* ------------------------------------------------------------------ *)
 
-type pass = {
-  p_info : Pi.t;
-  p_label : string;
-  p_key : string;
-  p_run : t -> Ir.program -> Ir.program;
-}
+type pass = { p_label : string; p_key : string; p_run : t -> Ir.program -> Ir.program }
 
-let make_pass ?label ~config info run =
-  let label = Option.value ~default:info.Pi.pass_name label in
+let make_pass label ~config run =
   (* [Marshal] raises on a closure, so a config can hold nothing the key
      would not see *)
-  {
-    p_info = info;
-    p_label = label;
-    p_key = label ^ "\000" ^ Marshal.to_string config [];
-    p_run = run config;
-  }
+  { p_label = label; p_key = label ^ "\000" ^ Marshal.to_string config []; p_run = run config }
 
 type stage_record = {
   sr_label : string;
@@ -325,7 +307,6 @@ type entry = {
   e_input : Ir.program;
   e_output : Ir.program option;  (* [None]: the stage left its input unchanged *)
   e_record : stage_record;
-  e_change : change;
 }
 
 type memo = (int, entry) Hashtbl.t
@@ -337,14 +318,13 @@ let memo_find (m : memo) hash pass prog =
     (fun e -> String.equal e.e_key pass.p_key && same_program e.e_input prog)
     (Hashtbl.find_all m hash)
 
-let memo_add (m : memo) hash pass prog (out, record, change) =
+let memo_add (m : memo) hash pass prog (out, record) =
   let entry =
     {
       e_key = pass.p_key;
       e_input = prog;
-      e_output = (if change = Unchanged then None else Some out);
+      e_output = (if record.sr_changed then Some out else None);
       e_record = record;
-      e_change = change;
     }
   in
   Hashtbl.add m hash entry
@@ -363,10 +343,9 @@ let execute ?check t pass round prog =
     match Domain.DLS.get ir_hook_key with None -> prog' | Some f -> f pass.p_label prog'
   in
   (match check with Some f -> f pass.p_label prog' | None -> ());
-  let diff, prog' = diff_programs prog prog' in
-  invalidate t pass.p_info diff;
+  let prog' = reshare prog prog' in
   t.cur <- prog';
-  let changed = diff <> Unchanged in
+  let changed = prog' != prog in
   let after = if changed then func_infos t prog' else before in
   let record =
     {
@@ -381,7 +360,7 @@ let execute ?check t pass round prog =
       sr_markers_eliminated = (if changed then markers_eliminated before after else []);
     }
   in
-  (prog', record, diff)
+  (prog', record)
 
 let run_pass ?(round = 0) ?check ?memo t pass prog =
   (* supervision poll point: one per executed or replayed stage, so a
@@ -390,26 +369,22 @@ let run_pass ?(round = 0) ?check ?memo t pass prog =
      and a step budget trips at the same count with or without the memo *)
   Dce_support.Guard.poll ~site:pass.p_label;
   match memo with
-  | None ->
-    let prog', record, _ = execute ?check t pass round prog in
-    (prog', record)
+  | None -> execute ?check t pass round prog
   | Some m -> (
     let hash = program_hash (Hashtbl.hash pass.p_key) (func_infos t prog) in
     match memo_find m hash pass prog with
     | Some e ->
-      (* a replay: the manager drops what the stage's change invalidates,
-         exactly as after an execution; the IR hook and the validator saw
-         this output when it was computed *)
+      (* a replay: the IR hook and the validator saw this output when it
+         was computed *)
       bump c_memo_hits;
       let prog' = Option.value ~default:prog e.e_output in
-      invalidate t pass.p_info e.e_change;
       t.cur <- prog';
       (prog', { e.e_record with sr_round = round })
     | None ->
       bump c_memo_misses;
-      let ((prog', record, _) as out) = execute ?check t pass round prog in
+      let out = execute ?check t pass round prog in
       memo_add m hash pass prog out;
-      (prog', record))
+      out)
 
 let run_fixpoint ?check ?memo ~max_rounds t passes prog =
   let trace = ref [] in

@@ -4,11 +4,11 @@
     This is the subsystem {!Pipeline} schedules passes through.  It owns
 
     - an {b analysis manager} serving {!Dce_opt.Meminfo.analyze} (whole
-      program) from a {!meminfo_memo} keyed by the program, and caching
-      per-function predecessor maps / dominator trees, with invalidation
-      driven by per-function change detection after every pass and by each
-      pass's {!Dce_opt.Passinfo} declaration (an analysis a pass
-      {e preserves} survives even when the pass changed the function);
+      program) from a {!meminfo_memo} keyed by the program, and each
+      function's predecessor map and dominator tree from a record found by
+      the function itself ([==]).  A function a stage replaced inherits the
+      analyses of the one it replaced when the two have the same CFG
+      inputs, so nothing is invalidated and no pass declares anything;
     - an {b instrumentation layer} recording, per executed stage, the wall
       time, block/instruction deltas, whether the IR changed, and which
       markers the stage eliminated — the {!trace} that {!Dce_core.Diagnose}
@@ -89,35 +89,37 @@ val meminfo : t -> Dce_opt.Meminfo.t
 (** Whole-program memory analysis of the manager's current program, from
     the manager's {!meminfo_memo}: analyzed on the first request for a
     program structurally equal to it (a miss), served from the memo on
-    every later one (a hit).  A [preserves] declaration of Meminfo is
-    therefore moot. *)
+    every later one (a hit). *)
 
 val predecessors : t -> Ir.func -> Ir.label list Ir.Imap.t
-(** Predecessor map of one function of the current program, cached per
-    function name. *)
+(** [Cfg.predecessors] of one function of the current program, computed on
+    the first request for it (a miss) and served after that (a hit).  A
+    stage's output function keeps the answer of the same-named input
+    function when both have the same entry, the same block labels and, per
+    block, a terminator that is [==] or has the same {!Ir.successors}:
+    everything the analysis reads.  A function not in the current program
+    is analyzed afresh, as a miss, and nothing is kept. *)
 
 val dominators : t -> Ir.func -> Dce_ir.Dom.t
+(** [Dom.compute] of one function, cached and carried over exactly as
+    {!predecessors}. *)
 
 (** {1 Passes and stage records} *)
 
 type pass = {
-  p_info : Dce_opt.Passinfo.t;
-  p_label : string;  (** display name; defaults to the registered name *)
+  p_label : string;  (** the stage name in traces and schedules *)
   p_key : string;  (** the label and the marshalled config: the {!memo} key *)
   p_run : t -> Ir.program -> Ir.program;
 }
 
-val make_pass :
-  ?label:string ->
-  config:'c ->
-  Dce_opt.Passinfo.t ->
-  ('c -> t -> Ir.program -> Ir.program) ->
-  pass
-(** [make_pass ~config info run] runs [run config].  The pass key is the
-    label plus [Marshal.to_string config []], so [run] must read its
-    settings from [config] alone, never from values it closes over: two
-    passes with one key are assumed to compute the same function of the
-    program.  [Marshal] raises on a closure, so a config cannot hide one. *)
+val make_pass : string -> config:'c -> ('c -> t -> Ir.program -> Ir.program) -> pass
+(** [make_pass label ~config run] runs [run config] under [label].  The
+    pass key is the label plus [Marshal.to_string config []], so [run] must
+    read its settings from [config] alone, never from values it closes
+    over: two passes with one key are assumed to compute the same function
+    of the program.  [Marshal] raises on a closure, so a config cannot hide
+    one.  A pass declares nothing about the analyses it keeps: the manager
+    finds that from its output. *)
 
 type stage_record = {
   sr_label : string;
@@ -139,8 +141,8 @@ type trace = stage_record list
 
 type memo
 (** Mutable and single-domain: maps (pass key, input program) to the stage's
-    output, stage record and change.  Inputs are found by a bounded
-    per-function hash and confirmed by [==]-first structural equality, the
+    output and stage record.  Inputs are found by a bounded per-function
+    hash and confirmed by [==]-first structural equality, the
     {!Compile_cache} rule; an output is stored only when the stage changed
     the IR.  Scope one memo to one program (see {!Pipeline.prepare}): it
     keeps every input it has seen alive. *)
@@ -157,17 +159,18 @@ val run_pass :
   pass ->
   Ir.program ->
   Ir.program * stage_record
-(** Runs one pass under the manager: times it, detects which functions
-    changed, invalidates cached analyses accordingly (honoring the pass's
-    [preserves] declaration), and records the stage.  [check] is called with
-    the stage label and the post-stage program (the validation hook).
+(** Runs one pass under the manager: times it, hands back the input's own
+    parts wherever the output equals them (the input itself when the pass
+    changed nothing), and records the stage.  [check] is called with the
+    stage label and the post-stage program (the validation hook).  Without
+    [memo] every stage executes: this is the reference the tests compare
+    memo-shared runs against.
 
     With [memo], a stage whose key and input the memo holds is replayed
     instead: one {!Dce_support.Guard.poll} with the label (as an execution
-    polls), the stored output and record (with this call's [round], the
-    stored [sr_time]), and the stored change's invalidation.  A replay calls
-    neither the IR hook nor [check], so a memo must only be shared by runs
-    whose [check] is the same. *)
+    polls) and the stored output and record (with this call's [round], the
+    stored [sr_time]).  A replay calls neither the IR hook nor [check], so a
+    memo must only be shared by runs whose [check] is the same. *)
 
 val run_fixpoint :
   ?check:(string -> Ir.program -> unit) ->

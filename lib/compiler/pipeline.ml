@@ -7,19 +7,18 @@ module Ir = Dce_ir.Ir
 
 (* Every setting a pass body reads comes in through [~config], which is
    what its memo key covers (see {!Passmgr.make_pass}). *)
-let per_func ~config info f =
-  Passmgr.make_pass ~config info (fun config _mgr prog -> Ir.map_func (f config) prog)
+let per_func label ~config f =
+  Passmgr.make_pass label ~config (fun config _mgr prog -> Ir.map_func (f config) prog)
 
-let with_info ~config info f =
-  Passmgr.make_pass ~config info (fun config mgr prog ->
+let with_info label ~config f =
+  Passmgr.make_pass label ~config (fun config mgr prog ->
       let mi = Passmgr.meminfo mgr in
       Ir.map_func (f config mi) prog)
 
-let whole ?label ~config info f =
-  Passmgr.make_pass ?label ~config info (fun config _mgr prog -> f config prog)
+let whole label ~config f = Passmgr.make_pass label ~config (fun config _mgr prog -> f config prog)
 
 let sccp_pass (feats : Features.t) =
-  with_info Sccp.info Sccp.run
+  with_info "sccp" Sccp.run
     ~config:
       {
         Sccp.addr_cmp = feats.addr_cmp;
@@ -28,7 +27,7 @@ let sccp_pass (feats : Features.t) =
       }
 
 let memcp_pass (feats : Features.t) =
-  with_info Memcp.info Memcp.run
+  with_info "memcp" Memcp.run
     ~config:
       {
         Memcp.use_call_summaries = feats.call_summaries;
@@ -40,7 +39,7 @@ let memcp_pass (feats : Features.t) =
       }
 
 let gvn_pass (feats : Features.t) =
-  Passmgr.make_pass Gvn.info
+  Passmgr.make_pass "gvn"
     ~config:
       {
         Gvn.cse = feats.gvn_cse;
@@ -55,7 +54,7 @@ let gvn_pass (feats : Features.t) =
         prog)
 
 let vrp_pass (feats : Features.t) =
-  Passmgr.make_pass Vrp.info
+  Passmgr.make_pass "vrp"
     ~config:
       {
         Vrp.shift_rule = feats.vrp_shift_rule;
@@ -72,15 +71,15 @@ let vrp_pass (feats : Features.t) =
         prog)
 
 let peephole_pass (feats : Features.t) =
-  per_func Peephole.info Peephole.run ~config:{ Peephole.level = feats.peephole_level }
+  per_func "peephole" Peephole.run ~config:{ Peephole.level = feats.peephole_level }
 
 let jump_thread_pass (feats : Features.t) =
-  per_func Jump_thread.info Jump_thread.run
+  per_func "jump-thread" Jump_thread.run
     ~config:
       { Jump_thread.mode = feats.jump_thread; phi_cleanup = feats.jt_phi_cleanup; max_threads = 16 }
 
 let dse_pass (feats : Features.t) =
-  with_info Dse.info
+  with_info "dse"
     (fun config mi fn -> Dse.run config mi ~is_main:(fn.Ir.fn_name = "main") fn)
     ~config:
       {
@@ -89,14 +88,14 @@ let dse_pass (feats : Features.t) =
         use_call_summaries = feats.call_summaries;
       }
 
-let dce_pass = per_func Dce.info (fun () -> Dce.run) ~config:()
-let simplify_pass = per_func Simplify_cfg.info (fun () -> Simplify_cfg.run) ~config:()
+let dce_pass = per_func "dce" (fun () -> Dce.run) ~config:()
+let simplify_pass = per_func "simplify-cfg" (fun () -> Simplify_cfg.run) ~config:()
 
 let promote_pass (feats : Features.t) =
-  with_info Promote.info Promote.run ~config:{ Promote.precision = feats.alias }
+  with_info "loop-promote" Promote.run ~config:{ Promote.precision = feats.alias }
 
 let unroll_pass (feats : Features.t) =
-  per_func Unroll.info Unroll.run
+  per_func "unroll" Unroll.run
     ~config:
       {
         Unroll.max_trip = feats.unroll_trip;
@@ -107,15 +106,15 @@ let unroll_pass (feats : Features.t) =
       }
 
 let unswitch_pass (feats : Features.t) =
-  with_info Unswitch.info Unswitch.run
+  with_info "unswitch" Unswitch.run
     ~config:{ Unswitch.max_body = 80; max_clones = 4; licm_loads = true; precision = feats.alias }
 
-let vectorize_pass = whole Vectorize.info Vectorize.run ~config:Vectorize.default_config
-let function_dce_pass label = whole ~label Function_dce.info (fun () -> Function_dce.run) ~config:()
-let ipa_cp_pass = whole Ipa_cp.info (fun () -> Ipa_cp.run) ~config:()
+let vectorize_pass = whole "vectorize" Vectorize.run ~config:Vectorize.default_config
+let function_dce_pass label = whole label (fun () -> Function_dce.run) ~config:()
+let ipa_cp_pass = whole "ipa-cp" (fun () -> Ipa_cp.run) ~config:()
 
 let inline_pass (feats : Features.t) =
-  whole Inline.info Inline.run
+  whole "inline" Inline.run
     ~config:
       {
         Inline.threshold = feats.inline_threshold;
@@ -124,9 +123,7 @@ let inline_pass (feats : Features.t) =
         growth_cap = 600 + (12 * feats.inline_threshold);
       }
 
-(* SSA construction lives below the opt library, so it registers here *)
-let ssa_info = Passinfo.v "ssa"
-let ssa_pass = whole ssa_info (fun () -> Dce_ir.Ssa.construct_program) ~config:()
+let ssa_pass = whole "ssa" (fun () -> Dce_ir.Ssa.construct_program) ~config:()
 
 (* ------------------------------------------------------------------ *)
 (* the schedule                                                        *)

@@ -18,7 +18,7 @@
 
     Every pass executes under one {!Passmgr.t} per [run], so memory
     analysis, predecessors, and dominators are computed once and reused
-    until a pass reports a change.  Rounds stop early once a whole round
+    for as long as the IR each one reads stays the same.  Rounds stop early once a whole round
     leaves the IR unchanged; because every pass is a deterministic function
     of the program, the skipped rounds could not have changed it either, so
     the output is identical to the historical fixed-count schedule —

@@ -32,5 +32,3 @@ let run fn =
   map_blocks (fun _ b -> with_instrs b (Dce_support.Listx.filter_shared keep b.b_instrs)) fn
 
 let run_program prog = { prog with prog_funcs = List.map run prog.prog_funcs }
-
-let info = Passinfo.v ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "dce"

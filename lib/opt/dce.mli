@@ -8,6 +8,3 @@
 
 val run : Dce_ir.Ir.func -> Dce_ir.Ir.func
 val run_program : Dce_ir.Ir.program -> Dce_ir.Ir.program
-
-val info : Passinfo.t
-(** Pass-manager registration: deletes pure definitions only, terminators untouched. *)

@@ -119,5 +119,3 @@ let run config info ~is_main fn =
     in
     map_blocks process_block fn
   end
-
-let info = Passinfo.v ~requires:[ Passinfo.Meminfo ] ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "dse"

@@ -21,6 +21,3 @@ type config = {
 val default_config : config
 
 val run : config -> Meminfo.t -> is_main:bool -> Dce_ir.Ir.func -> Dce_ir.Ir.func
-
-val info : Passinfo.t
-(** Pass-manager registration: consumes {!Meminfo}; deletes stores only, terminators untouched. *)

@@ -30,5 +30,3 @@ let run prog =
   in
   if funcs == prog.prog_funcs && syms == prog.prog_syms then prog
   else { prog with prog_funcs = funcs; prog_syms = syms }
-
-let info = Passinfo.v "function-dce"

@@ -9,6 +9,3 @@
     chain behind). *)
 
 val run : Dce_ir.Ir.program -> Dce_ir.Ir.program
-
-val info : Passinfo.t
-(** Pass-manager registration: removes whole functions and their frame symbols. *)

@@ -143,5 +143,3 @@ let run ?dom config info fn =
   let fn = if config.load_forward then copy_prop fn else fn in
   let fn = if config.cse then cse ?dom fn else fn in
   fn
-
-let info = Passinfo.v ~requires:[ Passinfo.Meminfo; Passinfo.Dominators ] ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "gvn"

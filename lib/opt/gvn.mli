@@ -21,6 +21,3 @@ val run :
   ?dom:(unit -> Dce_ir.Dom.t) -> config -> Meminfo.t -> Dce_ir.Ir.func -> Dce_ir.Ir.func
 (** [dom], when provided, supplies a (possibly cached) dominator tree for the
     input function instead of recomputing one for the CSE walk. *)
-
-val info : Passinfo.t
-(** Pass-manager registration: consumes {!Meminfo} and dominators; rewrites defs and terminator operands only (never labels). *)

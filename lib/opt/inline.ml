@@ -238,5 +238,3 @@ let run config prog =
   let funcs = Dce_support.Listx.map_shared inline_into prog.prog_funcs in
   if funcs == prog.prog_funcs && !prog_ref == prog then prog
   else { !prog_ref with prog_funcs = funcs }
-
-let info = Passinfo.v ~requires:[ Passinfo.Cfg ] "inline"

@@ -20,6 +20,3 @@ type config = { threshold : int; growth_cap : int }
 val default_config : config
 
 val run : config -> Dce_ir.Ir.program -> Dce_ir.Ir.program
-
-val info : Passinfo.t
-(** Pass-manager registration: splices callee CFGs into callers, so no analysis survives a change. *)

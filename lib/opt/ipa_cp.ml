@@ -58,5 +58,3 @@ let run prog =
         | Some consts when Array.exists (fun c -> c <> None) consts -> specialize fn consts
         | Some _ | None -> fn)
     prog
-
-let info = Passinfo.v ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "ipa-cp"

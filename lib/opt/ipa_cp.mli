@@ -12,6 +12,3 @@
     one visible call site. *)
 
 val run : Dce_ir.Ir.program -> Dce_ir.Ir.program
-
-val info : Passinfo.t
-(** Pass-manager registration: substitutes constants for parameter uses only. *)

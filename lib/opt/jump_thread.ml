@@ -168,5 +168,3 @@ let run config fn =
     in
     attempt fn config.max_threads
   end
-
-let info = Passinfo.v ~requires:[ Passinfo.Cfg ] "jump-thread"

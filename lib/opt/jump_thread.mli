@@ -20,6 +20,3 @@ type config = { mode : mode; phi_cleanup : bool; max_threads : int }
 val default_config : config
 
 val run : config -> Dce_ir.Ir.func -> Dce_ir.Ir.func
-
-val info : Passinfo.t
-(** Pass-manager registration: redirects edges and clones blocks, so no analysis survives a change. *)

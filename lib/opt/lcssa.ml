@@ -125,5 +125,3 @@ let close_loop fn (loop : Loops.loop) =
       end
     | _ -> None
   end
-
-let info = Passinfo.v ~requires:[ Passinfo.Cfg ] ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "lcssa"

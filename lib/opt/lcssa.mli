@@ -14,6 +14,3 @@
     reconstruction, which real compilers also avoid in their fast paths). *)
 
 val close_loop : Dce_ir.Ir.func -> Dce_ir.Loops.loop -> Dce_ir.Ir.func option
-
-val info : Passinfo.t
-(** Pass-manager registration: inserts phis and renames uses; block structure untouched. *)

@@ -256,5 +256,3 @@ let run config info fn =
       end
     end
   end
-
-let info = Passinfo.v ~requires:[ Passinfo.Meminfo ] ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "memcp"

@@ -49,6 +49,3 @@ val default_config : config
 (** summaries on, edge-aware, 512-block limit, 32-cell limit. *)
 
 val run : config -> Meminfo.t -> Dce_ir.Ir.func -> Dce_ir.Ir.func
-
-val info : Passinfo.t
-(** Pass-manager registration: consumes {!Meminfo}; rewrites load rvalues only, so CFG-shape analyses stay exact. *)

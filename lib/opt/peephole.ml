@@ -148,5 +148,3 @@ let run config fn =
         !fn
   done;
   !fn
-
-let info = Passinfo.v ~preserves:[ Passinfo.Cfg; Passinfo.Dominators ] "peephole"

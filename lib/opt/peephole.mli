@@ -19,6 +19,3 @@ type config = { level : int }
 val default_config : config
 
 val run : config -> Dce_ir.Ir.func -> Dce_ir.Ir.func
-
-val info : Passinfo.t
-(** Pass-manager registration: rewrites def rvalues only, so CFG-shape analyses stay exact. *)

@@ -185,5 +185,3 @@ let run config info fn =
     end
   in
   attempt fn
-
-let info = Passinfo.v ~requires:[ Passinfo.Meminfo; Passinfo.Cfg; Passinfo.Dominators ] "loop-promote"

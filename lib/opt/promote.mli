@@ -22,6 +22,3 @@
 type config = { precision : Alias.precision }
 
 val run : config -> Meminfo.t -> Dce_ir.Ir.func -> Dce_ir.Ir.func
-
-val info : Passinfo.t
-(** Pass-manager registration: consumes {!Meminfo}, predecessors and dominators. *)

@@ -204,5 +204,3 @@ let run config info fn =
     (* folded branches removed edges: restore the phi/CFG invariant *)
     Cfg.prune_phi_args fn
   end
-
-let info = Passinfo.v ~requires:[ Passinfo.Meminfo ] "sccp"

@@ -34,6 +34,3 @@ val default_config : config
 val run : config -> Meminfo.t -> Dce_ir.Ir.func -> Dce_ir.Ir.func
 (** One SCCP round: analyze and rewrite. Idempotent up to newly exposed
     simplifications from other passes. *)
-
-val info : Passinfo.t
-(** Pass-manager registration: consumes {!Meminfo}; folds branches, so no analysis survives a change. *)

@@ -196,5 +196,3 @@ let run fn =
   fixpoint fn 64
 
 let run_program prog = { prog with prog_funcs = List.map run prog.prog_funcs }
-
-let info = Passinfo.v ~requires:[ Passinfo.Cfg ] "simplify-cfg"

@@ -286,5 +286,3 @@ let run config fn =
     end
   in
   attempt fn 8
-
-let info = Passinfo.v ~requires:[ Passinfo.Cfg ] "unroll"

@@ -32,6 +32,3 @@ val eligible : Dce_ir.Ir.func -> Dce_ir.Loops.loop -> bool
 val trip_count : max_trip:int -> Dce_ir.Ir.func -> Dce_ir.Loops.loop -> int option
 (** Exact trip count by symbolic execution of the phi update chain, or [None]
     when the chain is not pure-register or exceeds [max_trip]. *)
-
-val info : Passinfo.t
-(** Pass-manager registration: clones loop bodies, so no analysis survives a change. *)

@@ -238,5 +238,3 @@ let run config info fn =
     end
   in
   attempt fn 6
-
-let info = Passinfo.v ~requires:[ Passinfo.Meminfo; Passinfo.Cfg ] "unswitch"

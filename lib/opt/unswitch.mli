@@ -23,6 +23,3 @@ type config = {
 val default_config : config
 
 val run : config -> Meminfo.t -> Dce_ir.Ir.func -> Dce_ir.Ir.func
-
-val info : Passinfo.t
-(** Pass-manager registration: clones loop bodies, so no analysis survives a change. *)

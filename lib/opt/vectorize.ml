@@ -94,5 +94,3 @@ let run config prog =
           ];
     }
   else prog
-
-let info = Passinfo.v ~requires:[ Passinfo.Cfg ] "vectorize"

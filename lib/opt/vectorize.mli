@@ -25,6 +25,3 @@ val default_config : config
 
 val run : config -> Dce_ir.Ir.program -> Dce_ir.Ir.program
 (** Program-level because it may add the [__vec_pool] symbol. *)
-
-val info : Passinfo.t
-(** Pass-manager registration: rewrites loop stores and may add a symbol. *)

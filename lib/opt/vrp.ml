@@ -284,5 +284,3 @@ let run ?dom ?preds config fn =
     in
     if !changed then Cfg.prune_phi_args fn' else fn
   end
-
-let info = Passinfo.v ~requires:[ Passinfo.Cfg; Passinfo.Dominators ] "vrp"

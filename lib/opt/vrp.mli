@@ -30,6 +30,3 @@ val run :
   Dce_ir.Ir.func
 (** [dom]/[preds], when provided, supply (possibly cached) CFG analyses for
     the input function instead of recomputing them. *)
-
-val info : Passinfo.t
-(** Pass-manager registration: consumes predecessors and dominators; folds branches, so no analysis survives a change. *)

@@ -284,6 +284,7 @@ let test_settings_validation () =
       Campaign.Oracle_campaign.run_size ~settings:(S.v ~chaos:"crash@1,hang@4:spin" ()) ~jobs:1
         ~seed:42 ~count:4 ());
   S.check_cases ~count:4 (S.v ~chaos:"crash@3" ());
+  rejects "--count" (fun () -> Campaign.Corpus.run ~jobs:1 ~seed:42 ~count:(-1) ());
   rejects "--jobs" (fun () -> S.jobs 0);
   Alcotest.(check int) "valid jobs pass through" 3 (S.jobs 3);
   let s = S.v ~deadline:5. ~step_budget:100 ~retries:2 ~workers:2 ~chunk:4 () in

@@ -1,18 +1,18 @@
-(* The pass-manager subsystem: analysis caching and invalidation, fixpoint
-   early exit, stage-trace marker attribution, and the differential against
-   the pre-pass-manager reference pipeline. *)
+(* The pass-manager subsystem: cached analyses checked against fresh ones
+   (after executed and replayed stages, and along the real schedules),
+   fixpoint early exit, stage-trace marker attribution, and the differential
+   against the pre-pass-manager reference pipeline. *)
 
 open Helpers
 module Campaign = Dce_campaign
 module Pm = C.Passmgr
-module Pi = Dce_opt.Passinfo
 module Mi = Dce_opt.Meminfo
 
-(* ---- custom passes used to exercise invalidation ---- *)
+(* ---- custom passes that change what the analyses read ---- *)
 
 (* deletes every store: changes Meminfo's stored/const-store facts *)
 let strip_stores_pass =
-  Pm.make_pass ~config:() (Pi.v "strip-stores") (fun () _mgr prog ->
+  Pm.make_pass "strip-stores" ~config:() (fun () _mgr prog ->
       Ir.map_func
         (fun fn ->
           {
@@ -34,7 +34,7 @@ let strip_stores_pass =
 (* rewrites every conditional branch to its true edge: changes predecessors
    and dominators without touching the block set *)
 let force_jmp_pass =
-  Pm.make_pass ~config:() (Pi.v "force-jmp") (fun () _mgr prog ->
+  Pm.make_pass "force-jmp" ~config:() (fun () _mgr prog ->
       Ir.map_func
         (fun fn ->
           {
@@ -85,32 +85,83 @@ let test_meminfo_invalidation () =
     (Mi.escaped cached "g");
   Alcotest.(check bool) "the store deletion is visible" false (Mi.ever_stored cached "g")
 
-let test_cfg_invalidation () =
-  let prog =
-    lower "int main(void) { int x = ext(0); if (x) { use(1); } else { use(2); } return 0; }"
-  in
-  let mgr = Pm.create (Pm.meminfo_memo ()) prog in
-  let main0 = List.find (fun f -> f.Ir.fn_name = "main") prog.Ir.prog_funcs in
-  ignore (Pm.predecessors mgr main0);
-  ignore (Pm.dominators mgr main0);
-  let prog', record = Pm.run_pass mgr force_jmp_pass prog in
-  Alcotest.(check bool) "the pass changed the program" true record.Pm.sr_changed;
-  let main' = List.find (fun f -> f.Ir.fn_name = "main") prog'.Ir.prog_funcs in
-  let cached_preds = Pm.predecessors mgr main' in
-  let fresh_preds = Dce_ir.Cfg.predecessors main' in
-  let cached_dom = Pm.dominators mgr main' in
-  let fresh_dom = Dce_ir.Dom.compute main' in
+(* The manager's analyses of [fn] equal fresh ones, block by block *)
+let check_cfg_fresh where mgr fn =
+  let cached_preds = Pm.predecessors mgr fn in
+  let fresh_preds = Dce_ir.Cfg.predecessors fn in
+  let cached_dom = Pm.dominators mgr fn in
+  let fresh_dom = Dce_ir.Dom.compute fn in
+  let module D = Dce_ir.Dom in
+  if not (Ir.Imap.equal ( = ) cached_preds fresh_preds) then
+    Alcotest.failf "%s: %s predecessors differ from a fresh analysis" where fn.Ir.fn_name;
   Ir.Imap.iter
     (fun l _ ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "predecessors of block %d agree with fresh analysis" l)
-        (Option.value ~default:[] (Ir.Imap.find_opt l fresh_preds))
-        (Option.value ~default:[] (Ir.Imap.find_opt l cached_preds));
-      Alcotest.(check (option int))
-        (Printf.sprintf "idom of block %d agrees with fresh analysis" l)
-        (Dce_ir.Dom.idom fresh_dom l)
-        (Dce_ir.Dom.idom cached_dom l))
-    main'.Ir.fn_blocks
+      if
+        D.idom cached_dom l <> D.idom fresh_dom l
+        || D.children cached_dom l <> D.children fresh_dom l
+        || D.frontier cached_dom l <> D.frontier fresh_dom l
+      then Alcotest.failf "%s: %s block %d dominators differ from a fresh analysis" where fn.Ir.fn_name l)
+    fn.Ir.fn_blocks;
+  if D.dom_tree_preorder cached_dom <> D.dom_tree_preorder fresh_dom then
+    Alcotest.failf "%s: %s dominator tree order differs" where fn.Ir.fn_name
+
+let main_of (prog : Ir.program) = List.find (fun f -> f.Ir.fn_name = "main") prog.Ir.prog_funcs
+
+let branchy =
+  "static int g = 1; int main(void) { int x = ext(0); g = 2; if (x) { use(g); } else { use(2); } \
+   return 0; }"
+
+(* [f] moves the cfg/dom counters by exactly [hits] hits and [misses] misses *)
+let check_cfg_counts where ~hits ~misses f =
+  let c0 = Pm.counters () in
+  f ();
+  let c1 = Pm.counters () in
+  Alcotest.(check (pair int int))
+    (where ^ ": cfg hits, misses")
+    (hits, misses)
+    (c1.Pm.cfg_hits - c0.Pm.cfg_hits, c1.Pm.cfg_misses - c0.Pm.cfg_misses);
+  Alcotest.(check (pair int int))
+    (where ^ ": dom hits, misses")
+    (hits, misses)
+    (c1.Pm.dom_hits - c0.Pm.dom_hits, c1.Pm.dom_misses - c0.Pm.dom_misses)
+
+let test_cfg_fresh () =
+  let prog = lower branchy in
+  (* a terminator rewrite: the output function is analyzed afresh *)
+  let mgr = Pm.create (Pm.meminfo_memo ()) prog in
+  check_cfg_counts "first request" ~hits:0 ~misses:1 (fun () ->
+      check_cfg_fresh "input" mgr (main_of prog));
+  let jumped, record = Pm.run_pass mgr force_jmp_pass prog in
+  Alcotest.(check bool) "force-jmp changed the program" true record.Pm.sr_changed;
+  check_cfg_counts "after a terminator rewrite" ~hits:0 ~misses:1 (fun () ->
+      check_cfg_fresh "after force-jmp" mgr (main_of jumped));
+  (* an instruction-only edit: the output function keeps the answers *)
+  let mgr = Pm.create (Pm.meminfo_memo ()) prog in
+  ignore (Pm.predecessors mgr (main_of prog));
+  ignore (Pm.dominators mgr (main_of prog));
+  let stripped, record = Pm.run_pass mgr strip_stores_pass prog in
+  Alcotest.(check bool) "strip-stores changed main" true (main_of stripped != main_of prog);
+  Alcotest.(check bool) "strip-stores changed the program" true record.Pm.sr_changed;
+  check_cfg_counts "after an instruction-only edit" ~hits:1 ~misses:0 (fun () ->
+      check_cfg_fresh "after strip-stores" mgr (main_of stripped));
+  (* replays: a second manager replays both stages from the memo that the
+     first one filled, and answers as after executing them *)
+  let memo = Pm.memo () in
+  let strip mgr prog = fst (Pm.run_pass ~memo mgr strip_stores_pass prog) in
+  let jump mgr prog = fst (Pm.run_pass ~memo mgr force_jmp_pass prog) in
+  let first = Pm.create (Pm.meminfo_memo ()) prog in
+  ignore (jump first (strip first prog));
+  let mgr = Pm.create (Pm.meminfo_memo ()) prog in
+  ignore (Pm.predecessors mgr (main_of prog));
+  ignore (Pm.dominators mgr (main_of prog));
+  let c0 = Pm.counters () in
+  let stripped = strip mgr prog in
+  check_cfg_counts "after a replayed instruction-only edit" ~hits:1 ~misses:0 (fun () ->
+      check_cfg_fresh "after replayed strip-stores" mgr (main_of stripped));
+  let jumped = jump mgr stripped in
+  Alcotest.(check int) "both stages replayed" 2 ((Pm.counters ()).Pm.memo_hits - c0.Pm.memo_hits);
+  check_cfg_counts "after a replayed terminator rewrite" ~hits:0 ~misses:1 (fun () ->
+      check_cfg_fresh "after replayed force-jmp" mgr (main_of jumped))
 
 let test_pipeline_cache_hits () =
   Pm.reset_counters ();
@@ -566,6 +617,33 @@ let test_meminfo_memo_count () =
   Sys.remove journal;
   Alcotest.(check int) "Meminfo.analyze executions" 213 (Pm.counters ()).Pm.meminfo_misses
 
+(* Along the real schedules, with one memo per program shared by its
+   configs as [Pipeline.prepare] shares it (so later configs replay), the
+   manager's answers for every function after every stage are fresh ones *)
+let test_cfg_fresh_along_schedules () =
+  let corpus = Dce_smith.Smith.generate_corpus ~seed:4711 ~count:20 in
+  List.iteri
+    (fun p (raw, _kinds) ->
+      let ir = Dce_ir.Lower.program (Core.Instrument.program raw) in
+      let memo = Pm.memo () in
+      let meminfos = Pm.meminfo_memo () in
+      List.iter
+        (fun ((compiler, level) as cfg) ->
+          let mgr = Pm.create meminfos ir in
+          ignore
+            (List.fold_left
+               (fun prog pass ->
+                 let prog', _ = Pm.run_pass ~memo mgr pass prog in
+                 let where =
+                   Printf.sprintf "program %d, %s after %s" p (config_name cfg) pass.Pm.p_label
+                 in
+                 List.iter (check_cfg_fresh where mgr) prog'.Ir.prog_funcs;
+                 prog')
+               ir
+               (C.Pipeline.static_passes (C.Compiler.features compiler level))))
+        configs)
+    corpus
+
 (* ---- the output pin ---- *)
 
 (* Everything the pipeline emits for a fixed corpus, from validated
@@ -607,7 +685,7 @@ let suite =
   [
     ("meminfo: hit/miss counters", `Quick, test_meminfo_counters);
     ("meminfo: invalidated after a mutating pass", `Quick, test_meminfo_invalidation);
-    ("cfg/dom: invalidated after a terminator rewrite", `Quick, test_cfg_invalidation);
+    ("cfg/dom: fresh-equal after edits and memo replays", `Quick, test_cfg_fresh);
     ("pipeline: analysis cache hits during a compile", `Quick, test_pipeline_cache_hits);
     ("fixpoint: early exit on already-optimal IR", `Quick, test_fixpoint_early_exit);
     ("schedule: stage names are the static expansion", `Quick, test_stage_names_static);
@@ -628,4 +706,6 @@ let suite =
     ("sharing: rewrites return their own output", `Quick, test_rewrites_return_their_output);
     ("deftab: def_rvalue = a Hashtbl walk at every stage", `Slow, test_deftab_matches_hashtbl);
     ("meminfo memo: one analysis per distinct program", `Quick, test_meminfo_memo_count);
+    ("cfg/dom: fresh-equal at every stage of 20 programs x 10 configs", `Slow,
+     test_cfg_fresh_along_schedules);
   ]

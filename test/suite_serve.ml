@@ -112,6 +112,7 @@ let test_spec_rejects_bad_settings () =
       ("zero step budget", {|{"kind":"size-hunt","step_budget":0}|}, "--step-budget");
       ("unparsable chaos", {|{"kind":"hunt","chaos":"explode@1"}|}, "--chaos");
       ("chaos past the corpus", {|{"kind":"triage","count":4,"chaos":"crash@9"}|}, "--chaos");
+      ("negative count", {|{"kind":"hunt","count":-1}|}, "--count");
     ]
 
 (* both halves of a bisect job run under the job's settings: a step budget
