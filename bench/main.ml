@@ -914,11 +914,17 @@ let print_fabric_bench () =
         Unix.sleepf (case_ms /. 1000.0);
         i)
   in
+  (* the median wall of three runs: one run's wall moves with host load,
+     enough to carry the 4-worker speedup across the 3x bar by itself *)
   let timed_run workers =
-    let t0 = Dce_support.Clock.now () in
-    let settings = Campaign.Settings.v ~workers () in
-    let r = Campaign.Fabric.run ~codec:toy_codec ~settings ~jobs:1 ~count:cases runner in
-    (Dce_support.Clock.now () -. t0, r)
+    let once () =
+      let t0 = Dce_support.Clock.now () in
+      let settings = Campaign.Settings.v ~workers () in
+      let r = Campaign.Fabric.run ~codec:toy_codec ~settings ~jobs:1 ~count:cases runner in
+      (Dce_support.Clock.now () -. t0, r)
+    in
+    let runs = List.sort (fun (a, _) (b, _) -> compare a b) (List.init 3 (fun _ -> once ())) in
+    List.nth runs 1
   in
   let wall_1, r1 = timed_run 1 in
   let wall_2, _ = timed_run 2 in
@@ -1212,13 +1218,17 @@ let () =
       ("table5", print_table5);
       ("figure1", figure1_demo);
       ("figure2", figure2_demo);
+      (* before the sections that time with Bechamel: its runs grow the
+         heap (to 240 MB resident at DCE_BENCH_PROGRAMS=10), OCaml 5.1 does
+         not give it back, and forking the fabric's workers from that
+         process pulls the 4-worker speedup under its 3x bar *)
+      ("fabric", print_fabric_bench);
       ("supervision", print_supervision_bench);
       ("exec", print_exec_bench);
       ("value_checks", print_value_checks);
       ("ablations", print_ablations);
       ("reduction", print_reduction);
       ("oracles", print_oracles_bench);
-      ("fabric", print_fabric_bench);
       ("repair", print_repair_bench);
     ];
   Printf.printf "\nreproduction sections completed in %.1fs\n" (Dce_support.Clock.now () -. t0);

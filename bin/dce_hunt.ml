@@ -708,20 +708,10 @@ let bisect_campaign_cmd =
   let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
   let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
   let level = Arg.(value & opt string "O3" & info [ "level" ] ~docv:"O0..O3") in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:
-            "Disable the probe caches: no whole-compile memo and no per-case compile session, \
-             so every probe compiles from scratch.  Outcomes and probe counts are identical \
-             either way; this exists for measurement.")
-  in
-  let run seed count level jobs settings journal metrics no_cache =
+  let run seed count level jobs settings journal metrics =
     let corpus = Campaign.Corpus.run ~settings ~jobs ~seed ~count () in
     let b =
-      Campaign.Bisect_campaign.run ?journal ~cache:(not no_cache) ~level:(level_of_string level)
-        ~settings ~jobs corpus
+      Campaign.Bisect_campaign.run ?journal ~level:(level_of_string level) ~settings ~jobs corpus
     in
     print_corpus_epilogue ~metrics:false corpus;
     print_string (Campaign.Bisect_campaign.summary b);
@@ -738,8 +728,7 @@ let bisect_campaign_cmd =
           domains, probe-cached, resumable via $(b,--journal) — and aggregate the offending \
           commits into the paper's component tables (Tables 3/4).")
     Term.(
-      const run $ seed $ count $ level $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg
-      $ no_cache)
+      const run $ seed $ count $ level $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg)
 
 (* ---------- repair ---------- *)
 

@@ -112,9 +112,7 @@ let encode_report r =
     ]
 
 let decode_report j =
-  (match Json.get_str j "kind" with
-   | "bisect-case" -> ()
-   | other -> failwith (Printf.sprintf "journal record: unknown case kind %S" other));
+  Json.expect_kind "bisect-case" j;
   {
     br_case = Json.get_int j "corpus_case";
     br_seed = Json.get_int j "seed";
@@ -138,7 +136,7 @@ let codec = { Engine.encode = encode_report; decode = decode_report }
 (* the campaign                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run ?journal ?(cache = true) ?(level = C.Level.O3) ?settings ~jobs (corpus : Corpus.t) =
+let run ?journal ?(level = C.Level.O3) ?settings ~jobs (corpus : Corpus.t) =
   let work =
     Array.of_list
       (List.filter_map
@@ -152,13 +150,13 @@ let run ?journal ?(cache = true) ?(level = C.Level.O3) ?settings ~jobs (corpus :
     let ci, prog, pairs = work.(e) in
     (* one session per case attempt, shared by both compilers and every
        marker: the probes of adjacent versions replay each other's stages *)
-    let session = if cache then Some (C.Compiler.session ~validate ~cache prog) else None in
+    let session = C.Compiler.session ~validate ~cache:true prog in
     let bisections =
       List.map
         (fun (compiler_name, marker) ->
           let outcome, probes =
             Engine.stage ctx "bisect" (fun () ->
-                Bisect.find_regression_counted ?session ~validate
+                Bisect.find_regression_counted ~session
                   (Core.Analysis.compiler_of_name compiler_name) level prog ~marker)
           in
           { bs_compiler = compiler_name; bs_marker = marker; bs_probes = probes;

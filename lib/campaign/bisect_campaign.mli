@@ -9,17 +9,18 @@
     [jobs = N] is byte-identical to [jobs = 1], which equals running
     sequential per-marker {!Dce_bisect.Bisect.find_regression} yourself.
 
-    {b Probe sessions.}  With [cache] (the default), each case gets one
-    [~cache:true] {!Dce_compiler.Compiler.session}, shared by both compilers
-    and every marker.  A probe first asks the whole-compile memo keyed by
+    {b Probe sessions.}  Each case gets one [~cache:true]
+    {!Dce_compiler.Compiler.session}, shared by both compilers and every
+    marker.  A probe first asks the whole-compile memo keyed by
     [(compiler, version, level, program)] — one compiled probe version
     answers for {e every} marker of that program, so sibling markers of a
     case (and journal-resumed re-runs) share compiles — and a miss runs the
     pipeline on the session's stage memo, replaying what adjacent versions
-    already ran.  Without [cache] every probe compiles from scratch.  In
-    checked mode ({!Settings.checked}) every stage a probe executes is
-    validated, on either path.  The caches are observably transparent: outcomes
-    and probe counts are identical with them off.
+    already ran.  In checked mode ({!Settings.checked}) every stage a probe
+    executes is validated.  The caches are observably transparent: outcomes
+    and probe counts equal those of sequential
+    {!Dce_bisect.Bisect.find_regression_counted} calls without a session,
+    which compile every probe from scratch.
 
     {b Journal.}  Completed cases append a ["bisect-case"] JSONL record;
     resume skips them.  Records of unknown kind or verdict (e.g. from a
@@ -54,14 +55,13 @@ type t = {
 
 val run :
   ?journal:string ->
-  ?cache:bool ->
   ?level:Dce_compiler.Level.t ->
   ?settings:Settings.t ->
   jobs:int ->
   Corpus.t ->
   t
-(** Defaults: [cache = true], [level = O3] (the level with the most
-    regressions in both simulated histories).  [settings] are the
+(** [level] defaults to [O3], the level with the most regressions in both
+    simulated histories.  [settings] are the
     {!Fabric.run} supervision and placement controls, bounding each case's
     bisections (byte-identical output at any [workers]).  Pass the settings
     the [corpus] was run under, so both halves are supervised alike. *)

@@ -1,7 +1,6 @@
 module C = Dce_compiler
 module Core = Dce_core
 module Ir = Dce_ir.Ir
-module Smith = Dce_smith.Smith
 module Stats = Dce_report.Stats
 
 type case_result =
@@ -87,7 +86,7 @@ let encode_payload p =
 
 let decode_payload j =
   let seed = Json.get_int j "seed" in
-  let raw = fst (Smith.generate (Smith.default_config seed)) in
+  let raw = Case.program seed in
   match Json.get_str j "kind" with
   | "rejected" ->
     { p_seed = seed; p_outcome = Core.Analysis.Rejected (Json.get_str j "reason"); p_raw = raw }
@@ -162,18 +161,12 @@ let codec = { Engine.encode = encode_payload; decode = decode_payload }
 (* ------------------------------------------------------------------ *)
 
 let run ?journal ?(settings = Settings.default) ?bundle_dir ~jobs ~seed ~count () =
-  Settings.check_cases ~count settings;
   let checked = Settings.checked settings in
-  let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
-  let runner ctx i =
-    let raw =
-      Engine.stage ctx "generate" (fun () ->
-          fst (Smith.generate (Smith.default_config seeds.(i))))
-    in
-    let hook = { Core.Analysis.wrap = (fun name f -> Engine.stage ctx name f) } in
-    { p_seed = seeds.(i); p_outcome = Core.Analysis.run ~checked ~hook raw; p_raw = raw }
+  let { Engine.seeds; result } =
+    Case.run ?journal ~settings ~codec ~campaign:"hunt" ~jobs ~seed ~count (fun ctx case_seed raw ->
+        let hook = { Core.Analysis.wrap = (fun name f -> Engine.stage ctx name f) } in
+        { p_seed = case_seed; p_outcome = Core.Analysis.run ~checked ~hook raw; p_raw = raw })
   in
-  let result = Fabric.run ?journal ~codec ~campaign:"hunt" ~seed ~settings ~jobs ~count runner in
   let cases =
     Array.map
       (function
@@ -190,8 +183,8 @@ let run ?journal ?(settings = Settings.default) ?bundle_dir ~jobs ~seed ~count (
          (* regenerating can itself crash (that may be exactly the fault);
             the bundle is still written, just without a source file *)
          let source =
-           match Smith.generate (Smith.default_config case_seed) with
-           | raw, _ -> Some (Dce_minic.Pretty.program_to_string raw)
+           match Case.program case_seed with
+           | raw -> Some (Dce_minic.Pretty.program_to_string raw)
            | exception _ -> None
          in
          ignore
@@ -242,61 +235,34 @@ let triage t =
    Lives in the library (not the CLI) so the serve daemon's hunt jobs and
    `dce_hunt hunt --run-root` persist byte-identical reports. *)
 let report ~campaign ~seed ~count (c : t) =
-  let misses = ref [] and invs = ref [] and rejected = ref [] in
-  let compilers = ref [] in
-  Array.iteri
-    (fun i case ->
-      match case with
-      | Quarantined _ -> ()
-      | Case (Core.Analysis.Rejected _, _) -> rejected := i :: !rejected
-      | Case (Core.Analysis.Analyzed a, _) ->
-        let by_compiler = Hashtbl.create 4 in
-        List.iter
-          (fun pc ->
-            let name = pc.Core.Analysis.cfg_compiler in
-            if not (List.mem name !compilers) then compilers := !compilers @ [ name ];
-            Ir.Iset.iter
-              (fun m ->
-                misses :=
-                  {
-                    Run_store.m_case = i;
-                    m_compiler = name;
-                    m_level = pc.Core.Analysis.cfg_level;
-                    m_marker = m;
-                  }
-                  :: !misses)
-              pc.Core.Analysis.missed;
-            Hashtbl.replace by_compiler name
-              ((pc.Core.Analysis.cfg_level, pc.Core.Analysis.missed)
-              :: Option.value ~default:[] (Hashtbl.find_opt by_compiler name)))
-          a.Core.Analysis.configs;
-        let dead = a.Core.Analysis.truth.Core.Ground_truth.dead in
-        Hashtbl.iter
-          (fun name per_level ->
-            List.iter
-              (fun (iv : Core.Differential.inversion) ->
-                invs :=
-                  {
-                    Run_store.v_case = i;
-                    v_compiler = name;
-                    v_marker = iv.Core.Differential.iv_marker;
-                    v_low = iv.Core.Differential.iv_low;
-                    v_high = iv.Core.Differential.iv_high;
-                  }
-                  :: !invs)
-              (Core.Differential.inversions ~dead per_level))
-          by_compiler)
-    c.c_cases;
+  let analyzed =
+    List.filter_map
+      (function
+        | i, (Core.Analysis.Analyzed a, _) ->
+          Some
+            ( i,
+              List.map
+                (fun (pc : Core.Analysis.per_config) -> (pc.cfg_compiler, pc.cfg_level, pc.missed))
+                a.Core.Analysis.configs )
+        | _, (Core.Analysis.Rejected _, _) -> None)
+      (outcomes c)
+  in
+  let rows = List.map (fun (i, missed) -> Run_store.case_rows i missed) analyzed in
   Run_store.sort_report
     {
       Run_store.r_campaign = campaign;
       r_seed = seed;
       r_count = count;
-      r_compilers = !compilers;
-      r_misses = !misses;
+      r_compilers =
+        Dce_support.Listx.uniq
+          (List.concat_map (fun (_, missed) -> List.map (fun (name, _, _) -> name) missed) analyzed);
+      r_misses = List.concat_map fst rows;
       r_sizes = [];
-      r_inversions = !invs;
-      r_rejected = !rejected;
+      r_inversions = List.concat_map snd rows;
+      r_rejected =
+        List.filter_map
+          (function i, (Core.Analysis.Rejected _, _) -> Some i | _, _ -> None)
+          (outcomes c);
       r_quarantined = List.map (fun q -> q.Engine.q_case) c.c_quarantine;
     }
 
@@ -354,13 +320,7 @@ let decode_value j =
 let value_codec = { Engine.encode = encode_value; decode = decode_value }
 
 let run_value ?journal ?settings ~jobs ~seed ~count () =
-  Settings.check_cases ~count (Option.value ~default:Settings.default settings);
-  let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
-  let runner ctx i =
-    let case_seed = seeds.(i) in
-    let raw =
-      Engine.stage ctx "generate" (fun () -> fst (Smith.generate (Smith.default_config case_seed)))
-    in
+  let body ctx case_seed raw =
     let none = { vc_seed = case_seed; vc_checks = 0; vc_kept = [] } in
     match
       Engine.stage ctx "value-instrument" (fun () -> Core.Value_instrument.instrument raw)
@@ -391,12 +351,7 @@ let run_value ?journal ?settings ~jobs ~seed ~count () =
           vc_kept = kept;
         })
   in
-  {
-    Engine.seeds;
-    result =
-      Fabric.run ?journal ~codec:value_codec ~campaign:"value-hunt" ~seed ?settings ~jobs ~count
-        runner;
-  }
+  Case.run ?journal ?settings ~codec:value_codec ~campaign:"value-hunt" ~jobs ~seed ~count body
 
 let value_table (v : value_case Engine.seeded) =
   let total = ref 0 in

@@ -3,11 +3,10 @@
     levels), aggregate statistics — run on the engine's worker pool, fault
     isolated, and journaled.
 
-    Program [i] of a campaign with master seed [s] is generated from
-    [List.nth (Smith.corpus_seeds ~seed:s ~count) i] regardless of [jobs],
-    which worker ran it, or resume history, so findings and reports are
-    identical across any worker count — [jobs = 1] reproduces the
-    historical sequential path byte for byte.
+    The corpus is a {!Case} campaign: program [i] is generated from the
+    [i]-th corpus seed regardless of [jobs], which worker ran it, or resume
+    history, so findings and reports are identical across any worker count
+    — [jobs = 1] reproduces the historical sequential path byte for byte.
 
     {b Journal payloads} store what is expensive to recompute (ground-truth
     execution, ten per-config compiles) and re-derive the rest on decode:
@@ -32,6 +31,14 @@ type t = {
   c_metrics : Metrics.summary;
   c_resumed : int;                 (** cases restored from the journal *)
 }
+
+type payload
+(** One case's journaled analysis outcome. *)
+
+val codec : payload Engine.codec
+(** The hunt's journal record codec (exposed for tests).  Hunt records
+    predate {!Json.envelope}: ["seed"] comes first, then a ["kind"] of
+    ["analyzed"] or ["rejected"]. *)
 
 val run :
   ?journal:string ->
@@ -86,6 +93,10 @@ type value_case = {
   vc_kept : (string * Dce_compiler.Level.t * int) list;
       (** (compiler, level, surviving check count) per configuration *)
 }
+
+val value_codec : value_case Engine.codec
+(** The value-hunt journal record codec (exposed for tests); no
+    {!Json.envelope} either. *)
 
 val run_value :
   ?journal:string ->

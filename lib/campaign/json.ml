@@ -286,3 +286,25 @@ let of_iset s = List (List.map (fun i -> Int i) (Iset.elements s))
 let iset_exn = function
   | List l -> List.fold_left (fun s v -> Iset.add (int_exn v) s) Iset.empty l
   | v -> failwith (Printf.sprintf "journal record: expected a marker list, got %s" (to_string v))
+
+(* ------------------------------------------------------------------ *)
+(* the case-record envelope                                            *)
+(* ------------------------------------------------------------------ *)
+
+let expect_kind kind j =
+  match get_str j "kind" with
+  | k when k = kind -> ()
+  | other -> failwith (Printf.sprintf "journal record: unknown case kind %S" other)
+
+let envelope ~kind ~seed body =
+  let common = [ ("kind", String kind); ("seed", Int seed) ] in
+  match body with
+  | Error reason -> Obj (common @ [ ("rejected", String reason) ])
+  | Ok fields -> Obj (common @ fields)
+
+let of_envelope ~kind j =
+  expect_kind kind j;
+  let seed = get_int j "seed" in
+  match member "rejected" j with
+  | Some _ -> (seed, Error (get_str j "rejected"))
+  | None -> (seed, Ok j)

@@ -51,3 +51,21 @@ val of_level : Dce_compiler.Level.t -> t
 val level_exn : t -> Dce_compiler.Level.t
 val of_iset : Dce_ir.Ir.Iset.t -> t
 val iset_exn : t -> Dce_ir.Ir.Iset.t
+
+(** {1 The case-record envelope}
+
+    The size, inversion and verify case records share one shape:
+    ["kind"], then ["seed"], then either ["rejected"] (the ground-truth
+    rejection reason) or the mode's own fields. *)
+
+val expect_kind : string -> t -> unit
+(** [expect_kind kind j] raises [Failure] naming the record's kind unless
+    its ["kind"] field is [kind]. *)
+
+val envelope : kind:string -> seed:int -> ((string * t) list, string) result -> t
+(** [envelope ~kind ~seed (Ok fields)] or [(Error reason)]. *)
+
+val of_envelope : kind:string -> t -> int * (t, string) result
+(** The inverse of {!envelope}: the seed, and [Error reason] for a rejected
+    case or [Ok j] (the whole record, to read the fields from).  Raises
+    [Failure] on another kind or a malformed envelope. *)

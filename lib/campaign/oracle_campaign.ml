@@ -1,7 +1,6 @@
 module C = Dce_compiler
 module Core = Dce_core
 module Ir = Dce_ir.Ir
-module Smith = Dce_smith.Smith
 module Bisect = Dce_bisect.Bisect
 
 let compilers = Core.Analysis.default_compilers
@@ -37,34 +36,24 @@ type size_case = {
    resumed campaign can even be re-thresholded — the ratio is a reporting
    parameter, never baked into records. *)
 let encode_size sc =
-  let common = [ ("kind", Json.String "size-case"); ("seed", Json.Int sc.sc_seed) ] in
-  match sc.sc_rejected with
-  | Some reason -> Json.Obj (common @ [ ("rejected", Json.String reason) ])
-  | None ->
-    Json.Obj
-      (common
-      @ [
-          ( "curve",
-            Json.List
-              (List.map
-                 (fun (name, level, size) ->
-                   Json.List [ Json.String name; Json.of_level level; Json.Int size ])
-                 sc.sc_curve) );
-        ])
+  Json.envelope ~kind:"size-case" ~seed:sc.sc_seed
+    (match sc.sc_rejected with
+     | Some reason -> Error reason
+     | None ->
+       Ok
+         [
+           ( "curve",
+             Json.List
+               (List.map
+                  (fun (name, level, size) ->
+                    Json.List [ Json.String name; Json.of_level level; Json.Int size ])
+                  sc.sc_curve) );
+         ])
 
 let decode_size j =
-  (match Json.get_str j "kind" with
-   | "size-case" -> ()
-   | other -> failwith (Printf.sprintf "journal record: unknown case kind %S" other));
-  let seed = Json.get_int j "seed" in
-  match Json.member "rejected" j with
-  | Some reason ->
-    {
-      sc_seed = seed;
-      sc_rejected = Some (Option.get (Json.to_str reason));
-      sc_curve = [];
-    }
-  | None ->
+  match Json.of_envelope ~kind:"size-case" j with
+  | seed, Error reason -> { sc_seed = seed; sc_rejected = Some reason; sc_curve = [] }
+  | seed, Ok j ->
     let curve =
       List.map
         (fun entry ->
@@ -81,36 +70,19 @@ let decode_size j =
 let size_codec = { Engine.encode = encode_size; decode = decode_size }
 
 let run_size ?journal ?settings ~jobs ~seed ~count () =
-  Settings.check_cases ~count (Option.value ~default:Settings.default settings);
-  let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
-  let runner ctx i =
-    let case_seed = seeds.(i) in
-    let raw =
-      Engine.stage ctx "generate" (fun () -> fst (Smith.generate (Smith.default_config case_seed)))
-    in
+  let body ctx case_seed raw =
     (* the *instrumented* program is what we size: it is the same object the
-       marker campaigns compile, so every (config, program) cell a size hunt
-       compiles is a cache hit for a marker hunt on the same corpus (and
-       vice versa) *)
-    let instrumented = Engine.stage ctx "instrument" (fun () -> Core.Instrument.program raw) in
-    match
-      Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute instrumented)
-    with
-    | Core.Ground_truth.Rejected reason ->
-      { sc_seed = case_seed; sc_rejected = Some reason; sc_curve = [] }
-    | Core.Ground_truth.Valid _ ->
+       marker campaigns compile *)
+    match Case.valid ctx raw with
+    | Error reason -> { sc_seed = case_seed; sc_rejected = Some reason; sc_curve = [] }
+    | Ok (instrumented, _) ->
       let curve =
         Engine.stage ctx "size-curve" (fun () ->
             Core.Differential.size_curve ~compilers instrumented)
       in
       { sc_seed = case_seed; sc_rejected = None; sc_curve = curve }
   in
-  {
-    Engine.seeds;
-    result =
-      Fabric.run ?journal ~codec:size_codec ~campaign:"size-hunt" ~seed ?settings ~jobs ~count
-        runner;
-  }
+  Case.run ?journal ?settings ~codec:size_codec ~campaign:"size-hunt" ~jobs ~seed ~count body
 
 let default_ratio = 1.25
 
@@ -200,56 +172,53 @@ let derive_inversions ~dead surviving =
    journaled because attribution needs traced (uncacheable) compiles.
    Inversions themselves are re-derived on decode. *)
 let encode_inv ic =
-  let common = [ ("kind", Json.String "inversion-case"); ("seed", Json.Int ic.ic_seed) ] in
-  match ic.ic_rejected with
-  | Some reason -> Json.Obj (common @ [ ("rejected", Json.String reason) ])
-  | None ->
-    Json.Obj
-      (common
-      @ [
-          ("dead", Json.of_iset ic.ic_dead);
-          ( "surviving",
-            Json.List
-              (List.map
-                 (fun (name, per_level) ->
-                   Json.Obj
-                     [
-                       ("compiler", Json.String name);
-                       ( "levels",
-                         Json.List
-                           (List.map
-                              (fun (l, s) -> Json.List [ Json.of_level l; Json.of_iset s ])
-                              per_level) );
-                     ])
-                 ic.ic_surviving) );
-          ( "guilty",
-            Json.List
-              (List.map
-                 (fun f ->
-                   Json.List
-                     [
-                       Json.String f.if_compiler;
-                       Json.Int f.if_inversion.Core.Differential.iv_marker;
-                       Json.String f.if_guilty;
-                     ])
-                 ic.ic_findings) );
-        ])
+  Json.envelope ~kind:"inversion-case" ~seed:ic.ic_seed
+    (match ic.ic_rejected with
+     | Some reason -> Error reason
+     | None ->
+       Ok
+         [
+           ("dead", Json.of_iset ic.ic_dead);
+           ( "surviving",
+             Json.List
+               (List.map
+                  (fun (name, per_level) ->
+                    Json.Obj
+                      [
+                        ("compiler", Json.String name);
+                        ( "levels",
+                          Json.List
+                            (List.map
+                               (fun (l, s) -> Json.List [ Json.of_level l; Json.of_iset s ])
+                               per_level) );
+                      ])
+                  ic.ic_surviving) );
+           ( "guilty",
+             Json.List
+               (List.map
+                  (fun f ->
+                    Json.List
+                      [
+                        Json.String f.if_compiler;
+                        Json.Int f.if_inversion.Core.Differential.iv_marker;
+                        Json.String f.if_guilty;
+                      ])
+                  ic.ic_findings) );
+         ])
+
+let rejected_inv seed reason =
+  {
+    ic_seed = seed;
+    ic_rejected = Some reason;
+    ic_dead = Ir.Iset.empty;
+    ic_surviving = [];
+    ic_findings = [];
+  }
 
 let decode_inv j =
-  (match Json.get_str j "kind" with
-   | "inversion-case" -> ()
-   | other -> failwith (Printf.sprintf "journal record: unknown case kind %S" other));
-  let seed = Json.get_int j "seed" in
-  match Json.member "rejected" j with
-  | Some reason ->
-    {
-      ic_seed = seed;
-      ic_rejected = Some (Option.get (Json.to_str reason));
-      ic_dead = Ir.Iset.empty;
-      ic_surviving = [];
-      ic_findings = [];
-    }
-  | None ->
+  match Json.of_envelope ~kind:"inversion-case" j with
+  | seed, Error reason -> rejected_inv seed reason
+  | seed, Ok j ->
     let dead = Json.iset_exn (Json.get j "dead") in
     let surviving =
       List.map
@@ -292,26 +261,10 @@ let decode_inv j =
 let inv_codec = { Engine.encode = encode_inv; decode = decode_inv }
 
 let run_inversion ?journal ?settings ~jobs ~seed ~count () =
-  Settings.check_cases ~count (Option.value ~default:Settings.default settings);
-  let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
-  let runner ctx i =
-    let case_seed = seeds.(i) in
-    let raw =
-      Engine.stage ctx "generate" (fun () -> fst (Smith.generate (Smith.default_config case_seed)))
-    in
-    let instrumented = Engine.stage ctx "instrument" (fun () -> Core.Instrument.program raw) in
-    match
-      Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute instrumented)
-    with
-    | Core.Ground_truth.Rejected reason ->
-      {
-        ic_seed = case_seed;
-        ic_rejected = Some reason;
-        ic_dead = Ir.Iset.empty;
-        ic_surviving = [];
-        ic_findings = [];
-      }
-    | Core.Ground_truth.Valid truth ->
+  let body ctx case_seed raw =
+    match Case.valid ctx raw with
+    | Error reason -> rejected_inv case_seed reason
+    | Ok (instrumented, truth) ->
       let dead = truth.Core.Ground_truth.dead in
       let session = C.Compiler.session ~cache:true instrumented in
       let surviving =
@@ -354,12 +307,7 @@ let run_inversion ?journal ?settings ~jobs ~seed ~count () =
       { ic_seed = case_seed; ic_rejected = None; ic_dead = dead; ic_surviving = surviving;
         ic_findings = findings }
   in
-  {
-    Engine.seeds;
-    result =
-      Fabric.run ?journal ~codec:inv_codec ~campaign:"level-hunt" ~seed ?settings ~jobs ~count
-        runner;
-  }
+  Case.run ?journal ?settings ~codec:inv_codec ~campaign:"level-hunt" ~jobs ~seed ~count body
 
 let inversion_findings (t : inv_case Engine.seeded) =
   Array.to_list (Array.mapi (fun i c -> (i, c)) t.result.outcomes)
@@ -423,22 +371,21 @@ type inv_bisection = {
   ib_probes : int;
 }
 
-let bisect_inversions ?(cache = true) ?settings ~jobs t =
+let bisect_inversions ?settings ~jobs t =
   let work = Array.of_list (inversion_findings t) in
   let validate = Settings.checked (Option.value ~default:Settings.default settings) in
   let runner ctx e =
     let ci, f = work.(e) in
     let prog =
-      Engine.stage ctx "regenerate" (fun () ->
-          Core.Instrument.program (fst (Smith.generate (Smith.default_config t.seeds.(ci)))))
+      Engine.stage ctx "regenerate" (fun () -> Core.Instrument.program (Case.program t.seeds.(ci)))
     in
     (* one session per finding: its probes replay each other's stages *)
-    let session = if cache then Some (C.Compiler.session ~validate ~cache prog) else None in
+    let session = C.Compiler.session ~validate ~cache:true prog in
     (* the marker survives at iv_high although a weaker level kills it:
        bisect the iv_high pipeline's history for the commit that lost it *)
     let outcome, probes =
       Engine.stage ctx "bisect" (fun () ->
-          Bisect.find_regression_counted ?session ~validate
+          Bisect.find_regression_counted ~session
             (Core.Analysis.compiler_of_name f.if_compiler)
             f.if_inversion.Core.Differential.iv_high prog
             ~marker:f.if_inversion.Core.Differential.iv_marker)

@@ -19,11 +19,14 @@
     (attribution is the one expensive, uncacheable step); inversions are
     re-derived on decode.
 
-    Both campaigns size the {e instrumented} program, so their compiles share
-    content-addressed cache entries with the marker campaigns on the same
-    corpus.  As everywhere: [jobs = N] output is byte-identical to
-    [jobs = 1], and journal records of unknown kind are skipped-with-count,
-    never fatal. *)
+    Both campaigns run on {!Case}: the ["generate"] stage and then its
+    valid-case prologue (["instrument"], ["ground-truth"]), so they compile
+    the same {e instrumented} program the marker hunt does.  Their compiles
+    go through cached sessions, so they share whole-compile memo cells with
+    each other in one process; the marker hunt ({!Dce_core.Analysis.run})
+    compiles in an uncached session, so it shares none with them.  As
+    everywhere: [jobs = N] output is byte-identical to [jobs = 1], and
+    journal records of unknown kind are skipped-with-count, never fatal. *)
 
 (** {1 Size campaign} *)
 
@@ -127,7 +130,6 @@ type inv_bisection = {
 }
 
 val bisect_inversions :
-  ?cache:bool ->
   ?settings:Settings.t ->
   jobs:int ->
   inv_case Engine.seeded ->
@@ -135,8 +137,9 @@ val bisect_inversions :
 (** One bisection per inversion finding, campaign order, on the Engine
     pool (no journal — probes already route through the compile cache;
     [settings.workers] is ignored).  Each finding is one engine case, with
-    its own supervision budget, and ([cache], default true) its own
-    session; {!Settings.checked} validates every stage a probe executes.
-    A quarantined finding is kept, with its fault as the outcome. *)
+    its own supervision budget and its own cached session; the case is
+    regenerated from its seed ({!Case.program}).  {!Settings.checked}
+    validates every stage a probe executes.  A quarantined finding is kept,
+    with its fault as the outcome. *)
 
 val inv_bisections_table : inv_bisection list -> string

@@ -1,4 +1,5 @@
 module C = Dce_compiler
+module Iset = Dce_ir.Ir.Iset
 
 (* ------------------------------------------------------------------ *)
 (* stable run ids                                                      *)
@@ -91,6 +92,34 @@ let sort_report r =
     r_rejected = List.sort_uniq compare r.r_rejected;
     r_quarantined = List.sort_uniq compare r.r_quarantined;
   }
+
+(* The union of a compiler's missed sets stands in for the dead set: a dead
+   marker missed at no level has no keeping level, so it is no inversion
+   either way. *)
+let case_rows case missed =
+  let misses =
+    List.concat_map
+      (fun (compiler, level, set) ->
+        List.map
+          (fun m -> { m_case = case; m_compiler = compiler; m_level = level; m_marker = m })
+          (Iset.elements set))
+      missed
+  in
+  let inversions (compiler, configs) =
+    let per_level = List.map (fun (_, l, s) -> (l, s)) configs in
+    let dead = List.fold_left (fun acc (_, s) -> Iset.union acc s) Iset.empty per_level in
+    List.map
+      (fun (iv : Dce_core.Differential.inversion) ->
+        {
+          v_case = case;
+          v_compiler = compiler;
+          v_marker = iv.iv_marker;
+          v_low = iv.iv_low;
+          v_high = iv.iv_high;
+        })
+      (Dce_core.Differential.inversions ~dead per_level)
+  in
+  (misses, List.concat_map inversions (Dce_support.Listx.group_by (fun (c, _, _) -> c) missed))
 
 (* ---------------- JSON codec ---------------- *)
 

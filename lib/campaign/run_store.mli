@@ -65,6 +65,13 @@ val sort_report : report -> report
     deduplicated index lists — applied by {!write}, so persisted reports
     are byte-stable regardless of collection order. *)
 
+val case_rows :
+  int -> (string * Dce_compiler.Level.t * Dce_ir.Ir.Iset.t) list -> miss list * inv_row list
+(** [case_rows case missed]: the miss rows and level-inversion rows of corpus
+    case [case], from its [(compiler, level, missed dead markers)] sets —
+    one miss row per marker, and per compiler the
+    {!Dce_core.Differential.inversions} of its levels. *)
+
 val report_to_json : report -> Json.t
 val report_of_json : Json.t -> report
 (** Raises [Failure] on a malformed document. *)

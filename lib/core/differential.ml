@@ -36,8 +36,8 @@ let missed_vs_other ~mine ~other = Ir.Iset.diff mine other
 (* code-size oracle                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let size_curve ?(cache = true) ~compilers prog =
-  let session = C.Compiler.session ~cache prog in
+let size_curve ~compilers prog =
+  let session = C.Compiler.session ~cache:true prog in
   List.concat_map
     (fun (c : C.Compiler.t) ->
       List.map
@@ -124,9 +124,6 @@ let size_findings_of ?(ratio = 1.25) curve =
   in
   cross @ intra
 
-let size_findings ?cache ?ratio ~compilers prog =
-  size_findings_of ?ratio (size_curve ?cache ~compilers prog)
-
 (* ------------------------------------------------------------------ *)
 (* level-inversion oracle                                              *)
 (* ------------------------------------------------------------------ *)
@@ -165,13 +162,3 @@ let inversions ~dead per_level =
       | _ -> acc)
     dead []
   |> List.sort (fun a b -> compare a.iv_marker b.iv_marker)
-
-let inversions_of ?(cache = true) ~dead compiler prog =
-  let session = C.Compiler.session ~cache prog in
-  let per_level =
-    List.map
-      (fun level ->
-        (level, iset_of (C.Compiler.observe session compiler level).C.Compiler.obs_markers))
-      [ C.Level.O1; C.Level.Os; C.Level.O2; C.Level.O3 ]
-  in
-  inversions ~dead per_level

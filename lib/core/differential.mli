@@ -52,12 +52,12 @@ val missed_vs_other :
     regression classes fall out: one compiler's [-Os] output significantly
     larger than the other's (cross, with a configurable ratio threshold), and
     a compiler's [-Os] output larger than its {e own} [-O2] (intra — a
-    self-evident miss needing no second compiler).  All sizes route through
-    the content-addressed compile cache, so a campaign pays one compile per
-    (config, program) across {e both} the marker and size oracles. *)
+    self-evident miss needing no second compiler).  Sizes are compiled in a
+    cached session, so one compile per (config, program) answers every
+    cached session in the process that asks for it; the marker hunt
+    ({!Analysis.run}) compiles uncached and shares none of them. *)
 
 val size_curve :
-  ?cache:bool ->
   compilers:Dce_compiler.Compiler.t list ->
   Dce_minic.Ast.program ->
   (string * Dce_compiler.Level.t * int) list
@@ -90,14 +90,6 @@ val size_findings_of : ?ratio:float -> (string * Dce_compiler.Level.t * int) lis
     most once per compiler pair, deterministically ordered (curve order,
     cross before intra).  Intra fires on any strict [-Os] > [-O2] excess. *)
 
-val size_findings :
-  ?cache:bool ->
-  ?ratio:float ->
-  compilers:Dce_compiler.Compiler.t list ->
-  Dce_minic.Ast.program ->
-  size_finding list
-(** [size_findings_of ?ratio (size_curve ...)]. *)
-
 (** {1 Level-inversion oracle}
 
     Within one compiler, a marker eliminated at a weaker level but surviving
@@ -119,12 +111,3 @@ val inversions :
     dead set, return every dead marker with
     [rank (weakest eliminating level) < rank (strongest keeping level)],
     ascending by marker id. *)
-
-val inversions_of :
-  ?cache:bool ->
-  dead:Dce_ir.Ir.Iset.t ->
-  Dce_compiler.Compiler.t ->
-  Dce_minic.Ast.program ->
-  inversion list
-(** Compile (cached by default) at [O1; Os; O2; O3] — [O0] keeps
-    everything, so it only adds noise — and run {!inversions}. *)

@@ -42,18 +42,6 @@ let counters_delta (a : Compile_cache.counters) (b : Compile_cache.counters) =
     entries = b.entries - a.entries;
   }
 
-let passmgr_delta (a : Passmgr.counters) (b : Passmgr.counters) =
-  {
-    Passmgr.meminfo_hits = b.meminfo_hits - a.meminfo_hits;
-    meminfo_misses = b.meminfo_misses - a.meminfo_misses;
-    cfg_hits = b.cfg_hits - a.cfg_hits;
-    cfg_misses = b.cfg_misses - a.cfg_misses;
-    dom_hits = b.dom_hits - a.dom_hits;
-    dom_misses = b.dom_misses - a.dom_misses;
-    memo_hits = b.memo_hits - a.memo_hits;
-    memo_misses = b.memo_misses - a.memo_misses;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* journal records: one verdict per line, warm-starting the cache      *)
 (* ------------------------------------------------------------------ *)
@@ -310,7 +298,7 @@ let reduce ?(max_tests = 4000) ?(jobs = 1) ?(cache = true) ?journal ~predicate p
       s_crashes = List.rev !crashes;
       s_metrics =
         Campaign.Metrics.summarize ~cases:!charged ~wall
-          ~cache:(passmgr_delta pass0 (Passmgr.counters ()))
+          ~cache:(Campaign.Engine.counters_delta pass0 (Passmgr.counters ()))
           metrics;
     }
   in

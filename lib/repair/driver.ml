@@ -41,6 +41,8 @@ let patched_campaign_name (compiler : C.Compiler.t) edits =
 
 let run ?(jobs = 1) ?(settings = Campaign.Settings.default) ?(seed = 20220228) ?(count = 20)
     ?(verify_limit = 3) ?max_pairs ?run_root ?(candidates = []) compiler level prog ~marker =
+  (* before the search, which would otherwise run in full first *)
+  Campaign.Settings.check_cases ~count settings;
   let rival = default_rival compiler in
   (* the fabric forks worker processes, and OCaml forbids fork once any
      domain has been spawned — so under a multi-process grid the search

@@ -56,7 +56,9 @@ val run :
     stage runs [jobs=1] so the process stays fork-clean for the
     multi-process verification grid.  When [run_root] is given, base and
     accepted-patched runs are journalled and written as per-run artifact
-    directories under stable run ids. *)
+    directories under stable run ids.  Raises [Failure] naming the flag,
+    before any search, when {!Dce_campaign.Settings.check_cases} refuses
+    [count] (a negative count, or a chaos plan naming a case past it). *)
 
 val record_to_json : result -> Dce_campaign.Json.t
 (** The repair record: timing-free, deterministic across [jobs]/[workers]. *)

@@ -1,10 +1,8 @@
 module C = Dce_compiler
 module Core = Dce_core
 module Ir = Dce_ir.Ir
-module Smith = Dce_smith.Smith
 module Campaign = Dce_campaign
 module Engine = Campaign.Engine
-module Fabric = Campaign.Fabric
 module Json = Campaign.Json
 module Run_store = Campaign.Run_store
 
@@ -37,36 +35,30 @@ type t = { vy_report : Run_store.report; vy_result : vcase Engine.result }
 (* ---------------- journal codec ---------------- *)
 
 let encode_case c =
-  let common = [ ("kind", Json.String "verify-case"); ("seed", Json.Int c.vc_seed) ] in
-  match c.vc_rejected with
-  | Some reason -> Json.Obj (common @ [ ("rejected", Json.String reason) ])
-  | None ->
-    Json.Obj
-      (common
-      @ [
-          ( "rows",
-            Json.List
-              (List.map
-                 (fun r ->
-                   Json.Obj
-                     [
-                       ("compiler", Json.String r.vr_compiler);
-                       ("level", Json.of_level r.vr_level);
-                       ("missed", Json.List (List.map (fun m -> Json.Int m) r.vr_missed));
-                       ("size", Json.Int r.vr_size);
-                     ])
-                 c.vc_rows) );
-        ])
+  Json.envelope ~kind:"verify-case" ~seed:c.vc_seed
+    (match c.vc_rejected with
+     | Some reason -> Error reason
+     | None ->
+       Ok
+         [
+           ( "rows",
+             Json.List
+               (List.map
+                  (fun r ->
+                    Json.Obj
+                      [
+                        ("compiler", Json.String r.vr_compiler);
+                        ("level", Json.of_level r.vr_level);
+                        ("missed", Json.List (List.map (fun m -> Json.Int m) r.vr_missed));
+                        ("size", Json.Int r.vr_size);
+                      ])
+                  c.vc_rows) );
+         ])
 
 let decode_case j =
-  (match Json.get_str j "kind" with
-   | "verify-case" -> ()
-   | other -> failwith (Printf.sprintf "journal record: unknown case kind %S" other));
-  let seed = Json.get_int j "seed" in
-  match Json.member "rejected" j with
-  | Some reason ->
-    { vc_seed = seed; vc_rejected = Some (Option.get (Json.to_str reason)); vc_rows = [] }
-  | None ->
+  match Json.of_envelope ~kind:"verify-case" j with
+  | seed, Error reason -> { vc_seed = seed; vc_rejected = Some reason; vc_rows = [] }
+  | seed, Ok j ->
     let row r =
       {
         vr_compiler = Json.get_str r "compiler";
@@ -82,19 +74,10 @@ let codec = { Engine.encode = encode_case; decode = decode_case }
 (* ---------------- the campaign ---------------- *)
 
 let campaign ?journal ?settings ?(jobs = 1) ~name ~compilers ~seed ~count () =
-  let seeds = Array.of_list (Smith.corpus_seeds ~seed ~count) in
-  let runner ctx i =
-    let case_seed = seeds.(i) in
-    let raw =
-      Engine.stage ctx "generate" (fun () -> fst (Smith.generate (Smith.default_config case_seed)))
-    in
-    let instrumented = Engine.stage ctx "instrument" (fun () -> Core.Instrument.program raw) in
-    match
-      Engine.stage ctx "ground-truth" (fun () -> Core.Ground_truth.compute instrumented)
-    with
-    | Core.Ground_truth.Rejected reason ->
-      { vc_seed = case_seed; vc_rejected = Some reason; vc_rows = [] }
-    | Core.Ground_truth.Valid truth ->
+  let body ctx case_seed raw =
+    match Campaign.Case.valid ctx raw with
+    | Error reason -> { vc_seed = case_seed; vc_rejected = Some reason; vc_rows = [] }
+    | Ok (instrumented, truth) ->
       let dead = truth.Core.Ground_truth.dead in
       let session = C.Compiler.session ~cache:true instrumented in
       let rows =
@@ -118,72 +101,23 @@ let campaign ?journal ?settings ?(jobs = 1) ~name ~compilers ~seed ~count () =
       in
       { vc_seed = case_seed; vc_rejected = None; vc_rows = rows }
   in
-  let result =
-    Fabric.run ?journal ~codec ~campaign:name ~seed ?settings ~jobs ~count runner
+  let { Engine.result; _ } =
+    Campaign.Case.run ?journal ?settings ~codec ~campaign:name ~jobs ~seed ~count body
   in
   (* fold the case outcomes into the cross-run report *)
-  let misses = ref [] and sizes = ref [] and invs = ref [] in
-  let rejected = ref [] and quarantined = ref [] in
-  Array.iteri
-    (fun i outcome ->
-      match outcome with
-      | Engine.Crashed _ -> quarantined := i :: !quarantined
-      | Engine.Done { vc_rejected = Some _; _ } -> rejected := i :: !rejected
-      | Engine.Done { vc_rows; _ } ->
-        List.iter
-          (fun r ->
-            sizes :=
-              {
-                Run_store.z_case = i;
-                z_compiler = r.vr_compiler;
-                z_level = r.vr_level;
-                z_size = r.vr_size;
-              }
-              :: !sizes;
-            List.iter
-              (fun m ->
-                misses :=
-                  {
-                    Run_store.m_case = i;
-                    m_compiler = r.vr_compiler;
-                    m_level = r.vr_level;
-                    m_marker = m;
-                  }
-                  :: !misses)
-              r.vr_missed)
-          vc_rows;
-        (* level inversions, per display compiler, from the missed sets:
-           restricted to dead markers, missed ≡ surviving, so the pure
-           oracle applies unchanged *)
-        let by_compiler = Hashtbl.create 4 in
-        List.iter
-          (fun r ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt by_compiler r.vr_compiler) in
-            Hashtbl.replace by_compiler r.vr_compiler
-              ((r.vr_level, Ir.Iset.of_list r.vr_missed) :: prev))
-          vc_rows;
-        List.iter
-          (fun (_, display) ->
-            match Hashtbl.find_opt by_compiler display with
-            | None -> ()
-            | Some per_level ->
-              let dead =
-                List.fold_left (fun acc (_, s) -> Ir.Iset.union acc s) Ir.Iset.empty per_level
-              in
-              List.iter
-                (fun (iv : Core.Differential.inversion) ->
-                  invs :=
-                    {
-                      Run_store.v_case = i;
-                      v_compiler = display;
-                      v_marker = iv.Core.Differential.iv_marker;
-                      v_low = iv.Core.Differential.iv_low;
-                      v_high = iv.Core.Differential.iv_high;
-                    }
-                    :: !invs)
-                (Core.Differential.inversions ~dead per_level))
-          compilers)
-    result.Engine.outcomes;
+  let cases = List.mapi (fun i o -> (i, o)) (Array.to_list result.Engine.outcomes) in
+  let valid =
+    List.filter_map
+      (function i, Engine.Done { vc_rejected = None; vc_rows; _ } -> Some (i, vc_rows) | _ -> None)
+      cases
+  in
+  let rows =
+    List.map
+      (fun (i, vrows) ->
+        Run_store.case_rows i
+          (List.map (fun r -> (r.vr_compiler, r.vr_level, Ir.Iset.of_list r.vr_missed)) vrows))
+      valid
+  in
   let report =
     Run_store.sort_report
       {
@@ -191,11 +125,27 @@ let campaign ?journal ?settings ?(jobs = 1) ~name ~compilers ~seed ~count () =
         r_seed = seed;
         r_count = count;
         r_compilers = List.map snd compilers;
-        r_misses = !misses;
-        r_sizes = !sizes;
-        r_inversions = !invs;
-        r_rejected = !rejected;
-        r_quarantined = !quarantined;
+        r_misses = List.concat_map fst rows;
+        r_sizes =
+          List.concat_map
+            (fun (i, vrows) ->
+              List.map
+                (fun r ->
+                  {
+                    Run_store.z_case = i;
+                    z_compiler = r.vr_compiler;
+                    z_level = r.vr_level;
+                    z_size = r.vr_size;
+                  })
+                vrows)
+            valid;
+        r_inversions = List.concat_map snd rows;
+        r_rejected =
+          List.filter_map
+            (function i, Engine.Done { vc_rejected = Some _; _ } -> Some i | _ -> None)
+            cases;
+        r_quarantined =
+          List.filter_map (function i, Engine.Crashed _ -> Some i | _ -> None) cases;
       }
   in
   { vy_report = report; vy_result = result }

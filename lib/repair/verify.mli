@@ -46,4 +46,6 @@ val campaign :
 (** [campaign ~name ~compilers:[(compiler, display); ...] ~seed ~count ()].
     [name] becomes the report's campaign identity (and the journal header
     campaign when [journal] is given); [settings] place and supervise the
-    sweep as in every campaign. *)
+    sweep as in every campaign.  It is a {!Dce_campaign.Case} campaign: the
+    ["generate"], ["instrument"] and ["ground-truth"] stages, then one
+    ["differential"] stage over every configuration. *)

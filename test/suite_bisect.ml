@@ -204,10 +204,7 @@ let test_campaign_jobs_determinism () =
   Alcotest.(check int) "probe totals equal" a.Bc.b_probes b.Bc.b_probes;
   Alcotest.(check string) "summary identical" (Bc.summary a) (Bc.summary b);
   Alcotest.(check string) "component tables identical" (Bc.component_tables a)
-    (Bc.component_tables b);
-  (* the probe cache must also be transparent at campaign level *)
-  let nc = Bc.run ~cache:false ~jobs:3 c in
-  Alcotest.(check (list string)) "uncached campaign identical" (cases_json a) (cases_json nc)
+    (Bc.component_tables b)
 
 let test_campaign_equals_sequential () =
   let c = Lazy.force corpus in
@@ -219,8 +216,11 @@ let test_campaign_equals_sequential () =
       | Engine.Done r ->
         List.iter
           (fun (bs : Bc.bisection) ->
-            let expected =
-              Bisect.find_regression
+            (* no session: every probe compiles from scratch, so the
+               campaign's probe caches must be transparent in outcome and
+               probe count alike *)
+            let expected, probes =
+              Bisect.find_regression_counted
                 (compiler_named
                    (if bs.Bc.bs_compiler = "gcc-sim" then "gcc" else "llvm"))
                 C.Level.O3
@@ -228,7 +228,8 @@ let test_campaign_equals_sequential () =
                 ~marker:bs.Bc.bs_marker
             in
             Alcotest.(check bool) "campaign = sequential find_regression" true
-              (outcome_key bs.Bc.bs_outcome = outcome_key expected))
+              (outcome_key bs.Bc.bs_outcome = outcome_key expected);
+            Alcotest.(check int) "same probe count" probes bs.Bc.bs_probes)
           r.Bc.br_bisections
       | Engine.Crashed _ -> Alcotest.fail "unexpected quarantine")
     b.Bc.b_cases;
@@ -342,33 +343,25 @@ let test_sessions_keep_pipeline_count () =
   Alcotest.(check int) "same pipeline executions" alone_pipelines shared_pipelines;
   Alcotest.(check bool) "fewer stages executed" true (shared_stages < alone_stages)
 
-(* A corrupt-IR plan makes every probe validate, with or without the
-   probe caches: the planted case is quarantined as ir-invalid blaming the
+(* A corrupt-IR plan makes every probe validate, replayed stages
+   included: the planted case is quarantined as ir-invalid blaming the
    corrupted pass, and every other case reports exactly what a clean run
    does. *)
 let test_campaign_corruption_blamed () =
   let c = Lazy.force corpus in
   let clean = Bc.run ~jobs:1 c in
   let settings = Campaign.Settings.v ~chaos:"corrupt@0:gvn" () in
-  let chaos cache =
-    let t = Bc.run ~cache ~settings ~jobs:1 c in
-    (match t.Bc.b_quarantine with
-     | [ q ] ->
-       Alcotest.(check int) "planted case" 0 q.Engine.q_case;
-       Alcotest.(check string) "stage" "bisect" q.Engine.q_stage;
-       Alcotest.(check bool) "ir-invalid" true (q.Engine.q_kind = Engine.Ir_invalid);
-       Alcotest.(check bool) "blames gvn" true
-         (contains q.Engine.q_error "pass gvn produced invalid IR")
-     | qs -> Alcotest.failf "expected 1 quarantined case, got %d" (List.length qs));
-    Alcotest.(check (list string)) "other cases unchanged"
-      (List.tl (cases_json clean)) (List.tl (cases_json t));
-    t
-  in
-  let quarantine_text t =
-    Engine.quarantine_to_string ~seeds:t.Bc.b_seeds (Bc.corpus_quarantine t)
-  in
-  Alcotest.(check string) "same quarantine with and without caches"
-    (quarantine_text (chaos true)) (quarantine_text (chaos false))
+  let t = Bc.run ~settings ~jobs:1 c in
+  (match t.Bc.b_quarantine with
+   | [ q ] ->
+     Alcotest.(check int) "planted case" 0 q.Engine.q_case;
+     Alcotest.(check string) "stage" "bisect" q.Engine.q_stage;
+     Alcotest.(check bool) "ir-invalid" true (q.Engine.q_kind = Engine.Ir_invalid);
+     Alcotest.(check bool) "blames gvn" true
+       (contains q.Engine.q_error "pass gvn produced invalid IR")
+   | qs -> Alcotest.failf "expected 1 quarantined case, got %d" (List.length qs));
+  Alcotest.(check (list string)) "other cases unchanged"
+    (List.tl (cases_json clean)) (List.tl (cases_json t))
 
 (* A session answers only for the program it was made for. *)
 let test_session_of_another_program () =

@@ -285,6 +285,13 @@ let test_settings_validation () =
         ~seed:42 ~count:4 ());
   S.check_cases ~count:4 (S.v ~chaos:"crash@3" ());
   rejects "--count" (fun () -> Campaign.Corpus.run ~jobs:1 ~seed:42 ~count:(-1) ());
+  (* repair checks its smoke-corpus count before the search, and its
+     verification sweep runs on the same case runner *)
+  rejects "--count" (fun () ->
+      Dce_repair.Driver.run ~count:(-1) C.Gcc_sim.compiler C.Level.O3
+        (parse "int main(void) { return 0; }") ~marker:0);
+  rejects "--count" (fun () ->
+      Dce_repair.Verify.campaign ~name:"verify" ~compilers:[] ~seed:42 ~count:(-1) ());
   rejects "--jobs" (fun () -> S.jobs 0);
   Alcotest.(check int) "valid jobs pass through" 3 (S.jobs 3);
   let s = S.v ~deadline:5. ~step_budget:100 ~retries:2 ~workers:2 ~chunk:4 () in
@@ -611,6 +618,125 @@ let test_percentile () =
   Alcotest.(check (float 0.0)) "empty" 0.0 (Metrics.percentile [||] 0.5);
   Alcotest.(check (float 0.0)) "singleton" 7.0 (Metrics.percentile [| 7.0 |] 0.9)
 
+(* ------------------------------------------------------------------ *)
+(* journal bytes pinned across builds                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Resume tests read back what the same build wrote, so they cannot see a
+   record format drift.  These digests pin one journal line of every record
+   kind, each computed from master seed [pin_seed]: real campaign cases
+   where the corpus has them, hand-built rejections (no corpus seed this
+   small generates a program ground truth rejects).  A changed digest of a
+   hand-built record means the format drifted and old journals no longer
+   resume byte for byte; a campaign case's digest also moves when the
+   pipeline's results for this seed change. *)
+let pin_seed = 6
+
+let pin_reason = "trap: division by zero"
+
+(* the journal line of case 0 that [run path] writes *)
+let journal_line run =
+  let path = temp_journal () in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      run path;
+      List.nth (String.split_on_char '\n' (read_file path)) 1)
+
+let hand_built codec x = Json.to_string (Engine.case_to_json codec 0 (Engine.Done x))
+
+(* the line's digest, after checking that decoding then encoding it gives
+   the same bytes *)
+let pin codec line =
+  (match Result.map (Engine.case_of_json codec) (Json.of_string line) with
+   | Ok (Some (i, o)) ->
+     Alcotest.(check string) "decode then encode" line
+       (Json.to_string (Engine.case_to_json codec i o))
+   | _ -> Alcotest.failf "undecodable record %s" line);
+  Digest.to_hex (Digest.string line)
+
+let test_journal_bytes_pinned () =
+  let module O = Campaign.Oracle_campaign in
+  let module V = Dce_repair.Verify in
+  let case_seed = List.hd (Dce_smith.Smith.corpus_seeds ~seed:pin_seed ~count:1) in
+  let corpus = ref None in
+  let hunt =
+    journal_line (fun journal ->
+        corpus := Some (Campaign.Corpus.run ~journal ~jobs:1 ~seed:pin_seed ~count:1 ()))
+  in
+  let hunt_rejected =
+    hand_built Campaign.Corpus.codec
+      (Campaign.Corpus.codec.Engine.decode
+         (Json.Obj
+            [
+              ("seed", Json.Int case_seed);
+              ("kind", Json.String "rejected");
+              ("reason", Json.String pin_reason);
+            ]))
+  in
+  let verify_compilers = [ (C.Gcc_sim.compiler, "gcc-sim"); (C.Llvm_sim.compiler, "llvm-sim") ] in
+  let digests =
+    [
+      ("hunt", pin Campaign.Corpus.codec hunt);
+      ("hunt rejected", pin Campaign.Corpus.codec hunt_rejected);
+      ( "value",
+        pin Campaign.Corpus.value_codec
+          (journal_line (fun journal ->
+               ignore (Campaign.Corpus.run_value ~journal ~jobs:1 ~seed:pin_seed ~count:1 ()))) );
+      ( "size-case",
+        pin O.size_codec
+          (journal_line (fun journal ->
+               ignore (O.run_size ~journal ~jobs:1 ~seed:pin_seed ~count:1 ()))) );
+      ( "size-case rejected",
+        pin O.size_codec
+          (hand_built O.size_codec
+             { O.sc_seed = case_seed; sc_rejected = Some pin_reason; sc_curve = [] }) );
+      ( "inversion-case",
+        pin O.inv_codec
+          (journal_line (fun journal ->
+               ignore (O.run_inversion ~journal ~jobs:1 ~seed:pin_seed ~count:1 ()))) );
+      ( "inversion-case rejected",
+        pin O.inv_codec
+          (hand_built O.inv_codec
+             {
+               O.ic_seed = case_seed;
+               ic_rejected = Some pin_reason;
+               ic_dead = Ir.Iset.empty;
+               ic_surviving = [];
+               ic_findings = [];
+             }) );
+      ( "verify-case",
+        pin V.codec
+          (journal_line (fun journal ->
+               ignore
+                 (V.campaign ~journal ~name:"verify" ~compilers:verify_compilers ~seed:pin_seed
+                    ~count:1 ()))) );
+      ( "verify-case rejected",
+        pin V.codec
+          (hand_built V.codec { V.vc_seed = case_seed; vc_rejected = Some pin_reason; vc_rows = [] })
+      );
+      ( "bisect-case",
+        pin Campaign.Bisect_campaign.codec
+          (journal_line (fun journal ->
+               ignore (Campaign.Bisect_campaign.run ~journal ~jobs:1 (Option.get !corpus)))) );
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "record digests"
+    [
+      ("hunt", "251b1c1573f866412f1b4304d56f15d5");
+      ("hunt rejected", "a801e159b826deaed7ba0994051b51eb");
+      ("value", "7ffe2939d0e3fd6273fd83d690b14779");
+      ("size-case", "89f27f0ec29d0e69288da38c811f2e9e");
+      ("size-case rejected", "508fb490818362023091a2418bf7d6d1");
+      ("inversion-case", "c7aa97f91b6e94286539b431b4301079");
+      ("inversion-case rejected", "95a9e70ee7c0868c1f4b42314aca6c06");
+      ("verify-case", "a53799d44751470ec487a5cb415b56e3");
+      ("verify-case rejected", "282cd31b58941484de1704ad00612fbd");
+      ("bisect-case", "97688b529119085a6fd1eae5cd110be1");
+    ]
+    digests
+
 let suite =
   [
     ("jobs determinism: stats and findings", `Slow, test_jobs_determinism_stats);
@@ -625,6 +751,7 @@ let suite =
     ("engine: exception releases the journal", `Quick, test_engine_exception_releases_journal);
     ("engine: hostile journal skipped and counted", `Quick, test_engine_journal_robustness);
     ("settings: out-of-range values name their flag", `Quick, test_settings_validation);
+    ("journal: record bytes pinned across builds", `Slow, test_journal_bytes_pinned);
     ("fault isolation: injected crash quarantined", `Slow, test_fault_isolation);
     ("checkpoint/resume: corpus campaign", `Slow, test_corpus_resume);
     ("checkpoint/resume: unknown record kind skipped", `Slow, test_corpus_journal_unknown_kind);

@@ -12,6 +12,24 @@ module Campaign = Dce_campaign
 module O = Campaign.Oracle_campaign
 module Smith = Dce_smith.Smith
 
+(* The oracles by hand, one compile per cell in its own session with or
+   without the compile cache: the reference the campaigns' shared cached
+   sessions must agree with. *)
+let size_curve_of ?cache ~compilers prog =
+  List.concat_map
+    (fun (c : C.Compiler.t) ->
+      List.map
+        (fun level ->
+          (c.C.Compiler.name, level, asm_size ?cache { D.compiler = c; level; version = None } prog))
+        [ C.Level.Os; C.Level.O2 ])
+    compilers
+
+let inversions_of ?cache ~dead compiler prog =
+  D.inversions ~dead
+    (List.map
+       (fun level -> (level, iset_of_list (markers_of ?cache compiler level prog)))
+       O.inversion_levels)
+
 (* ------------------------------------------------------------------ *)
 (* Asm.size                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -101,7 +119,7 @@ let test_size_known_gap_real_program () =
   let os = asm_size { D.compiler = gcc; level = C.Level.Os; version = None } prog in
   let o2 = asm_size { D.compiler = gcc; level = C.Level.O2; version = None } prog in
   Alcotest.(check bool) "known gap: -Os strictly larger than own -O2" true (os > o2);
-  let findings = D.size_findings ~compilers:[ gcc ] prog in
+  let findings = D.size_findings_of (D.size_curve ~compilers:[ gcc ] prog) in
   Alcotest.(check bool) "intra finding reported" true
     (List.exists (function D.Size_intra { compiler = "gcc-sim"; _ } -> true | _ -> false)
        findings)
@@ -173,7 +191,7 @@ let test_inversions_real_pipeline () =
   | Core.Ground_truth.Rejected r -> Alcotest.failf "rejected: %s" r
   | Core.Ground_truth.Valid truth ->
     let dead = truth.Core.Ground_truth.dead in
-    let invs = D.inversions_of ~dead C.Gcc_sim.compiler prog in
+    let invs = inversions_of ~dead C.Gcc_sim.compiler prog in
     Alcotest.(check bool) "gcc-sim inversions exist on this case" true (invs <> []);
     List.iter
       (fun iv ->
@@ -271,8 +289,9 @@ let test_inversion_campaign_resume () =
 let test_inversion_bisect_budget_per_finding () =
   let t = O.run_inversion ~jobs:1 ~seed:4242 ~count:10 () in
   let findings = O.inversion_findings t in
-  (* the polls one finding's bisection spends: its engine stages plus
-     every stage of every from-scratch probe *)
+  (* a bound on the polls one finding's bisection spends: its engine
+     stages plus every stage of every from-scratch probe, which the
+     campaign's cached session replays or skips *)
   let polls (ci, (f : O.inv_finding)) =
     let g = Dce_support.Guard.create ~steps:max_int () in
     Dce_support.Guard.with_guard g (fun () ->
@@ -292,7 +311,7 @@ let test_inversion_bisect_budget_per_finding () =
   let case_sum ci = Dce_support.Listx.sum (List.filter_map (fun (c, n) -> if c = ci then Some n else None) costs) in
   Alcotest.(check bool) "some case's findings together exceed the budget" true
     (List.exists (fun (ci, _) -> case_sum ci > budget) costs);
-  let run settings = O.bisect_inversions ~cache:false ~settings ~jobs:2 t in
+  let run settings = O.bisect_inversions ~settings ~jobs:2 t in
   let quarantined rows =
     List.length (List.filter (fun b -> Result.is_error b.O.ib_outcome) rows)
   in
@@ -404,7 +423,7 @@ let first_gcc_inversion prog =
   | Core.Ground_truth.Rejected r -> Alcotest.failf "rejected: %s" r
   | Core.Ground_truth.Valid truth -> (
     match
-      D.inversions_of ~dead:truth.Core.Ground_truth.dead C.Gcc_sim.compiler prog
+      inversions_of ~dead:truth.Core.Ground_truth.dead C.Gcc_sim.compiler prog
     with
     | iv :: _ -> iv
     | [] -> Alcotest.fail "expected a gcc-sim inversion on the pinned case")
@@ -451,14 +470,16 @@ let qcheck_tests =
   [
     qtest ~count:10 "size verdicts deterministic and cache-transparent" gen_seed (fun seed ->
         let prog = Core.Instrument.program (smith_program seed) in
-        let cached = D.size_findings ~cache:true ~compilers prog in
-        cached = D.size_findings ~cache:false ~compilers prog
-        && cached = D.size_findings ~cache:true ~compilers prog);
+        (* verdicts are a pure function of the curve *)
+        let curve = D.size_curve ~compilers prog in
+        curve = size_curve_of ~cache:false ~compilers prog
+        && curve = size_curve_of ~cache:true ~compilers prog
+        && curve = D.size_curve ~compilers prog);
     qtest ~count:10 "inversion verdicts independent of executor backend" gen_seed (fun seed ->
         (* ground truth through [Exec.run] gives the verdicts that the
            reference interpreter's dead set gives *)
         let prog = Core.Instrument.program (smith_program seed) in
-        let invs dead = List.map (fun c -> D.inversions_of ~dead c prog) compilers in
+        let invs dead = List.map (fun c -> inversions_of ~dead c prog) compilers in
         let r = Dce_interp.Interp.run (Dce_ir.Lower.program prog) in
         match (Core.Ground_truth.compute prog, r.Dce_interp.Interp.outcome) with
         | Core.Ground_truth.Valid truth, Dce_interp.Interp.Finished _ ->
@@ -477,7 +498,7 @@ let qcheck_tests =
           let dead = truth.Core.Ground_truth.dead in
           List.for_all
             (fun c ->
-              D.inversions_of ~cache:true ~dead c prog = D.inversions_of ~cache:false ~dead c prog)
+              inversions_of ~cache:true ~dead c prog = inversions_of ~cache:false ~dead c prog)
             compilers);
     qtest ~count:10 "Asm.size invariant under program re-rendering" gen_seed (fun seed ->
         (* print → parse → recheck must not change any emitted size: size is
