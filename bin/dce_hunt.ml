@@ -4,17 +4,15 @@
      generate   produce random MiniC test programs (Csmith role)
      analyze    instrument one program, compute ground truth, compare configs
      compile    run one simulated compiler and show IR/assembly
-     hunt       end-to-end campaign over a generated corpus
-     size-hunt  code-size oracle campaign (-Os larger than the rival's, or than own -O2)
-     level-hunt level-inversion oracle campaign (dead at a weak level, alive at a strong one)
      reduce     shrink a test case while preserving an oracle finding
      bisect     find the commit that introduced a regression
-     bisect-campaign
-                bisect every missed marker of a corpus into Tables 3/4
      repair     search feature-edit fixes for a missed marker and A/B-verify them
      campaign-diff
                 compare two persisted campaign runs table by table
      explain    show a configuration's feature matrix, pass schedule, history
+   plus one corpus campaign subcommand per Campaign.Mode.all entry (hunt,
+   triage, value-hunt, size-hunt, level-hunt, bisect-campaign), built by
+   [corpus_cmd], and the campaign service's serve/submit/... clients.
 
    Argument errors (unknown compiler/level/oracle, missing --marker)
    are reported as a one-line usage error naming the offending flag, exit 2 —
@@ -27,12 +25,9 @@ module Ir = Dce_ir.Ir
 
 let read_program path =
   let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
+  let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  match Dce_minic.Typecheck.check (Dce_minic.Parser.parse_program src) with
-  | Ok prog -> prog
-  | Error errs -> failwith (String.concat "\n" errs)
+  Dce_minic.Typecheck.check_exn (Dce_minic.Parser.parse_program src)
 
 let compiler_of_string ?(flag = "--compiler") s =
   let name = match s with "gcc" | "llvm" -> s ^ "-sim" | _ -> s in
@@ -159,7 +154,7 @@ let compile_cmd =
   Cmd.v (Cmd.info "compile" ~doc:"Compile one program and print assembly (or IR).")
     Term.(const run $ file_arg $ comp $ level $ version $ dump_ir $ instrument)
 
-(* ---------- campaign flags shared by hunt / triage / value-hunt ---------- *)
+(* ---------- the flags every campaign subcommand shares ---------- *)
 
 module Campaign = Dce_campaign
 
@@ -260,44 +255,23 @@ let checked_arg =
            quarantines the case as ir-invalid blaming that pass.")
 
 (* The one term every campaign command builds its Settings.t from:
-   --workers/--chunk always, the supervision flags unless [~supervised:false],
-   --chaos/--checked only with [~chaos:true] — so no command gains a flag.
-   Settings.v validates here, at the CLI boundary. *)
-let settings_arg ?(supervised = true) ?(chaos = false) () =
+   --workers/--chunk always, and the supervision flags (budgets, retries,
+   --chaos, --checked) unless [~supervised:false], for repair's
+   verification campaigns.  Settings.v validates here, at the CLI
+   boundary. *)
+let settings_arg ?(supervised = true) () =
   let v deadline step_budget retries chaos checked workers chunk =
     Campaign.Settings.v ?deadline ?step_budget ~retries ?chaos ~checked ~workers ?chunk ()
   in
-  let if_ on arg absent = if on then arg else Term.const absent in
+  let if_ arg absent = if supervised then arg else Term.const absent in
   Term.(
     const v
-    $ if_ supervised deadline_arg None
-    $ if_ supervised step_budget_arg None
-    $ if_ supervised retries_arg 0
-    $ if_ chaos chaos_arg None
-    $ if_ chaos checked_arg false
+    $ if_ deadline_arg None
+    $ if_ step_budget_arg None
+    $ if_ retries_arg 0
+    $ if_ chaos_arg None
+    $ if_ checked_arg false
     $ workers_arg $ chunk_arg)
-
-let print_epilogue ?(metrics = false) ~seeds ~quarantine ~resumed summary =
-  if quarantine <> [] then begin
-    Printf.printf "%d case(s) quarantined (campaign completed without them):\n"
-      (List.length quarantine);
-    print_string (Campaign.Engine.quarantine_to_string ~seeds quarantine)
-  end;
-  if resumed > 0 then Printf.printf "(%d case(s) restored from the journal, not re-run)\n" resumed;
-  if summary.Campaign.Metrics.journal_skipped > 0 then
-    Printf.printf "(%d journal record(s) skipped — unreadable or from another build — and re-run)\n"
-      summary.Campaign.Metrics.journal_skipped;
-  if metrics then print_string (Campaign.Metrics.to_string summary)
-
-let print_corpus_epilogue ~metrics (c : Campaign.Corpus.t) =
-  print_epilogue ~metrics ~seeds:c.c_seeds ~quarantine:c.c_quarantine ~resumed:c.c_resumed
-    c.c_metrics
-
-let print_seeded_epilogue ~metrics (s : _ Campaign.Engine.seeded) =
-  print_epilogue ~metrics ~seeds:s.seeds ~quarantine:s.result.quarantine
-    ~resumed:s.result.resumed s.result.metrics
-
-(* ---------- per-run artifact directories ---------- *)
 
 let run_root_arg =
   Arg.(
@@ -311,242 +285,129 @@ let run_root_arg =
            resumes from) the same directory, and two such directories feed \
            $(b,dce_hunt campaign-diff).")
 
-(* ---------- hunt ---------- *)
+(* ---------- the corpus subcommands: one per Campaign.Mode entry ---------- *)
 
-let hunt_cmd =
-  let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
-  let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let bundle_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bundle-dir" ] ~docv:"DIR"
-          ~doc:
-            "Write a self-contained crash bundle (meta.json + repro.c) under $(docv)/case-NNNN/ \
-             for every quarantined case.")
-  in
-  let minimize_bundles =
-    Arg.(
-      value & flag
-      & info [ "minimize-bundles" ]
-          ~doc:
-            "Auto-minimize each written crash bundle through the reduction engine (best effort; \
-             adds repro-min.c when the fault reproduces and shrinks).")
-  in
-  let run seed count jobs settings journal run_root metrics bundle_dir minimize_bundles =
-    let journal =
-      match (journal, run_root) with
-      | None, Some root ->
-        let id = Campaign.Run_store.campaign_run_id ~campaign:"hunt" ~seed ~count settings in
-        Some (Campaign.Run_store.journal_path (Campaign.Run_store.dir_of ~root ~id))
-      | j, _ -> j
-    in
-    let c = Campaign.Corpus.run ?journal ~settings ?bundle_dir ~jobs ~seed ~count () in
-    let stats = Campaign.Corpus.stats c in
-    print_endline (Dce_report.Stats.prevalence stats);
-    print_endline "Table 1 (% dead blocks missed):";
-    print_string (Dce_report.Stats.table1 stats);
-    print_endline "Table 2 (% dead blocks primary missed):";
-    print_string (Dce_report.Stats.table2 stats);
-    print_string (Dce_report.Stats.differential_summary stats);
-    print_endline "Markers eliminated per stage at -O3 (pass attribution):";
-    print_string (Dce_report.Stats.attribution_table stats);
-    let interesting =
-      List.filter (fun (f : Dce_report.Stats.finding) -> f.Dce_report.Stats.f_primary)
-        stats.Dce_report.Stats.findings
-    in
-    Printf.printf "%d primary cross-compiler findings; first few:\n" (List.length interesting);
+(* What a corpus subcommand's own flags select: its table entry rebuilt
+   with their knobs, or (value-hunt FILE) a single-program run instead of
+   a campaign. *)
+type own = Run of Campaign.Mode.t | Instead of (unit -> unit)
+
+let value_file path =
+  let prog = read_program path in
+  match Core.Value_instrument.instrument prog with
+  | None -> print_endline "profiling failed (trap or non-termination)"
+  | Some (vi, stats) ->
+    Printf.printf "// %d probes, %d dead value checks planted\n"
+      stats.Core.Value_instrument.probes_inserted stats.Core.Value_instrument.checks_planted;
+    print_string (Dce_minic.Pretty.program_to_string vi);
+    let session = C.Compiler.session vi in
     List.iter
-      (fun (f : Dce_report.Stats.finding) ->
-        Printf.printf "  program %d marker %d: %s %s misses, %s eliminates\n"
-          f.Dce_report.Stats.f_program f.Dce_report.Stats.f_marker f.Dce_report.Stats.f_compiler
-          (C.Level.to_string f.Dce_report.Stats.f_level)
-          f.Dce_report.Stats.f_witness)
-      (Dce_support.Listx.take 10 interesting);
-    print_corpus_epilogue ~metrics c;
-    (match bundle_dir with
-     | Some dir when c.Campaign.Corpus.c_quarantine <> [] ->
-       Printf.printf "crash bundles written under %s/\n" dir;
-       if minimize_bundles then begin
-         let checked = Campaign.Settings.checked settings in
-         let still_faulty prog =
-           (* replay under the same budgets so a hanging repro times out the
-              same way it did in the campaign *)
-           let guard =
-             Dce_support.Guard.create ?deadline:settings.deadline ?steps:settings.step_budget ()
-           in
-           match Dce_support.Guard.with_guard guard (fun () -> Core.Analysis.run ~checked prog) with
-           | _ -> false
-           | exception _ -> true
-         in
-         let n = Dce_reduce.Minimize_bundle.minimize_dir ~still_faulty ~dir () in
-         Printf.printf "%d bundle(s) auto-minimized\n" n
-       end
-     | _ -> ());
-    Option.iter
-      (fun root ->
-        Campaign.Run_store.persist ~report_text:(Campaign.Corpus.report_text c) ~root settings
-          ~metrics:c.c_metrics
-          (Campaign.Corpus.report ~campaign:"hunt" ~seed ~count c)
-        |> Printf.printf "run artifacts written to %s\n")
-      run_root
-  in
-  Cmd.v
-    (Cmd.info "hunt"
-       ~doc:
-         "Generate a corpus and run the full differential campaign over it — run over \
-          $(b,--jobs) worker domains, fault isolated, supervised via $(b,--deadline) / \
-          $(b,--step-budget) / $(b,--retries), chaos-testable via $(b,--chaos), and resumable \
-          via $(b,--journal) — and optionally forked over $(b,--workers) persistent worker \
-          processes with dynamic work stealing.")
+      (fun compiler ->
+        List.iter
+          (fun level ->
+            let surv = (C.Compiler.observe session compiler level).C.Compiler.obs_markers in
+            Printf.printf "%-9s %-4s keeps value checks {%s}\n" compiler.C.Compiler.name
+              (C.Level.to_string level)
+              (String.concat "," (List.map string_of_int surv)))
+          C.Level.all)
+      Core.Analysis.default_compilers
+
+let own_flags (m : Campaign.Mode.t) =
+  match m.name with
+  | "hunt" ->
+    let bundle_dir =
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "bundle-dir" ] ~docv:"DIR"
+            ~doc:
+              "Write a self-contained crash bundle (meta.json + repro.c) under \
+               $(docv)/case-NNNN/ for every quarantined case.")
+    in
+    let minimize_bundles =
+      Arg.(
+        value & flag
+        & info [ "minimize-bundles" ]
+            ~doc:
+              "Auto-minimize each written crash bundle through the reduction engine (best \
+               effort; adds repro-min.c when the fault reproduces and shrinks).")
+    in
+    let hunt bundle_dir minimize_bundles =
+      let minimize ~still_faulty ~dir =
+        Dce_reduce.Minimize_bundle.minimize_dir ~still_faulty ~dir ()
+      in
+      Run
+        (Campaign.Mode.hunt ?bundle_dir
+           ?minimize:(if minimize_bundles then Some minimize else None)
+           ())
+    in
+    Term.(const hunt $ bundle_dir $ minimize_bundles)
+  | "value-hunt" ->
+    let file =
+      Arg.(
+        value
+        & pos 0 (some file) None
+        & info [] ~docv:"FILE.c"
+            ~doc:"Single-program mode; omit to run a generated-corpus campaign instead.")
+    in
     Term.(
-      const run $ seed $ count $ jobs_arg $ settings_arg ~chaos:true () $ journal_arg
-      $ run_root_arg $ metrics_arg $ bundle_dir $ minimize_bundles)
+      const (function Some path -> Instead (fun () -> value_file path) | None -> Run m) $ file)
+  | "size-hunt" ->
+    let ratio =
+      Arg.(
+        value
+        & opt float Campaign.Oracle_campaign.default_ratio
+        & info [ "ratio" ] ~docv:"R"
+            ~doc:
+              "Cross-compiler threshold: flag a case when one compiler's -Os output is at least \
+               $(docv) times the other's.  A reporting parameter only — the journal stores \
+               size curves, so resuming with a different $(docv) re-thresholds without \
+               recompiling.")
+    in
+    Term.(const (fun ratio -> Run (Campaign.Mode.size ~ratio)) $ ratio)
+  | "level-hunt" ->
+    let bisect =
+      Arg.(
+        value & flag
+        & info [ "bisect" ]
+            ~doc:
+              "Also bisect every inversion through the keeping level's feature-flag commit \
+               history (probe-cached, on the worker pool) and print the offending commits.")
+    in
+    Term.(const (fun bisect -> Run (Campaign.Mode.level ~bisect)) $ bisect)
+  | "bisect" ->
+    let level = Arg.(value & opt string "O3" & info [ "level" ] ~docv:"O0..O3") in
+    Term.(
+      const (fun level -> Run (Campaign.Mode.bisect ~level:(level_of_string level))) $ level)
+  | _ -> Term.const (Run m)
 
-(* ---------- triage ---------- *)
-
-let triage_cmd =
+let corpus_cmd (m : Campaign.Mode.t) =
   let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
-  let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let run seed count jobs settings journal metrics =
-    let c = Campaign.Corpus.run ?journal ~settings ~jobs ~seed ~count () in
-    let reports = Campaign.Corpus.triage c in
-    print_string (Dce_report.Triage.table5 reports);
-    print_endline "report clusters:";
-    List.iter
-      (fun r ->
-        Printf.printf "  %-9s %-4s %-28s %-22s %-12s %-9s x%d (program %d, marker %d)\n"
-          r.Dce_report.Triage.r_compiler
-          (C.Level.to_string r.Dce_report.Triage.r_level)
-          r.Dce_report.Triage.r_signature
-          (match r.Dce_report.Triage.r_component with Some c -> c | None -> "-")
-          (match r.Dce_report.Triage.r_guilty_stage with Some s -> s | None -> "-")
-          (Dce_report.Triage.status_name r.Dce_report.Triage.r_status)
-          r.Dce_report.Triage.r_occurrences r.Dce_report.Triage.r_example_program
-          r.Dce_report.Triage.r_example_marker)
-      reports;
-    print_corpus_epilogue ~metrics c
+  let count = Arg.(value & opt int m.count & info [ "count" ] ~docv:"N") in
+  let run own seed count jobs settings journal run_root metrics =
+    match own with
+    | Instead f -> f ()
+    | Run m ->
+      let journal =
+        match (journal, run_root) with
+        | None, Some root ->
+          let id = Campaign.Run_store.campaign_run_id ~campaign:m.name ~seed ~count settings in
+          Some (Campaign.Run_store.journal_path (Campaign.Run_store.dir_of ~root ~id))
+        | j, _ -> j
+      in
+      let r = m.run ?journal ~settings ~jobs ~seed ~count () in
+      print_string r.text;
+      print_string (Campaign.Mode.epilogue ~metrics r);
+      print_string r.coda;
+      Option.iter
+        (fun root ->
+          Printf.printf "run artifacts written to %s\n" (Campaign.Mode.persist ~root settings r))
+        run_root
   in
-  Cmd.v
-    (Cmd.info "triage"
-       ~doc:
-         "Run the full reporting pipeline on a generated corpus: differential campaign, \
-          root-cause diagnosis, deduplication into reports, and Table-5 style statuses.")
+  Cmd.v (Cmd.info m.command ~doc:m.doc)
     Term.(
-      const run $ seed $ count $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg)
-
-(* ---------- value-hunt (the §4.4 extension) ---------- *)
-
-let value_hunt_cmd =
-  let file_opt =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE.c"
-          ~doc:"Single-program mode; omit to run a generated-corpus campaign instead.")
-  in
-  let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
-  let count = Arg.(value & opt int 30 & info [ "count" ] ~docv:"N") in
-  let run_file path =
-    let prog = read_program path in
-    match Core.Value_instrument.instrument prog with
-    | None -> print_endline "profiling failed (trap or non-termination)"
-    | Some (vi, stats) ->
-      Printf.printf "// %d probes, %d dead value checks planted\n"
-        stats.Core.Value_instrument.probes_inserted stats.Core.Value_instrument.checks_planted;
-      print_string (Dce_minic.Pretty.program_to_string vi);
-      let session = C.Compiler.session vi in
-      List.iter
-        (fun compiler ->
-          List.iter
-            (fun level ->
-              let surv = (C.Compiler.observe session compiler level).C.Compiler.obs_markers in
-              Printf.printf "%-9s %-4s keeps value checks {%s}\n" compiler.C.Compiler.name
-                (C.Level.to_string level)
-                (String.concat "," (List.map string_of_int surv)))
-            C.Level.all)
-        Core.Analysis.default_compilers
-  in
-  let run_corpus seed count jobs settings journal metrics =
-    let v = Campaign.Corpus.run_value ?journal ~settings ~jobs ~seed ~count () in
-    print_string (Campaign.Corpus.value_table v);
-    print_seeded_epilogue ~metrics v
-  in
-  let run path seed count jobs settings journal metrics =
-    match path with
-    | Some path -> run_file path
-    | None -> run_corpus seed count jobs settings journal metrics
-  in
-  Cmd.v
-    (Cmd.info "value-hunt"
-       ~doc:
-         "Plant profiled value checks after loops (the paper's future-work mode) and show which \
-          configurations prove them — on one file, or as a campaign over a generated corpus.")
-    Term.(
-      const run $ file_opt $ seed $ count $ jobs_arg $ settings_arg () $ journal_arg
-      $ metrics_arg)
-
-(* ---------- size-hunt ---------- *)
-
-let size_hunt_cmd =
-  let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
-  let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let ratio =
-    Arg.(
-      value
-      & opt float Campaign.Oracle_campaign.default_ratio
-      & info [ "ratio" ] ~docv:"R"
-          ~doc:
-            "Cross-compiler threshold: flag a case when one compiler's -Os output is at least \
-             $(docv) times the other's.  A reporting parameter only — the journal stores size \
-             curves, so resuming with a different $(docv) re-thresholds without recompiling.")
-  in
-  let run seed count ratio jobs settings journal metrics =
-    let s = Campaign.Oracle_campaign.run_size ?journal ~settings ~jobs ~seed ~count () in
-    print_string (Campaign.Oracle_campaign.size_report ~ratio s);
-    print_seeded_epilogue ~metrics s
-  in
-  Cmd.v
-    (Cmd.info "size-hunt"
-       ~doc:
-         "Run the code-size oracle over a generated corpus: flag programs where one simulated \
-          compiler's -Os output is $(b,--ratio) times larger than the other's, or larger than \
-          its own -O2 — run over $(b,--jobs) worker domains, resumable via $(b,--journal), \
-          with sizes routed through the content-addressed compile cache.")
-    Term.(
-      const run $ seed $ count $ ratio $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg)
-
-(* ---------- level-hunt ---------- *)
-
-let level_hunt_cmd =
-  let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
-  let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let bisect =
-    Arg.(
-      value & flag
-      & info [ "bisect" ]
-          ~doc:
-            "Also bisect every inversion through the keeping level's feature-flag commit \
-             history (probe-cached, on the worker pool) and print the offending commits.")
-  in
-  let run seed count bisect jobs settings journal metrics =
-    let t = Campaign.Oracle_campaign.run_inversion ?journal ~settings ~jobs ~seed ~count () in
-    print_string (Campaign.Oracle_campaign.inversion_report t);
-    if bisect then
-      print_string
-        (Campaign.Oracle_campaign.inv_bisections_table
-           (Campaign.Oracle_campaign.bisect_inversions ~settings ~jobs t));
-    print_seeded_epilogue ~metrics t
-  in
-  Cmd.v
-    (Cmd.info "level-hunt"
-       ~doc:
-         "Run the level-inversion oracle over a generated corpus: find markers a compiler \
-          eliminates at a weak level (-O1/-Os) but keeps at a stronger one (-O2/-O3), \
-          attribute each to the pass the strong level is missing, and optionally \
-          $(b,--bisect) each inversion to its offending commit.")
-    Term.(
-      const run $ seed $ count $ bisect $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg)
+      const run $ own_flags m $ seed $ count $ jobs_arg $ settings_arg () $ journal_arg
+      $ run_root_arg $ metrics_arg)
 
 (* ---------- reduce ---------- *)
 
@@ -611,10 +472,7 @@ let reduce_cmd =
   in
   let run path marker oracle min_ratio min_gap keeper keeper_level elim elim_level max_tests jobs
       journal stats no_cache =
-    let prog = read_program path in
-    let prog =
-      if Dce_minic.Ast.markers_of_program prog = [] then Core.Instrument.program prog else prog
-    in
+    let prog = Core.Instrument.ensure (read_program path) in
     let mk ~cflag ~lflag c l =
       {
         Core.Differential.compiler = compiler_of_string ~flag:cflag c;
@@ -680,10 +538,7 @@ let bisect_cmd =
   let comp = Arg.(value & opt string "gcc" & info [ "compiler" ] ~docv:"gcc|llvm") in
   let level = Arg.(value & opt string "O3" & info [ "level" ] ~docv:"O0..O3") in
   let run path marker comp level =
-    let prog = read_program path in
-    let prog =
-      if Dce_minic.Ast.markers_of_program prog = [] then Core.Instrument.program prog else prog
-    in
+    let prog = Core.Instrument.ensure (read_program path) in
     let compiler = compiler_of_string comp in
     match
       Dce_bisect.Bisect.find_regression compiler (level_of_string level) prog ~marker
@@ -701,34 +556,6 @@ let bisect_cmd =
   in
   Cmd.v (Cmd.info "bisect" ~doc:"Bisect a missed marker to the commit that introduced it.")
     Term.(const run $ file_arg $ marker $ comp $ level)
-
-(* ---------- bisect-campaign ---------- *)
-
-let bisect_campaign_cmd =
-  let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
-  let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
-  let level = Arg.(value & opt string "O3" & info [ "level" ] ~docv:"O0..O3") in
-  let run seed count level jobs settings journal metrics =
-    let corpus = Campaign.Corpus.run ~settings ~jobs ~seed ~count () in
-    let b =
-      Campaign.Bisect_campaign.run ?journal ~level:(level_of_string level) ~settings ~jobs corpus
-    in
-    print_corpus_epilogue ~metrics:false corpus;
-    print_string (Campaign.Bisect_campaign.summary b);
-    print_string (Campaign.Bisect_campaign.component_tables b);
-    print_epilogue ~metrics ~seeds:b.b_seeds
-      ~quarantine:(Campaign.Bisect_campaign.corpus_quarantine b)
-      ~resumed:b.b_resumed b.b_metrics
-  in
-  Cmd.v
-    (Cmd.info "bisect-campaign"
-       ~doc:
-         "Run the differential campaign over a generated corpus, then bisect every \
-          (case, missed-marker) pair to its offending commit — run over $(b,--jobs) worker \
-          domains, probe-cached, resumable via $(b,--journal) — and aggregate the offending \
-          commits into the paper's component tables (Tables 3/4).")
-    Term.(
-      const run $ seed $ count $ level $ jobs_arg $ settings_arg () $ journal_arg $ metrics_arg)
 
 (* ---------- repair ---------- *)
 
@@ -772,10 +599,7 @@ let repair_cmd =
       | Some m -> m
       | None -> failwith "--marker is required: name the missed marker to repair"
     in
-    let prog = read_program path in
-    let prog =
-      if Dce_minic.Ast.markers_of_program prog = [] then Core.Instrument.program prog else prog
-    in
+    let prog = Core.Instrument.ensure (read_program path) in
     let compiler = compiler_of_string comp in
     let level = level_of_string level in
     let r =
@@ -887,11 +711,7 @@ let explain_cmd =
     (match trace with
      | None -> ()
      | Some path ->
-       let prog = read_program path in
-       let prog =
-         if Dce_minic.Ast.markers_of_program prog = [] then Core.Instrument.program prog
-         else prog
-       in
+       let prog = Core.Instrument.ensure (read_program path) in
        let _, t = C.Compiler.run (C.Compiler.session prog) compiler lv in
        Printf.printf "stage trace of %s (%d of %d scheduled stages executed):\n" path
          (List.length t)
@@ -1022,7 +842,7 @@ let submit_cmd =
     Arg.(
       value & opt string "hunt"
       & info [ "kind" ] ~docv:"KIND"
-          ~doc:"Campaign kind: hunt, triage, size-hunt, level-hunt, bisect, or reduce.")
+          ~doc:("Campaign kind: " ^ Arg.doc_alts Serve.Job.kind_names ^ "."))
   in
   let seed = Arg.(value & opt int 20220228 & info [ "seed" ] ~docv:"N") in
   let count = Arg.(value & opt int 50 & info [ "count" ] ~docv:"N") in
@@ -1043,26 +863,11 @@ let submit_cmd =
             "Whole-job wall budget, daemon-enforced: the job's process group is killed when it \
              expires (and the job is failed, not retried — a deadline trips deterministically).")
   in
-  let case_deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS" ~doc:"Per-case cooperative Guard deadline.")
-  in
   let strikes =
     Arg.(
       value & opt int 2
       & info [ "strikes" ] ~docv:"N"
           ~doc:"Attempts before the job is quarantined (default 2: two strikes).")
-  in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ] ~docv:"PLAN"
-          ~doc:
-            "Campaign-level chaos plan, for every campaign kind (hunt, triage, size-hunt, \
-             level-hunt, and both halves of bisect); reduce jobs ignore it.")
   in
   let source =
     Arg.(
@@ -1078,11 +883,7 @@ let submit_cmd =
   in
   let run spool socket kind seed count lane job_deadline case_deadline step_budget retries strikes
       chaos source marker =
-    let kind =
-      match Serve.Job.kind_of_string kind with
-      | Some k -> k
-      | None -> failwith (Printf.sprintf "unknown job kind %S" kind)
-    in
+    let kind = Serve.Job.kind_of_string kind in
     let source =
       Option.map
         (fun path ->
@@ -1116,7 +917,7 @@ let submit_cmd =
     (Cmd.info "submit" ~doc:"Submit a campaign job to the service; prints the job id.")
     Term.(
       const run $ spool_arg $ socket_arg $ kind $ seed $ count $ lane $ job_deadline
-      $ case_deadline $ step_budget_arg $ retries_arg $ strikes $ chaos $ source $ marker)
+      $ deadline_arg $ step_budget_arg $ retries_arg $ strikes $ chaos_arg $ source $ marker)
 
 let status_cmd =
   let job = Arg.(value & pos 0 (some string) None & info [] ~docv:"JOB") in
@@ -1302,18 +1103,11 @@ let () =
   let info = Cmd.info "dce_hunt" ~version:"1.0.0" ~doc in
   let group =
     Cmd.group info
-      [
-        generate_cmd;
-        analyze_cmd;
-        compile_cmd;
-        hunt_cmd;
-        triage_cmd;
-        value_hunt_cmd;
-        size_hunt_cmd;
-        level_hunt_cmd;
+      ([ generate_cmd; analyze_cmd; compile_cmd ]
+      @ List.map corpus_cmd Campaign.Mode.all
+      @ [
         reduce_cmd;
         bisect_cmd;
-        bisect_campaign_cmd;
         repair_cmd;
         campaign_diff_cmd;
         explain_cmd;
@@ -1325,7 +1119,7 @@ let () =
         result_cmd;
         shutdown_cmd;
         runs_cmd;
-      ]
+        ])
   in
   (* the CLI boundary: argument and input errors surface as one-line usage
      errors naming the offending flag, never as an escaped backtrace *)

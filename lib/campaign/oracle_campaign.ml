@@ -5,22 +5,6 @@ module Bisect = Dce_bisect.Bisect
 
 let compilers = Core.Analysis.default_compilers
 
-(* The run report of an oracle campaign: its finding rows, plus which
-   cases were quarantined. *)
-let run_report ~campaign ~seed ~sizes ~inversions (t : _ Engine.seeded) =
-  Run_store.sort_report
-    {
-      Run_store.r_campaign = campaign;
-      r_seed = seed;
-      r_count = Array.length t.result.outcomes;
-      r_compilers = List.map (fun (c : C.Compiler.t) -> c.C.Compiler.name) compilers;
-      r_misses = [];
-      r_sizes = sizes;
-      r_inversions = inversions;
-      r_rejected = [];
-      r_quarantined = List.map (fun (q : Engine.quarantined) -> q.q_case) t.result.quarantine;
-    }
-
 (* ------------------------------------------------------------------ *)
 (* size campaign: the "size-case" record kind                          *)
 (* ------------------------------------------------------------------ *)
@@ -137,7 +121,9 @@ let size_run_report ~ratio ~seed (t : size_case Engine.seeded) =
           [ row i compiler C.Level.Os os_size; row i compiler C.Level.O2 o2_size ])
       (size_findings ~ratio t)
   in
-  run_report ~campaign:"size-hunt" ~seed ~sizes ~inversions:[] t
+  Run_store.seeded_report ~campaign:"size-hunt" ~seed
+    ~rejected:(fun sc -> sc.sc_rejected <> None)
+    ~sizes ~inversions:[] t
 
 (* ------------------------------------------------------------------ *)
 (* level-inversion campaign: the "inversion-case" record kind          *)
@@ -357,8 +343,9 @@ let inversion_run_report ~seed (t : inv_case Engine.seeded) =
       v_high = iv.Core.Differential.iv_high;
     }
   in
-  run_report ~campaign:"level-hunt" ~seed ~sizes:[]
-    ~inversions:(List.map row (inversion_findings t)) t
+  Run_store.seeded_report ~campaign:"level-hunt" ~seed
+    ~rejected:(fun ic -> ic.ic_rejected <> None)
+    ~sizes:[] ~inversions:(List.map row (inversion_findings t)) t
 
 (* ------------------------------------------------------------------ *)
 (* bisecting inversions over the commit model                          *)

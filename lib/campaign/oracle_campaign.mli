@@ -68,7 +68,8 @@ val size_report : ratio:float -> size_case Engine.seeded -> string
 
 val size_run_report : ratio:float -> seed:int -> size_case Engine.seeded -> Run_store.report
 (** The persisted [report.json] of a ["size-hunt"] run with master seed
-    [seed]: both sizes of every finding as size rows. *)
+    [seed]: both sizes of every finding as size rows, and the cases
+    ground truth rejected. *)
 
 (** {1 Level-inversion campaign} *)
 
@@ -113,7 +114,8 @@ val inversion_report : inv_case Engine.seeded -> string
 
 val inversion_run_report : seed:int -> inv_case Engine.seeded -> Run_store.report
 (** The persisted [report.json] of a ["level-hunt"] run with master seed
-    [seed]: one inversion row per finding. *)
+    [seed]: one inversion row per finding, and the cases ground truth
+    rejected. *)
 
 (** {1 Bisecting inversions}
 

@@ -121,6 +121,25 @@ let case_rows case missed =
   in
   (misses, List.concat_map inversions (Dce_support.Listx.group_by (fun (c, _, _) -> c) missed))
 
+let seeded_report ~campaign ~seed ~rejected ~sizes ~inversions (t : _ Engine.seeded) =
+  sort_report
+    {
+      r_campaign = campaign;
+      r_seed = seed;
+      r_count = Array.length t.result.outcomes;
+      r_compilers =
+        List.map (fun (c : Dce_compiler.Compiler.t) -> c.name) Dce_core.Analysis.default_compilers;
+      r_misses = [];
+      r_sizes = sizes;
+      r_inversions = inversions;
+      r_rejected =
+        List.concat
+          (List.mapi
+             (fun i -> function Engine.Done x when rejected x -> [ i ] | _ -> [])
+             (Array.to_list t.result.outcomes));
+      r_quarantined = List.map (fun (q : Engine.quarantined) -> q.q_case) t.result.quarantine;
+    }
+
 (* ---------------- JSON codec ---------------- *)
 
 let report_to_json r =

@@ -72,6 +72,18 @@ val case_rows :
     one miss row per marker, and per compiler the
     {!Dce_core.Differential.inversions} of its levels. *)
 
+val seeded_report :
+  campaign:string ->
+  seed:int ->
+  rejected:('a -> bool) ->
+  sizes:size_row list ->
+  inversions:inv_row list ->
+  'a Engine.seeded ->
+  report
+(** The sorted report of a seeded campaign with no miss rows (the oracle
+    and value-check modes): the given rows, the default compilers, the
+    cases whose outcome is [rejected] and the quarantined cases. *)
+
 val report_to_json : report -> Json.t
 val report_of_json : Json.t -> report
 (** Raises [Failure] on a malformed document. *)

@@ -61,14 +61,6 @@ let size_ratio = function
     float_of_int larger_size /. float_of_int (max 1 smaller_size)
   | Size_intra { os_size; o2_size; _ } -> float_of_int os_size /. float_of_int (max 1 o2_size)
 
-let size_finding_to_string = function
-  | Size_cross { level; larger; larger_size; smaller; smaller_size } ->
-    Printf.sprintf "%s %s emits %d instrs where %s emits %d (%.2fx)" larger
-      (C.Level.to_string level) larger_size smaller smaller_size
-      (float_of_int larger_size /. float_of_int (max 1 smaller_size))
-  | Size_intra { compiler; os_size; o2_size } ->
-    Printf.sprintf "%s -Os emits %d instrs, its own -O2 emits %d" compiler os_size o2_size
-
 (* The cross check fires at the threshold: [larger >= ratio * smaller] (and
    strictly larger, so ratio <= 1.0 cannot flag equal outputs).  The intra
    check is absolute — any [-Os] output strictly larger than the same
@@ -129,11 +121,6 @@ let size_findings_of ?(ratio = 1.25) curve =
 (* ------------------------------------------------------------------ *)
 
 type inversion = { iv_marker : int; iv_low : C.Level.t; iv_high : C.Level.t }
-
-let inversion_to_string iv =
-  Printf.sprintf "marker %d dead at %s, survives at %s" iv.iv_marker
-    (C.Level.to_string iv.iv_low)
-    (C.Level.to_string iv.iv_high)
 
 let inversions ~dead per_level =
   Ir.Iset.fold

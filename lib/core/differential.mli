@@ -82,8 +82,6 @@ type size_finding =
 val size_ratio : size_finding -> float
 (** Larger-over-smaller ratio of the finding (triage histogram bucket key). *)
 
-val size_finding_to_string : size_finding -> string
-
 val size_findings_of : ?ratio:float -> (string * Dce_compiler.Level.t * int) list -> size_finding list
 (** Pure: derive findings from a size curve.  Cross fires when
     [larger > smaller && larger >= ratio *. smaller] (default ratio 1.25), at
@@ -102,8 +100,6 @@ type inversion = {
   iv_low : Dce_compiler.Level.t;  (** weakest level that eliminates the marker *)
   iv_high : Dce_compiler.Level.t;  (** strongest level that keeps it *)
 }
-
-val inversion_to_string : inversion -> string
 
 val inversions :
   dead:Dce_ir.Ir.Iset.t -> (Dce_compiler.Level.t * Dce_ir.Ir.Iset.t) list -> inversion list

@@ -67,4 +67,6 @@ let program prog =
   in
   { prog with p_funcs = funcs }
 
+let ensure prog = if markers_of_program prog = [] then program prog else prog
+
 let marker_count prog = List.length (markers_of_program prog)

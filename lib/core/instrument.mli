@@ -17,5 +17,8 @@
 val program : Dce_minic.Ast.program -> Dce_minic.Ast.program
 (** Raises [Invalid_argument] if the program already contains markers. *)
 
+val ensure : Dce_minic.Ast.program -> Dce_minic.Ast.program
+(** {!program}, unless the program already carries markers. *)
+
 val marker_count : Dce_minic.Ast.program -> int
 (** Number of markers in an instrumented program. *)

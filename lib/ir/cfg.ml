@@ -34,13 +34,6 @@ let reverse_postorder fn = List.rev (postorder fn)
 
 let reachable fn = List.fold_left (fun acc l -> Iset.add l acc) Iset.empty (postorder fn)
 
-let edge_count fn =
-  let reach = reachable fn in
-  Imap.fold
-    (fun l b acc ->
-      if Iset.mem l reach then acc + List.length (successors b.b_term) else acc)
-    fn.fn_blocks 0
-
 let is_phi = function Def (_, Phi _) -> true | _ -> false
 
 (* converting some phis to copies can interleave copies among phis; restore

@@ -16,10 +16,6 @@ val reverse_postorder : Ir.func -> Ir.label list
 
 val postorder : Ir.func -> Ir.label list
 
-val edge_count : Ir.func -> int
-(** Number of CFG edges between reachable blocks (parallel edges counted
-    once). *)
-
 val remove_unreachable_blocks : Ir.func -> Ir.func
 (** Drops blocks not reachable from the entry and removes the corresponding
     arguments from phi nodes in the remaining blocks. Phis left with a single

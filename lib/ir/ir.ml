@@ -199,10 +199,6 @@ let map_terminator_labels f = function
   | Switch (c, cases, dflt) -> Switch (c, List.map (fun (k, l) -> (k, f l)) cases, f dflt)
   | Ret r -> Ret r
 
-let has_side_effect = function
-  | Store _ | Call _ | Marker _ -> true
-  | Def _ -> false
-
 let instr_count fn =
   Imap.fold (fun _ b acc -> acc + List.length b.b_instrs + 1) fn.fn_blocks 0
 

@@ -142,10 +142,6 @@ val map_terminator_operands : (operand -> operand) -> terminator -> terminator
 
 val map_terminator_labels : (label -> label) -> terminator -> terminator
 
-val has_side_effect : instr -> bool
-(** [Store], [Call], and [Marker] have observable effects; a pure [Def] does
-    not (loads are pure in the sense of being deletable when unused). *)
-
 val instr_count : func -> int
 (** Number of instructions, a size measure for inlining heuristics. *)
 

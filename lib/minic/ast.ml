@@ -61,12 +61,6 @@ let typ_size = function
   | Tint | Tptr -> 1
   | Tarr n -> n
 
-let equal_typ a b =
-  match (a, b) with
-  | Tint, Tint | Tptr, Tptr -> true
-  | Tarr n, Tarr m -> n = m
-  | (Tint | Tptr | Tarr _), _ -> false
-
 let rec iter_expr f e =
   f e;
   match e with
@@ -129,15 +123,10 @@ and map_stmt f s =
   in
   f s
 
-let map_program_blocks f prog =
-  { prog with p_funcs = List.map (fun fn -> { fn with f_body = f fn.f_body }) prog.p_funcs }
-
 let markers_of_program prog =
   let acc = ref [] in
   iter_program_stmts (function Smarker n -> acc := n :: !acc | _ -> ()) prog;
   List.rev !acc
-
-let max_marker prog = List.fold_left max (-1) (markers_of_program prog)
 
 let stmt_count prog =
   let n = ref 0 in
@@ -221,8 +210,6 @@ let rec mix_stmt h = function
 
 and mix_block h b = List.fold_left mix_stmt (mix h (List.length b)) b
 
-let hash_block b = mix_block hash_seed b
-
 let mix_ginit h = function
   | Gzero -> mix h 60
   | Gint n -> mix (mix h 61) n
@@ -259,8 +246,3 @@ let called_names prog =
   List.rev !acc @ List.rev !markers
 
 let find_func prog name = List.find_opt (fun f -> f.f_name = name) prog.p_funcs
-
-let pp_typ fmt = function
-  | Tint -> Format.pp_print_string fmt "int"
-  | Tptr -> Format.pp_print_string fmt "int *"
-  | Tarr n -> Format.fprintf fmt "int[%d]" n

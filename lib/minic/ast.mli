@@ -94,8 +94,6 @@ val typ_size : typ -> int
 (** Number of int cells occupied by a value of this type (arrays: their
     length; scalars: 1). *)
 
-val equal_typ : typ -> typ -> bool
-
 (** {1 Traversals} *)
 
 val iter_expr : (expr -> unit) -> expr -> unit
@@ -119,16 +117,10 @@ val map_block : (stmt -> stmt list) -> block -> block
     first, then [f] maps each statement to its replacement list (so [f] can
     delete, keep, or expand statements). *)
 
-val map_program_blocks : (block -> block) -> program -> program
-(** Applies a block transformation to every function body. *)
-
 (** {1 Queries} *)
 
 val markers_of_program : program -> int list
 (** All marker ids appearing in the program, in syntactic order. *)
-
-val max_marker : program -> int
-(** Largest marker id, or [-1] when there are none. *)
 
 val stmt_count : program -> int
 (** Total number of statements (recursively), a size measure used by the
@@ -146,7 +138,6 @@ val expr_size : expr -> int
     collisions must double-check keys structurally, which is what the
     compile/verdict caches do. *)
 
-val hash_block : block -> int
 val hash_func : func -> int
 (** Covers the signature ([name], params, return type, [static]) and the
     body — the "function-body hash" keying the per-function compile memo. *)
@@ -159,5 +150,3 @@ val called_names : program -> string list
 (** Names of all call targets, in syntactic order, with duplicates. *)
 
 val find_func : program -> string -> func option
-
-val pp_typ : Format.formatter -> typ -> unit

@@ -77,19 +77,3 @@ let clone_region fn region =
       fn_var_names = !var_names;
     },
     m )
-
-let subst_operands lookup fn =
-  let subst = function
-    | Const n -> Const n
-    | Reg v -> ( match lookup v with Some op -> op | None -> Reg v)
-  in
-  let blocks =
-    Imap.map
-      (fun b ->
-        {
-          b_instrs = List.map (map_instr_operands subst) b.b_instrs;
-          b_term = map_terminator_operands subst b.b_term;
-        })
-      fn.fn_blocks
-  in
-  { fn with fn_blocks = blocks }

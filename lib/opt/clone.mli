@@ -23,8 +23,3 @@ val map_operand : maps -> Dce_ir.Ir.operand -> Dce_ir.Ir.operand
 val clone_region : Dce_ir.Ir.func -> Dce_ir.Ir.Iset.t -> Dce_ir.Ir.func * maps
 (** [clone_region fn region] adds a renamed copy of every block in [region]
     to [fn]. *)
-
-val subst_operands :
-  (Dce_ir.Ir.var -> Dce_ir.Ir.operand option) -> Dce_ir.Ir.func -> Dce_ir.Ir.func
-(** Replaces register uses by operands throughout the function (used for
-    parameter binding when inlining). *)

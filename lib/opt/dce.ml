@@ -30,5 +30,3 @@ let run fn =
     | Store _ | Call _ | Marker _ -> true
   in
   map_blocks (fun _ b -> with_instrs b (Dce_support.Listx.filter_shared keep b.b_instrs)) fn
-
-let run_program prog = { prog with prog_funcs = List.map run prog.prog_funcs }

@@ -7,4 +7,3 @@
     is proven unreachable — the property the paper's technique measures. *)
 
 val run : Dce_ir.Ir.func -> Dce_ir.Ir.func
-val run_program : Dce_ir.Ir.program -> Dce_ir.Ir.program

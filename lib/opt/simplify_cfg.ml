@@ -194,5 +194,3 @@ let run fn =
     end
   in
   fixpoint fn 64
-
-let run_program prog = { prog with prog_funcs = List.map run prog.prog_funcs }

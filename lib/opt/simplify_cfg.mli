@@ -14,5 +14,3 @@
     or converted to copies as edges change). *)
 
 val run : Dce_ir.Ir.func -> Dce_ir.Ir.func
-
-val run_program : Dce_ir.Ir.program -> Dce_ir.Ir.program

@@ -103,11 +103,6 @@ let pipelines_for t outcome =
     Array.iteri (fun i st -> if st.st_name = at && !idx = Array.length t.stages then idx := i) t.stages;
     upto (min (!idx + 1) (Array.length t.stages))
 
-let outcome_name t = function
-  | Pass -> "pass"
-  | Rejected i -> Printf.sprintf "rejected:%s" t.stages.(i).st_name
-  | Crashed { at; _ } -> Printf.sprintf "crashed:%s" at
-
 let typecheck_stage =
   {
     st_name = "typecheck";

@@ -121,5 +121,3 @@ val pipeline_stages : t -> int
 
 val pipelines_for : t -> outcome -> int
 (** Pipelines an uncached staged evaluation runs to reach this outcome. *)
-
-val outcome_name : t -> outcome -> string

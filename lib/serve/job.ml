@@ -6,24 +6,19 @@ module Json = Dce_campaign.Json
    current state — the same torn-tail-tolerant discipline as the campaign
    journal, applied to the queue itself.  The daemon is the only writer. *)
 
-type kind = Hunt | Triage | Size_hunt | Level_hunt | Bisect | Reduce
+(* A campaign job names a {!Dce_campaign.Mode} entry; [reduce] is the one
+   job that is no corpus mode. *)
+type kind = Mode of string | Reduce
 
-let kind_to_string = function
-  | Hunt -> "hunt"
-  | Triage -> "triage"
-  | Size_hunt -> "size-hunt"
-  | Level_hunt -> "level-hunt"
-  | Bisect -> "bisect"
-  | Reduce -> "reduce"
+let kind_names = List.map (fun m -> m.Dce_campaign.Mode.name) Dce_campaign.Mode.all @ [ "reduce" ]
+
+let kind_to_string = function Mode name -> name | Reduce -> "reduce"
 
 let kind_of_string = function
-  | "hunt" -> Some Hunt
-  | "triage" -> Some Triage
-  | "size-hunt" -> Some Size_hunt
-  | "level-hunt" -> Some Level_hunt
-  | "bisect" -> Some Bisect
-  | "reduce" -> Some Reduce
-  | _ -> None
+  | "reduce" -> Reduce
+  | name when Option.is_some (Dce_campaign.Mode.find name) -> Mode name
+  | name ->
+    failwith (Printf.sprintf "unknown kind %S (use %s)" name (String.concat ", " kind_names))
 
 type spec = {
   sp_kind : kind;
@@ -42,7 +37,7 @@ type spec = {
 
 let default_spec =
   {
-    sp_kind = Hunt;
+    sp_kind = Mode "hunt";
     sp_seed = 20220228;
     sp_count = 50;
     sp_lane = "default";
@@ -90,10 +85,7 @@ let settings ?workers s =
 let spec_of_json j =
   let kind =
     match Option.bind (Json.member "kind" j) Json.to_str with
-    | Some k -> (
-      match kind_of_string k with
-      | Some k -> k
-      | None -> failwith (Printf.sprintf "job spec: unknown kind %S" k))
+    | Some k -> ( try kind_of_string k with Failure msg -> failwith ("job spec: " ^ msg))
     | None -> failwith "job spec: missing kind"
   in
   let int_or key d = Option.value ~default:d (Option.bind (Json.member key j) Json.to_int) in

@@ -9,10 +9,17 @@
     stopped (the campaign journal under the job's run directory carries the
     finer per-case progress). *)
 
-type kind = Hunt | Triage | Size_hunt | Level_hunt | Bisect | Reduce
+type kind =
+  | Mode of string  (** the name of a {!Dce_campaign.Mode.all} entry *)
+  | Reduce  (** shrink [sp_source] preserving marker [sp_marker] *)
+
+val kind_names : string list
+(** Every kind's name: the {!Dce_campaign.Mode.all} names, then ["reduce"]. *)
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
+
+val kind_of_string : string -> kind
+(** Raises [Failure] listing {!kind_names} for any other name. *)
 
 type spec = {
   sp_kind : kind;

@@ -1,16 +1,12 @@
 (** Executing one job inside the forked job child.
 
-    Each {!Job.kind} maps onto the corresponding campaign entry point with
-    the checkpoint journal routed into the job's {!Dce_campaign.Run_store}
-    directory, so a killed attempt (worker death, daemon crash, drain)
-    resumes per-case on the next one.  Every kind with a run persists it
-    through {!Dce_campaign.Run_store.persist}, the same call as
-    [dce_hunt hunt --run-root], and folds its report with its runner's
-    module ({!Dce_campaign.Corpus.report},
-    {!Dce_campaign.Oracle_campaign.size_run_report},
-    {!Dce_campaign.Oracle_campaign.inversion_run_report}); so a [hunt]
-    job's artifacts are byte-identical to the CLI's with the same
-    parameters. *)
+    A campaign job ({!Job.Mode}) runs its {!Dce_campaign.Mode} entry at
+    the entry's defaults, with the checkpoint journal routed into the
+    job's {!Dce_campaign.Run_store} directory, so a killed attempt (worker
+    death, daemon crash, drain) resumes per-case on the next one.  The run
+    is persisted through {!Dce_campaign.Mode.persist}, the call
+    [dce_hunt MODE --run-root] makes, so a job's artifacts are
+    byte-identical to the CLI's with the same parameters. *)
 
 val run_id_of : Job.spec -> string option
 (** The stable {!Dce_campaign.Run_store.run_id} this job persists under;
@@ -32,7 +28,7 @@ val outcome_of_json : Dce_campaign.Json.t -> outcome
 
 val execute : runs_root:string -> workers:int -> jobs:int -> Job.spec -> outcome
 (** Run the job to completion in this process under {!Job.settings}
-    (campaigns may fork the fabric underneath when [workers > 1]); every
-    campaign kind, both halves of [bisect] included, runs under the same
-    settings.  Raises on failure — the caller (the daemon's job-child
+    (campaigns may fork the fabric underneath when [workers > 1]).  The
+    outcome's findings, quarantined count and summary are the mode's
+    ({!Dce_campaign.Mode.run}).  Raises on failure — the caller (the daemon's job-child
     wrapper) records the error and exit status. *)

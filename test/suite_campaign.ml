@@ -737,6 +737,70 @@ let test_journal_bytes_pinned () =
     ]
     digests
 
+(* No generated program is rejected by ground truth, so a mode's rejected
+   branch only runs on journal records: resume hunt, size-hunt and
+   level-hunt through the mode table from a run-directory journal whose
+   every case is the rejected record the pin test builds. *)
+let test_rejected_through_mode_table () =
+  let module O = Campaign.Oracle_campaign in
+  let seed = pin_seed and count = 3 in
+  let settings = Campaign.Settings.default in
+  let done_ codec i x = Engine.case_to_json codec i (Engine.Done x) in
+  let rejected =
+    [
+      ( "hunt",
+        fun i case_seed ->
+          done_ Campaign.Corpus.codec i
+            (Campaign.Corpus.codec.Engine.decode
+               (Json.Obj
+                  [
+                    ("seed", Json.Int case_seed);
+                    ("kind", Json.String "rejected");
+                    ("reason", Json.String pin_reason);
+                  ])) );
+      ( "size-hunt",
+        fun i case_seed ->
+          done_ O.size_codec i
+            { O.sc_seed = case_seed; sc_rejected = Some pin_reason; sc_curve = [] } );
+      ( "level-hunt",
+        fun i case_seed ->
+          done_ O.inv_codec i
+            {
+              O.ic_seed = case_seed;
+              ic_rejected = Some pin_reason;
+              ic_dead = Ir.Iset.empty;
+              ic_surviving = [];
+              ic_findings = [];
+            } );
+    ]
+  in
+  List.iter
+    (fun (name, record) ->
+      let root = Filename.temp_file "dce_rejected" "" in
+      Sys.remove root;
+      Fun.protect
+        ~finally:(fun () -> Dce_support.Fsx.rm_rf root)
+        (fun () ->
+          let id = Campaign.Run_store.campaign_run_id ~campaign:name ~seed ~count settings in
+          let journal = Campaign.Run_store.journal_path (Campaign.Run_store.dir_of ~root ~id) in
+          let j =
+            Campaign.Journal.open_append ~path:journal
+              { Campaign.Journal.h_campaign = name; h_seed = seed; h_count = count }
+          in
+          List.iteri
+            (fun i case_seed -> Campaign.Journal.append j (record i case_seed))
+            (Dce_smith.Smith.corpus_seeds ~seed ~count);
+          Campaign.Journal.close j;
+          let m = Option.get (Campaign.Mode.find name) in
+          let r = m.run ~journal ~settings ~jobs:1 ~seed ~count () in
+          Alcotest.(check int) (name ^ ": every case resumed") count r.resumed;
+          Alcotest.(check bool) (name ^ ": summary counts the rejections") true
+            (contains r.summary "(3 rejected)");
+          Alcotest.(check (list int)) (name ^ ": report lists every case rejected") [ 0; 1; 2 ]
+            r.report.Campaign.Run_store.r_rejected;
+          Alcotest.(check int) (name ^ ": no findings") 0 r.findings))
+    rejected
+
 let suite =
   [
     ("jobs determinism: stats and findings", `Slow, test_jobs_determinism_stats);
@@ -752,6 +816,7 @@ let suite =
     ("engine: hostile journal skipped and counted", `Quick, test_engine_journal_robustness);
     ("settings: out-of-range values name their flag", `Quick, test_settings_validation);
     ("journal: record bytes pinned across builds", `Slow, test_journal_bytes_pinned);
+    ("mode table: rejected cases resume as rejected", `Quick, test_rejected_through_mode_table);
     ("fault isolation: injected crash quarantined", `Slow, test_fault_isolation);
     ("checkpoint/resume: corpus campaign", `Slow, test_corpus_resume);
     ("checkpoint/resume: unknown record kind skipped", `Slow, test_corpus_journal_unknown_kind);

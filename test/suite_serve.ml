@@ -59,7 +59,7 @@ let test_run_ids_pinned () =
 let pinned_spec =
   {
     Job.default_spec with
-    Job.sp_kind = Job.Size_hunt;
+    Job.sp_kind = Job.Mode "size-hunt";
     sp_seed = 7;
     sp_count = 12;
     sp_lane = "nightly";
@@ -127,17 +127,76 @@ let test_bisect_corpus_half_supervised () =
         Serve.Runjob.execute ~runs_root:root ~workers:1 ~jobs:1
           {
             Job.default_spec with
-            Job.sp_kind = Job.Bisect;
+            Job.sp_kind = Job.Mode "bisect";
             sp_seed = 7;
             sp_count = 3;
             sp_step_budget = Some 1;
           }
       in
+      (* the outcome counts both halves, as the CLI's two epilogues print them *)
+      Alcotest.(check int) "outcome counts the corpus half's quarantine" 3
+        oc.Serve.Runjob.oc_quarantined;
       match oc.Serve.Runjob.oc_run_dir with
       | None -> Alcotest.fail "bisect job wrote no run dir"
       | Some dir ->
         Alcotest.(check (list int)) "every corpus case tripped the budget" [ 0; 1; 2 ]
           (Campaign.Run_store.load_report dir).Campaign.Run_store.r_quarantined)
+
+(* a bisect job's findings are its bisected regressions *)
+let test_bisect_job_findings () =
+  let root = temp_dir "dce_serve_bisect_findings" in
+  Fun.protect
+    ~finally:(fun () -> Fsx.rm_rf root)
+    (fun () ->
+      let oc =
+        Serve.Runjob.execute ~runs_root:root ~workers:1 ~jobs:1
+          { Job.default_spec with Job.sp_kind = Job.Mode "bisect"; sp_seed = 7; sp_count = 3 }
+      in
+      let direct =
+        Campaign.Bisect_campaign.run ~jobs:1 (Campaign.Corpus.run ~jobs:1 ~seed:7 ~count:3 ())
+      in
+      let regressions = List.length (Campaign.Bisect_campaign.regressions direct) in
+      Alcotest.(check bool) "the corpus has regressions" true (regressions > 0);
+      Alcotest.(check int) "findings = regressions" regressions oc.Serve.Runjob.oc_findings)
+
+(* the job kinds are the mode table's names plus reduce: each round-trips
+   through the spec codec, and anything else is refused naming them all *)
+let test_kinds_from_mode_table () =
+  List.iter
+    (fun (m : Campaign.Mode.t) ->
+      let spec = { Job.default_spec with Job.sp_kind = Job.kind_of_string m.name } in
+      let back = decode_spec (Json.to_string (Job.spec_to_json spec)) in
+      Alcotest.(check string) (m.name ^ " round-trips") m.name (Job.kind_to_string back.Job.sp_kind);
+      Alcotest.(check bool) (m.name ^ " decodes to the same spec") true (back = spec))
+    Campaign.Mode.all;
+  match decode_spec {|{"kind":"smith-hunt"}|} with
+  | _ -> Alcotest.fail "unknown kind accepted"
+  | exception Failure msg ->
+    List.iter
+      (fun name -> Alcotest.(check bool) ("message names " ^ name) true (Helpers.contains msg name))
+      ("reduce" :: List.map (fun (m : Campaign.Mode.t) -> m.name) Campaign.Mode.all)
+
+(* the daemon's executor serves every table entry with no code of its own:
+   each persists under the run id the job names, with its own campaign *)
+let test_every_mode_served () =
+  let root = temp_dir "dce_serve_modes" in
+  Fun.protect
+    ~finally:(fun () -> Fsx.rm_rf root)
+    (fun () ->
+      List.iter
+        (fun (m : Campaign.Mode.t) ->
+          let spec =
+            { Job.default_spec with Job.sp_kind = Job.Mode m.name; sp_seed = 7; sp_count = 2 }
+          in
+          let oc = Serve.Runjob.execute ~runs_root:root ~workers:1 ~jobs:1 spec in
+          Alcotest.(check (option string)) (m.name ^ ": run dir named by the job")
+            (Option.map (fun id -> Filename.concat root id) (Serve.Runjob.run_id_of spec))
+            oc.Serve.Runjob.oc_run_dir;
+          let report = Campaign.Run_store.load_report (Option.get oc.Serve.Runjob.oc_run_dir) in
+          Alcotest.(check string) (m.name ^ ": report campaign") m.name
+            report.Campaign.Run_store.r_campaign;
+          Alcotest.(check int) (m.name ^ ": cases") 2 oc.Serve.Runjob.oc_cases)
+        Campaign.Mode.all)
 
 (* ------------------------------------------------------------------ *)
 (* write_atomic (satellite)                                            *)
@@ -662,6 +721,11 @@ let suite =
       test_spec_rejects_bad_settings;
     Alcotest.test_case "bisect job: corpus half supervised" `Quick
       test_bisect_corpus_half_supervised;
+    Alcotest.test_case "bisect job: findings are its regressions" `Quick test_bisect_job_findings;
+    Alcotest.test_case "job spec: kinds come from the mode table" `Quick
+      test_kinds_from_mode_table;
+    Alcotest.test_case "job executor: every mode table entry served" `Quick
+      test_every_mode_served;
     Alcotest.test_case "fsx: write_atomic" `Quick test_write_atomic;
     Alcotest.test_case "run_store: list and gc" `Quick test_runs_list_and_gc;
     Alcotest.test_case "store: queue replay over a torn journal" `Quick test_queue_replay;
