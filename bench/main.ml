@@ -189,7 +189,7 @@ let print_tables34 () =
       (List.length b.Campaign.Bisect_campaign.b_quarantine);
     print_string
       (Campaign.Engine.quarantine_to_string ~seeds:b.Campaign.Bisect_campaign.b_seeds
-         (Campaign.Bisect_campaign.corpus_quarantine b))
+         b.Campaign.Bisect_campaign.b_quarantine)
   end
 
 let bisect_bench_json : Campaign.Json.t ref = ref Campaign.Json.Null
@@ -222,7 +222,7 @@ let print_bisect_bench () =
   let doc =
     Campaign.Json.Obj
       [
-        ("cases", Campaign.Json.Int (Array.length b.Campaign.Bisect_campaign.b_corpus_cases));
+        ("cases", Campaign.Json.Int b.Campaign.Bisect_campaign.b_bisected);
         ("pairs", Campaign.Json.Int b.Campaign.Bisect_campaign.b_pairs);
         ( "regressions",
           Campaign.Json.Int (List.length (Campaign.Bisect_campaign.regressions b)) );
@@ -920,7 +920,7 @@ let print_fabric_bench () =
     let once () =
       let t0 = Dce_support.Clock.now () in
       let settings = Campaign.Settings.v ~workers () in
-      let r = Campaign.Fabric.run ~codec:toy_codec ~settings ~jobs:1 ~count:cases runner in
+      let r = Campaign.Engine.run ~codec:toy_codec ~settings ~jobs:1 ~count:cases runner in
       (Dce_support.Clock.now () -. t0, r)
     in
     let runs = List.sort (fun (a, _) (b, _) -> compare a b) (List.init 3 (fun _ -> once ())) in
@@ -955,7 +955,7 @@ let print_fabric_bench () =
   let timed_skew ~chunk runner =
     let t0 = Dce_support.Clock.now () in
     let r =
-      Campaign.Fabric.run ~codec:toy_codec ~settings:(Campaign.Settings.v ~chunk ~workers:4 ())
+      Campaign.Engine.run ~codec:toy_codec ~settings:(Campaign.Settings.v ~chunk ~workers:4 ())
         ~jobs:1 ~count:skew_cases runner
     in
     (Dce_support.Clock.now () -. t0, r.Campaign.Engine.outcomes)

@@ -24,9 +24,7 @@ module Core = Dce_core
 module Ir = Dce_ir.Ir
 
 let read_program path =
-  let ic = open_in_bin path in
-  let src = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let src = Dce_support.Fsx.read_file path in
   Dce_minic.Typecheck.check_exn (Dce_minic.Parser.parse_program src)
 
 let compiler_of_string ?(flag = "--compiler") s =
@@ -174,9 +172,9 @@ let workers_arg =
     value & opt int 1
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Worker processes.  The campaign fabric forks $(docv) persistent workers (each running \
-           $(b,--jobs) domains) and hands out case chunks on demand, so a slow chunk never stalls \
-           the rest of the corpus.  Output is byte-identical for every $(docv); a crashed worker \
+          "Worker processes.  With $(docv) > 1 the campaign forks $(docv) persistent workers (each \
+           running $(b,--jobs) domains) and hands out case chunks on demand, so a slow chunk never \
+           stalls the rest of the corpus.  Output is byte-identical for every $(docv); a crashed worker \
            only quarantines the cases it was holding.")
 
 let chunk_arg =
@@ -775,7 +773,7 @@ let print_job_line j =
 
 let serve_cmd =
   let workers =
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Fabric worker processes per job.")
+    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Worker processes per job.")
   in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains per job.")
@@ -884,15 +882,7 @@ let submit_cmd =
   let run spool socket kind seed count lane job_deadline case_deadline step_budget retries strikes
       chaos source marker =
     let kind = Serve.Job.kind_of_string kind in
-    let source =
-      Option.map
-        (fun path ->
-          let ic = open_in_bin path in
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          s)
-        source
-    in
+    let source = Option.map Dce_support.Fsx.read_file source in
     let spec =
       {
         Serve.Job.sp_kind = kind;
@@ -1125,7 +1115,7 @@ let () =
      errors naming the offending flag, never as an escaped backtrace *)
   exit
     (try Cmd.eval ~catch:false group with
-     | Campaign.Fabric.Interrupted signo ->
+     | Campaign.Engine.Interrupted signo ->
        (* fleet killed, journal closed — the campaign resumes from the
           journal on the next run.  Conventional 128+N exit codes. *)
        prerr_endline "dce_hunt: interrupted — worker fleet stopped, journal closed; re-run to resume";

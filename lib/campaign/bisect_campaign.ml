@@ -20,7 +20,7 @@ type case_report = {
 type t = {
   b_level : C.Level.t;
   b_cases : case_report Engine.case_outcome array;
-  b_corpus_cases : int array;
+  b_bisected : int;
   b_seeds : int array;
   b_pairs : int;
   b_probes : int;
@@ -136,32 +136,31 @@ let codec = { Engine.encode = encode_report; decode = decode_report }
 (* the campaign                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run ?journal ?(level = C.Level.O3) ?settings ~jobs (corpus : Corpus.t) =
-  let work =
-    Array.of_list
-      (List.filter_map
-         (fun (i, case) ->
-           Option.map (fun (prog, pairs) -> (i, prog, pairs)) (targets_of_case level case))
-         (Array.to_list (Array.mapi (fun i c -> (i, c)) corpus.Corpus.c_cases)))
-  in
-  let count = Array.length work in
-  let validate = Settings.checked (Option.value ~default:Settings.default settings) in
-  let runner ctx e =
-    let ci, prog, pairs = work.(e) in
-    (* one session per case attempt, shared by both compilers and every
-       marker: the probes of adjacent versions replay each other's stages *)
-    let session = C.Compiler.session ~validate ~cache:true prog in
+let run ?journal ?(level = C.Level.O3) ?(settings = Settings.default) ~jobs (corpus : Corpus.t) =
+  (* engine case i is corpus case i, so a chaos plan and the quarantine
+     name cases as the corpus half does *)
+  let targets = Array.map (targets_of_case level) corpus.Corpus.c_cases in
+  let count = Array.length targets in
+  Settings.check_cases ~count settings;
+  let validate = Settings.checked settings in
+  let runner ctx ci =
     let bisections =
-      List.map
-        (fun (compiler_name, marker) ->
-          let outcome, probes =
-            Engine.stage ctx "bisect" (fun () ->
-                Bisect.find_regression_counted ~session
-                  (Core.Analysis.compiler_of_name compiler_name) level prog ~marker)
-          in
-          { bs_compiler = compiler_name; bs_marker = marker; bs_probes = probes;
-            bs_outcome = outcome })
-        pairs
+      match targets.(ci) with
+      | None -> [] (* nothing to bisect: the case completes at once *)
+      | Some (prog, pairs) ->
+        (* one session per case attempt, shared by both compilers and every
+           marker: the probes of adjacent versions replay each other's stages *)
+        let session = C.Compiler.session ~validate ~cache:true prog in
+        List.map
+          (fun (compiler_name, marker) ->
+            let outcome, probes =
+              Engine.stage ctx "bisect" (fun () ->
+                  Bisect.find_regression_counted ~session
+                    (Core.Analysis.compiler_of_name compiler_name) level prog ~marker)
+            in
+            { bs_compiler = compiler_name; bs_marker = marker; bs_probes = probes;
+              bs_outcome = outcome })
+          pairs
     in
     {
       br_case = ci;
@@ -171,11 +170,15 @@ let run ?journal ?(level = C.Level.O3) ?settings ~jobs (corpus : Corpus.t) =
     }
   in
   let result =
-    Fabric.run ?journal ~codec ~campaign:"bisect" ~seed:corpus.Corpus.c_seed ?settings ~jobs
+    Engine.run ?journal ~codec ~campaign:"bisect" ~seed:corpus.Corpus.c_seed ~settings ~jobs
       ~count runner
   in
-  let pairs =
-    Array.fold_left (fun acc (_, _, ps) -> acc + List.length ps) 0 work
+  let bisected, pairs =
+    Array.fold_left
+      (fun (cases, pairs) -> function
+        | Some (_, ps) -> (cases + 1, pairs + List.length ps)
+        | None -> (cases, pairs))
+      (0, 0) targets
   in
   let probes =
     Array.fold_left
@@ -185,7 +188,7 @@ let run ?journal ?(level = C.Level.O3) ?settings ~jobs (corpus : Corpus.t) =
   {
     b_level = level;
     b_cases = result.Engine.outcomes;
-    b_corpus_cases = Array.map (fun (i, _, _) -> i) work;
+    b_bisected = bisected;
     b_seeds = corpus.Corpus.c_seeds;
     b_pairs = pairs;
     b_probes = probes;
@@ -223,11 +226,6 @@ let commits_by_compiler t =
           (regressions t) ))
     [ "llvm-sim"; "gcc-sim" ]
 
-let corpus_quarantine t =
-  List.map
-    (fun (q : Engine.quarantined) -> { q with q_case = t.b_corpus_cases.(q.q_case) })
-    t.b_quarantine
-
 let summary t =
   let bs = bisections t in
   let verdict_count p = List.length (List.filter (fun (_, b) -> p b.bs_outcome) bs) in
@@ -237,7 +235,7 @@ let summary t =
   Printf.sprintf
     "%d (case, missed-marker) pairs bisected over %d cases at %s: %d regressions, %d \
      always-missed, %d not-missed; %d compile-and-check probes\n"
-    t.b_pairs (Array.length t.b_corpus_cases)
+    t.b_pairs t.b_bisected
     (C.Level.to_string t.b_level)
     reg always never t.b_probes
 

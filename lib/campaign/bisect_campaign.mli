@@ -22,8 +22,8 @@
     {!Dce_bisect.Bisect.find_regression_counted} calls without a session,
     which compile every probe from scratch.
 
-    {b Journal.}  Completed cases append a ["bisect-case"] JSONL record;
-    resume skips them.  Records of unknown kind or verdict (e.g. from a
+    {b Journal.}  Every corpus case appends a ["bisect-case"] JSONL record,
+    an empty one when it has nothing to bisect; resume skips them.  Records of unknown kind or verdict (e.g. from a
     newer build) are skipped and counted, never fatal. *)
 
 type bisection = {
@@ -43,12 +43,13 @@ type case_report = {
 type t = {
   b_level : Dce_compiler.Level.t;
   b_cases : case_report Engine.case_outcome array;
-      (** one slot per corpus case that had missed markers at the level *)
-  b_corpus_cases : int array;  (** engine slot → corpus index *)
+      (** indexed by corpus case; a case with no missed marker at the level
+          holds a report without bisections *)
+  b_bisected : int;  (** corpus cases with at least one pair to bisect *)
   b_seeds : int array;
   b_pairs : int;   (** total (case, marker) pairs bisected *)
   b_probes : int;  (** total compile-and-check probes *)
-  b_quarantine : Engine.quarantined list;
+  b_quarantine : Engine.quarantined list;  (** by corpus case, like [b_cases] *)
   b_metrics : Metrics.summary;
   b_resumed : int;
 }
@@ -61,10 +62,12 @@ val run :
   Corpus.t ->
   t
 (** [level] defaults to [O3], the level with the most regressions in both
-    simulated histories.  [settings] are the
-    {!Fabric.run} supervision and placement controls, bounding each case's
-    bisections (byte-identical output at any [workers]).  Pass the settings
-    the [corpus] was run under, so both halves are supervised alike. *)
+    simulated histories.  [settings] are the {!Engine.run} supervision and
+    placement controls, bounding each case's bisections (byte-identical
+    output at any [workers]).  Pass the settings the [corpus] was run
+    under, so both halves are supervised alike and name cases alike: engine
+    case [i] is corpus case [i], and a case with nothing to bisect
+    completes at once.  Raises [Failure] like {!Settings.check_cases}. *)
 
 val codec : case_report Engine.codec
 (** The ["bisect-case"] journal record codec (exposed for tests). *)
@@ -79,11 +82,6 @@ val commits_by_compiler :
 (** Offending commits per compiler, ["llvm-sim"] first (Table 3), then
     ["gcc-sim"] (Table 4); duplicates preserved (one entry per regression —
     {!Dce_bisect.Bisect.component_table} deduplicates). *)
-
-val corpus_quarantine : t -> Engine.quarantined list
-(** [b_quarantine] with each case renumbered from its engine slot to its
-    corpus index, the number reports name it by (its seed is
-    [b_seeds.(q_case)]). *)
 
 val summary : t -> string
 (** One line: pairs, cases, level, verdict counts, total probes. *)

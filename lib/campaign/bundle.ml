@@ -47,13 +47,6 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let write ~dir t =
   let cdir = case_dir ~dir t.b_case in
   Dce_support.Fsx.mkdir_p cdir;
@@ -75,14 +68,14 @@ let load cdir =
   let meta = Filename.concat cdir "meta.json" in
   if not (Sys.file_exists meta) then None
   else
-    match Json.of_string (read_file meta) with
+    match Json.of_string (Dce_support.Fsx.read_file meta) with
     | Error _ -> None
     | Ok j -> (
       match Json.member "bundle" j with
       | Some (Json.String "dce-crash-bundle") ->
         let opt_file name =
           let p = Filename.concat cdir name in
-          if Sys.file_exists p then Some (read_file p) else None
+          if Sys.file_exists p then Some (Dce_support.Fsx.read_file p) else None
         in
         (try
            Some

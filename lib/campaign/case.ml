@@ -10,7 +10,7 @@ let run ?journal ?(settings = Settings.default) ~codec ~campaign ~jobs ~seed ~co
     let raw = Engine.stage ctx "generate" (fun () -> program seeds.(i)) in
     body ctx seeds.(i) raw
   in
-  { Engine.seeds; result = Fabric.run ?journal ~codec ~campaign ~seed ~settings ~jobs ~count runner }
+  { Engine.seeds; result = Engine.run ?journal ~codec ~campaign ~seed ~settings ~jobs ~count runner }
 
 let valid ctx raw =
   let instrumented = Engine.stage ctx "instrument" (fun () -> Core.Instrument.program raw) in

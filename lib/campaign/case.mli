@@ -27,7 +27,7 @@ val run :
   'a Engine.seeded
 (** [run ~codec ~campaign ~jobs ~seed ~count body] checks [count] against
     [settings] ({!Settings.check_cases}), derives the corpus seeds and runs
-    each case through {!Fabric.run}: a ["generate"] stage builds the
+    each case through {!Engine.run}: a ["generate"] stage builds the
     case's {!program}, then [body ctx case_seed raw] computes the outcome.
     [campaign] names the journal header; [settings] (default
     {!Settings.default}) supervise and place the cases. *)

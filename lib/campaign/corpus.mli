@@ -50,7 +50,7 @@ val run :
   unit ->
   t
 (** [settings] (default {!Settings.default}) are the supervision, chaos and
-    placement controls, run through {!Fabric.run}: [workers] processes ×
+    placement controls, run through {!Engine.run}: [workers] processes ×
     [jobs] domains each, with output byte-identical to [workers = 1].  When
     {!Settings.checked} holds, the IR is validated after every optimization
     pass, quarantining validation failures as [Ir_invalid] blaming the

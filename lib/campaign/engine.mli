@@ -1,5 +1,6 @@
-(** The parallel campaign engine: a Domain-based work-stealing pool with
-    per-case fault isolation, cooperative supervision, and JSONL
+(** The campaign engine, the one runner of every campaign: a Domain-based
+    work-stealing pool, optionally under a grid of forked worker processes,
+    with per-case fault isolation, cooperative supervision, and JSONL
     checkpoint/resume.
 
     The engine runs [count] cases through a user-supplied runner.  The
@@ -129,39 +130,55 @@ val run :
     signature.
 
     [settings] (default {!Settings.default}) supplies the per-case deadline,
-    step budget, retry count and chaos plan; its [workers] and [chunk] are
-    the {!Fabric}'s concern and are ignored here.
+    step budget, retry count and chaos plan, and the process grid: with
+    [workers = 1] the cases run in this process; with [workers > 1] they
+    run in forked worker processes (see "Worker processes" below), and
+    [chunk] is the cases-per-chunk grain (default: pending/(workers·4),
+    clamped to [1, 32]).  Either way the result is the same function of the
+    case set, and a journal written by one resumes under the other.
 
     The journal is closed, and its lock released, on every exit path —
     an exception escaping the codec or a journal write included.
 
-    Raises [Invalid_argument] when [jobs < 1], [count < 0], or [journal] is
-    given without [codec]. *)
+    Raises [Invalid_argument] when [jobs < 1], [count < 0], [journal] is
+    given without [codec], or [workers > 1] without [codec] (case results
+    cross a process boundary, journal or not).  Raises [Failure] when
+    [workers > 1] in a process that has already spawned worker domains
+    (OCaml forbids [fork] once any domain has ever existed).
 
-(** {1 Fabric building blocks}
+    {b Worker processes.}  The coordinator forks [workers] persistent
+    worker processes, each connected by a socketpair speaking {!Wire}'s
+    line JSON, and never spawns a domain itself.  Cases still to run are
+    sliced into chunks on a coordinator-side queue; a worker that finishes
+    its chunk pulls the next, and runs each chunk on the Domain pool over
+    [jobs] domains — a processes × domains grid.  Workers ship the exact
+    {!case_to_json} record of each case, which the coordinator journals
+    verbatim.  Workers persist across chunks, so the compile and analysis
+    caches stay warm; each reports its cache-counter delta when it quits,
+    folded into the campaign metrics along with the grid counters
+    ({!Metrics.summary.fabric}).
 
-    The multi-process {!Fabric} reuses the engine's scheduler and journal
-    lifecycle verbatim — same pool, same attempt loop, same journal
-    records, same replay — which is what makes its merged output
-    byte-identical to an in-process run.  These entry points exist for it;
-    campaign code should call {!run} or {!Fabric.run}. *)
+    A worker that dies quarantines nothing by itself: its unfinished
+    in-flight cases are re-queued once, and a case whose worker dies twice
+    is quarantined (stage ["fabric"]) so the campaign always terminates.
+    When every surviving worker has been told to quit, a replacement is
+    forked, at most [2 * workers] times.
 
-val pool :
-  ?settings:Settings.t ->
-  jobs:int ->
-  int array ->
-  (ctx -> int -> 'a) ->
-  (int -> 'a case_outcome -> unit) ->
-  Metrics.t
-(** [pool ~jobs cases runner on_outcome] runs every case index in [cases]
-    through the full supervision machinery (chaos arming, a fresh guard per
-    attempt, bounded transient retries, fault classification) and hands
-    each outcome to [on_outcome], possibly from another domain.  It uses
-    [min jobs n] domains, each claiming the next unclaimed position from
-    one shared atomic counter (work stealing), or runs inline when
-    [jobs = 1] or there is at most one case.  Returns the merged per-worker
-    metrics.  An exception from [on_outcome] propagates once every domain
-    has been joined. *)
+    During a multi-process run the coordinator handles SIGINT/SIGTERM: the
+    first signal drains (in-flight chunks finish, nothing new is
+    dispatched), a second kills the fleet.  Either way the journal is
+    closed, the prior signal dispositions are restored, and [run] raises
+    {!Interrupted}.  Cases not journaled by then re-run on resume. *)
+
+exception Interrupted of int
+(** Raised by a multi-process {!run} (after the fleet is dead, the journal
+    closed, and signal dispositions restored) when SIGINT or SIGTERM
+    arrived.  Carries the OCaml signal number. *)
+
+val in_worker : unit -> bool
+(** True inside a worker process of a multi-process {!run} — exposed so
+    tests can behave differently in a worker, e.g. deliberately killing
+    one to exercise crash containment. *)
 
 val case_to_json : 'a codec -> int -> 'a case_outcome -> Json.t
 (** The JSONL case record: [{"case";"status";...}] with the codec payload
@@ -173,64 +190,12 @@ val case_of_json : 'a codec -> Json.t -> (int * 'a case_outcome) option
     replay).  Decodes pre-supervision records (missing kind/backtrace/
     retries) with defaults. *)
 
-type 'a session
-(** One campaign's journal lifecycle: the case-indexed outcome slots, the
-    open journal (if any), and the counter snapshots the summary is
-    computed against. *)
-
-val with_session :
-  ?journal:string ->
-  ?codec:'a codec ->
-  ?campaign:string ->
-  ?seed:int ->
-  ?settings:Settings.t ->
-  count:int ->
-  ('a session -> 'r) ->
-  'r
-(** Open the session, run the body, and close the journal on every exit
-    path, exceptions included.  With [journal] and [codec], the journal is
-    loaded; when its header matches [campaign] (extended with the
-    signature of the [settings]' chaos plan, if any), [seed] and [count],
-    its records are replayed into the outcome slots — unreadable,
-    unknown-kind and out-of-range records are skipped and counted.  The
-    journal is then opened for appending ({!Journal.open_append}: locked,
-    a mismatched header raises [Failure]).  Without both, nothing is
-    journaled. *)
-
-val pending : 'a session -> int array
-(** Case indices not restored from the journal nor recorded since,
-    ascending. *)
-
-val completed : 'a session -> int -> bool
-
-val record : 'a session -> ?json:Json.t -> int -> 'a case_outcome -> unit
-(** Record case [i]'s outcome and append its journal record: [json] when
-    given (the fabric passes each worker's record through verbatim),
-    otherwise {!case_to_json}.  A no-op when the case is already recorded.
-    Safe to call from several domains for distinct cases. *)
-
-val finish :
-  ?fabric:Metrics.fabric ->
-  ?cache:Dce_compiler.Passmgr.counters list ->
-  ?chaos_fired:int ->
-  stage:string ->
-  'a session ->
-  Metrics.t ->
-  'a result
-(** The campaign result: slots never recorded are quarantined as "case
-    never completed" blamed on [stage], and the metrics are summarized
-    with this process's cache and chaos deltas since the session opened,
-    plus [cache] and [chaos_fired] (the fabric workers' deltas) and the
-    [fabric] counters. *)
-
 val counters_delta :
   Dce_compiler.Passmgr.counters -> Dce_compiler.Passmgr.counters -> Dce_compiler.Passmgr.counters
 (** [counters_delta before after]: the analysis-cache activity between two
     snapshots of the global pass-manager counters. *)
 
 val domains_ever_spawned : unit -> bool
-(** Whether this process has ever spawned worker domains ({!pool} with
-    [jobs > 1] and more than one case).  OCaml's [Unix.fork] refuses after
-    any domain creation, so {!Fabric.run} checks this to refuse a
-    multi-process grid with a clear message instead of the runtime's bare
-    [Failure]. *)
+(** Whether this process has ever spawned worker domains (a [jobs > 1] run
+    with more than one case to run).  OCaml's [Unix.fork] refuses after any
+    domain creation, which is why a multi-process {!run} must come first. *)

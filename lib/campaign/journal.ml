@@ -47,10 +47,7 @@ let header_of_json j =
 (* read all complete (newline-terminated) lines; an unterminated tail is the
    in-flight write of an interrupted campaign and is ignored *)
 let read_complete_lines path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let content = really_input_string ic n in
-  close_in ic;
+  let content = Dce_support.Fsx.read_file path in
   let lines = String.split_on_char '\n' content in
   match List.rev lines with
   | last :: rest when last <> "" ->

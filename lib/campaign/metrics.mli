@@ -41,8 +41,8 @@ type stage_summary = {
   ss_p99 : float;
 }
 
-(** Multi-process campaign-fabric counters, present when the campaign ran
-    through {!Fabric.run} with more than one worker process. *)
+(** Worker-process grid counters, present when {!Engine.run} ran the
+    campaign over more than one worker process. *)
 type fabric = {
   f_workers : int;  (** worker processes forked *)
   f_jobs : int;     (** domains per worker process *)

@@ -237,7 +237,7 @@ let bisect ~level =
       corpus_half with
       text = epilogue ~metrics:false corpus_half ^ report_text;
       seeds = b.b_seeds;
-      quarantine = B.corpus_quarantine b;
+      quarantine = b.b_quarantine;
       quarantined = corpus_half.quarantined + List.length b.b_quarantine;
       resumed = b.b_resumed;
       metrics = b.b_metrics;

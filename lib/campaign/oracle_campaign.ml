@@ -358,38 +358,70 @@ type inv_bisection = {
   ib_probes : int;
 }
 
-let bisect_inversions ?settings ~jobs t =
-  let work = Array.of_list (inversion_findings t) in
-  let validate = Settings.checked (Option.value ~default:Settings.default settings) in
-  let runner ctx e =
-    let ci, f = work.(e) in
-    let prog =
-      Engine.stage ctx "regenerate" (fun () -> Core.Instrument.program (Case.program t.seeds.(ci)))
-    in
-    (* one session per finding: its probes replay each other's stages *)
-    let session = C.Compiler.session ~validate ~cache:true prog in
-    (* the marker survives at iv_high although a weaker level kills it:
-       bisect the iv_high pipeline's history for the commit that lost it *)
-    let outcome, probes =
-      Engine.stage ctx "bisect" (fun () ->
-          Bisect.find_regression_counted ~session
-            (Core.Analysis.compiler_of_name f.if_compiler)
-            f.if_inversion.Core.Differential.iv_high prog
-            ~marker:f.if_inversion.Core.Differential.iv_marker)
-    in
-    { ib_case = ci; ib_finding = f; ib_outcome = Ok outcome; ib_probes = probes }
+let bisect_inversions ?(settings = Settings.default) ~jobs (t : inv_case Engine.seeded) =
+  let findings ci =
+    match t.result.outcomes.(ci) with Engine.Done ic -> ic.ic_findings | Engine.Crashed _ -> []
+  in
+  (* in process and unjournaled whatever the grid: rows carry no codec *)
+  let settings =
+    Settings.v ?deadline:settings.deadline ?step_budget:settings.step_budget
+      ~retries:settings.retries
+      ?chaos:(Option.map (fun (c : Settings.chaos) -> c.spec) settings.chaos)
+      ~checked:settings.checked ()
+  in
+  let validate = Settings.checked settings in
+  let runner ctx ci =
+    match findings ci with
+    | [] -> [] (* nothing to bisect: the case completes at once *)
+    | fs ->
+      let prog =
+        Engine.stage ctx "regenerate" (fun () -> Core.Instrument.program (Case.program t.seeds.(ci)))
+      in
+      (* one session per case: its findings' probes replay each other's stages *)
+      let session = C.Compiler.session ~validate ~cache:true prog in
+      List.map
+        (fun f ->
+          (* each finding runs under its own budget, so the findings of one
+             case do not pool their polls *)
+          let guard =
+            Dce_support.Guard.create ?deadline:settings.deadline ?steps:settings.step_budget ()
+          in
+          (* the marker survives at iv_high although a weaker level kills
+             it: bisect the iv_high pipeline's history for the commit that
+             lost it *)
+          match
+            Dce_support.Guard.with_guard guard (fun () ->
+                Engine.stage ctx "bisect" (fun () ->
+                    Bisect.find_regression_counted ~session
+                      (Core.Analysis.compiler_of_name f.if_compiler)
+                      f.if_inversion.Core.Differential.iv_high prog
+                      ~marker:f.if_inversion.Core.Differential.iv_marker))
+          with
+          | outcome, probes -> { ib_case = ci; ib_finding = f; ib_outcome = Ok outcome; ib_probes = probes }
+          | exception (Dce_support.Guard.Budget_exceeded _ as e) ->
+            let q =
+              {
+                Engine.q_case = ci;
+                q_stage = "bisect";
+                q_error = Printexc.to_string e;
+                q_kind = Engine.Timeout;
+                q_backtrace = Printexc.get_backtrace ();
+                q_retries = 0;
+              }
+            in
+            { ib_case = ci; ib_finding = f; ib_outcome = Error q; ib_probes = 0 })
+        fs
   in
   let result =
-    Engine.run ~campaign:"inv-bisect" ?settings ~jobs ~count:(Array.length work) runner
+    Engine.run ~campaign:"inv-bisect" ~settings ~jobs ~count:(Array.length t.seeds) runner
   in
-  Array.to_list
-    (Array.mapi
-       (fun e -> function
-         | Engine.Done b -> b
-         | Engine.Crashed q ->
-           let ci, f = work.(e) in
-           { ib_case = ci; ib_finding = f; ib_outcome = Error q; ib_probes = 0 })
-       result.Engine.outcomes)
+  Array.to_list result.Engine.outcomes
+  |> List.concat_map (function
+       | Engine.Done rows -> rows
+       | Engine.Crashed q ->
+         List.map
+           (fun f -> { ib_case = q.Engine.q_case; ib_finding = f; ib_outcome = Error q; ib_probes = 0 })
+           (findings q.Engine.q_case))
 
 let inv_bisections_table rows =
   let verdict = function

@@ -49,7 +49,7 @@ val run_size :
   size_case Engine.seeded
 (** Programs that trap or exhaust the ground-truth executor's fuel are
     rejected, exactly as in the marker campaign.  [settings] are the
-    supervision and placement controls of {!Fabric.run} (byte-identical
+    supervision and placement controls of {!Engine.run} (byte-identical
     output at any [workers], as everywhere). *)
 
 val default_ratio : float
@@ -127,7 +127,8 @@ type inv_bisection = {
   ib_case : int;
   ib_finding : inv_finding;
   ib_outcome : (Dce_bisect.Bisect.outcome, Engine.quarantined) result;
-      (** [Error] when the finding's engine case was quarantined *)
+      (** [Error] when the finding's budget tripped or its case was
+          quarantined *)
   ib_probes : int;  (** 0 for a quarantined finding *)
 }
 
@@ -137,11 +138,15 @@ val bisect_inversions :
   inv_case Engine.seeded ->
   inv_bisection list
 (** One bisection per inversion finding, campaign order, on the Engine
-    pool (no journal — probes already route through the compile cache;
-    [settings.workers] is ignored).  Each finding is one engine case, with
-    its own supervision budget and its own cached session; the case is
-    regenerated from its seed ({!Case.program}).  {!Settings.checked}
-    validates every stage a probe executes.  A quarantined finding is kept,
-    with its fault as the outcome. *)
+    pool, in process and unjournaled whatever [settings.workers] says
+    (probes already route through the compile cache).  Engine case [i] is
+    corpus case [i], so a chaos plan names cases as the corpus half does; a
+    case without findings completes at once.  A case regenerates its
+    program from its seed ({!Case.program}) and shares one cached session
+    among its findings, and each finding's bisection runs under its own
+    fresh deadline and step budget, so a case's findings do not pool their
+    polls.  {!Settings.checked} validates every stage a probe executes.  A
+    finding whose budget trips, or whose case is quarantined, is kept with
+    its fault as the outcome. *)
 
 val inv_bisections_table : inv_bisection list -> string

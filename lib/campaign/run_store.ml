@@ -236,12 +236,6 @@ let report_of_json j =
    can never leave a torn report.json behind for campaign-diff to choke on. *)
 let write_file path content = Dce_support.Fsx.write_atomic path content
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let dir_of ~root ~id = Filename.concat root id
 
 let journal_path dir = Filename.concat dir "journal.jsonl"
@@ -266,7 +260,7 @@ let persist ~report_text ~root settings ~metrics r =
     ~meta:(meta ~campaign ~seed ~count settings) ~metrics r
 
 let load_json path =
-  match Json.of_string (String.trim (read_file path)) with
+  match Json.of_string (String.trim (Dce_support.Fsx.read_file path)) with
   | Ok v -> v
   | Error e -> failwith (Printf.sprintf "%s: unparseable: %s" path e)
 
@@ -293,7 +287,7 @@ type entry = {
 (* journal progress = record lines past the header; 0 when absent/empty *)
 let journal_cases dir =
   let path = journal_path dir in
-  match read_file path with
+  match Dce_support.Fsx.read_file path with
   | exception Sys_error _ -> 0
   | s ->
     let lines = ref 0 in

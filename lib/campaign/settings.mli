@@ -1,6 +1,7 @@
 (** The supervision and placement settings every campaign runner takes:
     the per-case budgets and retry policy the {!Engine} enforces, the
-    deterministic {!Chaos} plan, checked-IR mode, and the {!Fabric} grid.
+    deterministic {!Chaos} plan, checked-IR mode, and the {!Engine}'s
+    worker-process grid.
     The record is private, so {!v}, which validates every field, is the only
     way to build one: a runner never sees an out-of-range setting.
 
@@ -19,8 +20,8 @@ type t = private {
   retries : int;  (** extra attempts for a transient fault *)
   chaos : chaos option;
   checked : bool;  (** as requested; {!checked} adds the chaos rule *)
-  workers : int;  (** fabric worker processes; 1 runs in-process *)
-  chunk : int option;  (** cases per fabric chunk; default sized from the work *)
+  workers : int;  (** worker processes; 1 runs in-process *)
+  chunk : int option;  (** cases per worker-process chunk; default sized from the work *)
 }
 
 val default : t

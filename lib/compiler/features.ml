@@ -2,10 +2,8 @@ type t = {
   sccp : bool;
   addr_cmp : Dce_opt.Sccp.addr_cmp;
   gva : Dce_opt.Gva.mode;
-  sccp_block_limit : int;
   memcp : bool;
   memcp_edge_aware : bool;
-  memcp_block_limit : int;
   uniform_arrays : bool;
   call_summaries : bool;
   gvn_cse : bool;
@@ -34,10 +32,8 @@ let nothing =
     sccp = false;
     addr_cmp = Dce_opt.Sccp.Cmp_none;
     gva = Dce_opt.Gva.Off;
-    sccp_block_limit = 512;
     memcp = false;
     memcp_edge_aware = false;
-    memcp_block_limit = 512;
     uniform_arrays = false;
     call_summaries = false;
     gvn_cse = false;

@@ -13,11 +13,9 @@ type t = {
       (** pointer-comparison folding precision (Listing 3's EarlyCSE gap) *)
   gva : Dce_opt.Gva.mode;
       (** global-value-analysis tier (Listings 4/6a asymmetry) *)
-  sccp_block_limit : int;
   (* memory *)
   memcp : bool;
   memcp_edge_aware : bool;
-  memcp_block_limit : int;
   uniform_arrays : bool;  (** fold loads from uniform constant arrays (9f) *)
   call_summaries : bool;
   gvn_cse : bool;

@@ -23,7 +23,8 @@ let sccp_pass (feats : Features.t) =
       {
         Sccp.addr_cmp = feats.addr_cmp;
         gva_mode = feats.gva;
-        block_limit = feats.sccp_block_limit;
+        (* no simulated history moves the SCCP or memcp budget *)
+        block_limit = 512;
       }
 
 let memcp_pass (feats : Features.t) =
@@ -34,7 +35,7 @@ let memcp_pass (feats : Features.t) =
         edge_aware = feats.memcp_edge_aware;
         uniform_arrays = feats.uniform_arrays;
         precision = feats.alias;
-        block_limit = feats.memcp_block_limit;
+        block_limit = 512;
         cell_limit = 32;
       }
 

@@ -1,4 +1,5 @@
 module Json = Dce_campaign.Json
+module Wire = Dce_campaign.Wire
 
 (* One-shot client calls: each request opens a fresh connection, sends one
    line, reads the response line(s), and closes.  Fresh connections make
@@ -13,24 +14,24 @@ let connect socket =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Error (Printf.sprintf "cannot reach daemon at %s: %s" socket (Unix.error_message e))
 
-let read_line_fd ic = match input_line ic with s -> Some s | exception End_of_file -> None
-
-let request ~socket req =
+(* one connection: send [req], hand the response reader to [k], and close
+   the connection on every path *)
+let exchange ~socket req k =
   match connect socket with
   | Error e -> Error e
   | Ok fd ->
-    let ic = Unix.in_channel_of_descr fd in
     Fun.protect
-      ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
-      (fun () ->
-        if not (Proto.write_json fd req) then Error "daemon hung up"
-        else
-          match read_line_fd ic with
-          | None -> Error "daemon hung up"
-          | Some line -> (
-            match Json.of_string line with
-            | Error e -> Error ("unparseable response: " ^ e)
-            | Ok j -> if Proto.is_ok j then Ok j else Error (Proto.error_of j)))
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> if not (Wire.send fd req) then Error "daemon hung up" else k (Wire.reader fd))
+
+let request ~socket req =
+  exchange ~socket req (fun input ->
+      match Wire.line input with
+      | None -> Error "daemon hung up"
+      | Some line -> (
+        match Json.of_string line with
+        | Error e -> Error ("unparseable response: " ^ e)
+        | Ok j -> if Proto.is_ok j then Ok j else Error (Proto.error_of j)))
 
 let submit ~socket spec =
   match request ~socket (Proto.request "submit" [ ("spec", Job.spec_to_json spec) ]) with
@@ -52,31 +53,24 @@ let shutdown ~socket = request ~socket (Proto.request "shutdown" [])
 (* watch holds its connection open and forwards event lines until the
    terminal ok/err line arrives *)
 let watch ~socket ~job ~on_event =
-  match connect socket with
-  | Error e -> Error e
-  | Ok fd ->
-    let ic = Unix.in_channel_of_descr fd in
-    Fun.protect
-      ~finally:(fun () -> try close_in ic with Sys_error _ -> ())
-      (fun () ->
-        if not (Proto.write_json fd (Proto.request "watch" [ ("job", Json.String job) ])) then
-          Error "daemon hung up"
-        else
-          let rec loop () =
-            match read_line_fd ic with
-            | None -> Error "daemon hung up mid-watch"
-            | Some line -> (
-              match Json.of_string line with
-              | Error e -> Error ("unparseable stream line: " ^ e)
-              | Ok j ->
-                if Proto.is_event j then begin
-                  on_event j;
-                  loop ()
-                end
-                else if Proto.is_ok j then Ok j
-                else Error (Proto.error_of j))
-          in
-          loop ())
+  exchange ~socket
+    (Proto.request "watch" [ ("job", Json.String job) ])
+    (fun input ->
+      let rec loop () =
+        match Wire.line input with
+        | None -> Error "daemon hung up mid-watch"
+        | Some line -> (
+          match Json.of_string line with
+          | Error e -> Error ("unparseable stream line: " ^ e)
+          | Ok j ->
+            if Proto.is_event j then begin
+              on_event j;
+              loop ()
+            end
+            else if Proto.is_ok j then Ok j
+            else Error (Proto.error_of j))
+      in
+      loop ())
 
 let state_of_status j =
   Option.bind (Json.member "job_status" j) (fun js ->
@@ -92,7 +86,7 @@ let wait ?(timeout = 300.) ?(poll = 0.1) ~socket ~job () =
       Error (Printf.sprintf "timed out after %gs waiting for %s" timeout job)
     else
       let next () =
-        ignore (Unix.select [] [] [] poll);
+        ignore (Wire.select [] poll);
         loop ()
       in
       match status ~job ~socket () with

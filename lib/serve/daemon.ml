@@ -1,5 +1,6 @@
 module Json = Dce_campaign.Json
 module Fsx = Dce_support.Fsx
+module Wire = Dce_campaign.Wire
 
 (* The campaign service: a single-threaded select loop supervising forked
    job children over the crash-safe Store queue.
@@ -105,7 +106,7 @@ type running = {
 
 type client = {
   cl_fd : Unix.file_descr;
-  cl_buf : Buffer.t;
+  cl_input : Wire.reader;
   mutable cl_watch : string option;
   mutable cl_last_sent : float;
   mutable cl_last_progress : int;
@@ -219,17 +220,15 @@ let replay st =
 (* dispatch: fork one job child                                        *)
 (* ------------------------------------------------------------------ *)
 
-let job_child st jr =
-  (* runs in the forked child: fresh session/process group so the daemon
-     can kill the whole job tree; inherited daemon fds closed; default
-     signal dispositions restored (the daemon's flag-setting handlers make
-     no sense here — a drain SIGTERM must actually terminate us) *)
+let job_child st jr () =
+  (* runs in the forked child, the daemon's fds already closed: fresh
+     session/process group so the daemon can kill the whole job tree;
+     default signal dispositions restored (the daemon's flag-setting
+     handlers make no sense here — a drain SIGTERM must actually terminate
+     us) *)
   ignore (Unix.setsid ());
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigint Sys.Signal_default;
-  (try Unix.close st.listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.close st.lock_fd with Unix.Unix_error _ -> ());
-  List.iter (fun c -> try Unix.close c.cl_fd with Unix.Unix_error _ -> ()) st.clients;
   (* stray prints from campaign code land in the job log, not the daemon's
      stdout *)
   (try
@@ -242,56 +241,51 @@ let job_child st jr =
      Unix.dup2 logfd Unix.stderr;
      Unix.close logfd
    with Unix.Unix_error _ -> ());
-  let exit_code =
-    try
-      let outcome =
-        Runjob.execute ~runs_root:(Store.runs_root st.store) ~workers:st.cf.cf_workers
-          ~jobs:st.cf.cf_jobs jr.j_spec
-      in
-      Fsx.write_atomic
-        (Store.outcome_path st.store jr.j_id)
-        (Json.to_string (Runjob.outcome_to_json outcome) ^ "\n");
-      0
-    with
-    | Dce_support.Guard.Budget_exceeded { site; steps; elapsed } ->
-      Fsx.write_atomic
-        (Store.error_path st.store jr.j_id)
-        (Printf.sprintf "deadline exceeded at %s (%d steps, %.1fs elapsed)\n" site steps elapsed);
-      4
-    | e ->
-      Fsx.write_atomic (Store.error_path st.store jr.j_id) (Printexc.to_string e ^ "\n");
-      3
-  in
-  Unix._exit exit_code
+  try
+    let outcome =
+      Runjob.execute ~runs_root:(Store.runs_root st.store) ~workers:st.cf.cf_workers
+        ~jobs:st.cf.cf_jobs jr.j_spec
+    in
+    Fsx.write_atomic
+      (Store.outcome_path st.store jr.j_id)
+      (Json.to_string (Runjob.outcome_to_json outcome) ^ "\n");
+    0
+  with
+  | Dce_support.Guard.Budget_exceeded { site; steps; elapsed } ->
+    Fsx.write_atomic
+      (Store.error_path st.store jr.j_id)
+      (Printf.sprintf "deadline exceeded at %s (%d steps, %.1fs elapsed)\n" site steps elapsed);
+    4
+  | e ->
+    Fsx.write_atomic (Store.error_path st.store jr.j_id) (Printexc.to_string e ^ "\n");
+    3
 
 let start_job st jr =
   (* clear a previous attempt's verdict files so this attempt's are
      unambiguous *)
   (try Sys.remove (Store.outcome_path st.store jr.j_id) with Sys_error _ -> ());
   (try Sys.remove (Store.error_path st.store jr.j_id) with Sys_error _ -> ());
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 -> job_child st jr
-  | pid ->
-    append st jr (Job.Running pid);
-    let deadline =
-      match jr.j_spec.Job.sp_deadline with Some d -> now () +. d | None -> infinity
-    in
-    st.running <-
-      {
-        rn_job = jr;
-        rn_pid = pid;
-        rn_deadline = deadline;
-        rn_progress = 0;
-        rn_jsize = -1;
-        rn_cancelled = false;
-        rn_deadlined = false;
-        rn_chaos_killed = false;
-      }
-      :: st.running;
-    st.last_lane <- Some jr.j_spec.Job.sp_lane;
-    log st "%s: started (pid %d, lane %s)" jr.j_id pid jr.j_spec.Job.sp_lane
+  let pid =
+    Wire.fork
+      ~close:(st.listen_fd :: st.lock_fd :: List.map (fun c -> c.cl_fd) st.clients)
+      (job_child st jr)
+  in
+  append st jr (Job.Running pid);
+  let deadline = match jr.j_spec.Job.sp_deadline with Some d -> now () +. d | None -> infinity in
+  st.running <-
+    {
+      rn_job = jr;
+      rn_pid = pid;
+      rn_deadline = deadline;
+      rn_progress = 0;
+      rn_jsize = -1;
+      rn_cancelled = false;
+      rn_deadlined = false;
+      rn_chaos_killed = false;
+    }
+    :: st.running;
+  st.last_lane <- Some jr.j_spec.Job.sp_lane;
+  log st "%s: started (pid %d, lane %s)" jr.j_id pid jr.j_spec.Job.sp_lane
 
 let dispatch st =
   if not st.draining then begin
@@ -318,12 +312,7 @@ let dispatch st =
 (* ------------------------------------------------------------------ *)
 
 let read_error st id =
-  match
-    let ic = open_in_bin (Store.error_path st.store id) in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  with
+  match Fsx.read_file (Store.error_path st.store id) with
   | s -> Some (String.trim s)
   | exception Sys_error _ -> None
 
@@ -418,12 +407,7 @@ let poll_progress st =
         | stt ->
           if stt.Unix.st_size <> rn.rn_jsize then begin
             rn.rn_jsize <- stt.Unix.st_size;
-            match
-              let ic = open_in_bin path in
-              let s = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              s
-            with
+            match Fsx.read_file path with
             | exception Sys_error _ -> ()
             | s ->
               let lines = ref 0 in
@@ -486,7 +470,7 @@ let job_json st jr =
     | Some id -> [ ("run_id", Json.String id) ]
     | None -> [])
 
-let respond _st cl j = if not (Proto.write_json cl.cl_fd j) then cl.cl_closed <- true
+let respond _st cl j = if not (Wire.send cl.cl_fd j) then cl.cl_closed <- true
 
 let daemon_json st =
   Json.Obj
@@ -594,12 +578,7 @@ let handle_request st cl req =
                 (Job.state_to_string jr.j_state)))
       else
         let outcome =
-          match
-            let ic = open_in_bin (Store.outcome_path st.store jr.j_id) in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            Json.of_string (String.trim s)
-          with
+          match Json.of_string (String.trim (Fsx.read_file (Store.outcome_path st.store jr.j_id))) with
           | Ok j -> j
           | Error _ | (exception Sys_error _) -> Json.Null
         in
@@ -607,12 +586,7 @@ let handle_request st cl req =
           match Option.bind (Json.member "run_dir" outcome) Json.to_str with
           | None -> Json.Null
           | Some dir -> (
-            match
-              let ic = open_in_bin (Filename.concat dir "report.txt") in
-              let s = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              s
-            with
+            match Fsx.read_file (Filename.concat dir "report.txt") with
             | s -> Json.String s
             | exception Sys_error _ -> Json.Null)
         in
@@ -631,25 +605,15 @@ let handle_request st cl req =
   | None -> respond st cl (Proto.err "request carries no op")
 
 let handle_client_data st cl =
-  let buf = Bytes.create 65536 in
-  match Unix.read cl.cl_fd buf 0 (Bytes.length buf) with
-  | 0 -> cl.cl_closed <- true
-  | exception Unix.Unix_error _ -> cl.cl_closed <- true
-  | k ->
-    Buffer.add_subbytes cl.cl_buf buf 0 k;
-    let data = Buffer.contents cl.cl_buf in
-    let rec split start =
-      match String.index_from_opt data start '\n' with
-      | Some nl ->
-        (match Json.of_string (String.sub data start (nl - start)) with
-         | Ok req -> handle_request st cl req
-         | Error _ -> respond st cl (Proto.err "unparseable request"));
-        split (nl + 1)
-      | None ->
-        Buffer.clear cl.cl_buf;
-        Buffer.add_substring cl.cl_buf data start (String.length data - start)
-    in
-    split 0
+  match Wire.input cl.cl_input with
+  | None -> cl.cl_closed <- true
+  | Some lines ->
+    List.iter
+      (fun line ->
+        match Json.of_string line with
+        | Ok req -> handle_request st cl req
+        | Error _ -> respond st cl (Proto.err "unparseable request"))
+      lines
 
 (* watch streaming: progress events when the journal grows, heartbeats
    when idle, a terminal ok line when the job settles *)
@@ -688,7 +652,7 @@ let pump_watchers st =
               cl.cl_last_sent <- t;
               if
                 not
-                  (Proto.write_json cl.cl_fd
+                  (Wire.send cl.cl_fd
                      (Json.Obj
                         ([
                            ("event", Json.String "progress");
@@ -707,7 +671,7 @@ let pump_watchers st =
               cl.cl_last_sent <- t;
               if
                 not
-                  (Proto.write_json cl.cl_fd
+                  (Wire.send cl.cl_fd
                      (Json.Obj [ ("event", Json.String "heartbeat"); ("t", Json.Float t) ]))
               then cl.cl_closed <- true
             end
@@ -727,7 +691,7 @@ let drain st =
   let rec wait_children () =
     reap st;
     if st.running <> [] && now () < deadline then begin
-      ignore (Unix.select [] [] [] 0.05);
+      ignore (Wire.select [] 0.05);
       wait_children ()
     end
   in
@@ -737,7 +701,7 @@ let drain st =
   let rec reap_rest tries =
     reap st;
     if st.running <> [] && tries > 0 then begin
-      ignore (Unix.select [] [] [] 0.05);
+      ignore (Wire.select [] 0.05);
       reap_rest (tries - 1)
     end
   in
@@ -746,7 +710,7 @@ let drain st =
   List.iter (fun rn -> settle st rn (Unix.WSIGNALED Sys.sigkill)) st.running;
   List.iter
     (fun cl ->
-      ignore (Proto.write_json cl.cl_fd (Json.Obj [ ("event", Json.String "draining") ]));
+      ignore (Wire.send cl.cl_fd (Json.Obj [ ("event", Json.String "draining") ]));
       try Unix.close cl.cl_fd with Unix.Unix_error _ -> ())
     st.clients;
   st.clients <- [];
@@ -777,14 +741,8 @@ let run cf =
     }
   in
   let stop = ref false in
-  let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true)) in
-  let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true)) in
-  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.set_signal Sys.sigterm prev_term;
-      Sys.set_signal Sys.sigint prev_int;
-      Sys.set_signal Sys.sigpipe prev_pipe)
+  Wire.with_stop_signals
+    (fun _ -> stop := true)
     (fun () ->
       replay st;
       log st "serving on %s (slots %d, workers %d x jobs %d)" (socket_path cf) cf.cf_slots
@@ -798,10 +756,6 @@ let run cf =
         if !stop then ()
         else begin
           let fds = st.listen_fd :: List.map (fun c -> c.cl_fd) st.clients in
-          let readable, _, _ =
-            try Unix.select fds [] [] cf.cf_tick
-            with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-          in
           List.iter
             (fun fd ->
               if fd = st.listen_fd then (
@@ -811,7 +765,7 @@ let run cf =
                   st.clients <-
                     {
                       cl_fd = cfd;
-                      cl_buf = Buffer.create 512;
+                      cl_input = Wire.reader cfd;
                       cl_watch = None;
                       cl_last_sent = neg_infinity;
                       cl_last_progress = -1;
@@ -824,7 +778,7 @@ let run cf =
                 match List.find_opt (fun c -> c.cl_fd = fd) st.clients with
                 | Some cl -> handle_client_data st cl
                 | None -> ())
-            readable;
+            (Wire.select fds cf.cf_tick);
           reap st;
           enforce_deadlines st;
           poll_progress st;

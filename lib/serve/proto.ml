@@ -1,8 +1,8 @@
 module Json = Dce_campaign.Json
 
 (* The client/daemon wire protocol: one JSON object per line over a
-   Unix-domain stream socket — the same dependency-free line-JSON codec the
-   fabric's coordinator/worker protocol speaks.
+   Unix-domain stream socket, sent and read with {!Dce_campaign.Wire} like
+   the engine's coordinator/worker protocol.
 
    Requests:   {"op":"submit","spec":{...}}
                {"op":"status"} | {"op":"status","job":ID}
@@ -31,13 +31,3 @@ let error_of j =
 
 (* a response line is final; event lines carry "event" and keep streaming *)
 let is_event j = Json.member "event" j <> None
-
-let write_json fd j =
-  let b = Bytes.of_string (Json.to_string j ^ "\n") in
-  try
-    let rec wr off =
-      if off < Bytes.length b then wr (off + Unix.write fd b off (Bytes.length b - off))
-    in
-    wr 0;
-    true
-  with Unix.Unix_error _ -> false

@@ -1,6 +1,5 @@
 (** The client/daemon wire protocol: one JSON object per line over a
-    Unix-domain stream socket (the same line-JSON codec as the fabric's
-    coordinator/worker protocol).
+    Unix-domain stream socket, sent and read with {!Dce_campaign.Wire}.
 
     Requests are [{"op":NAME, ...}]; terminal responses are
     [{"ok":true, ...}] or [{"ok":false,"error":MSG}]; a [watch] streams
@@ -14,7 +13,3 @@ val err : string -> Dce_campaign.Json.t
 val is_ok : Dce_campaign.Json.t -> bool
 val error_of : Dce_campaign.Json.t -> string
 val is_event : Dce_campaign.Json.t -> bool
-
-val write_json : Unix.file_descr -> Dce_campaign.Json.t -> bool
-(** Write one line; [false] when the peer is gone (EPIPE/ECONNRESET) —
-    never raises. *)

@@ -38,12 +38,6 @@ let ids t =
   |> List.sort compare
   |> List.map snd
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* append one event line; a single O_APPEND write syscall plus fsync, so a
    crash can lose at most the event being written, never corrupt earlier
    ones — and the loader drops an unparsable tail line anyway *)
@@ -55,11 +49,7 @@ let append t id ~time ev =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let b = Bytes.of_string line in
-      let rec wr off =
-        if off < Bytes.length b then wr (off + Unix.write fd b off (Bytes.length b - off))
-      in
-      wr 0;
+      Fsx.write_all fd line;
       try Unix.fsync fd with Unix.Unix_error _ -> ())
 
 let submit t ~time spec =
@@ -74,7 +64,7 @@ let submit t ~time spec =
   id
 
 let load_events t id =
-  match read_file (state_path t id) with
+  match Fsx.read_file (state_path t id) with
   | exception Sys_error _ -> []
   | s ->
     String.split_on_char '\n' s
@@ -86,7 +76,7 @@ let load_events t id =
              | Error _ -> None (* torn tail or garbage: skip, never fatal *))
 
 let load t id =
-  match read_file (spec_path t id) with
+  match Fsx.read_file (spec_path t id) with
   | exception Sys_error _ -> None
   | s -> (
     match Json.of_string (String.trim s) with

@@ -35,6 +35,11 @@ let rec mkdir_p path =
    processes can race on the same destination without sharing a temp). *)
 let tmp_counter = ref 0
 
+let write_all fd s =
+  let n = String.length s in
+  let rec go off = if off < n then go (off + Unix.write_substring fd s off (n - off)) in
+  go 0
+
 let write_atomic path content =
   let dir = Filename.dirname path in
   incr tmp_counter;
@@ -51,11 +56,7 @@ let write_atomic path content =
       raise e
   in
   cleanup_on_error (fun () ->
-      let n = String.length content in
-      let written = ref 0 in
-      while !written < n do
-        written := !written + Unix.write_substring fd content !written (n - !written)
-      done;
+      write_all fd content;
       (* fsync before rename: without it the rename can hit the disk before
          the data, and a power cut yields a *complete-looking* empty file *)
       Unix.fsync fd);
@@ -64,6 +65,8 @@ let write_atomic path content =
   with e ->
     (try Sys.remove tmp with _ -> ());
     raise e
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Recursive delete.  Tolerates concurrent removers (ENOENT at any step is
    success — the goal state is "gone").  Does not follow symlinks: a link is

@@ -15,6 +15,14 @@ val write_atomic : string -> string -> unit
     orphaned [.tmp.*] sibling remains.  Concurrent writers to the same path
     each use a distinct temp name; last rename wins. *)
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of the string, looping over short writes.  Raises
+    [Unix.Unix_error] (e.g. [EPIPE] once the peer of a socket is gone). *)
+
+val read_file : string -> string
+(** The whole file, in binary mode.  Raises [Sys_error] when it cannot be
+    opened or read. *)
+
 val rm_rf : string -> unit
 (** Recursive delete ([rm -rf]): removes a file or directory tree.  Missing
     paths and concurrent removers are tolerated ([ENOENT] anywhere is

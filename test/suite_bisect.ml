@@ -363,6 +363,43 @@ let test_campaign_corruption_blamed () =
   Alcotest.(check (list string)) "other cases unchanged"
     (List.tl (cases_json clean)) (List.tl (cases_json t))
 
+(* Engine case i is corpus case i: a crash planted at the bisect stage of
+   corpus case N quarantines case N, under that number, and every other
+   case reports exactly what a clean run does.  In this corpus one case
+   has nothing to bisect, and N is the last case that has something, past
+   which a numbering by bisected case alone would run out of cases. *)
+let test_campaign_chaos_names_corpus_case () =
+  let count = 8 in
+  let c = Campaign.Corpus.run ~jobs:2 ~seed:42 ~count () in
+  let clean = Bc.run ~jobs:1 c in
+  let n =
+    let last = ref (-1) in
+    Array.iteri
+      (fun i -> function
+        | Engine.Done (r : Bc.case_report) when r.Bc.br_bisections <> [] -> last := i
+        | _ -> ())
+      clean.Bc.b_cases;
+    !last
+  in
+  Alcotest.(check bool) "some case has pairs past the first" true (n > 0);
+  Alcotest.(check int) "one slot per corpus case" count (Array.length clean.Bc.b_cases);
+  Alcotest.(check bool) "some case has nothing to bisect" true
+    (Array.exists
+       (function Engine.Done (r : Bc.case_report) -> r.Bc.br_bisections = [] | _ -> false)
+       clean.Bc.b_cases);
+  let settings = Campaign.Settings.v ~chaos:(Printf.sprintf "crash@%d:bisect" n) () in
+  let t = Bc.run ~settings ~jobs:2 c in
+  (match t.Bc.b_quarantine with
+   | [ q ] ->
+     Alcotest.(check int) "the planted corpus case" n q.Engine.q_case;
+     Alcotest.(check string) "stage" "bisect" q.Engine.q_stage;
+     Alcotest.(check bool) "names the planted case" true
+       (contains q.Engine.q_error (Printf.sprintf "injected crash (case %d)" n))
+   | qs -> Alcotest.failf "expected 1 quarantined case, got %d" (List.length qs));
+  List.iteri
+    (fun i (a, b) -> if i <> n then Alcotest.(check string) (Printf.sprintf "case %d" i) a b)
+    (List.combine (cases_json clean) (cases_json t))
+
 (* A session answers only for the program it was made for. *)
 let test_session_of_another_program () =
   let prog = Core.Instrument.program (parse "int main(void) { return 0; }") in
@@ -425,5 +462,6 @@ let suite =
     ("session: shared per case, transparent", `Slow, test_shared_session_transparent);
     ("session: pipeline executions unchanged", `Slow, test_sessions_keep_pipeline_count);
     ("session: campaign corruption blamed", `Slow, test_campaign_corruption_blamed);
+    ("campaign: chaos names the corpus case", `Slow, test_campaign_chaos_names_corpus_case);
     ("session: another program's session refused", `Quick, test_session_of_another_program);
   ]

@@ -1,8 +1,8 @@
-(* The multi-process campaign fabric: byte-identity of the merged output
-   against the in-process engine at every (workers, jobs) grid point,
-   journal interop in both directions across a torn journal, crash
-   containment when a worker process dies mid-chunk, and the cross-process
-   journal lock.
+(* The engine's worker-process grid ([settings.workers > 1], "the
+   fabric"): byte-identity of the merged output against the in-process run
+   at every (workers, jobs) grid point, journal interop in both directions
+   across a torn journal, crash containment when a worker process dies
+   mid-chunk, and the cross-process journal lock.
 
    Also home to the Metrics.merge algebra tests (associativity, permutation
    invariance, wire round-trip) — the properties the fabric's farewell
@@ -12,7 +12,6 @@
 open Helpers
 module Campaign = Dce_campaign
 module Engine = Campaign.Engine
-module Fabric = Campaign.Fabric
 module Journal = Campaign.Journal
 module Json = Campaign.Json
 module Metrics = Campaign.Metrics
@@ -32,7 +31,7 @@ let test_fabric_toy_grid_determinism () =
   let baseline = Engine.run ~jobs:1 ~count:17 runner in
   List.iter
     (fun (workers, jobs) ->
-      let r = Fabric.run ~codec:toy_codec ~settings:(grid workers) ~jobs ~count:17 runner in
+      let r = Engine.run ~codec:toy_codec ~settings:(grid workers) ~jobs ~count:17 runner in
       Alcotest.(check bool)
         (Printf.sprintf "outcomes at workers=%d jobs=%d" workers jobs)
         true
@@ -45,7 +44,7 @@ let test_fabric_toy_grid_determinism () =
    A stride split would pin case 2 behind case 0 on the same domain. *)
 let test_fabric_worker_steals_within_chunk () =
   let r =
-    Fabric.run ~codec:toy_codec ~settings:(grid ~chunk:6 2) ~jobs:2 ~count:6
+    Engine.run ~codec:toy_codec ~settings:(grid ~chunk:6 2) ~jobs:2 ~count:6
       (Suite_campaign.spin_until_others_done ~others:5)
   in
   Alcotest.(check bool) "case 0 saw cases 1-5 finish (no timeout)" true
@@ -93,7 +92,7 @@ let test_fabric_torn_journal_resumes_in_engine () =
   let path = temp_journal () in
   let runner ctx i = Engine.stage ctx "toy" (fun () -> i + 100) in
   let r1 =
-    Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 2) ~jobs:2 ~count:10 runner
+    Engine.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 2) ~jobs:2 ~count:10 runner
   in
   truncate_journal path ~cases:6;
   let executed = ref 0 in
@@ -113,13 +112,13 @@ let test_engine_torn_journal_resumes_in_fabric () =
   let r1 = Engine.run ~journal:path ~codec:toy_codec ~seed:7 ~jobs:1 ~count:10 runner in
   truncate_journal path ~cases:7;
   let r2 =
-    Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 4) ~jobs:3 ~count:10 runner
+    Engine.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 4) ~jobs:3 ~count:10 runner
   in
   Alcotest.(check int) "seven cases restored from the engine journal" 7 r2.Engine.resumed;
   Alcotest.(check bool) "outcomes identical" true (r1.Engine.outcomes = r2.Engine.outcomes);
   (* the rewritten journal is complete: a fresh fabric run replays everything *)
   let r3 =
-    Fabric.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 2) ~jobs:1 ~count:10 runner
+    Engine.run ~journal:path ~codec:toy_codec ~seed:7 ~settings:(grid 2) ~jobs:1 ~count:10 runner
   in
   Alcotest.(check int) "all restored on the third run" 10 r3.Engine.resumed;
   Alcotest.(check bool) "outcomes still identical" true
@@ -136,10 +135,10 @@ let test_fabric_killed_worker_contained () =
      "fabric"), and every other case must still complete normally. *)
   let runner ctx i =
     Engine.stage ctx "toy" (fun () ->
-        if i = 3 && Fabric.in_worker () then Unix._exit 7;
+        if i = 3 && Engine.in_worker () then Unix._exit 7;
         i + 100)
   in
-  let r = Fabric.run ~codec:toy_codec ~settings:(grid 2) ~jobs:1 ~count:12 runner in
+  let r = Engine.run ~codec:toy_codec ~settings:(grid 2) ~jobs:1 ~count:12 runner in
   (match r.Engine.quarantine with
    | [ q ] ->
      Alcotest.(check int) "poison-pill case quarantined" 3 q.Engine.q_case;
@@ -167,7 +166,7 @@ let test_fabric_killed_worker_contained () =
 
 let test_fabric_counters_reported () =
   let runner ctx i = Engine.stage ctx "toy" (fun () -> i) in
-  let r = Fabric.run ~codec:toy_codec ~settings:(grid 2) ~jobs:3 ~count:12 runner in
+  let r = Engine.run ~codec:toy_codec ~settings:(grid 2) ~jobs:3 ~count:12 runner in
   (match r.Engine.metrics.Metrics.fabric with
    | Some f ->
      Alcotest.(check int) "workers" 2 f.Metrics.f_workers;
@@ -177,29 +176,29 @@ let test_fabric_counters_reported () =
        (List.fold_left ( + ) 0 f.Metrics.f_cases_per_worker);
      Alcotest.(check int) "no deaths" 0 f.Metrics.f_deaths
    | None -> Alcotest.fail "fabric counters missing");
-  (* workers = 1 is Engine.run: no process forked, no fabric counters *)
-  let solo = Fabric.run ~codec:toy_codec ~settings:(grid 1) ~jobs:1 ~count:3 runner in
+  (* workers = 1 runs in process: no process forked, no fabric counters *)
+  let solo = Engine.run ~codec:toy_codec ~settings:(grid 1) ~jobs:1 ~count:3 runner in
   Alcotest.(check bool) "no fabric counters at workers=1" true
     (solo.Engine.metrics.Metrics.fabric = None)
 
 let test_fabric_edge_cases () =
   let runner ctx i = Engine.stage ctx "toy" (fun () -> i) in
   (* more workers than cases: only as many processes as there is work *)
-  let r = Fabric.run ~codec:toy_codec ~settings:(grid 8) ~jobs:1 ~count:3 runner in
+  let r = Engine.run ~codec:toy_codec ~settings:(grid 8) ~jobs:1 ~count:3 runner in
   Alcotest.(check bool) "tiny corpus completes" true
     (r.Engine.outcomes = [| Engine.Done 0; Engine.Done 1; Engine.Done 2 |]);
   (match r.Engine.metrics.Metrics.fabric with
    | Some f -> Alcotest.(check int) "forks capped by the work" 3 f.Metrics.f_workers
    | None -> Alcotest.fail "fabric counters missing");
   (* a chunk bigger than the corpus is one chunk *)
-  let r = Fabric.run ~codec:toy_codec ~settings:(grid ~chunk:64 2) ~jobs:1 ~count:5 runner in
+  let r = Engine.run ~codec:toy_codec ~settings:(grid ~chunk:64 2) ~jobs:1 ~count:5 runner in
   Alcotest.(check int) "oversized chunk" 5 (Array.length r.Engine.outcomes);
   (* the empty campaign *)
-  let r = Fabric.run ~codec:toy_codec ~settings:(grid 4) ~jobs:2 ~count:0 runner in
+  let r = Engine.run ~codec:toy_codec ~settings:(grid 4) ~jobs:2 ~count:0 runner in
   Alcotest.(check int) "empty corpus" 0 (Array.length r.Engine.outcomes);
-  (* invalid grids are rejected up front: a missing codec by the fabric, an
+  (* invalid grids are rejected up front: a missing codec by the engine, an
      empty grid or chunk already by the settings constructor *)
-  (match Fabric.run ~settings:(grid 2) ~jobs:1 ~count:3 runner with
+  (match Engine.run ~settings:(grid 2) ~jobs:1 ~count:3 runner with
    | _ -> Alcotest.fail "expected Invalid_argument"
    | exception Invalid_argument _ -> ());
   List.iter
@@ -209,6 +208,36 @@ let test_fabric_edge_cases () =
       | exception Failure msg ->
         Alcotest.(check bool) flag true (String.starts_with ~prefix:flag msg))
     [ ("--workers", fun () -> grid 0); ("--chunk", fun () -> grid ~chunk:0 2) ]
+
+(* ------------------------------------------------------------------ *)
+(* the line-JSON wire                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_wire_reader () =
+  let module Wire = Campaign.Wire in
+  let r, w = Unix.pipe () in
+  let input = Wire.reader r in
+  let write s = ignore (Unix.write_substring w s 0 (String.length s)) in
+  let lines = Alcotest.(option (list string)) in
+  write "{\"a\":";
+  Alcotest.check lines "no line before its newline" (Some []) (Wire.input input);
+  write "1}\n{\"b\":2}\n{\"c\":3}\n{\"d\"";
+  Alcotest.check lines "a split line reassembled, several lines from one read"
+    (Some [ "{\"a\":1}"; "{\"b\":2}"; "{\"c\":3}" ])
+    (Wire.input input);
+  write ":4}\n";
+  Alcotest.(check bool) "send writes one line" true (Wire.send w (Json.Obj [ ("e", Json.Int 5) ]));
+  write "torn";
+  Alcotest.(check (option string)) "the split line completed" (Some "{\"d\":4}") (Wire.line input);
+  Alcotest.(check (option string)) "the sent line" (Some "{\"e\":5}") (Wire.line input);
+  Unix.close w;
+  Alcotest.(check (option string)) "a torn tail is never delivered" None (Wire.line input);
+  Unix.close r;
+  let r, w = Unix.pipe () in
+  Unix.close r;
+  Alcotest.(check bool) "a send to a closed peer is false, not SIGPIPE" false
+    (Wire.with_stop_signals ignore (fun () -> Wire.send w (Json.Int 1)));
+  Unix.close w
 
 (* ------------------------------------------------------------------ *)
 (* the cross-process journal lock (satellite: fork-based lockf test)   *)
@@ -369,8 +398,8 @@ let test_fabric_refuses_after_domains () =
   let warm = Engine.run ~jobs:2 ~count:4 (fun _ i -> i) in
   Alcotest.(check int) "warm-up engine run completed" 4 (Array.length warm.Engine.outcomes);
   Alcotest.(check bool) "domain creation recorded" true (Engine.domains_ever_spawned ());
-  match Fabric.run ~codec:toy_codec ~settings:(grid 2) ~jobs:1 ~count:4 (fun _ i -> i) with
-  | _ -> Alcotest.fail "Fabric.run should refuse to fork after domains existed"
+  match Engine.run ~codec:toy_codec ~settings:(grid 2) ~jobs:1 ~count:4 (fun _ i -> i) with
+  | _ -> Alcotest.fail "Engine.run should refuse to fork after domains existed"
   | exception Failure msg ->
     Alcotest.(check bool)
       "diagnosis names the fork-after-domains ban" true
@@ -461,6 +490,7 @@ let suite =
       test_fabric_killed_worker_contained;
     Alcotest.test_case "fabric: counters reported" `Quick test_fabric_counters_reported;
     Alcotest.test_case "fabric: edge cases" `Quick test_fabric_edge_cases;
+    Alcotest.test_case "wire: split, batched and torn lines" `Quick test_wire_reader;
     Alcotest.test_case "journal: cross-process lockf" `Quick test_journal_lock_cross_process;
     Alcotest.test_case "fsx: mkdir_p concurrent fork race" `Quick test_mkdir_p_concurrent_race;
     Alcotest.test_case "fabric: verify report identical" `Slow

@@ -281,11 +281,11 @@ let test_inversion_campaign_resume () =
     (O.inversion_report resumed);
   Sys.remove path
 
-(* Each inversion finding is its own engine case with its own step
-   budget: a budget that covers the costliest single finding quarantines
-   nothing, even where one corpus case holds several findings whose polls
-   add up past it.  A budget of one poll quarantines every finding, and
-   each stays in the result with its fault. *)
+(* Each inversion finding runs under its own step budget: a budget that
+   covers the costliest single finding quarantines nothing, even where one
+   corpus case holds several findings whose polls add up past it.  A
+   budget of one poll quarantines every finding, and each stays in the
+   result with its fault. *)
 let test_inversion_bisect_budget_per_finding () =
   let t = O.run_inversion ~jobs:1 ~seed:4242 ~count:10 () in
   let findings = O.inversion_findings t in
@@ -327,6 +327,28 @@ let test_inversion_bisect_budget_per_finding () =
     (quarantined starved);
   Alcotest.(check bool) "the table names the fault" true
     (contains (O.inv_bisections_table starved) "quarantined: timeout in")
+
+(* The inversion bisections number cases as the corpus does: a crash
+   planted at the bisect stage of corpus case N faults exactly the
+   findings of case N, and every other row equals a clean run's. *)
+let test_inversion_bisect_chaos_names_corpus_case () =
+  let t = O.run_inversion ~jobs:1 ~seed:4242 ~count:10 () in
+  let clean = O.bisect_inversions ~jobs:1 t in
+  let n = (List.nth clean (List.length clean / 2)).O.ib_case in
+  let settings = Campaign.Settings.v ~chaos:(Printf.sprintf "crash@%d:bisect" n) () in
+  let rows = O.bisect_inversions ~settings ~jobs:2 t in
+  Alcotest.(check int) "one row per finding" (List.length clean) (List.length rows);
+  List.iter2
+    (fun (a : O.inv_bisection) (b : O.inv_bisection) ->
+      Alcotest.(check int) "same finding" a.O.ib_case b.O.ib_case;
+      if b.O.ib_case = n then
+        match b.O.ib_outcome with
+        | Error q -> Alcotest.(check int) "quarantined as corpus case" n q.Campaign.Engine.q_case
+        | Ok _ -> Alcotest.failf "a finding of case %d escaped the planted crash" n
+      else
+        Alcotest.(check string) "other rows as clean"
+          (O.inv_bisections_table [ a ]) (O.inv_bisections_table [ b ]))
+    clean rows
 
 let test_size_codec_round_trip () =
   let sc =
@@ -535,6 +557,9 @@ let suite =
     ("size campaign: torn-journal resume", `Slow, test_size_campaign_resume);
     ("inversion campaign: torn-journal resume", `Slow, test_inversion_campaign_resume);
     ("inversion bisect: one budget per finding", `Slow, test_inversion_bisect_budget_per_finding);
+    ( "inversion bisect: chaos names the corpus case",
+      `Slow,
+      test_inversion_bisect_chaos_names_corpus_case );
     ("size-case codec round-trip", `Quick, test_size_codec_round_trip);
     ("inversion-case codec re-derives findings", `Quick, test_inv_codec_rederives_findings);
     ("predicate: size gap stages", `Quick, test_size_gap_predicate);

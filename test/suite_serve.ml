@@ -677,10 +677,10 @@ let test_fabric_sigterm_drain () =
     let code =
       try
         let settings = Campaign.Settings.v ~workers:2 ~chunk:1 () in
-        ignore (Campaign.Fabric.run ~codec ~settings ~jobs:1 ~count:200 runner);
+        ignore (Campaign.Engine.run ~codec ~settings ~jobs:1 ~count:200 runner);
         0
       with
-      | Campaign.Fabric.Interrupted signo -> if signo = Sys.sigterm then 77 else 78
+      | Campaign.Engine.Interrupted signo -> if signo = Sys.sigterm then 77 else 78
       | _ -> 1
     in
     Unix._exit code

@@ -146,7 +146,7 @@ let test_quarantine_wording_shared () =
   check_lines "bisect-campaign"
     (split
        (Engine.quarantine_to_string ~seeds:corpus.Campaign.Corpus.c_seeds
-          (Campaign.Bisect_campaign.corpus_quarantine b)))
+          b.Campaign.Bisect_campaign.b_quarantine))
 
 let test_engine_wall_clock_deadline () =
   (* the non-deterministic flavour: a real wall-clock deadline against an
