@@ -38,9 +38,13 @@ let enforced_bools =
 
 (* key -> slack below the baseline that is still acceptable.  Ratios in
    [0,1] get absolute slack; timing-derived speedups get relative slack
-   (40%), since their baselines were measured on a different machine. *)
-let numeric_tolerance key =
+   (40%), since their baselines were measured on a different machine.  The
+   fabric's two-domain speedup runs the compile path on both cores of a
+   2-vCPU runner, so its slack is sized to hold a floor of 1.1x under the
+   1.76x baseline: below that, a second domain is barely worth spawning. *)
+let numeric_tolerance path key =
   match key with
+  | "speedup_2" when path = "domains.speedup_2" -> Some (`Rel 0.375)
   | "hit_rate" -> Some (`Abs 0.15)
   | "speedup_vs_uncached" | "sibling_reuse" | "speedup_2" | "speedup_4"
   | "dyn_vs_static_speedup" | "search_cache_speedup" ->
@@ -91,7 +95,7 @@ let check_file name baseline fresh =
         | _, Some _ -> () (* a bar the baseline itself did not meet *)
       end
       else
-        match numeric_tolerance key with
+        match numeric_tolerance path key with
         | None -> ()
         | Some tol -> (
           match (as_float bv, fresh_at path) with

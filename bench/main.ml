@@ -891,7 +891,8 @@ let print_oracles_bench () =
    even on a single-core machine (this container has one).  That measures
    exactly what the fabric adds — process-level overlap, chunk dispatch
    overhead, and work-stealing balance — without conflating it with CPU
-   contention.  The warm-worker section then runs the real campaign. *)
+   contention.  The warm-worker section then runs the real campaign, and
+   the last one the real campaign on one and two domains. *)
 let print_fabric_bench () =
   section "Campaign fabric: worker processes, work stealing, warm caches";
   if Campaign.Engine.domains_ever_spawned () then
@@ -1004,6 +1005,30 @@ let print_fabric_bench () =
     warm_count (100.0 *. hit_rate) (100.0 *. memo_hit_rate) chunks
     (String.concat "/" (List.map string_of_int cases_per_worker))
     report_identical;
+  (* --- two domains on the real campaign ----------------------------- *)
+  (* the sections above sleep and allocate nothing, so they cannot see the
+     stop-the-world minor collections every domain takes part in; this one
+     times the compile path on the benchmark ledger's 8-case corpus.  It
+     spawns domains, so it comes after every fork above. *)
+  let domains_count = 8 in
+  let timed_domains jobs =
+    let once () =
+      C.Compiler.clear_caches ();
+      let minor0 = (Gc.quick_stat ()).Gc.minor_collections in
+      let t0 = Dce_support.Clock.now () in
+      ignore (Campaign.Corpus.run ~jobs ~seed:20220228 ~count:domains_count ());
+      let wall = Dce_support.Clock.now () -. t0 in
+      (wall, (Gc.quick_stat ()).Gc.minor_collections - minor0)
+    in
+    List.nth (List.sort compare (List.init 3 (fun _ -> once ()))) 1
+  in
+  let dwall_1, minor_1 = timed_domains 1 in
+  let dwall_2, minor_2 = timed_domains 2 in
+  let domains_speedup = dwall_1 /. dwall_2 in
+  Printf.printf
+    "real campaign (%d programs, median of 3): jobs=1 %.3fs (%d minor GCs), jobs=2 %.3fs (%d \
+     minor GCs) — %.2fx from a second domain\n"
+    domains_count dwall_1 minor_1 dwall_2 minor_2 domains_speedup;
   let doc =
     Campaign.Json.Obj
       [
@@ -1040,6 +1065,16 @@ let print_fabric_bench () =
               ( "cases_per_worker",
                 Campaign.Json.List (List.map (fun n -> Campaign.Json.Int n) cases_per_worker) );
               ("report_identical", Campaign.Json.Bool report_identical);
+            ] );
+        ( "domains",
+          Campaign.Json.Obj
+            [
+              ("programs", Campaign.Json.Int domains_count);
+              ("wall_1", Campaign.Json.Float dwall_1);
+              ("wall_2", Campaign.Json.Float dwall_2);
+              ("speedup_2", Campaign.Json.Float domains_speedup);
+              ("minor_collections_1", Campaign.Json.Int minor_1);
+              ("minor_collections_2", Campaign.Json.Int minor_2);
             ] );
       ]
   in

@@ -2,13 +2,16 @@ open Dce_ir
 open Ir
 module Ops = Dce_minic.Ops
 
-let reg v = Printf.sprintf "%%v%d" v
+(* operands and labels are concatenated, not formatted: codegen runs once
+   per configuration, and [Printf.sprintf] builds its format closures and
+   a buffer on every call *)
+let reg v = "%v" ^ string_of_int v
 
 let operand = function
-  | Const n -> Printf.sprintf "$%d" n
+  | Const n -> "$" ^ string_of_int n
   | Reg v -> reg v
 
-let block_label fn l = Printf.sprintf ".L%s_%d" fn.fn_name l
+let block_label fn l = String.concat "" [ ".L"; fn.fn_name; "_"; string_of_int l ]
 
 let mnemonic_of_binop = function
   | Ops.Add -> "addq"
@@ -44,23 +47,23 @@ let rvalue_lines dst rv =
       Asm.Ins ("movq", [ operand a; dst ]);
       Asm.Ins (mnemonic_of_binop op, [ operand b; dst ]);
     ]
-  | Addr (s, off) -> [ Asm.Ins ("leaq", [ Printf.sprintf "%s(,%s,8)" s (operand off); dst ]) ]
+  | Addr (s, off) -> [ Asm.Ins ("leaq", [ String.concat "" [ s; "(,"; operand off; ",8)" ]; dst ]) ]
   | Ptradd (p, off) ->
     [
       Asm.Ins ("movq", [ operand p; dst ]);
-      Asm.Ins ("leaq", [ Printf.sprintf "(%s,%s,8)" dst (operand off); dst ]);
+      Asm.Ins ("leaq", [ String.concat "" [ "("; dst; ","; operand off; ",8)" ]; dst ]);
     ]
-  | Load p -> [ Asm.Ins ("movq", [ Printf.sprintf "(%s)" (operand p); dst ]) ]
+  | Load p -> [ Asm.Ins ("movq", [ "(" ^ operand p ^ ")"; dst ]) ]
   | Phi _ -> [] (* handled as moves in predecessors *)
 
 let instr_lines i =
   match i with
   | Def (_, Phi _) -> []
   | Def (v, rv) -> rvalue_lines (reg v) rv
-  | Store (p, v) -> [ Asm.Ins ("movq", [ operand v; Printf.sprintf "(%s)" (operand p) ]) ]
+  | Store (p, v) -> [ Asm.Ins ("movq", [ operand v; "(" ^ operand p ^ ")" ]) ]
   | Call (res, name, args) ->
     let arg_moves =
-      List.mapi (fun i a -> Asm.Ins ("movq", [ operand a; Printf.sprintf "%%arg%d" i ])) args
+      List.mapi (fun i a -> Asm.Ins ("movq", [ operand a; "%arg" ^ string_of_int i ])) args
     in
     let call = [ Asm.Ins ("callq", [ name ]) ] in
     let res_move =
@@ -103,7 +106,7 @@ let terminator_lines fn l term =
       (fun (k, target) ->
         moves_to target
         @ [
-            Asm.Ins ("cmpq", [ Printf.sprintf "$%d" k; operand c ]);
+            Asm.Ins ("cmpq", [ "$" ^ string_of_int k; operand c ]);
             Asm.Ins ("je", [ block_label fn target ]);
           ])
       cases
@@ -114,7 +117,7 @@ let terminator_lines fn l term =
 
 let func fn =
   let header =
-    [ Asm.Directive (Printf.sprintf "globl %s" fn.fn_name); Asm.Label fn.fn_name ]
+    [ Asm.Directive ("globl " ^ fn.fn_name); Asm.Label fn.fn_name ]
   in
   let body =
     (* entry block first, then the rest in label order *)
@@ -134,7 +137,7 @@ let program prog =
       (fun sym ->
         match sym.sym_kind with
         | `Global ->
-          [ Asm.Directive (Printf.sprintf "data %s size %d" sym.sym_name sym.sym_size) ]
+          [ Asm.Directive (String.concat "" [ "data "; sym.sym_name; " size "; string_of_int sym.sym_size ]) ]
         | `Frame _ -> [])
       prog.prog_syms
   in

@@ -201,7 +201,12 @@ let counters_delta a b = counters_map2 (fun x y -> y - x) a b
 (* Work stealing over one shared counter: each domain claims the next
    unclaimed position, so a slow case holds up only its own domain while
    the others drain the rest of the array.  Outcomes are handed back by
-   case index, so which domain ran a case never shows in the output. *)
+   case index, so which domain ran a case never shows in the output.
+
+   The calling domain is worker 0.  Left idle in [Domain.join] it would
+   still take part in every stop-the-world minor collection the workers
+   trigger (DESIGN.md, campaign engine), so it works instead, and [jobs]
+   workers cost [jobs - 1] spawns. *)
 let pool ~settings ~jobs cases runner on_outcome =
   let n = Array.length cases in
   let next = Atomic.make 0 in
@@ -222,11 +227,23 @@ let pool ~settings ~jobs cases runner on_outcome =
   if jobs = 1 || n <= 1 then work 0
   else begin
     domains_spawned := true;
+    let result f = match f () with m -> Ok m | exception e -> Error e in
     (* join every domain before re-raising, so no completion is still being
-       recorded when the caller closes the journal *)
-    Array.init (min jobs n) (fun w -> Domain.spawn (fun () -> work w))
-    |> Array.map (fun d -> match Domain.join d with m -> Ok m | exception e -> Error e)
-    |> Array.fold_left
+       recorded when the caller closes the journal — also when a spawn
+       fails after others succeeded *)
+    let rec spawn w spawned =
+      if w = min jobs n then List.rev spawned
+      else
+        match Domain.spawn (fun () -> work w) with
+        | d -> spawn (w + 1) (d :: spawned)
+        | exception e ->
+          List.iter (fun d -> ignore (result (fun () -> Domain.join d))) spawned;
+          raise e
+    in
+    let spawned = spawn 1 [] in
+    let own = result (fun () -> work 0) in
+    own :: List.map (fun d -> result (fun () -> Domain.join d)) spawned
+    |> List.fold_left
          (fun acc r -> match r with Ok m -> Metrics.merge acc m | Error e -> raise e)
          (Metrics.create ())
   end

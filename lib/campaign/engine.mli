@@ -5,8 +5,10 @@
 
     The engine runs [count] cases through a user-supplied runner.  The
     cases still to run are claimed one at a time from a shared atomic
-    counter by [min jobs n] worker domains, so a slow case delays only the
-    domain running it.  Results land in a [count]-sized array indexed by
+    counter by [min jobs n] workers, so a slow case delays only the
+    domain running it.  Worker 0 is the calling domain and the others are
+    [min jobs n - 1] spawned domains, all joined before [run] returns or
+    re-raises.  Results land in a [count]-sized array indexed by
     case — so the campaign's output is a pure function of the case set,
     independent of [jobs], which domain ran which case, or resume history.
     With [jobs = 1] no domain is spawned and the engine is a plain
@@ -46,7 +48,8 @@ type ctx
 (** Per-worker execution context handed to the runner. *)
 
 val worker : ctx -> int
-(** Index of the worker domain running the current case, in [\[0, jobs)]. *)
+(** Index of the worker running the current case, in [\[0, jobs)]; worker 0
+    is the domain that called {!run}. *)
 
 val stage : ctx -> string -> (unit -> 'a) -> 'a
 (** [stage ctx name f] runs [f], recording its wall time under [name] in the

@@ -16,7 +16,17 @@ let at_least flag min n =
   if n < min then failwith (Printf.sprintf "%s: must be >= %d (got %d)" flag min n);
   n
 
-let jobs = at_least "--jobs" 1
+(* [Max_domains] in the runtime's caml/domain.h (OCaml 5.1-5.2): the
+   calling domain counts, and it is worker 0 of the pool *)
+let max_jobs = if Sys.word_size = 64 then 128 else 16
+
+let jobs n =
+  let n = at_least "--jobs" 1 n in
+  if n > max_jobs then
+    failwith
+      (Printf.sprintf "--jobs: must be <= %d, the runtime's domain limit (got %d)" max_jobs n);
+  n
+
 let slots = at_least "--slots" 1
 
 let v ?deadline ?step_budget ?(retries = 0) ?chaos ?(checked = false) ?(workers = 1) ?chunk () =

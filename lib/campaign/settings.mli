@@ -42,8 +42,13 @@ val v :
     [step_budget < 1], [retries < 0], [workers < 1], [chunk < 1], or the
     chaos spec does not parse. *)
 
+val max_jobs : int
+(** The most domains the OCaml runtime allows at once (128 on a 64-bit
+    system), the calling domain included. *)
+
 val jobs : int -> int
-(** [jobs n] is [n] when it is a valid [--jobs] value; raises like {!v}. *)
+(** [jobs n] is [n] when it is a valid [--jobs] value, [1 <= n <= max_jobs];
+    raises like {!v}. *)
 
 val slots : int -> int
 (** The same check for [serve --slots]. *)

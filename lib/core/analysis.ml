@@ -45,15 +45,27 @@ let run ?(checked = false) ?(hook = default_hook) prog =
       hook.wrap "primary-graph" (fun () ->
           Primary.build ~live_blocks:truth.Ground_truth.live_blocks (C.Compiler.lowered session))
     in
+    (* a config whose optimized program is physically one an earlier
+       config produced (the stage memo replayed the same stages) has that
+       config's surviving markers: no codegen, no assembly scan *)
+    let scanned = ref [] in
+    let markers_in ir =
+      match List.assq_opt ir !scanned with
+      | Some surviving -> surviving
+      | None ->
+        let surviving = Differential.markers_in ir in
+        scanned := (ir, surviving) :: !scanned;
+        surviving
+    in
     let configs =
       List.concat_map
         (fun compiler ->
           List.map
             (fun level ->
-              let cfg = { Differential.compiler; level; version = None } in
               let surviving, cfg_trace =
                 hook.wrap "differential" (fun () ->
-                    Differential.surviving_traced session cfg)
+                    let ir, trace = C.Compiler.run session compiler level in
+                    (markers_in ir, trace))
               in
               let missed = Differential.missed ~surviving ~dead:truth.Ground_truth.dead in
               let primary_missed =

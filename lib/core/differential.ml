@@ -11,9 +11,7 @@ let config_name cfg =
 
 let iset_of markers = List.fold_left (fun s n -> Ir.Iset.add n s) Ir.Iset.empty markers
 
-let surviving_traced session cfg =
-  let ir, trace = C.Compiler.run session cfg.compiler ?version:cfg.version cfg.level in
-  (iset_of (Dce_backend.Asm.surviving_markers (Dce_backend.Codegen.program ir)), trace)
+let markers_in ir = iset_of (Dce_backend.Asm.surviving_markers (Dce_backend.Codegen.program ir))
 
 let observe session cfg = C.Compiler.observe session cfg.compiler ?version:cfg.version cfg.level
 

@@ -20,12 +20,9 @@ val surviving : ?validate:bool -> config -> Dce_minic.Ast.program -> Dce_ir.Ir.I
     assembly.  [validate] (default false) checks the IR after every pass,
     raising {!Dce_compiler.Passmgr.Ir_invalid} naming the guilty stage. *)
 
-val surviving_traced :
-  Dce_compiler.Compiler.session -> config -> Dce_ir.Ir.Iset.t * Dce_compiler.Passmgr.trace
-(** The configuration's surviving markers in the session's program, plus
-    the pipeline stage trace — which pass eliminated which marker, with
-    timing and IR deltas.  The configs of one program pass the same
-    session, so they share its lowering and stage memo. *)
+val markers_in : Dce_ir.Ir.program -> Dce_ir.Ir.Iset.t
+(** The markers surviving in the assembly of an optimized program (from
+    {!Dce_compiler.Compiler.run}): codegen, then the marker scan. *)
 
 val missed :
   surviving:Dce_ir.Ir.Iset.t -> dead:Dce_ir.Ir.Iset.t -> Dce_ir.Ir.Iset.t

@@ -1,19 +1,21 @@
 open Ir
 
+(* One pass over the blocks from the highest label down: consing each block
+   onto its successors' lists leaves every list ascending, and [successors]
+   names a target once, so no list repeats a predecessor.  An edge past the
+   highest block is dangling (Validate reports it) and is skipped, which
+   also bounds the table; one to a missing label below it is recorded but
+   never read. *)
 let predecessors fn =
-  let init = Imap.map (fun _ -> []) fn.fn_blocks in
-  let preds =
-    Imap.fold
-      (fun l b acc ->
-        List.fold_left
-          (fun acc succ ->
-            match Imap.find_opt succ acc with
-            | Some ps -> Imap.add succ (l :: ps) acc
-            | None -> acc (* dangling edge; caught by Validate *))
-          acc (successors b.b_term))
-      fn.fn_blocks init
-  in
-  Imap.map (List.sort_uniq compare) preds
+  let last = match Imap.max_binding_opt fn.fn_blocks with Some (l, _) -> l | None -> -1 in
+  let tab = Regtab.create (last + 1) [] in
+  Seq.iter
+    (fun (l, b) ->
+      List.iter
+        (fun succ -> if succ >= 0 && succ <= last then Regtab.set tab succ (l :: Regtab.get tab succ))
+        (successors b.b_term))
+    (Imap.to_rev_seq fn.fn_blocks);
+  Imap.mapi (fun l _ -> Regtab.get tab l) fn.fn_blocks
 
 let postorder fn =
   let visited = Hashtbl.create 64 in
@@ -73,8 +75,7 @@ let remove_unreachable_blocks fn =
 
 (* Every block with phis is normalized, pruned or not: a caller (SCCP's
    rewrite) may hand over phis it turned into copies. *)
-let prune_phi_args fn =
-  let preds = predecessors fn in
+let prune_phi_args_with preds fn =
   map_blocks
     (fun l b ->
       let ps = Option.value ~default:[] (Imap.find_opt l preds) in
@@ -91,3 +92,5 @@ let prune_phi_args fn =
       in
       normalize_phi_prefix (with_instrs b (Dce_support.Listx.map_shared prune b.b_instrs)))
     fn
+
+let prune_phi_args fn = prune_phi_args_with (predecessors fn) fn

@@ -29,6 +29,10 @@ val prune_phi_args : Ir.func -> Ir.func
     so a caller that turned phis into copies gets them re-ordered too.
     Returns the function itself when it changes nothing. *)
 
+val prune_phi_args_with : Ir.label list Ir.Imap.t -> Ir.func -> Ir.func
+(** [prune_phi_args_with preds fn] is [prune_phi_args fn] for a caller that
+    already holds [predecessors fn]. *)
+
 val normalize_phi_prefix : Ir.block -> Ir.block
 (** Stable-partitions instructions so phis form the block prefix again —
     required after converting individual phis to plain copies.  A block

@@ -31,6 +31,13 @@ let meet a b =
   | Kaddr (s1, o1), Kaddr (s2, o2) -> if s1 = s2 && o1 = o2 then a else Nac
   | Kint _, Kaddr _ | Kaddr _, Kint _ -> Nac
 
+let cval_equal a b =
+  match (a, b) with
+  | Kint x, Kint y -> x = y
+  | Kaddr (s1, o1), Kaddr (s2, o2) -> String.equal s1 s2 && o1 = o2
+  | Nac, Nac -> true
+  | (Kint _ | Kaddr _ | Nac), _ -> false
+
 type cells = {
   base : (string, int) Hashtbl.t; (* symbol -> first cell index *)
   sizes : (string, int) Hashtbl.t;
@@ -175,84 +182,95 @@ let feasible_succs config cells dt state term =
     | Some (Kint k) -> [ Option.value ~default:dflt (List.assoc_opt k cases) ]
     | _ -> List.map snd cases @ [ dflt ])
 
-let run config info fn =
-  if Imap.cardinal fn.fn_blocks > config.block_limit then fn
-  else begin
-    let cells = build_cells config info in
-    if cells.total = 0 then fn
-    else begin
-      let dt = Meminfo.deftab fn in
-      (* no seeding from initializers: a real compiler may not assume a
-         global still holds its initial value at function entry (the whole
-         point of the paper's Listings 4/6a) — constants flow from stores *)
-      let entry_state = Array.make cells.total Nac in
-      let in_states : (label, cval array) Hashtbl.t = Hashtbl.create 32 in
-      Hashtbl.replace in_states fn.fn_entry entry_state;
-      let rpo = Cfg.reverse_postorder fn in
-      let changed = ref true in
-      let rounds = ref 0 in
-      while !changed && !rounds < 64 do
-        changed := false;
-        incr rounds;
+let has_load fn =
+  Imap.exists
+    (fun _ b -> List.exists (function Def (_, Load _) -> true | _ -> false) b.b_instrs)
+    fn.fn_blocks
+
+(* the dataflow and rewrite of one function that loads *)
+let rewrite_loads config info cells fn =
+  let dt = Meminfo.deftab fn in
+  (* no seeding from initializers: a real compiler may not assume a
+     global still holds its initial value at function entry (the whole
+     point of the paper's Listings 4/6a) — constants flow from stores *)
+  let entry_state = Array.make cells.total Nac in
+  let in_states : (label, cval array) Hashtbl.t = Hashtbl.create 32 in
+  Hashtbl.replace in_states fn.fn_entry entry_state;
+  let rpo = Cfg.reverse_postorder fn in
+  let changed = ref true in
+  let rounds = ref 0 in
+  while !changed && !rounds < 64 do
+    changed := false;
+    incr rounds;
+    List.iter
+      (fun l ->
+        match Hashtbl.find_opt in_states l with
+        | None -> () (* not (yet) feasible *)
+        | Some in_state ->
+          let state = Array.copy in_state in
+          let b = block fn l in
+          List.iter
+            (fun i -> transfer config info cells dt ~on_load:(fun _ _ -> ()) state i)
+            b.b_instrs;
+          List.iter
+            (fun s ->
+              match Hashtbl.find_opt in_states s with
+              | None ->
+                Hashtbl.replace in_states s (Array.copy state);
+                changed := true
+              | Some existing ->
+                let any = ref false in
+                Array.iteri
+                  (fun i v ->
+                    let m = meet v state.(i) in
+                    if not (cval_equal m v) then begin
+                      existing.(i) <- m;
+                      any := true
+                    end)
+                  existing;
+                if !any then changed := true)
+            (feasible_succs config cells dt state b.b_term))
+      rpo
+  done;
+  (* rewrite loads whose cell holds a single constant *)
+  let rewrites : (int, rvalue) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun l ->
+      match Hashtbl.find_opt in_states l with
+      | None -> ()
+      | Some in_state ->
+        let state = Array.copy in_state in
+        let b = block fn l in
         List.iter
-          (fun l ->
-            match Hashtbl.find_opt in_states l with
-            | None -> () (* not (yet) feasible *)
-            | Some in_state ->
-              let state = Array.copy in_state in
-              let b = block fn l in
-              List.iter
-                (fun i -> transfer config info cells dt ~on_load:(fun _ _ -> ()) state i)
-                b.b_instrs;
-              List.iter
-                (fun s ->
-                  match Hashtbl.find_opt in_states s with
-                  | None ->
-                    Hashtbl.replace in_states s (Array.copy state);
-                    changed := true
-                  | Some existing ->
-                    let any = ref false in
-                    Array.iteri
-                      (fun i v ->
-                        let m = meet v state.(i) in
-                        if m <> v then begin
-                          existing.(i) <- m;
-                          any := true
-                        end)
-                      existing;
-                    if !any then changed := true)
-                (feasible_succs config cells dt state b.b_term))
-          rpo
-      done;
-      (* rewrite loads whose cell holds a single constant *)
-      let rewrites : (int, rvalue) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun l ->
-          match Hashtbl.find_opt in_states l with
-          | None -> ()
-          | Some in_state ->
-            let state = Array.copy in_state in
-            let b = block fn l in
-            List.iter
-              (fun i ->
-                transfer config info cells dt
-                  ~on_load:(fun v cv ->
-                    match cv with
-                    | Kint k -> Hashtbl.replace rewrites v (Op (Const k))
-                    | Kaddr (s, o) -> Hashtbl.replace rewrites v (Addr (s, Const o))
-                    | Nac -> ())
-                  state i)
-              b.b_instrs)
-        rpo;
-      if Hashtbl.length rewrites = 0 then fn
-      else begin
-        let rewrite i =
-          match i with
-          | Def (v, Load _) -> (
-            match Hashtbl.find_opt rewrites v with Some rv -> Def (v, rv) | None -> i)
-          | _ -> i
-        in
-        map_blocks (fun _ b -> with_instrs b (Dce_support.Listx.map_shared rewrite b.b_instrs)) fn
-      end
-    end
+          (fun i ->
+            transfer config info cells dt
+              ~on_load:(fun v cv ->
+                match cv with
+                | Kint k -> Hashtbl.replace rewrites v (Op (Const k))
+                | Kaddr (s, o) -> Hashtbl.replace rewrites v (Addr (s, Const o))
+                | Nac -> ())
+              state i)
+          b.b_instrs)
+    rpo;
+  if Hashtbl.length rewrites = 0 then fn
+  else begin
+    let rewrite i =
+      match i with
+      | Def (v, Load _) -> (
+        match Hashtbl.find_opt rewrites v with Some rv -> Def (v, rv) | None -> i)
+      | _ -> i
+    in
+    map_blocks (fun _ b -> with_instrs b (Dce_support.Listx.map_shared rewrite b.b_instrs)) fn
   end
+
+(* [run config info] builds the cell table once for every function of the
+   program [info] describes *)
+let run config info =
+  let cells = build_cells config info in
+  fun fn ->
+    if
+      cells.total = 0
+      || Imap.cardinal fn.fn_blocks > config.block_limit
+      || not (has_load fn)
+    then fn
+    else rewrite_loads config info cells fn

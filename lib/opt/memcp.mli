@@ -49,3 +49,7 @@ val default_config : config
 (** summaries on, edge-aware, 512-block limit, 32-cell limit. *)
 
 val run : config -> Meminfo.t -> Dce_ir.Ir.func -> Dce_ir.Ir.func
+(** [run config info] is the pass over the functions of the program [info]
+    describes.  Apply it once per program: it builds the symbol-cell table
+    then, and returns a function without a load, or over [block_limit]
+    blocks, unchanged and without analyzing it. *)

@@ -37,8 +37,8 @@ let fold_constant_terms fn =
 
 (* drop phi arguments whose predecessor edge no longer exists (constant
    branch folding removes edges without removing blocks) *)
-let prune_phi_args fn =
-  let fn' = Cfg.prune_phi_args fn in
+let prune_phi_args preds fn =
+  let fn' = Cfg.prune_phi_args_with preds fn in
   (fn', fn' != fn)
 
 (* replace phis that have a single distinct non-self argument with copies *)
@@ -79,8 +79,7 @@ let simplify_phis fn =
   (fn', !changed)
 
 (* merge B into A when A ends with Jmp B and B's only predecessor is A *)
-let merge_chains fn =
-  let preds = Cfg.predecessors fn in
+let merge_chains preds fn =
   let changed = ref false in
   let blocks = ref fn.fn_blocks in
   let rename_pred_in_phis target ~old_pred ~new_pred =
@@ -140,8 +139,7 @@ let merge_chains fn =
   if !changed then ({ fn with fn_blocks = !blocks }, true) else (fn, false)
 
 (* retarget predecessors of empty forwarding blocks (just "Jmp C") *)
-let skip_empty_blocks fn =
-  let preds = Cfg.predecessors fn in
+let skip_empty_blocks preds fn =
   let changed = ref false in
   let blocks = ref fn.fn_blocks in
   let has_phis l =
@@ -186,10 +184,15 @@ let run fn =
       let fn' = Cfg.remove_unreachable_blocks fn in
       let c2 = fn' != fn in
       let fn = fn' in
-      let fn, c6 = prune_phi_args fn in
+      (* one predecessor map serves the round: pruning phi arguments and
+         simplifying phis change no edge, and merging chains is the only
+         step before skip-empty-blocks that does *)
+      let preds = Cfg.predecessors fn in
+      let fn, c6 = prune_phi_args preds fn in
       let fn, c3 = simplify_phis fn in
-      let fn, c4 = merge_chains fn in
-      let fn, c5 = skip_empty_blocks fn in
+      let fn, c4 = merge_chains preds fn in
+      let preds = if c4 then Cfg.predecessors fn else preds in
+      let fn, c5 = skip_empty_blocks preds fn in
       if c1 || c2 || c3 || c4 || c5 || c6 then fixpoint fn (rounds - 1) else fn
     end
   in

@@ -64,3 +64,24 @@ let contains text needle =
   let n = String.length needle and m = String.length text in
   let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
   n = 0 || go 0
+
+(* [Cfg.predecessors] as it was first written, a fold over the blocks plus
+   [List.sort_uniq]: the reference the one-pass table build must agree with *)
+let reference_predecessors (fn : Ir.func) =
+  let init = Ir.Imap.map (fun _ -> []) fn.Ir.fn_blocks in
+  let preds =
+    Ir.Imap.fold
+      (fun l b acc ->
+        List.fold_left
+          (fun acc succ ->
+            match Ir.Imap.find_opt succ acc with
+            | Some ps -> Ir.Imap.add succ (l :: ps) acc
+            | None -> acc)
+          acc (Ir.successors b.Ir.b_term))
+      fn.Ir.fn_blocks init
+  in
+  Ir.Imap.map (List.sort_uniq compare) preds
+
+let check_predecessors where fn =
+  if not (Ir.Imap.equal ( = ) (Dce_ir.Cfg.predecessors fn) (reference_predecessors fn)) then
+    Alcotest.failf "%s: %s predecessors differ from the reference" where fn.Ir.fn_name

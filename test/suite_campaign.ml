@@ -199,6 +199,73 @@ let test_engine_work_stealing () =
   Alcotest.(check bool) "other outcomes in case order" true
     (Array.sub r.Engine.outcomes 1 5 = Array.init 5 (fun i -> Engine.Done (i + 1)))
 
+(* The calling domain is worker 0: at jobs 2 and 3 cases run on it and on
+   at most jobs - 1 other domains, and the outcomes are those of jobs 1.
+   A case on a spawned domain waits (up to ~5 s) until the caller has run
+   one, so the caller's share does not hang on how fast domains start. *)
+let test_engine_caller_is_worker_0 () =
+  let caller = (Domain.self () :> int) in
+  let count = 12 in
+  let solo = Engine.run ~jobs:1 ~count (fun _ctx i -> i * i) in
+  List.iter
+    (fun jobs ->
+      let ran_on = Array.make count (-1) in
+      let caller_ran = Atomic.make false in
+      let runner _ctx i =
+        let self = (Domain.self () :> int) in
+        ran_on.(i) <- self;
+        if self = caller then Atomic.set caller_ran true
+        else begin
+          let give_up = Unix.gettimeofday () +. 5.0 in
+          while (not (Atomic.get caller_ran)) && Unix.gettimeofday () < give_up do
+            Domain.cpu_relax ()
+          done
+        end;
+        i * i
+      in
+      let r = Engine.run ~jobs ~count runner in
+      let domains = List.sort_uniq compare (Array.to_list ran_on) in
+      Alcotest.(check bool) (Printf.sprintf "jobs %d: outcomes of jobs 1" jobs) true
+        (r.Engine.outcomes = solo.Engine.outcomes);
+      Alcotest.(check bool) (Printf.sprintf "jobs %d: the caller ran cases" jobs) true
+        (List.mem caller domains);
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: at most %d other domains" jobs (jobs - 1))
+        true
+        (List.length domains - 1 <= jobs - 1))
+    [ 2; 3 ]
+
+(* A journal write that raises on the caller's worker (its codec fails on
+   the caller's cases) is re-raised only once the spawned domain has
+   finished every case it started. *)
+let test_engine_caller_fault_joins_first () =
+  let path = temp_journal () in
+  let caller = (Domain.self () :> int) in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let runner _ctx i =
+    if (Domain.self () :> int) <> caller then begin
+      Atomic.incr started;
+      Unix.sleepf 0.02;
+      Atomic.incr finished
+    end;
+    i
+  in
+  let codec =
+    {
+      toy_codec with
+      Engine.encode =
+        (fun i -> if (Domain.self () :> int) = caller then failwith "encode" else Json.Int i);
+    }
+  in
+  (match Engine.run ~journal:path ~codec ~jobs:2 ~count:6 runner with
+   | _ -> Alcotest.fail "expected the caller's encode failure to propagate"
+   | exception Failure msg -> Alcotest.(check string) "caller failure propagates" "encode" msg);
+  Alcotest.(check int) "every case the spawned domain started had finished"
+    (Atomic.get started) (Atomic.get finished);
+  Alcotest.(check int) "the spawned domain drained the cases the caller left" 5
+    (Atomic.get finished);
+  Sys.remove path
+
 (* An exception escaping the engine itself (a codec that cannot encode, a
    journal write hitting a full disk) must still release the journal lock:
    a later run on the same path, in the same process, resumes from it. *)
@@ -294,6 +361,10 @@ let test_settings_validation () =
       Dce_repair.Verify.campaign ~name:"verify" ~compilers:[] ~seed:42 ~count:(-1) ());
   rejects "--jobs" (fun () -> S.jobs 0);
   Alcotest.(check int) "valid jobs pass through" 3 (S.jobs 3);
+  (* the runtime's domain limit, the calling domain included; only the
+     check runs, nothing is spawned *)
+  Alcotest.(check int) "jobs at the domain limit pass" S.max_jobs (S.jobs S.max_jobs);
+  rejects "--jobs" (fun () -> S.jobs (S.max_jobs + 1));
   let s = S.v ~deadline:5. ~step_budget:100 ~retries:2 ~workers:2 ~chunk:4 () in
   Alcotest.(check bool) "valid values kept" true
     (s.S.deadline = Some 5. && s.S.step_budget = Some 100 && s.S.retries = 2 && s.S.workers = 2
@@ -812,6 +883,9 @@ let suite =
     ("engine: journal header mismatch", `Quick, test_engine_journal_mismatch);
     ("engine: crashes are checkpointed", `Quick, test_engine_crash_checkpointed);
     ("engine: slow case does not block the rest", `Quick, test_engine_work_stealing);
+    ("engine: the calling domain is worker 0", `Quick, test_engine_caller_is_worker_0);
+    ("engine: a caller fault is re-raised after the join", `Quick,
+     test_engine_caller_fault_joins_first);
     ("engine: exception releases the journal", `Quick, test_engine_exception_releases_journal);
     ("engine: hostile journal skipped and counted", `Quick, test_engine_journal_robustness);
     ("settings: out-of-range values name their flag", `Quick, test_settings_validation);

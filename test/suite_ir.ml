@@ -142,6 +142,51 @@ let test_cfg_preds () =
   in
   Alcotest.(check int) "one join" 1 joins
 
+(* edges the lowering never makes: a branch with both arms on one block, a
+   switch naming one target twice, and an edge to a block that is not there
+   (predecessor lists are ascending and hold each predecessor once) *)
+let test_cfg_preds_hand_built () =
+  let block term = { Ir.b_instrs = []; b_term = term } in
+  let fn blocks =
+    {
+      Ir.fn_name = "f";
+      fn_params = [];
+      fn_entry = 0;
+      fn_blocks = Ir.Imap.of_seq (List.to_seq blocks);
+      fn_next_var = 1;
+      fn_next_label = 8;
+      fn_var_names = Ir.Imap.empty;
+      fn_static = false;
+      fn_returns_value = false;
+    }
+  in
+  let cases =
+    [
+      ( "br to one block twice",
+        fn [ (0, block (Ir.Br (Ir.Reg 0, 3, 3))); (3, block (Ir.Ret None)) ],
+        [ (0, []); (3, [ 0 ]) ] );
+      ( "switch naming a target twice",
+        fn
+          [
+            (0, block (Ir.Switch (Ir.Reg 0, [ (1, 5); (2, 2); (3, 5) ], 2)));
+            (1, block (Ir.Jmp 5));
+            (2, block (Ir.Jmp 5));
+            (5, block (Ir.Ret None));
+          ],
+        [ (0, []); (1, []); (2, [ 0 ]); (5, [ 0; 1; 2 ]) ] );
+      ( "dangling edge",
+        fn [ (0, block (Ir.Br (Ir.Reg 0, 1, 42))); (1, block (Ir.Jmp 0)) ],
+        [ (0, [ 1 ]); (1, [ 0 ]) ] );
+    ]
+  in
+  List.iter
+    (fun (name, f, expected) ->
+      Alcotest.(check (list (pair int (list int))))
+        name expected
+        (Ir.Imap.bindings (Cfg.predecessors f));
+      check_predecessors name f)
+    cases
+
 let test_cfg_rpo_starts_at_entry () =
   let fn = main_fn (lower diamond_src) in
   match Cfg.reverse_postorder fn with
@@ -383,6 +428,7 @@ let suite =
     ("lower: implicit return 0", `Quick, test_lower_fallthrough_returns_zero);
     ("lower: marker block mapping", `Quick, test_marker_blocks);
     ("cfg: predecessors", `Quick, test_cfg_preds);
+    ("cfg: predecessors of duplicate and dangling edges", `Quick, test_cfg_preds_hand_built);
     ("cfg: rpo starts at entry", `Quick, test_cfg_rpo_starts_at_entry);
     ("cfg: unreachable removal", `Quick, test_cfg_unreachable_removal);
     ("dom: diamond", `Quick, test_dom_diamond);

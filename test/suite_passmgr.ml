@@ -434,8 +434,8 @@ let reference_steps ?(steps = max_int) instr =
       Dce_support.Guard.with_guard g (fun () ->
           List.map
             (fun (compiler, level) ->
-              Core.Differential.surviving_traced (C.Compiler.session instr)
-                { Core.Differential.compiler; level; version = None })
+              let ir, trace = C.Compiler.run (C.Compiler.session instr) compiler level in
+              (Core.Differential.markers_in ir, trace))
             configs)
     with
     | results -> Ok results
@@ -587,6 +587,31 @@ let test_deftab_matches_hashtbl () =
         configs)
     corpus
 
+(* [Cfg.predecessors] equals the fold + [sort_uniq] reference for every
+   function at every stage of every config *)
+let test_predecessors_match_reference () =
+  let corpus = Dce_smith.Smith.generate_corpus ~seed:5150 ~count:20 in
+  List.iteri
+    (fun p (raw, _kinds) ->
+      let ir = Dce_ir.Lower.program (Core.Instrument.program raw) in
+      List.iter (check_predecessors (Printf.sprintf "program %d lowered" p)) ir.Ir.prog_funcs;
+      List.iter
+        (fun ((compiler, level) as cfg) ->
+          ignore
+            (List.fold_left
+               (fun prog pass ->
+                 let prog', _ = Pm.run_pass (Pm.create (Pm.meminfo_memo ()) prog) pass prog in
+                 List.iter
+                   (check_predecessors
+                      (Printf.sprintf "program %d, %s after %s" p (config_name cfg)
+                         pass.Pm.p_label))
+                   prog'.Ir.prog_funcs;
+                 prog')
+               ir
+               (C.Pipeline.static_passes (C.Compiler.features compiler level))))
+        configs)
+    corpus
+
 (* The rewrites that restore invariants are idempotent, and a second
    application returns its input itself. *)
 let test_rewrites_return_their_output () =
@@ -705,6 +730,8 @@ let suite =
     ("sharing: a no-op stage returns its input", `Slow, test_unchanged_stages_return_input);
     ("sharing: rewrites return their own output", `Quick, test_rewrites_return_their_output);
     ("deftab: def_rvalue = a Hashtbl walk at every stage", `Slow, test_deftab_matches_hashtbl);
+    ("cfg: predecessors = the sort_uniq reference at every stage", `Slow,
+     test_predecessors_match_reference);
     ("meminfo memo: one analysis per distinct program", `Quick, test_meminfo_memo_count);
     ("cfg/dom: fresh-equal at every stage of 20 programs x 10 configs", `Slow,
      test_cfg_fresh_along_schedules);
