@@ -941,32 +941,47 @@ let print_fabric_bench () =
     Printf.printf "WARNING: 4-worker speedup %.2fx is below the 3x bar\n" speedup_4;
   (* --- skewed corpus: work stealing vs static sharding -------------- *)
   (* every 4th case is 25x heavier.  The static baseline pre-assigns one
-     round-robin block per worker — exactly one chunk of 8 each — by running
-     the cases in round-robin order: position p holds case
-     (p mod 8) * 4 + p / 8, so the chunk at positions 0..7 is cases
-     0, 4, .., 28 and carries every heavy case.  Dynamic chunks of 2 spread
-     the tail across whichever workers are free. *)
+     round-robin block per worker on the same grid: four grid cases, one
+     per worker, where grid case b runs the block of cases b, b + 4, ..,
+     b + 28 in order, so block 0 carries every heavy case.  The dynamic run
+     hands out the 32 cases in chunks of 2 (32 / (4 workers x 4)), which
+     spread the tail across whichever workers are free. *)
   let skew_cases = 32 in
   let skew_runner ctx i =
     Campaign.Engine.stage ctx "sleep" (fun () ->
         Unix.sleepf (if i mod 4 = 0 then 0.025 else 0.001);
         i)
   in
-  let round_robin p = (p mod 8 * 4) + (p / 8) in
-  let timed_skew ~chunk runner =
+  let timed_skew codec ~count runner =
     let t0 = Dce_support.Clock.now () in
     let r =
-      Campaign.Engine.run ~codec:toy_codec ~settings:(Campaign.Settings.v ~chunk ~workers:4 ())
-        ~jobs:1 ~count:skew_cases runner
+      Campaign.Engine.run ~codec ~settings:(Campaign.Settings.v ~workers:4 ()) ~jobs:1 ~count
+        runner
     in
     (Dce_support.Clock.now () -. t0, r.Campaign.Engine.outcomes)
   in
-  let wall_static, by_position =
-    timed_skew ~chunk:8 (fun ctx p -> skew_runner ctx (round_robin p))
+  let block_codec =
+    {
+      Campaign.Engine.encode =
+        (fun l -> Campaign.Json.List (List.map (fun i -> Campaign.Json.Int i) l));
+      decode = (fun j -> List.map Campaign.Json.int_exn (Option.get (Campaign.Json.to_list j)));
+    }
   in
-  let static_outcomes = Array.copy by_position in
-  Array.iteri (fun p o -> static_outcomes.(round_robin p) <- o) by_position;
-  let wall_dynamic, dynamic_outcomes = timed_skew ~chunk:2 skew_runner in
+  let wall_static, blocks =
+    timed_skew block_codec ~count:4 (fun ctx b ->
+        List.init (skew_cases / 4) (fun k -> skew_runner ctx ((k * 4) + b)))
+  in
+  let static_outcomes = Array.make skew_cases (Campaign.Engine.Done (-1)) in
+  Array.iteri
+    (fun b -> function
+      | Campaign.Engine.Done block ->
+        List.iteri (fun k i -> static_outcomes.((k * 4) + b) <- Campaign.Engine.Done i) block
+      | Campaign.Engine.Crashed _ as c ->
+        for k = 0 to (skew_cases / 4) - 1 do
+          static_outcomes.((k * 4) + b) <- c
+        done)
+    blocks;
+  let wall_dynamic, dynamic_outcomes = timed_skew toy_codec ~count:skew_cases skew_runner in
   let dyn_vs_static = wall_static /. wall_dynamic in
   Printf.printf
     "skewed corpus (%d cases, every 4th 25x heavier): static %.2fs, dynamic %.2fs — %.2fx from \
@@ -981,7 +996,7 @@ let print_fabric_bench () =
   let warm_count = min corpus_size 24 in
   let solo = Campaign.Corpus.run ~jobs:1 ~seed:20220228 ~count:warm_count () in
   let grid =
-    Campaign.Corpus.run ~settings:(Campaign.Settings.v ~workers:2 ~chunk:3 ())
+    Campaign.Corpus.run ~settings:(Campaign.Settings.v ~workers:2 ())
       ~jobs:1 ~seed:20220228 ~count:warm_count ()
   in
   let report c =

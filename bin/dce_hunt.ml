@@ -177,16 +177,6 @@ let workers_arg =
            stalls the rest of the corpus.  Output is byte-identical for every $(docv); a crashed worker \
            only quarantines the cases it was holding.")
 
-let chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"N"
-        ~doc:
-          "Cases per work-stealing chunk handed to a worker process (default: sized from the \
-           pending-case count).  Smaller chunks balance better; larger chunks amortize protocol \
-           round-trips.  Only meaningful with $(b,--workers) > 1.")
-
 let journal_arg =
   Arg.(
     value
@@ -253,13 +243,13 @@ let checked_arg =
            quarantines the case as ir-invalid blaming that pass.")
 
 (* The one term every campaign command builds its Settings.t from:
-   --workers/--chunk always, and the supervision flags (budgets, retries,
+   --workers always, and the supervision flags (budgets, retries,
    --chaos, --checked) unless [~supervised:false], for repair's
    verification campaigns.  Settings.v validates here, at the CLI
    boundary. *)
 let settings_arg ?(supervised = true) () =
-  let v deadline step_budget retries chaos checked workers chunk =
-    Campaign.Settings.v ?deadline ?step_budget ~retries ?chaos ~checked ~workers ?chunk ()
+  let v deadline step_budget retries chaos checked workers =
+    Campaign.Settings.v ?deadline ?step_budget ~retries ?chaos ~checked ~workers ()
   in
   let if_ arg absent = if supervised then arg else Term.const absent in
   Term.(
@@ -269,7 +259,7 @@ let settings_arg ?(supervised = true) () =
     $ if_ retries_arg 0
     $ if_ chaos_arg None
     $ if_ checked_arg false
-    $ workers_arg $ chunk_arg)
+    $ workers_arg)
 
 let run_root_arg =
   Arg.(

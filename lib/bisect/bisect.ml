@@ -9,7 +9,7 @@ type regression = {
 
 type outcome = Regression of regression | Always_missed | Not_missed
 
-let find_regression_counted ?(search = `Exponential) ?session ?validate compiler level prog ~marker =
+let find_regression_counted ?(search = `Exponential) ?session compiler level prog ~marker =
   (match session with
    | Some s when not (C.Compiler.program s == prog || C.Compiler.program s = prog) ->
      invalid_arg "Bisect.find_regression: the session compiles another program"
@@ -21,7 +21,7 @@ let find_regression_counted ?(search = `Exponential) ?session ?validate compiler
        from its caches; without one, each probe compiles from scratch.
        Memoized compilation is observably identical to fresh compilation,
        so the outcome — and the probe count — is the same either way. *)
-    let s = match session with Some s -> s | None -> C.Compiler.session ?validate prog in
+    let s = match session with Some s -> s | None -> C.Compiler.session prog in
     (C.Compiler.observe s compiler ~version:v level).C.Compiler.obs_markers
   in
   let eliminates version =
@@ -73,8 +73,8 @@ let find_regression_counted ?(search = `Exponential) ?session ?validate compiler
   in
   (outcome, !probes)
 
-let find_regression ?search ?session ?validate compiler level prog ~marker =
-  fst (find_regression_counted ?search ?session ?validate compiler level prog ~marker)
+let find_regression ?search ?session compiler level prog ~marker =
+  fst (find_regression_counted ?search ?session compiler level prog ~marker)
 
 type component_row = { component : string; commits : int; files : int }
 

@@ -28,7 +28,6 @@ type outcome =
 val find_regression :
   ?search:[ `Linear | `Exponential ] ->
   ?session:Dce_compiler.Compiler.session ->
-  ?validate:bool ->
   Dce_compiler.Compiler.t ->
   Dce_compiler.Level.t ->
   Dce_minic.Ast.program ->
@@ -42,17 +41,16 @@ val find_regression :
     [~cache:true] session one cached compile answers the probe for {e every}
     marker of the program, and a pipeline that does run replays the stages
     an adjacent version already ran, so bisecting sibling markers of one
-    test case compiles each probed version once.  Without a session each
-    probe compiles from scratch, in a fresh session built with [validate]
-    (default false; a given session carries its own).  The outcome and the
-    probe count are identical either way — memoized compilation is
+    test case compiles each probed version once; a validating session
+    validates every stage a probe runs.  Without a session each probe
+    compiles from scratch, unvalidated.  The outcome and the probe count
+    are identical either way — memoized compilation is
     observably transparent.  Raises [Invalid_argument] if [session] is not
     a session of [prog]. *)
 
 val find_regression_counted :
   ?search:[ `Linear | `Exponential ] ->
   ?session:Dce_compiler.Compiler.session ->
-  ?validate:bool ->
   Dce_compiler.Compiler.t ->
   Dce_compiler.Level.t ->
   Dce_minic.Ast.program ->

@@ -18,7 +18,7 @@ type case_report = {
 }
 
 type t = {
-  b_level : C.Level.t;
+  b_levels : C.Level.t list;
   b_cases : case_report Engine.case_outcome array;
   b_bisected : int;
   b_seeds : int array;
@@ -30,27 +30,50 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* target derivation                                                   *)
+(* targets                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* What a corpus case bisects: its program, built inside the case so that
+   a regeneration is one of its stages, and (compiler, level, marker)
+   triples in campaign order.  Both entry points derive them purely from
+   their input, so campaign output is deterministic for any jobs value. *)
+type target = {
+  program : Engine.ctx -> Dce_minic.Ast.program;
+  triples : (string * C.Level.t * int) list;
+}
+
 (* The paper bisects every missed marker of every differential-tested case
-   (§4.2); our pairs are (case, compiler, marker ∈ missed-at-level), in the
-   analysis' config order then ascending marker order — a pure function of
-   the corpus, so campaign output is deterministic for any jobs value. *)
-let targets_of_case level = function
+   (§4.2); our triples are the case's markers missed at [level], in the
+   analysis' config order then ascending marker order. *)
+let missed_target level = function
   | Corpus.Case (Core.Analysis.Analyzed a, _) ->
-    let pairs =
+    let triples =
       List.concat_map
         (fun (pc : Core.Analysis.per_config) ->
           if pc.Core.Analysis.cfg_level = level then
             List.map
-              (fun m -> (pc.Core.Analysis.cfg_compiler, m))
+              (fun m -> (pc.Core.Analysis.cfg_compiler, level, m))
               (Ir.Iset.elements pc.Core.Analysis.missed)
           else [])
         a.Core.Analysis.configs
     in
-    if pairs = [] then None else Some (a.Core.Analysis.instrumented, pairs)
+    if triples = [] then None
+    else Some { program = (fun _ -> a.Core.Analysis.instrumented); triples }
   | Corpus.Case (Core.Analysis.Rejected _, _) | Corpus.Quarantined _ -> None
+
+(* An inversion's marker survives at iv_high although a weaker level kills
+   it: bisect the iv_high pipeline's history for the commit that lost it. *)
+let inversion_target seed = function
+  | Engine.Done (ic : Oracle_campaign.inv_case) when ic.ic_findings <> [] ->
+    let program ctx =
+      Engine.stage ctx "regenerate" (fun () -> Core.Instrument.program (Case.program seed))
+    in
+    let triple (f : Oracle_campaign.inv_finding) =
+      (f.if_compiler, f.if_inversion.Core.Differential.iv_high,
+       f.if_inversion.Core.Differential.iv_marker)
+    in
+    Some { program; triples = List.map triple ic.ic_findings }
+  | Engine.Done _ | Engine.Crashed _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* journal codec: the "bisect-case" record kind                        *)
@@ -136,23 +159,24 @@ let codec = { Engine.encode = encode_report; decode = decode_report }
 (* the campaign                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run ?journal ?(level = C.Level.O3) ?(settings = Settings.default) ~jobs (corpus : Corpus.t) =
-  (* engine case i is corpus case i, so a chaos plan and the quarantine
-     name cases as the corpus half does *)
-  let targets = Array.map (targets_of_case level) corpus.Corpus.c_cases in
+(* The one bisection runner.  Engine case i is corpus case i, so a chaos
+   plan and the quarantine name cases as the corpus half does; a case with
+   nothing to bisect completes at once. *)
+let bisect ?journal ?(seed = 0) ~campaign ~levels ~settings ~jobs ~seeds targets =
   let count = Array.length targets in
   Settings.check_cases ~count settings;
   let validate = Settings.checked settings in
   let runner ctx ci =
     let bisections =
       match targets.(ci) with
-      | None -> [] (* nothing to bisect: the case completes at once *)
-      | Some (prog, pairs) ->
+      | None -> []
+      | Some { program; triples } ->
+        let prog = program ctx in
         (* one session per case attempt, shared by both compilers and every
            marker: the probes of adjacent versions replay each other's stages *)
         let session = C.Compiler.session ~validate ~cache:true prog in
         List.map
-          (fun (compiler_name, marker) ->
+          (fun (compiler_name, level, marker) ->
             let outcome, probes =
               Engine.stage ctx "bisect" (fun () ->
                   Bisect.find_regression_counted ~session
@@ -160,23 +184,20 @@ let run ?journal ?(level = C.Level.O3) ?(settings = Settings.default) ~jobs (cor
             in
             { bs_compiler = compiler_name; bs_marker = marker; bs_probes = probes;
               bs_outcome = outcome })
-          pairs
+          triples
     in
     {
       br_case = ci;
-      br_seed = corpus.Corpus.c_seeds.(ci);
+      br_seed = seeds.(ci);
       br_probes = Dce_support.Listx.sum (List.map (fun b -> b.bs_probes) bisections);
       br_bisections = bisections;
     }
   in
-  let result =
-    Engine.run ?journal ~codec ~campaign:"bisect" ~seed:corpus.Corpus.c_seed ~settings ~jobs
-      ~count runner
-  in
+  let result = Engine.run ?journal ~codec ~campaign ~seed ~settings ~jobs ~count runner in
   let bisected, pairs =
     Array.fold_left
       (fun (cases, pairs) -> function
-        | Some (_, ps) -> (cases + 1, pairs + List.length ps)
+        | Some t -> (cases + 1, pairs + List.length t.triples)
         | None -> (cases, pairs))
       (0, 0) targets
   in
@@ -186,16 +207,30 @@ let run ?journal ?(level = C.Level.O3) ?(settings = Settings.default) ~jobs (cor
       0 result.Engine.outcomes
   in
   {
-    b_level = level;
+    b_levels = levels;
     b_cases = result.Engine.outcomes;
     b_bisected = bisected;
-    b_seeds = corpus.Corpus.c_seeds;
+    b_seeds = seeds;
     b_pairs = pairs;
     b_probes = probes;
     b_quarantine = result.Engine.quarantine;
     b_metrics = result.Engine.metrics;
     b_resumed = result.Engine.resumed;
   }
+
+let run ?journal ?(level = C.Level.O3) ?(settings = Settings.default) ~jobs (corpus : Corpus.t) =
+  bisect ?journal ~seed:corpus.Corpus.c_seed ~campaign:"bisect" ~levels:[ level ] ~settings ~jobs
+    ~seeds:corpus.Corpus.c_seeds
+    (Array.map (missed_target level) corpus.Corpus.c_cases)
+
+let inversions ?(settings = Settings.default) ~jobs (t : Oracle_campaign.inv_case Engine.seeded) =
+  let targets = Array.mapi (fun ci -> inversion_target t.seeds.(ci)) t.result.outcomes in
+  let levels =
+    Array.to_list targets
+    |> List.concat_map (function Some t -> List.map (fun (_, l, _) -> l) t.triples | None -> [])
+    |> List.sort_uniq (fun a b -> compare (C.Level.rank a) (C.Level.rank b))
+  in
+  bisect ~campaign:"inv-bisect" ~levels ~settings ~jobs ~seeds:t.seeds targets
 
 (* ------------------------------------------------------------------ *)
 (* aggregation: the paper's component/file tables                      *)
@@ -236,7 +271,9 @@ let summary t =
     "%d (case, missed-marker) pairs bisected over %d cases at %s: %d regressions, %d \
      always-missed, %d not-missed; %d compile-and-check probes\n"
     t.b_pairs t.b_bisected
-    (C.Level.to_string t.b_level)
+    (match t.b_levels with
+     | [] -> "no level"
+     | levels -> String.concat "/" (List.map C.Level.to_string levels))
     reg always never t.b_probes
 
 let component_tables t =

@@ -1,15 +1,20 @@
-(** The bisection campaign: {!Dce_bisect.Bisect.find_regression} fanned out
-    over every (case, missed-marker) pair of a corpus on the {!Engine}'s
-    Domain pool (paper §4.2, the step that turns differential-testing hits
-    into the offending-commit Tables 3/4).
+(** The bisection campaign, the one runner that turns missed markers into
+    offending commits: {!Dce_bisect.Bisect.find_regression} fanned out over
+    (case, compiler, level, marker) targets on the {!Engine} (paper §4.2,
+    the step that turns differential-testing hits into the offending-commit
+    Tables 3/4).
 
-    {b Pairs} are derived purely from the corpus: for each analyzed case, in
-    the analysis' config order, every marker of the config's missed set at
-    the campaign level.  Output is therefore a pure function of the corpus —
-    [jobs = N] is byte-identical to [jobs = 1], which equals running
-    sequential per-marker {!Dce_bisect.Bisect.find_regression} yourself.
+    {b Targets} are derived purely from the campaign's input, per corpus
+    case, and engine case [i] is corpus case [i].  {!run} bisects every
+    marker of an analyzed corpus missed at one level, in the analysis'
+    config order; {!inversions} bisects every level inversion of a
+    level-inversion campaign at the level that keeps the marker, in finding
+    order.  Output is therefore a pure function of the input — [jobs = N]
+    and any [workers] are byte-identical to [jobs = 1], which equals
+    running sequential per-marker {!Dce_bisect.Bisect.find_regression}
+    yourself.
 
-    {b Probe sessions.}  Each case gets one [~cache:true]
+    {b Probe sessions.}  Each case attempt gets one [~cache:true]
     {!Dce_compiler.Compiler.session}, shared by both compilers and every
     marker.  A probe first asks the whole-compile memo keyed by
     [(compiler, version, level, program)] — one compiled probe version
@@ -22,9 +27,15 @@
     {!Dce_bisect.Bisect.find_regression_counted} calls without a session,
     which compile every probe from scratch.
 
-    {b Journal.}  Every corpus case appends a ["bisect-case"] JSONL record,
-    an empty one when it has nothing to bisect; resume skips them.  Records of unknown kind or verdict (e.g. from a
-    newer build) are skipped and counted, never fatal. *)
+    {b Supervision} is the engine's: one deadline and step budget per case
+    attempt, covering all of the case's bisections, and a case that trips
+    it or faults is quarantined whole.
+
+    {b Journal.}  Every corpus case of {!run} appends a ["bisect-case"]
+    JSONL record, an empty one when it has nothing to bisect; resume skips
+    them.  Records of unknown kind or verdict (e.g. from a newer build) are
+    skipped and counted, never fatal.  The record carries no level: a
+    pair's level is its target's. *)
 
 type bisection = {
   bs_compiler : string;  (** ["gcc-sim"] or ["llvm-sim"] *)
@@ -41,10 +52,11 @@ type case_report = {
 }
 
 type t = {
-  b_level : Dce_compiler.Level.t;
+  b_levels : Dce_compiler.Level.t list;
+      (** the distinct levels bisected at, weakest first *)
   b_cases : case_report Engine.case_outcome array;
-      (** indexed by corpus case; a case with no missed marker at the level
-          holds a report without bisections *)
+      (** indexed by corpus case; a case with nothing to bisect holds a
+          report without bisections *)
   b_bisected : int;  (** corpus cases with at least one pair to bisect *)
   b_seeds : int array;
   b_pairs : int;   (** total (case, marker) pairs bisected *)
@@ -61,13 +73,22 @@ val run :
   jobs:int ->
   Corpus.t ->
   t
-(** [level] defaults to [O3], the level with the most regressions in both
-    simulated histories.  [settings] are the {!Engine.run} supervision and
-    placement controls, bounding each case's bisections (byte-identical
-    output at any [workers]).  Pass the settings the [corpus] was run
-    under, so both halves are supervised alike and name cases alike: engine
-    case [i] is corpus case [i], and a case with nothing to bisect
-    completes at once.  Raises [Failure] like {!Settings.check_cases}. *)
+(** Bisect every marker the corpus misses at [level] (default [O3], the
+    level with the most regressions in both simulated histories).
+    [settings] are the {!Engine.run} supervision and placement controls.
+    Pass the settings the [corpus] was run under, so both halves are
+    supervised alike and name cases alike.  Raises [Failure] like
+    {!Settings.check_cases}. *)
+
+val inversions :
+  ?settings:Settings.t ->
+  jobs:int ->
+  Oracle_campaign.inv_case Engine.seeded ->
+  t
+(** Bisect every level inversion of the campaign through the history of
+    the level that keeps its marker ([iv_high]).  A case regenerates its
+    program from its seed ({!Case.program}) in a ["regenerate"] stage;
+    unjournaled.  Otherwise as {!run}. *)
 
 val codec : case_report Engine.codec
 (** The ["bisect-case"] journal record codec (exposed for tests). *)
@@ -84,7 +105,7 @@ val commits_by_compiler :
     {!Dce_bisect.Bisect.component_table} deduplicates). *)
 
 val summary : t -> string
-(** One line: pairs, cases, level, verdict counts, total probes. *)
+(** One line: pairs, cases, levels, verdict counts, total probes. *)
 
 val component_tables : t -> string
 (** The rendered Tables 3/4: per compiler, offending commits deduplicated

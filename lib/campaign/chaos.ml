@@ -21,7 +21,7 @@ let is_transient = function Injected_transient _ -> true | _ -> false
 (* ------------------------------------------------------------------ *)
 
 (* Per-domain: campaign workers arm their own case independently, and the
-   fired counter is the only cross-domain state. *)
+   firing log is the only cross-domain state. *)
 type armed = {
   a_case : int;
   a_attempt : int;  (* 0-based attempt within the retry loop *)
@@ -30,8 +30,22 @@ type armed = {
 }
 
 let armed_key : armed option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let fired = Atomic.make 0
-let fired_count () = Atomic.get fired
+
+(* every firing, newest first: a run reads the entries added since its
+   mark, so it can tell how many faults fired and which injections did *)
+type mark = injection list
+
+let log : injection list Atomic.t = Atomic.make []
+
+let rec note i =
+  let l = Atomic.get log in
+  if not (Atomic.compare_and_set log l (i :: l)) then note i
+
+let mark () = Atomic.get log
+
+let fired_since m =
+  let rec take = function l when l == m -> [] | [] -> [] | i :: rest -> i :: take rest in
+  take (Atomic.get log)
 
 (* An invalid instruction by construction: defines a fresh register from a
    register nothing defines, which SSA validation rejects as "use of
@@ -56,17 +70,14 @@ let ir_hook label prog =
   match Domain.DLS.get armed_key with
   | None -> prog
   | Some a ->
-    if
-      (not a.a_corrupted)
-      && List.exists
-           (fun i -> i.inj_fault = Corrupt_ir && i.inj_stage = label)
-           a.a_injections
-    then begin
+    match
+      List.find_opt (fun i -> i.inj_fault = Corrupt_ir && i.inj_stage = label) a.a_injections
+    with
+    | Some i when not a.a_corrupted ->
       a.a_corrupted <- true;
-      Atomic.incr fired;
+      note i;
       corrupt_program prog
-    end
-    else prog
+    | Some _ | None -> prog
 
 let arm plan ~case ~attempt =
   let mine = List.filter (fun i -> i.inj_case = case) plan in
@@ -102,18 +113,18 @@ let fire stage =
           match i.inj_fault with
           | Corrupt_ir -> () (* handled by the Passmgr IR hook *)
           | Crash ->
-            Atomic.incr fired;
+            note i;
             raise (Injected_crash (Printf.sprintf "injected crash (case %d)" a.a_case))
           | Transient n ->
             if a.a_attempt < n then begin
-              Atomic.incr fired;
+              note i;
               raise
                 (Injected_transient
                    (Printf.sprintf "injected transient fault (case %d, attempt %d)" a.a_case
                       a.a_attempt))
             end
           | Slow ->
-            Atomic.incr fired;
+            note i;
             for _ = 1 to slow_polls do
               Guard.poll ~site:("chaos-slow:" ^ stage)
             done
@@ -127,7 +138,7 @@ let fire stage =
                    "chaos: refusing to inject hang at %s (case %d) without an active guard \
                     — pass --deadline or a step budget"
                    stage a.a_case);
-            Atomic.incr fired;
+            note i;
             while true do
               Guard.poll ~site:("chaos-hang:" ^ stage)
             done)

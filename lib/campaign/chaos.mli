@@ -61,9 +61,15 @@ val fire : string -> unit
 (** Stage-boundary hook: injects the armed fault for the current case if its
     [inj_stage] matches.  No-op when nothing is armed or nothing matches. *)
 
-val fired_count : unit -> int
-(** Process-wide number of faults actually injected (monotonic; snapshot
-    before/after a run for a delta). *)
+type mark
+(** A point in the process-wide log of injected faults. *)
+
+val mark : unit -> mark
+
+val fired_since : mark -> injection list
+(** The faults injected in this process since [mark], newest first, one
+    entry per firing (an injection that fires on several attempts or stage
+    entries repeats). *)
 
 (** {1 Plans} *)
 

@@ -262,7 +262,8 @@ type 'a session = {
   s_skipped : int;
   s_t0 : float;
   s_cache0 : Passmgr.counters;
-  s_chaos0 : int;
+  s_chaos0 : Chaos.mark;
+  s_planned : Chaos.injection list;  (* the plan's entries whose case is to run *)
 }
 
 (* records ignored during replay: unreadable lines, unknown record kinds (a
@@ -296,7 +297,7 @@ let with_session ?journal ?codec ?(campaign = "campaign") ?(seed = 0) ~settings 
   in
   let t0 = Dce_support.Clock.now () in
   let cache0 = Passmgr.counters () in
-  let chaos0 = Chaos.fired_count () in
+  let chaos0 = Chaos.mark () in
   let outcomes = Array.make count None in
   let resumed, skipped, jnl =
     match (journal, codec) with
@@ -324,6 +325,10 @@ let with_session ?journal ?codec ?(campaign = "campaign") ?(seed = 0) ~settings 
       s_t0 = t0;
       s_cache0 = cache0;
       s_chaos0 = chaos0;
+      s_planned =
+        List.filter
+          (fun (i : Chaos.injection) -> i.inj_case < count && Option.is_none outcomes.(i.inj_case))
+          chaos;
     }
   in
   (* the journal lock is released on every exit path, an exception from
@@ -355,8 +360,9 @@ let record s ?json i outcome =
 
 (* The campaign result: slots never recorded are quarantined as "case never
    completed" blamed on [stage]; the metrics fold in this process's cache
-   and chaos deltas plus the worker processes' [cache] and [chaos_fired]. *)
-let finish ?fabric ?(cache = []) ?(chaos_fired = 0) ~stage s metrics =
+   delta and chaos firings plus the worker processes' [cache] and [fired]
+   injections. *)
+let finish ?fabric ?(cache = []) ?(fired = []) ~stage s metrics =
   let outcomes =
     Array.mapi
       (fun i slot ->
@@ -382,13 +388,15 @@ let finish ?fabric ?(cache = []) ?(chaos_fired = 0) ~stage s metrics =
   let cache =
     List.fold_left (counters_map2 ( + )) (counters_delta s.s_cache0 (Passmgr.counters ())) cache
   in
+  let fired = Chaos.fired_since s.s_chaos0 @ fired in
   {
     outcomes;
     quarantine;
     metrics =
       Metrics.summarize ~journal_skipped:s.s_skipped ~crashed:(count_kind Crash)
         ~timeouts:(count_kind Timeout) ~ir_invalid:(count_kind Ir_invalid)
-        ~chaos_fired:(Chaos.fired_count () - s.s_chaos0 + chaos_fired)
+        ~chaos_fired:(List.length fired)
+        ~chaos_unfired:(List.filter (fun i -> not (List.mem i fired)) s.s_planned)
         ?fabric ~cases:(Array.length outcomes - s.s_resumed) ~wall ~cache metrics;
     resumed = s.s_resumed;
   }
@@ -459,7 +467,7 @@ let worker_main ~sock ~slot ~jobs ~settings ~codec runner =
   let send j = Mutex.protect send_lock (fun () -> if not (Wire.send sock j) then Unix._exit 0) in
   let acc = ref (Metrics.create ()) in
   let cache0 = Passmgr.counters () in
-  let chaos0 = Chaos.fired_count () in
+  let chaos0 = Chaos.mark () in
   let run_chunk cases =
     let m =
       pool ~settings ~jobs (Array.of_list cases) runner (fun case outcome ->
@@ -486,7 +494,7 @@ let worker_main ~sock ~slot ~jobs ~settings ~codec runner =
                ("worker", Json.Int slot);
                ("metrics", Metrics.to_json !acc);
                ("cache", counters_to_json (counters_delta cache0 (Passmgr.counters ())));
-               ("chaos_fired", Json.Int (Chaos.fired_count () - chaos0));
+               ("fired", Json.String (Chaos.to_string (Chaos.fired_since chaos0)));
              ])
       | _ -> loop () (* unknown op: skip, forward compatibility *))
   in
@@ -519,14 +527,9 @@ let grid ~settings ~jobs ~codec ~count session runner =
   let max_respawns = 2 * workers in
   let pending = Array.to_list (pending session) in
   let npending = List.length pending in
-  let chunk_size =
-    match settings.Settings.chunk with
-    | Some c -> c
-    | None ->
-      (* several chunks per worker so stealing has slack, bounded so the
-         per-chunk protocol overhead stays negligible *)
-      max 1 (min 32 (npending / (workers * 4)))
-  in
+  (* several chunks per worker so stealing has slack, bounded so the
+     per-chunk protocol overhead stays negligible *)
+  let chunk_size = max 1 (min 32 (npending / (workers * 4))) in
   (* the work plan: the pending cases sliced into a shared chunk queue any
      worker pulls from *)
   let queue : int list Queue.t = Queue.create () in
@@ -552,7 +555,7 @@ let grid ~settings ~jobs ~codec ~count session runner =
   let cases_by_slot : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let worker_metrics = ref (Metrics.create ()) in
   let worker_cache = ref [] in
-  let worker_chaos = ref 0 in
+  let worker_fired = ref [] in
   let spawn_worker () =
     let slot = !next_slot in
     incr next_slot;
@@ -636,9 +639,9 @@ let grid ~settings ~jobs ~codec ~count session runner =
          worker_metrics := Metrics.merge !worker_metrics (Metrics.of_json (Json.get msg "metrics"))
        with _ -> ());
       (try worker_cache := counters_of_json (Json.get msg "cache") :: !worker_cache with _ -> ());
-      (match Json.member "chaos_fired" msg with
-       | Some (Json.Int n) -> worker_chaos := !worker_chaos + n
-       | _ -> ())
+      Option.bind (Json.member "fired" msg) Json.to_str
+      |> Option.iter (fun spec ->
+             Result.iter (fun fired -> worker_fired := fired @ !worker_fired) (Chaos.of_string spec))
     | _ -> ()
   in
   let bury w =
@@ -739,7 +742,8 @@ let grid ~settings ~jobs ~codec ~count session runner =
       f_respawns = !respawns;
     }
   in
-  finish ~fabric ~cache:!worker_cache ~chaos_fired:!worker_chaos ~stage:"fabric" session
+  finish ~fabric ~cache:!worker_cache ~fired:!worker_fired
+    ~stage:"fabric" session
     !worker_metrics
 
 (* ------------------------------------------------------------------ *)

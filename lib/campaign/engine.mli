@@ -135,10 +135,9 @@ val run :
     [settings] (default {!Settings.default}) supplies the per-case deadline,
     step budget, retry count and chaos plan, and the process grid: with
     [workers = 1] the cases run in this process; with [workers > 1] they
-    run in forked worker processes (see "Worker processes" below), and
-    [chunk] is the cases-per-chunk grain (default: pending/(workers·4),
-    clamped to [1, 32]).  Either way the result is the same function of the
-    case set, and a journal written by one resumes under the other.
+    run in forked worker processes (see "Worker processes" below).  Either
+    way the result is the same function of the case set, and a journal
+    written by one resumes under the other.
 
     The journal is closed, and its lock released, on every exit path —
     an exception escaping the codec or a journal write included.
@@ -152,7 +151,8 @@ val run :
     {b Worker processes.}  The coordinator forks [workers] persistent
     worker processes, each connected by a socketpair speaking {!Wire}'s
     line JSON, and never spawns a domain itself.  Cases still to run are
-    sliced into chunks on a coordinator-side queue; a worker that finishes
+    sliced into chunks of pending/(workers·4) cases, clamped to [1, 32], on
+    a coordinator-side queue; a worker that finishes
     its chunk pulls the next, and runs each chunk on the Domain pool over
     [jobs] domains — a processes × domains grid.  Workers ship the exact
     {!case_to_json} record of each case, which the coordinator journals

@@ -78,6 +78,7 @@ type summary = {
   retries : int;
   recovered : int;
   chaos_fired : int;
+  chaos_unfired : Chaos.injection list;
   fabric : fabric option;
 }
 
@@ -91,7 +92,7 @@ let percentile sorted q =
   end
 
 let summarize ?(journal_skipped = 0) ?(crashed = 0) ?(timeouts = 0) ?(ir_invalid = 0)
-    ?(chaos_fired = 0) ?fabric ~cases ~wall ~cache t =
+    ?(chaos_fired = 0) ?(chaos_unfired = []) ?fabric ~cases ~wall ~cache t =
   let by_stage : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (stage, dt) ->
@@ -129,6 +130,7 @@ let summarize ?(journal_skipped = 0) ?(crashed = 0) ?(timeouts = 0) ?(ir_invalid
     retries = t.m_retries;
     recovered = t.m_recovered;
     chaos_fired;
+    chaos_unfired;
     fabric;
   }
 

@@ -73,6 +73,9 @@ type summary = {
   retries : int;     (** transient-fault retry attempts across all cases *)
   recovered : int;   (** cases that succeeded after at least one retry *)
   chaos_fired : int; (** chaos faults actually injected during the run *)
+  chaos_unfired : Chaos.injection list;
+      (** planned injections whose case ran in this run but which never
+          fired (their case never reached the named stage), plan order *)
   fabric : fabric option;
       (** multi-process execution counters; [None] outside the fabric *)
 }
@@ -83,6 +86,7 @@ val summarize :
   ?timeouts:int ->
   ?ir_invalid:int ->
   ?chaos_fired:int ->
+  ?chaos_unfired:Chaos.injection list ->
   ?fabric:fabric ->
   cases:int ->
   wall:float ->
@@ -91,7 +95,7 @@ val summarize :
   summary
 (** The retry counters come from [t] itself; the fault-kind and chaos counts
     are passed in by the engine (computed from the quarantine bucket and the
-    chaos fired-counter delta). *)
+    chaos firing log). *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [0,1]: nearest-rank on a sorted array;

@@ -74,8 +74,37 @@ let epilogue ~metrics r =
          Printf.sprintf
            "(%d journal record(s) skipped — unreadable or from another build — and re-run)\n"
            r.metrics.journal_skipped);
+      String.concat ""
+        (List.map
+           (fun (i : Chaos.injection) ->
+             Printf.sprintf "chaos injection %s never fired: case %d never reached %s\n"
+               (Chaos.to_string [ i ]) i.inj_case i.inj_stage)
+           r.metrics.chaos_unfired);
       (if metrics then Metrics.to_string r.metrics else "");
     ]
+
+(* A run's first half, then its bisection: the first half's epilogue and
+   the bisection's summary and Tables 3/4 follow the first half's text, the
+   bisection's quarantine is the run's, and an injection is unfired when
+   neither half fired it. *)
+let then_bisect first (b : Bisect_campaign.t) =
+  let quiet = { first with metrics = { first.metrics with chaos_unfired = [] } } in
+  {
+    first with
+    text =
+      first.text ^ epilogue ~metrics:false quiet ^ Bisect_campaign.summary b
+      ^ Bisect_campaign.component_tables b;
+    seeds = b.b_seeds;
+    quarantine = b.b_quarantine;
+    quarantined = first.quarantined + List.length b.b_quarantine;
+    resumed = b.b_resumed;
+    metrics =
+      {
+        b.b_metrics with
+        chaos_unfired =
+          List.filter (fun i -> List.mem i b.b_metrics.chaos_unfired) first.metrics.chaos_unfired;
+      };
+  }
 
 let persist ~root settings r =
   Run_store.persist ~report_text:r.report_text ~root settings ~metrics:r.metrics r.report
@@ -209,9 +238,7 @@ let level ~bisect =
         ~findings:(List.length (O.inversion_findings t))
         (O.inversion_run_report ~seed t)
     in
-    if bisect then
-      { r with text = r.text ^ O.inv_bisections_table (O.bisect_inversions ~settings ~jobs t) }
-    else r
+    if bisect then then_bisect r (Bisect_campaign.inversions ~settings ~jobs t) else r
   in
   entry "level-hunt"
     "Run the level-inversion oracle over a generated corpus: find markers a compiler eliminates \
@@ -227,21 +254,12 @@ let bisect ~level =
        settings; only the expensive bisection half journals *)
     let corpus = Corpus.run ~settings ~jobs ~seed ~count () in
     let b = B.run ?journal ~level ~settings ~jobs corpus in
-    let report_text = B.summary b ^ B.component_tables b in
-    let corpus_half =
-      of_corpus corpus ~name:"bisect" ~text:"" ~report_text
-        ~findings:(List.length (B.regressions b))
-        ~summary:(String.trim (B.summary b))
-    in
-    {
-      corpus_half with
-      text = epilogue ~metrics:false corpus_half ^ report_text;
-      seeds = b.b_seeds;
-      quarantine = b.b_quarantine;
-      quarantined = corpus_half.quarantined + List.length b.b_quarantine;
-      resumed = b.b_resumed;
-      metrics = b.b_metrics;
-    }
+    then_bisect
+      (of_corpus corpus ~name:"bisect" ~text:""
+         ~report_text:(B.summary b ^ B.component_tables b)
+         ~findings:(List.length (B.regressions b))
+         ~summary:(String.trim (B.summary b)))
+      b
   in
   entry ~command:"bisect-campaign" "bisect"
     "Run the differential campaign over a generated corpus, then bisect every (case, \

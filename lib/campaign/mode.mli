@@ -6,7 +6,12 @@
     as it is; the CLI rebuilds an entry from its own flags with the
     constructors below.  [reduce] and [repair] are no entries: their input
     is a program file and their result a reduced program or a repair
-    record, not a [(seed, count)] run report. *)
+    record, not a [(seed, count)] run report.
+
+    The two bisecting modes, {!bisect} and [level ~bisect:true], run one
+    runner ({!Bisect_campaign}) and compose their halves alike: the first
+    half's text and epilogue, then the bisection's summary and Tables 3/4,
+    with the bisection's quarantine as the run's. *)
 
 type run = {
   text : string;  (** stdout before the epilogue *)
@@ -20,6 +25,7 @@ type run = {
   quarantined : int;  (** every half of the run counted *)
   resumed : int;
   metrics : Metrics.summary;
+      (** the last half's, with [chaos_unfired] over the whole run *)
 }
 
 type t = {
@@ -53,7 +59,8 @@ val size : ratio:float -> t
 
 val level : bisect:bool -> t
 (** The level-inversion oracle ({!Oracle_campaign.run_inversion}); with
-    [bisect], every inversion is also bisected to its offending commit. *)
+    [bisect], every inversion is also bisected to its offending commit
+    ({!Bisect_campaign.inversions}) and printed as Tables 3/4. *)
 
 val bisect : level:Dce_compiler.Level.t -> t
 (** The hunt's corpus, then its missed markers at [level] bisected into
@@ -66,8 +73,9 @@ val all : t list
 val find : string -> t option
 
 val epilogue : metrics:bool -> run -> string
-(** The quarantine listing, the resumed and journal-skipped counts, and
-    with [metrics] the {!Metrics.to_string} table. *)
+(** The quarantine listing, the resumed and journal-skipped counts, one
+    line per chaos injection that never fired, and with [metrics] the
+    {!Metrics.to_string} table. *)
 
 val persist : root:string -> Settings.t -> run -> string
 (** {!Run_store.persist} the run under [root]; returns its directory. *)

@@ -1,7 +1,6 @@
 module C = Dce_compiler
 module Core = Dce_core
 module Ir = Dce_ir.Ir
-module Bisect = Dce_bisect.Bisect
 
 let compilers = Core.Analysis.default_compilers
 
@@ -346,105 +345,3 @@ let inversion_run_report ~seed (t : inv_case Engine.seeded) =
   Run_store.seeded_report ~campaign:"level-hunt" ~seed
     ~rejected:(fun ic -> ic.ic_rejected <> None)
     ~sizes:[] ~inversions:(List.map row (inversion_findings t)) t
-
-(* ------------------------------------------------------------------ *)
-(* bisecting inversions over the commit model                          *)
-(* ------------------------------------------------------------------ *)
-
-type inv_bisection = {
-  ib_case : int;
-  ib_finding : inv_finding;
-  ib_outcome : (Bisect.outcome, Engine.quarantined) result;
-  ib_probes : int;
-}
-
-let bisect_inversions ?(settings = Settings.default) ~jobs (t : inv_case Engine.seeded) =
-  let findings ci =
-    match t.result.outcomes.(ci) with Engine.Done ic -> ic.ic_findings | Engine.Crashed _ -> []
-  in
-  (* in process and unjournaled whatever the grid: rows carry no codec *)
-  let settings =
-    Settings.v ?deadline:settings.deadline ?step_budget:settings.step_budget
-      ~retries:settings.retries
-      ?chaos:(Option.map (fun (c : Settings.chaos) -> c.spec) settings.chaos)
-      ~checked:settings.checked ()
-  in
-  let validate = Settings.checked settings in
-  let runner ctx ci =
-    match findings ci with
-    | [] -> [] (* nothing to bisect: the case completes at once *)
-    | fs ->
-      let prog =
-        Engine.stage ctx "regenerate" (fun () -> Core.Instrument.program (Case.program t.seeds.(ci)))
-      in
-      (* one session per case: its findings' probes replay each other's stages *)
-      let session = C.Compiler.session ~validate ~cache:true prog in
-      List.map
-        (fun f ->
-          (* each finding runs under its own budget, so the findings of one
-             case do not pool their polls *)
-          let guard =
-            Dce_support.Guard.create ?deadline:settings.deadline ?steps:settings.step_budget ()
-          in
-          (* the marker survives at iv_high although a weaker level kills
-             it: bisect the iv_high pipeline's history for the commit that
-             lost it *)
-          match
-            Dce_support.Guard.with_guard guard (fun () ->
-                Engine.stage ctx "bisect" (fun () ->
-                    Bisect.find_regression_counted ~session
-                      (Core.Analysis.compiler_of_name f.if_compiler)
-                      f.if_inversion.Core.Differential.iv_high prog
-                      ~marker:f.if_inversion.Core.Differential.iv_marker))
-          with
-          | outcome, probes -> { ib_case = ci; ib_finding = f; ib_outcome = Ok outcome; ib_probes = probes }
-          | exception (Dce_support.Guard.Budget_exceeded _ as e) ->
-            let q =
-              {
-                Engine.q_case = ci;
-                q_stage = "bisect";
-                q_error = Printexc.to_string e;
-                q_kind = Engine.Timeout;
-                q_backtrace = Printexc.get_backtrace ();
-                q_retries = 0;
-              }
-            in
-            { ib_case = ci; ib_finding = f; ib_outcome = Error q; ib_probes = 0 })
-        fs
-  in
-  let result =
-    Engine.run ~campaign:"inv-bisect" ~settings ~jobs ~count:(Array.length t.seeds) runner
-  in
-  Array.to_list result.Engine.outcomes
-  |> List.concat_map (function
-       | Engine.Done rows -> rows
-       | Engine.Crashed q ->
-         List.map
-           (fun f -> { ib_case = q.Engine.q_case; ib_finding = f; ib_outcome = Error q; ib_probes = 0 })
-           (findings q.Engine.q_case))
-
-let inv_bisections_table rows =
-  let verdict = function
-    | Ok Bisect.Not_missed -> "not-missed"
-    | Ok Bisect.Always_missed -> "always-missed"
-    | Ok (Bisect.Regression r) -> "regression @ " ^ r.Bisect.offending.C.Version.id
-    | Error (q : Engine.quarantined) ->
-      Printf.sprintf "quarantined: %s in %s" (Engine.fault_kind_name q.Engine.q_kind)
-        q.Engine.q_stage
-  in
-  Printf.sprintf "%d inversions bisected (%d probes)\n" (List.length rows)
-    (Dce_support.Listx.sum (List.map (fun b -> b.ib_probes) rows))
-  ^ Dce_report.Tables.render
-      ~align:[ `Right; `Left; `Right; `Left; `Left; `Right ]
-      ~header:[ "Case"; "Compiler"; "Marker"; "Level"; "Verdict"; "Probes" ]
-      (List.map
-         (fun b ->
-           [
-             string_of_int b.ib_case;
-             b.ib_finding.if_compiler;
-             string_of_int b.ib_finding.if_inversion.Core.Differential.iv_marker;
-             C.Level.to_string b.ib_finding.if_inversion.Core.Differential.iv_high;
-             verdict b.ib_outcome;
-             string_of_int b.ib_probes;
-           ])
-         rows)

@@ -17,7 +17,8 @@
     per distinct (compiler, low level).  The journal stores the oracle's
     inputs (dead set, surviving sets) plus the guilty-pass triples
     (attribution is the one expensive, uncacheable step); inversions are
-    re-derived on decode.
+    re-derived on decode.  {!Bisect_campaign.inversions} bisects them to
+    their offending commits ([level-hunt --bisect]).
 
     Both campaigns run on {!Case}: the ["generate"] stage and then its
     valid-case prologue (["instrument"], ["ground-truth"]), so they compile
@@ -116,37 +117,3 @@ val inversion_run_report : seed:int -> inv_case Engine.seeded -> Run_store.repor
 (** The persisted [report.json] of a ["level-hunt"] run with master seed
     [seed]: one inversion row per finding, and the cases ground truth
     rejected. *)
-
-(** {1 Bisecting inversions}
-
-    An inversion is a regression of the [iv_high] pipeline relative to its
-    own weaker levels; {!bisect_inversions} chases each one through the
-    compiler's feature-flag commit history at [iv_high]. *)
-
-type inv_bisection = {
-  ib_case : int;
-  ib_finding : inv_finding;
-  ib_outcome : (Dce_bisect.Bisect.outcome, Engine.quarantined) result;
-      (** [Error] when the finding's budget tripped or its case was
-          quarantined *)
-  ib_probes : int;  (** 0 for a quarantined finding *)
-}
-
-val bisect_inversions :
-  ?settings:Settings.t ->
-  jobs:int ->
-  inv_case Engine.seeded ->
-  inv_bisection list
-(** One bisection per inversion finding, campaign order, on the Engine
-    pool, in process and unjournaled whatever [settings.workers] says
-    (probes already route through the compile cache).  Engine case [i] is
-    corpus case [i], so a chaos plan names cases as the corpus half does; a
-    case without findings completes at once.  A case regenerates its
-    program from its seed ({!Case.program}) and shares one cached session
-    among its findings, and each finding's bisection runs under its own
-    fresh deadline and step budget, so a case's findings do not pool their
-    polls.  {!Settings.checked} validates every stage a probe executes.  A
-    finding whose budget trips, or whose case is quarantined, is kept with
-    its fault as the outcome. *)
-
-val inv_bisections_table : inv_bisection list -> string

@@ -7,7 +7,6 @@ type t = {
   chaos : chaos option;
   checked : bool;
   workers : int;
-  chunk : int option;
 }
 
 (* every bad value is reported against the CLI flag that sets it, so the
@@ -29,7 +28,7 @@ let jobs n =
 
 let slots = at_least "--slots" 1
 
-let v ?deadline ?step_budget ?(retries = 0) ?chaos ?(checked = false) ?(workers = 1) ?chunk () =
+let v ?deadline ?step_budget ?(retries = 0) ?chaos ?(checked = false) ?(workers = 1) () =
   Option.iter
     (fun d ->
       (* written so that nan fails too *)
@@ -50,7 +49,6 @@ let v ?deadline ?step_budget ?(retries = 0) ?chaos ?(checked = false) ?(workers 
     chaos;
     checked;
     workers = at_least "--workers" 1 workers;
-    chunk = Option.map (at_least "--chunk" 1) chunk;
   }
 
 let default = v ()

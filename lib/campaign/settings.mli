@@ -21,7 +21,6 @@ type t = private {
   chaos : chaos option;
   checked : bool;  (** as requested; {!checked} adds the chaos rule *)
   workers : int;  (** worker processes; 1 runs in-process *)
-  chunk : int option;  (** cases per worker-process chunk; default sized from the work *)
 }
 
 val default : t
@@ -34,13 +33,12 @@ val v :
   ?chaos:string ->
   ?checked:bool ->
   ?workers:int ->
-  ?chunk:int ->
   unit ->
   t
 (** Validate and build.  Raises [Failure] naming the offending CLI flag
     (["--workers: must be >= 1 (got 0)"]) when [deadline <= 0],
-    [step_budget < 1], [retries < 0], [workers < 1], [chunk < 1], or the
-    chaos spec does not parse. *)
+    [step_budget < 1], [retries < 0], [workers < 1], or the chaos spec does
+    not parse. *)
 
 val max_jobs : int
 (** The most domains the OCaml runtime allows at once (128 on a 64-bit

@@ -336,7 +336,6 @@ let test_settings_validation () =
       Alcotest.(check bool) (flag ^ " named") true (String.starts_with ~prefix:(flag ^ ":") msg)
   in
   rejects "--workers" (fun () -> S.v ~workers:0 ());
-  rejects "--chunk" (fun () -> S.v ~chunk:0 ~workers:2 ());
   rejects "--retries" (fun () -> S.v ~retries:(-1) ());
   rejects "--deadline" (fun () -> S.v ~deadline:0. ());
   rejects "--deadline" (fun () -> S.v ~deadline:(-1.) ());
@@ -365,10 +364,9 @@ let test_settings_validation () =
      check runs, nothing is spawned *)
   Alcotest.(check int) "jobs at the domain limit pass" S.max_jobs (S.jobs S.max_jobs);
   rejects "--jobs" (fun () -> S.jobs (S.max_jobs + 1));
-  let s = S.v ~deadline:5. ~step_budget:100 ~retries:2 ~workers:2 ~chunk:4 () in
+  let s = S.v ~deadline:5. ~step_budget:100 ~retries:2 ~workers:2 () in
   Alcotest.(check bool) "valid values kept" true
-    (s.S.deadline = Some 5. && s.S.step_budget = Some 100 && s.S.retries = 2 && s.S.workers = 2
-     && s.S.chunk = Some 4);
+    (s.S.deadline = Some 5. && s.S.step_budget = Some 100 && s.S.retries = 2 && s.S.workers = 2);
   Alcotest.(check bool) "v () is the default" true (S.v () = S.default);
   (* the chaos rule: a corrupt-IR plan forces checked validation, while the
      requested flag (what run ids and meta.json record) stays as given *)

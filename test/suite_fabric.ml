@@ -20,7 +20,7 @@ module Stats = Dce_report.Stats
 let temp_journal = Suite_campaign.temp_journal
 let truncate_journal = Suite_campaign.truncate_journal
 let toy_codec = { Engine.encode = (fun i -> Json.Int i); decode = Json.int_exn }
-let grid ?chunk workers = Campaign.Settings.v ?chunk ~workers ()
+let grid workers = Campaign.Settings.v ~workers ()
 
 (* ------------------------------------------------------------------ *)
 (* determinism across the processes x domains grid                     *)
@@ -41,10 +41,13 @@ let test_fabric_toy_grid_determinism () =
 
 (* The engine's work-stealing pool inside a fabric worker: one chunk of
    six cases on two domains, where case 0 waits (bounded) for cases 1-5.
-   A stride split would pin case 2 behind case 0 on the same domain. *)
+   A stride split would pin case 2 behind case 0 on the same domain.  48
+   cases over 2 workers make chunks of 48 / (2 x 4) = 6, so the first
+   chunk is cases 0-5, and its worker takes no other chunk until case 0
+   is done. *)
 let test_fabric_worker_steals_within_chunk () =
   let r =
-    Engine.run ~codec:toy_codec ~settings:(grid ~chunk:6 2) ~jobs:2 ~count:6
+    Engine.run ~codec:toy_codec ~settings:(grid 2) ~jobs:2 ~count:48
       (Suite_campaign.spin_until_others_done ~others:5)
   in
   Alcotest.(check bool) "case 0 saw cases 1-5 finish (no timeout)" true
@@ -83,6 +86,31 @@ let test_fabric_size_report_identical () =
     (O.size_report ~ratio grid);
   Alcotest.(check bool) "size findings identical" true
     (O.size_findings ~ratio solo = O.size_findings ~ratio grid)
+
+(* level-hunt --bisect on the grid: both halves run in worker processes
+   and print what they print in process.  The plan crashes the bisection
+   of a case that has inversions, which fires in a worker, and of one that
+   has none, which never fires: the epilogue names only the latter. *)
+let test_fabric_level_bisect_identical () =
+  let module O = Campaign.Oracle_campaign in
+  let seed = 42 and count = 20 in
+  let findings = O.inversion_findings (O.run_inversion ~jobs:1 ~seed ~count ()) in
+  let hit = fst (List.hd findings) in
+  let miss = List.find (fun i -> not (List.mem_assoc i findings)) (List.init count Fun.id) in
+  let chaos = Printf.sprintf "crash@%d:bisect,crash@%d:bisect" hit miss in
+  let m = Campaign.Mode.level ~bisect:true in
+  let stdout workers =
+    let r = m.run ~settings:(Campaign.Settings.v ~chaos ~workers ()) ~jobs:1 ~seed ~count () in
+    Alcotest.(check int) "the hit case quarantined" 1 r.quarantined;
+    r.text ^ Campaign.Mode.epilogue ~metrics:false r
+  in
+  let solo = stdout 1 in
+  Alcotest.(check string) "level-hunt --bisect byte-identical" solo (stdout 2);
+  Alcotest.(check bool) "Tables 3/4 printed" true (contains solo "Table 3 (llvm-sim components)");
+  Alcotest.(check bool) "the unfired injection named" true
+    (contains solo (Printf.sprintf "crash@%d:bisect never fired" miss));
+  Alcotest.(check bool) "the fired injection not named" false
+    (contains solo (Printf.sprintf "crash@%d:bisect never fired" hit))
 
 (* ------------------------------------------------------------------ *)
 (* journal interop: fabric <-> engine, across a torn journal           *)
@@ -190,14 +218,11 @@ let test_fabric_edge_cases () =
   (match r.Engine.metrics.Metrics.fabric with
    | Some f -> Alcotest.(check int) "forks capped by the work" 3 f.Metrics.f_workers
    | None -> Alcotest.fail "fabric counters missing");
-  (* a chunk bigger than the corpus is one chunk *)
-  let r = Engine.run ~codec:toy_codec ~settings:(grid ~chunk:64 2) ~jobs:1 ~count:5 runner in
-  Alcotest.(check int) "oversized chunk" 5 (Array.length r.Engine.outcomes);
   (* the empty campaign *)
   let r = Engine.run ~codec:toy_codec ~settings:(grid 4) ~jobs:2 ~count:0 runner in
   Alcotest.(check int) "empty corpus" 0 (Array.length r.Engine.outcomes);
   (* invalid grids are rejected up front: a missing codec by the engine, an
-     empty grid or chunk already by the settings constructor *)
+     empty grid already by the settings constructor *)
   (match Engine.run ~settings:(grid 2) ~jobs:1 ~count:3 runner with
    | _ -> Alcotest.fail "expected Invalid_argument"
    | exception Invalid_argument _ -> ());
@@ -207,7 +232,7 @@ let test_fabric_edge_cases () =
       | _ -> Alcotest.failf "expected %s to be rejected" flag
       | exception Failure msg ->
         Alcotest.(check bool) flag true (String.starts_with ~prefix:flag msg))
-    [ ("--workers", fun () -> grid 0); ("--chunk", fun () -> grid ~chunk:0 2) ]
+    [ ("--workers", fun () -> grid 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* the line-JSON wire                                                  *)
@@ -482,6 +507,8 @@ let suite =
       test_fabric_worker_steals_within_chunk;
     Alcotest.test_case "fabric: corpus report identical" `Slow test_fabric_corpus_report_identical;
     Alcotest.test_case "fabric: size report identical" `Slow test_fabric_size_report_identical;
+    Alcotest.test_case "fabric: level-hunt --bisect identical" `Slow
+      test_fabric_level_bisect_identical;
     Alcotest.test_case "fabric: torn journal resumes in engine" `Quick
       test_fabric_torn_journal_resumes_in_engine;
     Alcotest.test_case "fabric: engine journal resumes in fabric" `Quick

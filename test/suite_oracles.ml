@@ -10,6 +10,7 @@ module Ir = Dce_ir.Ir
 module Asm = Dce_backend.Asm
 module Campaign = Dce_campaign
 module O = Campaign.Oracle_campaign
+module B = Campaign.Bisect_campaign
 module Smith = Dce_smith.Smith
 
 (* The oracles by hand, one compile per cell in its own session with or
@@ -281,12 +282,23 @@ let test_inversion_campaign_resume () =
     (O.inversion_report resumed);
   Sys.remove path
 
-(* Each inversion finding runs under its own step budget: a budget that
-   covers the costliest single finding quarantines nothing, even where one
-   corpus case holds several findings whose polls add up past it.  A
-   budget of one poll quarantines every finding, and each stays in the
-   result with its fault. *)
-let test_inversion_bisect_budget_per_finding () =
+(* The inversion bisections, compared through their journal JSON (a
+   commit carries an [apply] closure, so [=] on outcomes raises). *)
+let inv_cases_json (b : B.t) =
+  Array.to_list b.B.b_cases
+  |> List.map (function
+       | Campaign.Engine.Done r -> Campaign.Json.to_string (B.codec.Campaign.Engine.encode r)
+       | Campaign.Engine.Crashed q -> Printf.sprintf "crashed:%d" q.Campaign.Engine.q_case)
+
+let quarantined_cases (b : B.t) =
+  List.sort compare (List.map (fun q -> q.Campaign.Engine.q_case) b.B.b_quarantine)
+
+(* The inversion bisections run under the engine's budget policy: one
+   step budget per case attempt, covering every finding of the case.  A
+   budget above the costliest case's polls quarantines nothing and prints
+   the same tables as no budget; a budget of one poll quarantines every
+   case that has findings, each listed once. *)
+let test_inversion_bisect_budget_per_case () =
   let t = O.run_inversion ~jobs:1 ~seed:4242 ~count:10 () in
   let findings = O.inversion_findings t in
   (* a bound on the polls one finding's bisection spends: its engine
@@ -307,48 +319,37 @@ let test_inversion_bisect_budget_per_finding () =
     (ci, Dce_support.Guard.steps_used g)
   in
   let costs = List.map polls findings in
-  let budget = 8 + List.fold_left (fun m (_, n) -> max m n) 0 costs in
-  let case_sum ci = Dce_support.Listx.sum (List.filter_map (fun (c, n) -> if c = ci then Some n else None) costs) in
-  Alcotest.(check bool) "some case's findings together exceed the budget" true
-    (List.exists (fun (ci, _) -> case_sum ci > budget) costs);
-  let run settings = O.bisect_inversions ~settings ~jobs:2 t in
-  let quarantined rows =
-    List.length (List.filter (fun b -> Result.is_error b.O.ib_outcome) rows)
+  let cases = List.sort_uniq compare (List.map fst findings) in
+  let case_cost ci =
+    Dce_support.Listx.sum (List.filter_map (fun (c, n) -> if c = ci then Some n else None) costs)
   in
-  let per_finding = run (Campaign.Settings.v ~step_budget:budget ()) in
-  Alcotest.(check int) "one row per finding" (List.length findings) (List.length per_finding);
-  Alcotest.(check int) "nothing quarantined" 0 (quarantined per_finding);
-  Alcotest.(check string) "same rows as unbudgeted"
-    (O.inv_bisections_table (run Campaign.Settings.default))
-    (O.inv_bisections_table per_finding);
+  let budget = 8 + List.fold_left (fun m ci -> max m (case_cost ci)) 0 cases in
+  let run settings = B.inversions ~settings ~jobs:2 t in
+  let tables b = B.summary b ^ B.component_tables b in
+  let budgeted = run (Campaign.Settings.v ~step_budget:budget ()) in
+  Alcotest.(check (list int)) "nothing quarantined" [] (quarantined_cases budgeted);
+  Alcotest.(check string) "same tables as unbudgeted"
+    (tables (run Campaign.Settings.default))
+    (tables budgeted);
   let starved = run (Campaign.Settings.v ~step_budget:1 ()) in
-  Alcotest.(check int) "starved: every finding kept" (List.length findings) (List.length starved);
-  Alcotest.(check int) "starved: every finding quarantined" (List.length findings)
-    (quarantined starved);
-  Alcotest.(check bool) "the table names the fault" true
-    (contains (O.inv_bisections_table starved) "quarantined: timeout in")
+  Alcotest.(check bool) "some case has findings" true (cases <> []);
+  Alcotest.(check (list int)) "starved: every case with findings quarantined once" cases
+    (quarantined_cases starved)
 
 (* The inversion bisections number cases as the corpus does: a crash
-   planted at the bisect stage of corpus case N faults exactly the
-   findings of case N, and every other row equals a clean run's. *)
+   planted at the bisect stage of corpus case N quarantines exactly case
+   N, and every other case's bisections equal a clean run's. *)
 let test_inversion_bisect_chaos_names_corpus_case () =
   let t = O.run_inversion ~jobs:1 ~seed:4242 ~count:10 () in
-  let clean = O.bisect_inversions ~jobs:1 t in
-  let n = (List.nth clean (List.length clean / 2)).O.ib_case in
+  let clean = B.inversions ~jobs:1 t in
+  let findings = O.inversion_findings t in
+  let n = fst (List.nth findings (List.length findings / 2)) in
   let settings = Campaign.Settings.v ~chaos:(Printf.sprintf "crash@%d:bisect" n) () in
-  let rows = O.bisect_inversions ~settings ~jobs:2 t in
-  Alcotest.(check int) "one row per finding" (List.length clean) (List.length rows);
-  List.iter2
-    (fun (a : O.inv_bisection) (b : O.inv_bisection) ->
-      Alcotest.(check int) "same finding" a.O.ib_case b.O.ib_case;
-      if b.O.ib_case = n then
-        match b.O.ib_outcome with
-        | Error q -> Alcotest.(check int) "quarantined as corpus case" n q.Campaign.Engine.q_case
-        | Ok _ -> Alcotest.failf "a finding of case %d escaped the planted crash" n
-      else
-        Alcotest.(check string) "other rows as clean"
-          (O.inv_bisections_table [ a ]) (O.inv_bisections_table [ b ]))
-    clean rows
+  let b = B.inversions ~settings ~jobs:2 t in
+  Alcotest.(check (list int)) "exactly the planted corpus case" [ n ] (quarantined_cases b);
+  List.iteri
+    (fun i (x, y) -> if i <> n then Alcotest.(check string) (Printf.sprintf "case %d" i) x y)
+    (List.combine (inv_cases_json clean) (inv_cases_json b))
 
 let test_size_codec_round_trip () =
   let sc =
@@ -556,7 +557,7 @@ let suite =
       test_inversion_campaign_jobs_determinism );
     ("size campaign: torn-journal resume", `Slow, test_size_campaign_resume);
     ("inversion campaign: torn-journal resume", `Slow, test_inversion_campaign_resume);
-    ("inversion bisect: one budget per finding", `Slow, test_inversion_bisect_budget_per_finding);
+    ("inversion bisect: one budget per case", `Slow, test_inversion_bisect_budget_per_case);
     ( "inversion bisect: chaos names the corpus case",
       `Slow,
       test_inversion_bisect_chaos_names_corpus_case );

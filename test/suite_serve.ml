@@ -676,8 +676,10 @@ let test_fabric_sigterm_drain () =
     in
     let code =
       try
-        let settings = Campaign.Settings.v ~workers:2 ~chunk:1 () in
-        ignore (Campaign.Engine.run ~codec ~settings ~jobs:1 ~count:200 runner);
+        (* 15 cases over 2 workers: chunks of one case, so the drain
+           waits for one 0.15 s case per worker *)
+        let settings = Campaign.Settings.v ~workers:2 () in
+        ignore (Campaign.Engine.run ~codec ~settings ~jobs:1 ~count:15 runner);
         0
       with
       | Campaign.Engine.Interrupted signo -> if signo = Sys.sigterm then 77 else 78

@@ -419,6 +419,19 @@ let project (c : Campaign.Corpus.t) =
                       C.Passmgr.attribution pc.Core.Analysis.cfg_trace ))
                   a.Core.Analysis.configs) ))
 
+(* An injection whose case never reaches its stage is named, not
+   dropped: case 1 of this corpus has no level inversion, so its bisection
+   never runs and the run completes with nothing quarantined. *)
+let test_chaos_unfired_named () =
+  let m = Campaign.Mode.level ~bisect:true in
+  let settings = Campaign.Settings.v ~chaos:"crash@1:bisect" () in
+  let r = m.run ~settings ~jobs:1 ~seed:42 ~count:20 () in
+  Alcotest.(check int) "nothing quarantined" 0 r.quarantined;
+  Alcotest.(check bool) "the epilogue names it" true
+    (contains
+       (Campaign.Mode.epilogue ~metrics:false r)
+       "chaos injection crash@1:bisect never fired: case 1 never reached bisect\n")
+
 let test_soak_fault_accounting () =
   let c = Lazy.force soak1 in
   let quarantined =
@@ -440,6 +453,7 @@ let test_soak_fault_accounting () =
   Alcotest.(check int) "recovered" 1 m.Metrics.recovered;
   (* crash + hang + transient + slow + corrupt each fired exactly once *)
   Alcotest.(check int) "all five faults fired" 5 m.Metrics.chaos_fired;
+  Alcotest.(check int) "no injection left unfired" 0 (List.length m.Metrics.chaos_unfired);
   let text = Metrics.to_string m in
   Alcotest.(check bool) "summary says timed out" true (contains text "timed out");
   Alcotest.(check bool) "summary says recovered" true (contains text "recovered")
@@ -525,6 +539,8 @@ let suite =
     Alcotest.test_case "bundle: write/load round-trip" `Quick test_bundle_roundtrip;
     Alcotest.test_case "bundle: campaign writes parseable repros" `Quick
       test_bundles_written_by_campaign;
+    Alcotest.test_case "chaos: an injection that never fires is named" `Quick
+      test_chaos_unfired_named;
     Alcotest.test_case "soak: faults quarantined or recovered, all accounted" `Slow
       test_soak_fault_accounting;
     Alcotest.test_case "soak: non-faulted cases byte-identical" `Slow
