@@ -23,7 +23,6 @@ type t = {
   vrp_mod_singleton : bool;
   vrp_block_limit : int;
   jump_thread : Dce_opt.Jump_thread.mode;
-  jt_phi_cleanup : bool;
   opt_rounds : int;
 }
 
@@ -53,7 +52,6 @@ let nothing =
     vrp_mod_singleton = false;
     vrp_block_limit = 512;
     jump_thread = Dce_opt.Jump_thread.Off;
-    jt_phi_cleanup = true;
     opt_rounds = 0;
   }
 

@@ -39,7 +39,6 @@ type t = {
   vrp_mod_singleton : bool;
   vrp_block_limit : int;  (** VRP cost budget: larger functions are skipped *)
   jump_thread : Dce_opt.Jump_thread.mode;
-  jt_phi_cleanup : bool;
   (* pipeline *)
   opt_rounds : int;  (** main analyze/fold round repetitions *)
 }

@@ -107,8 +107,7 @@ let history =
     c ~summary:"threader: replace forward threader with backward threader at -O3"
       ~component:"Jump Threading"
       ~files:[ "tree-ssa-threadbackward.c"; "tree-ssa-threadupdate.c"; "tree-ssa-threadedge.c" ]
-      (only L.O3 (fun f ->
-           { f with jump_thread = Dce_opt.Jump_thread.Aggressive; jt_phi_cleanup = false }));
+      (only L.O3 (fun f -> { f with jump_thread = Dce_opt.Jump_thread.Aggressive }));
     c ~summary:"i386: tuning table refresh" ~component:"Target Info" ~files:[ "i386.c" ]
       identity;
     c ~summary:"copy-prop: dominator-order worklist rewrite" ~component:"Copy Propagation"
@@ -127,7 +126,7 @@ let history =
     c ~summary:"threader: clean up leftover PHIs before threading dead paths"
       ~component:"Control Flow Graph Analysis"
       ~files:[ "tree-cfgcleanup.c"; "tree-ssa-threadupdate.c" ] ~post_head:true
-      (only L.O3 (fun f -> { f with jt_phi_cleanup = true; jump_thread = Dce_opt.Jump_thread.Conservative }));
+      (only L.O3 (fun f -> { f with jump_thread = Dce_opt.Jump_thread.Conservative }));
     c ~summary:"pta: restore escaped-only reachability precision at -O3"
       ~component:"Alias Analysis" ~files:[ "tree-ssa-structalias.c" ] ~post_head:true
       (only L.O3 (fun f -> { f with alias = Dce_opt.Alias.Full }));

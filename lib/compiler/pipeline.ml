@@ -19,13 +19,7 @@ let whole label ~config f = Passmgr.make_pass label ~config (fun config _mgr pro
 
 let sccp_pass (feats : Features.t) =
   with_info "sccp" Sccp.run
-    ~config:
-      {
-        Sccp.addr_cmp = feats.addr_cmp;
-        gva_mode = feats.gva;
-        (* no simulated history moves the SCCP or memcp budget *)
-        block_limit = 512;
-      }
+    ~config:{ Sccp.addr_cmp = feats.addr_cmp; gva_mode = feats.gva }
 
 let memcp_pass (feats : Features.t) =
   with_info "memcp" Memcp.run
@@ -35,8 +29,6 @@ let memcp_pass (feats : Features.t) =
         edge_aware = feats.memcp_edge_aware;
         uniform_arrays = feats.uniform_arrays;
         precision = feats.alias;
-        block_limit = 512;
-        cell_limit = 32;
       }
 
 let gvn_pass (feats : Features.t) =
@@ -75,9 +67,7 @@ let peephole_pass (feats : Features.t) =
   per_func "peephole" Peephole.run ~config:{ Peephole.level = feats.peephole_level }
 
 let jump_thread_pass (feats : Features.t) =
-  per_func "jump-thread" Jump_thread.run
-    ~config:
-      { Jump_thread.mode = feats.jump_thread; phi_cleanup = feats.jt_phi_cleanup; max_threads = 16 }
+  per_func "jump-thread" Jump_thread.run ~config:{ Jump_thread.mode = feats.jump_thread }
 
 let dse_pass (feats : Features.t) =
   with_info "dse"
@@ -96,33 +86,17 @@ let promote_pass (feats : Features.t) =
   with_info "loop-promote" Promote.run ~config:{ Promote.precision = feats.alias }
 
 let unroll_pass (feats : Features.t) =
-  per_func "unroll" Unroll.run
-    ~config:
-      {
-        Unroll.max_trip = feats.unroll_trip;
-        max_body = 64;
-        (* the growth budget scales with the trip threshold so the higher
-           level can actually spend its larger limit on big functions *)
-        max_growth = 200 + (30 * feats.unroll_trip);
-      }
+  per_func "unroll" Unroll.run ~config:{ Unroll.max_trip = feats.unroll_trip }
 
 let unswitch_pass (feats : Features.t) =
-  with_info "unswitch" Unswitch.run
-    ~config:{ Unswitch.max_body = 80; max_clones = 4; licm_loads = true; precision = feats.alias }
+  with_info "unswitch" Unswitch.run ~config:{ Unswitch.precision = feats.alias }
 
-let vectorize_pass = whole "vectorize" Vectorize.run ~config:Vectorize.default_config
+let vectorize_pass = whole "vectorize" (fun () -> Vectorize.run) ~config:()
 let function_dce_pass label = whole label (fun () -> Function_dce.run) ~config:()
 let ipa_cp_pass = whole "ipa-cp" (fun () -> Ipa_cp.run) ~config:()
 
 let inline_pass (feats : Features.t) =
-  whole "inline" Inline.run
-    ~config:
-      {
-        Inline.threshold = feats.inline_threshold;
-        (* scale with the threshold: a level that inlines bigger callees
-           also tolerates more caller growth *)
-        growth_cap = 600 + (12 * feats.inline_threshold);
-      }
+  whole "inline" Inline.run ~config:{ Inline.threshold = feats.inline_threshold }
 
 let ssa_pass = whole "ssa" (fun () -> Dce_ir.Ssa.construct_program) ~config:()
 

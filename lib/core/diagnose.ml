@@ -50,9 +50,7 @@ let catalogue =
     {
       repair_name = "jump-thread:conservative";
       repair_component = "Jump Threading";
-      edit =
-        (fun f ->
-          { f with F.jump_thread = Dce_opt.Jump_thread.Conservative; jt_phi_cleanup = true });
+      edit = (fun f -> { f with F.jump_thread = Dce_opt.Jump_thread.Conservative });
     };
     {
       repair_name = "unswitch:off";

@@ -1,9 +1,13 @@
 open Dce_ir
 open Ir
 
-type config = { threshold : int; growth_cap : int }
+type config = { threshold : int }
 
-let default_config = { threshold = 60; growth_cap = 1200 }
+let default_config = { threshold = 60 }
+
+(* scales with the threshold: a level that inlines bigger callees also
+   tolerates more caller growth *)
+let growth_cap config = 600 + (12 * config.threshold)
 
 (* transitive callees, for recursion avoidance *)
 let reach_map prog =
@@ -168,11 +172,12 @@ let run config prog =
      alone (the pass manager's stage memo relies on that); lowered symbol
      names hold no '$' and a schedule inlines once, so they stay unique *)
   let clones = ref 0 in
+  let growth_cap = growth_cap config in
   let inline_into fn =
     let fn = ref fn in
     let budget = ref 40 in
     let progress = ref true in
-    while !progress && !budget > 0 && instr_count !fn <= config.growth_cap do
+    while !progress && !budget > 0 && instr_count !fn <= growth_cap do
       progress := false;
       decr budget;
       (* find the first inlinable call site *)

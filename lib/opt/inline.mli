@@ -12,10 +12,11 @@
     body lives in the caller, which is why [-O0]/[-O1] miss interprocedural
     dead blocks that [-O2] finds (paper Tables 1/2).
 
-    [threshold] bounds the callee size (instructions); [growth_cap] bounds
-    how large a caller may grow before inlining into it stops. *)
+    [threshold] bounds the callee size (instructions).  Inlining into a
+    caller stops once it holds more than [600 + 12 * threshold]
+    instructions. *)
 
-type config = { threshold : int; growth_cap : int }
+type config = { threshold : int }
 
 val default_config : config
 

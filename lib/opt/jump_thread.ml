@@ -3,9 +3,12 @@ open Ir
 
 type mode = Off | Conservative | Aggressive
 
-type config = { mode : mode; phi_cleanup : bool; max_threads : int }
+type config = { mode : mode }
 
-let default_config = { mode = Conservative; phi_cleanup = true; max_threads = 16 }
+let default_config = { mode = Conservative }
+
+(* threads per function per run *)
+let max_threads = 16
 
 let has_phis b = List.exists (function Def (_, Phi _) -> true | _ -> false) b.b_instrs
 
@@ -91,8 +94,9 @@ let find_site config fn =
     fn.fn_blocks;
   !found
 
-(* remove threaded predecessors from the block's phis *)
-let drop_phi_preds config b removed =
+(* remove threaded predecessors from the block's phis, resolving the ones
+   left with a single source to copies *)
+let drop_phi_preds b removed =
   let instrs =
     List.map
       (fun i ->
@@ -100,7 +104,7 @@ let drop_phi_preds config b removed =
         | Def (v, Phi args) -> (
           let args = List.filter (fun (p, _) -> not (List.mem p removed)) args in
           match args with
-          | [ (_, a) ] when config.phi_cleanup -> Def (v, Op a)
+          | [ (_, a) ] -> Def (v, Op a)
           | _ -> Def (v, Phi args))
         | _ -> i)
       b.b_instrs
@@ -153,7 +157,7 @@ let thread_site config fn site =
   (* drop the threaded predecessors from the original block's phis *)
   let b = block !fn site.site_label in
   fn :=
-    { !fn with fn_blocks = Imap.add site.site_label (drop_phi_preds config b !threaded) !fn.fn_blocks };
+    { !fn with fn_blocks = Imap.add site.site_label (drop_phi_preds b !threaded) !fn.fn_blocks };
   Cfg.remove_unreachable_blocks !fn
 
 let run config fn =
@@ -166,5 +170,5 @@ let run config fn =
         | None -> fn
         | Some site -> attempt (thread_site config fn site) (budget - 1)
     in
-    attempt fn config.max_threads
+    attempt fn max_threads
   end

@@ -9,13 +9,14 @@
       threaded edge.  Cloning through dynamically dead code duplicates
       markers and grows the CFG; combined with the block budgets of later
       constant passes this reproduces the paper's jump-threading regression
-      family (Listing 9d).  With [phi_cleanup] off, degenerate single-source
-      phis left behind are not resolved to copies (the "leftover phi node"
-      from GCC bug 102703). *)
+      family (Listing 9d).
+
+    Phis left with a single source after threading are resolved to copies.
+    Each run threads at most 16 sites per function. *)
 
 type mode = Off | Conservative | Aggressive
 
-type config = { mode : mode; phi_cleanup : bool; max_threads : int }
+type config = { mode : mode }
 
 val default_config : config
 

@@ -6,8 +6,6 @@ type config = {
   edge_aware : bool;
   uniform_arrays : bool;
   precision : Alias.precision;
-  block_limit : int;
-  cell_limit : int;
 }
 
 let default_config =
@@ -16,9 +14,12 @@ let default_config =
     edge_aware = true;
     uniform_arrays = true;
     precision = Alias.Full;
-    block_limit = 512;
-    cell_limit = 32;
   }
+
+(* cost caps: functions with more blocks are skipped, and only symbols of
+   at most [cell_limit] cells are tracked *)
+let block_limit = 512
+let cell_limit = 32
 
 (* per-cell lattice: constant > Nac; "no information yet" is represented by a
    block simply not having an in-state yet *)
@@ -45,14 +46,14 @@ type cells = {
   total : int;
 }
 
-let build_cells config info =
+let build_cells info =
   let base = Hashtbl.create 16 in
   let sizes = Hashtbl.create 16 in
   let next = ref 0 in
   let unknown_reachable = ref [] in
   List.iter
     (fun sym ->
-      if sym.sym_size <= config.cell_limit then begin
+      if sym.sym_size <= cell_limit then begin
         Hashtbl.replace base sym.sym_name !next;
         Hashtbl.replace sizes sym.sym_name sym.sym_size;
         if Meminfo.unknown_may_touch info sym.sym_name then
@@ -266,11 +267,11 @@ let rewrite_loads config info cells fn =
 (* [run config info] builds the cell table once for every function of the
    program [info] describes *)
 let run config info =
-  let cells = build_cells config info in
+  let cells = build_cells info in
   fun fn ->
     if
       cells.total = 0
-      || Imap.cardinal fn.fn_blocks > config.block_limit
+      || Imap.cardinal fn.fn_blocks > block_limit
       || not (has_load fn)
     then fn
     else rewrite_loads config info cells fn

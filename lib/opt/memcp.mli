@@ -18,12 +18,13 @@
     Knobs:
     - [use_call_summaries] — with it off, any call clobbers every tracked
       cell (a -O1-strength model); with it on, only the callee's transitive
-      mod-set is clobbered;
-    - [block_limit] — cost-cap bailout: functions with more blocks are
-      skipped.  This models the real compilers' pass budgets and is the
-      mechanism behind the unswitching regressions (Listings 7, 8a): a loop
-      pass that duplicates blocks can push a function past the budget of a
-      later run of this pass. *)
+      mod-set is clobbered.
+
+    Cost caps: functions over 512 blocks are skipped, and only symbols of at
+    most 32 cells are tracked.  The block cap models the real compilers' pass
+    budgets and is the mechanism behind the unswitching regressions
+    (Listings 7, 8a): a loop pass that duplicates blocks can push a function
+    past the budget of a later run of this pass. *)
 
 type config = {
   use_call_summaries : bool;
@@ -41,15 +42,13 @@ type config = {
   precision : Alias.precision;
       (** below [Full], a store through an unknown pointer clobbers every
           tracked cell, not just the escape-reachable ones *)
-  block_limit : int;
-  cell_limit : int;  (** track at most this many cells per symbol *)
 }
 
 val default_config : config
-(** summaries on, edge-aware, 512-block limit, 32-cell limit. *)
+(** summaries on, edge-aware, uniform arrays, [Full] precision. *)
 
 val run : config -> Meminfo.t -> Dce_ir.Ir.func -> Dce_ir.Ir.func
 (** [run config info] is the pass over the functions of the program [info]
     describes.  Apply it once per program: it builds the symbol-cell table
-    then, and returns a function without a load, or over [block_limit]
-    blocks, unchanged and without analyzing it. *)
+    then, and returns a function without a load, or over 512 blocks,
+    unchanged and without analyzing it. *)

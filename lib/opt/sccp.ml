@@ -4,9 +4,12 @@ module Ops = Dce_minic.Ops
 
 type addr_cmp = Cmp_none | Cmp_zero_only | Cmp_full
 
-type config = { addr_cmp : addr_cmp; gva_mode : Gva.mode; block_limit : int }
+type config = { addr_cmp : addr_cmp; gva_mode : Gva.mode }
 
-let default_config = { addr_cmp = Cmp_full; gva_mode = Gva.Flow_insensitive; block_limit = 512 }
+let default_config = { addr_cmp = Cmp_full; gva_mode = Gva.Flow_insensitive }
+
+(* cost cap: functions with more blocks are left alone *)
+let block_limit = 512
 
 (* lattice: Top (optimistically undefined) > constants > Bot *)
 type lat = Top | Cint of int | Cptr of string * int | Bot
@@ -25,7 +28,7 @@ let truthy_lat = function
   | Top | Bot -> None
 
 let run config info fn =
-  if Imap.cardinal fn.fn_blocks > config.block_limit then fn
+  if Imap.cardinal fn.fn_blocks > block_limit then fn
   else begin
     let lat = Regtab.create fn.fn_next_var Top in
     List.iter (fun p -> Regtab.set lat p Bot) fn.fn_params;

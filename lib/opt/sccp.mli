@@ -12,10 +12,11 @@
       LLVM's EarlyCSE blind spot from Listing 3: [&a == &b\[1\]] is not
       simplified although [&a == &b\[0\]] is;
     - [gva_mode] — which loads of globals fold to their initializers
-      (see {!Gva});
-    - [block_limit] — the pass bails out on functions with more blocks
-      (a real-compiler cost cap; regressions in the paper's Listing 7/8a
-      style arise when an earlier pass duplicates code past such a cap). *)
+      (see {!Gva}).
+
+    The pass bails out on functions with more than {!block_limit} blocks (a
+    real-compiler cost cap; regressions in the paper's Listing 7/8a style
+    arise when an earlier pass duplicates code past such a cap). *)
 
 type addr_cmp =
   | Cmp_none       (** never fold pointer comparisons *)
@@ -25,11 +26,13 @@ type addr_cmp =
 type config = {
   addr_cmp : addr_cmp;
   gva_mode : Gva.mode;
-  block_limit : int;  (** skip functions with more blocks than this *)
 }
 
 val default_config : config
-(** [Cmp_full], [Flow_insensitive], limit 512. *)
+(** [Cmp_full], [Flow_insensitive]. *)
+
+val block_limit : int
+(** 512: functions with more blocks are returned unchanged. *)
 
 val run : config -> Meminfo.t -> Dce_ir.Ir.func -> Dce_ir.Ir.func
 (** One SCCP round: analyze and rewrite. Idempotent up to newly exposed

@@ -2,9 +2,17 @@ open Dce_ir
 open Ir
 module Ops = Dce_minic.Ops
 
-type config = { max_trip : int; max_body : int; max_growth : int }
+type config = { max_trip : int }
 
-let default_config = { max_trip = 24; max_body = 64; max_growth = 600 }
+let default_config = { max_trip = 24 }
+
+(* loops with larger bodies (instructions) are left alone *)
+let max_body = 64
+
+(* the growth budget per function scales with the trip threshold, so a
+   level that unrolls longer loops can spend its larger limit on big
+   functions *)
+let max_growth config = 200 + (30 * config.max_trip)
 
 exception Not_unrollable
 
@@ -43,7 +51,7 @@ let header_phis fn loop =
       | _ -> None)
     header_block.b_instrs
 
-let compute_trip config fn loop =
+let compute_trip ~max_trip fn loop =
   let dt = Meminfo.deftab fn in
   let header_block = block fn loop.Loops.header in
   let cond, body_target, exit_target =
@@ -105,7 +113,7 @@ let compute_trip config fn loop =
     if continues = exit_target then finished := true
     else begin
       incr trip;
-      if !trip > config.max_trip then raise Not_unrollable;
+      if !trip > max_trip then raise Not_unrollable;
       let updates = List.map (fun (v, _, latch_arg) -> (v, eval latch_arg)) sim_phis in
       List.iter (fun (v, k) -> Hashtbl.replace env v k) updates
     end
@@ -218,7 +226,7 @@ let unroll_loop fn loop trip =
   Cfg.remove_unreachable_blocks fn
 
 let trip_count ~max_trip fn loop =
-  try Some (compute_trip { default_config with max_trip } fn loop) with Not_unrollable -> None
+  try Some (compute_trip ~max_trip fn loop) with Not_unrollable -> None
 
 (* fold constants exposed by unrolling (the copies' now-constant branch
    conditions) and clean the CFG, so outer loops of a nest become eligible
@@ -255,7 +263,7 @@ let const_cleanup fn =
   rounds 6 fn
 
 let run config fn =
-  let budget = ref config.max_growth in
+  let budget = ref (max_growth config) in
   let rec attempt fn rounds =
     if rounds <= 0 then fn
     else begin
@@ -265,9 +273,9 @@ let run config fn =
         (fun loop ->
           if !result = None && eligible fn loop then begin
             let size = body_size fn loop in
-            if size <= config.max_body then
+            if size <= max_body then
               try
-                let trip = compute_trip config fn loop in
+                let trip = compute_trip ~max_trip:config.max_trip fn loop in
                 let growth = size * (trip + 1) in
                 if growth <= !budget then
                   (* close the loop (LCSSA) so cloned values reach outside

@@ -1,15 +1,14 @@
 open Dce_ir
 open Ir
 
-type config = {
-  max_body : int;
-  max_clones : int;
-  licm_loads : bool;
-  precision : Alias.precision;
-}
+type config = { precision : Alias.precision }
 
-let default_config =
-  { max_body = 80; max_clones = 4; licm_loads = true; precision = Alias.Full }
+let default_config = { precision = Alias.Full }
+
+(* only loops up to [max_body] instructions are unswitched, at most
+   [max_clones] times per function *)
+let max_body = 80
+let max_clones = 4
 
 (* ---------- LICM-lite ---------- *)
 
@@ -33,8 +32,6 @@ let licm config info fn (loop : Loops.loop) preheader =
   in
   (* may any store or call inside the loop clobber this resolved address? *)
   let load_safe_and_invariant p =
-    config.licm_loads
-    &&
     match Meminfo.resolve_addr dt p with
     | Meminfo.Aunknown | Meminfo.Asym (_, None) -> false
     | Meminfo.Asym (s, Some k) -> (
@@ -211,13 +208,13 @@ let body_size fn (loop : Loops.loop) =
 let run config info fn =
   let clones = ref 0 in
   let rec attempt fn rounds =
-    if rounds <= 0 || !clones >= config.max_clones then fn
+    if rounds <= 0 || !clones >= max_clones then fn
     else begin
       let loops = Loops.natural_loops fn in
       let result = ref None in
       List.iter
         (fun loop ->
-          if !result = None && body_size fn loop <= config.max_body then
+          if !result = None && body_size fn loop <= max_body then
             match find_preheader fn loop with
             | None -> ()
             | Some preheader ->

@@ -11,14 +11,12 @@
     Unswitching is enabled only at the highest optimization levels and is the
     paper's canonical O3-only regression source: it duplicates every block of
     the loop, and any later pass with a block-count budget (see {!Memcp},
-    {!Sccp}) may now bail out where it previously folded. *)
+    {!Sccp}) may now bail out where it previously folded.
 
-type config = {
-  max_body : int;        (** only unswitch loops up to this many instructions *)
-  max_clones : int;      (** per-function cap on unswitch transformations *)
-  licm_loads : bool;     (** allow hoisting of provably unclobbered loads *)
-  precision : Alias.precision;
-}
+    Only loops of at most 80 instructions are unswitched, at most 4 times
+    per function. *)
+
+type config = { precision : Alias.precision }
 
 val default_config : config
 

@@ -1,9 +1,10 @@
 open Dce_ir
 open Ir
 
-type config = { max_trip : int; max_body : int; min_stores : int }
-
-let default_config = { max_trip = 64; max_body = 48; min_stores = 1 }
+(* claimed loops: a known trip count up to [max_trip], a body of at most
+   [max_body] instructions, and at least one store *)
+let max_trip = 64
+let max_body = 48
 
 let pool_name = "__vec_pool"
 
@@ -55,7 +56,7 @@ let obfuscate_stores fn region =
   in
   if !changed then Some { fn with fn_blocks = blocks; fn_next_var = !next_var } else None
 
-let run config prog =
+let run prog =
   let pool_used = ref false in
   let vectorize_func fn =
     let loops = Loops.natural_loops fn in
@@ -63,10 +64,10 @@ let run config prog =
       (fun fn loop ->
         if
           Unroll.eligible fn loop
-          && body_size fn loop <= config.max_body
-          && store_count fn loop >= config.min_stores
+          && body_size fn loop <= max_body
+          && store_count fn loop > 0
         then
-          match Unroll.trip_count ~max_trip:config.max_trip fn loop with
+          match Unroll.trip_count ~max_trip fn loop with
           | Some trip when trip >= 2 -> (
             match obfuscate_stores fn loop.Loops.body with
             | Some fn' ->

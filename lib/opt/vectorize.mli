@@ -13,15 +13,10 @@
     This reproduces the paper's Listing 9e: GCC at -O1 unrolls and folds
     [c\[b\] = &a\[1\]], proving [!c\[0\]] false; at -O3 the vectorizer gets
     the loop first ("pointer arrays are vectorized as unsigned longs", the
-    type mismatch that blocked constant folding), and the dead call stays. *)
+    type mismatch that blocked constant folding), and the dead call stays.
 
-type config = {
-  max_trip : int;   (** only loops with a known trip count up to this *)
-  max_body : int;
-  min_stores : int; (** require at least this many stores in the body *)
-}
+    Claimed loops have a known trip count of 2 to 64, a body of at most 48
+    instructions and at least one store. *)
 
-val default_config : config
-
-val run : config -> Dce_ir.Ir.program -> Dce_ir.Ir.program
+val run : Dce_ir.Ir.program -> Dce_ir.Ir.program
 (** Program-level because it may add the [__vec_pool] symbol. *)

@@ -98,7 +98,8 @@ type running = {
   rn_pid : int;
   rn_deadline : float;  (* absolute; infinity when unbounded *)
   mutable rn_progress : int;  (* campaign journal records observed *)
-  mutable rn_jsize : int;  (* journal byte size at last poll *)
+  mutable rn_jsize : int;  (* journal bytes read by the polls so far *)
+  mutable rn_jlines : int;  (* newlines in those bytes *)
   mutable rn_cancelled : bool;
   mutable rn_deadlined : bool;
   mutable rn_chaos_killed : bool;
@@ -278,7 +279,8 @@ let start_job st jr =
       rn_pid = pid;
       rn_deadline = deadline;
       rn_progress = 0;
-      rn_jsize = -1;
+      rn_jsize = 0;
+      rn_jlines = 0;
       rn_cancelled = false;
       rn_deadlined = false;
       rn_chaos_killed = false;
@@ -394,8 +396,9 @@ let enforce_deadlines st =
       end)
     st.running
 
-(* progress = journal records past the header, polled by file size so an
-   unchanged journal costs one stat *)
+(* progress = journal records past the header, polled by file size: an
+   unchanged journal costs one stat, a grown one is read from where the last
+   poll stopped, and a shrunk one is recounted from its start *)
 let poll_progress st =
   List.iter
     (fun rn ->
@@ -406,12 +409,18 @@ let poll_progress st =
         | exception Unix.Unix_error _ -> ()
         | stt ->
           if stt.Unix.st_size <> rn.rn_jsize then begin
-            rn.rn_jsize <- stt.Unix.st_size;
-            match Fsx.read_file path with
+            let from = if stt.Unix.st_size < rn.rn_jsize then 0 else rn.rn_jsize in
+            match
+              In_channel.with_open_bin path (fun ic ->
+                  In_channel.seek ic (Int64.of_int from);
+                  In_channel.input_all ic)
+            with
             | exception Sys_error _ -> ()
             | s ->
-              let lines = ref 0 in
+              let lines = ref (if from = 0 then 0 else rn.rn_jlines) in
               String.iter (fun c -> if c = '\n' then incr lines) s;
+              rn.rn_jsize <- from + String.length s;
+              rn.rn_jlines <- !lines;
               rn.rn_progress <- max 0 (!lines - 1)
           end))
     st.running

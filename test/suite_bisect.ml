@@ -9,7 +9,9 @@
    - shared sessions: same outcomes, probes and pipeline executions as
      session-less probes; a corrupt-IR plan is blamed on its pass
    - campaign determinism: jobs N = jobs 1 = sequential find_regression
-   - campaign checkpoint/resume from a torn journal *)
+   - campaign checkpoint/resume from a torn journal
+   - witnesses for settings the corpus never moves (the -O3 VRP caps, the
+     jump threader), and every Features field moves some witness *)
 
 open Helpers
 module Campaign = Dce_campaign
@@ -447,6 +449,163 @@ let test_campaign_resume () =
   Alcotest.(check (list string)) "third run equal" (cases_json full) (cases_json third);
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* witnesses: hand-written programs that reach settings the corpus     *)
+(* never moves                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A marker behind a contradictory range test on [x], placed after 140
+   opaque branches: the function reaches VRP with more blocks than either
+   -O3 block budget (gcc 120, llvm 240) allows, so only -O2 folds it. *)
+let vrp_cap_witness =
+  let branches =
+    List.init 140 (fun i -> Printf.sprintf "  if (h == %d) { k = k + %d; }" i i)
+  in
+  String.concat "\n"
+    ([ "int g, h;"; "int main(void) {"; "  int x = g;"; "  int k = 0;" ]
+    @ branches
+    @ [ "  if (x > 5) { if (x < 3) { DCEMarker0(); } }"; "  return k;"; "}" ])
+
+(* A branch on a phi with one constant incoming value: only the jump
+   threader forwards the constant edge. *)
+let threader_witness =
+  {|
+int g, h;
+int main(void) {
+  int x;
+  if (g) { x = 1; } else { x = h; }
+  if (x) { use(1); } else { use(2); }
+  return 0;
+}
+|}
+
+(* every [Features] field, as a copy of its value from one record into
+   another *)
+let feature_fields : (string * (C.Features.t -> C.Features.t -> C.Features.t)) list =
+  let open C.Features in
+  [
+    ("sccp", fun s d -> { d with sccp = s.sccp });
+    ("addr_cmp", fun s d -> { d with addr_cmp = s.addr_cmp });
+    ("gva", fun s d -> { d with gva = s.gva });
+    ("memcp", fun s d -> { d with memcp = s.memcp });
+    ("memcp_edge_aware", fun s d -> { d with memcp_edge_aware = s.memcp_edge_aware });
+    ("uniform_arrays", fun s d -> { d with uniform_arrays = s.uniform_arrays });
+    ("call_summaries", fun s d -> { d with call_summaries = s.call_summaries });
+    ("gvn_cse", fun s d -> { d with gvn_cse = s.gvn_cse });
+    ("gvn_forward", fun s d -> { d with gvn_forward = s.gvn_forward });
+    ("alias", fun s d -> { d with alias = s.alias });
+    ("dse_strength", fun s d -> { d with dse_strength = s.dse_strength });
+    ("ipa_cp", fun s d -> { d with ipa_cp = s.ipa_cp });
+    ("inline_threshold", fun s d -> { d with inline_threshold = s.inline_threshold });
+    ("function_dce", fun s d -> { d with function_dce = s.function_dce });
+    ("function_dce_early", fun s d -> { d with function_dce_early = s.function_dce_early });
+    ("unroll_trip", fun s d -> { d with unroll_trip = s.unroll_trip });
+    ("unswitch", fun s d -> { d with unswitch = s.unswitch });
+    ("vectorize", fun s d -> { d with vectorize = s.vectorize });
+    ("peephole_level", fun s d -> { d with peephole_level = s.peephole_level });
+    ("vrp", fun s d -> { d with vrp = s.vrp });
+    ("vrp_shift_rule", fun s d -> { d with vrp_shift_rule = s.vrp_shift_rule });
+    ("vrp_mod_singleton", fun s d -> { d with vrp_mod_singleton = s.vrp_mod_singleton });
+    ("vrp_block_limit", fun s d -> { d with vrp_block_limit = s.vrp_block_limit });
+    ("jump_thread", fun s d -> { d with jump_thread = s.jump_thread });
+    ("opt_rounds", fun s d -> { d with opt_rounds = s.opt_rounds });
+  ]
+
+(* the distinct records both histories give at [versions compiler], at
+   every level *)
+let features_at versions =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun compiler ->
+         List.concat_map
+           (fun v -> List.map (C.Compiler.features compiler ~version:v) C.Level.all)
+           (versions compiler))
+       compilers)
+
+let test_vrp_cap_witness () =
+  let prog = parse vrp_cap_witness in
+  List.iter
+    (fun (compiler, id) ->
+      let name = compiler.C.Compiler.name in
+      Alcotest.(check (list int)) (name ^ " -O2 eliminates") []
+        (markers_of compiler C.Level.O2 prog);
+      Alcotest.(check (list int)) (name ^ " -O3 keeps") [ 0 ] (markers_of compiler C.Level.O3 prog);
+      match Bisect.find_regression compiler C.Level.O3 prog ~marker:0 with
+      | Bisect.Regression r ->
+        Alcotest.(check string) (name ^ " blames its -O3 VRP cap") id r.Bisect.offending.C.Version.id
+      | Bisect.Always_missed | Bisect.Not_missed -> Alcotest.failf "%s: no regression" name)
+    [ (C.Gcc_sim.compiler, "bfc196d9e15"); (C.Llvm_sim.compiler, "2e6bf085ffd") ]
+
+let test_threader_witness () =
+  let prog = parse threader_witness in
+  let lowered = Dce_ir.Lower.program prog in
+  let size feats = Dce_backend.Asm.size (Dce_backend.Codegen.program (C.Pipeline.run feats lowered)) in
+  List.iter
+    (fun compiler ->
+      List.iter
+        (fun level ->
+          let what = compiler.C.Compiler.name ^ " " ^ C.Level.to_string level in
+          let _, trace = C.Compiler.run (C.Compiler.session prog) compiler level in
+          Alcotest.(check bool) (what ^ ": jump-thread changes the IR") true
+            (List.exists
+               (fun r -> r.C.Passmgr.sr_label = "jump-thread" && r.C.Passmgr.sr_changed)
+               trace);
+          let feats = C.Compiler.features compiler level in
+          Alcotest.(check bool) (what ^ ": threading off changes the size") true
+            (size { feats with C.Features.jump_thread = Dce_opt.Jump_thread.Off } <> size feats))
+        [ C.Level.Os; C.Level.O2; C.Level.O3 ])
+    compilers
+
+(* The witness set: the paper listings, the two witnesses above, the
+   ledger's corpus (8 programs at seed 20220228), and case 5 of the
+   [--seed 42] corpus, whose assembly size moves with call summaries while
+   no program above does. *)
+let witness_set =
+  lazy
+    (List.map (fun l -> parse l.Core.Listings.src) Core.Listings.all
+    @ [ parse vrp_cap_witness; parse threader_witness ]
+    @ List.map
+        (fun seed -> Core.Instrument.program (smith_program seed))
+        (Dce_smith.Smith.corpus_seeds ~seed:20220228 ~count:8 @ [ 4003995281415747265 ]))
+
+(* A setting earns its place when some value the histories give it, set on
+   a HEAD or full-history config, changes a surviving marker or the
+   assembly size of a witness. *)
+let test_every_field_earns_its_place () =
+  let history_length compiler = List.length compiler.C.Compiler.history in
+  let records = features_at (fun c -> List.init (history_length c + 1) Fun.id) in
+  List.iter
+    (fun r ->
+      if List.fold_left (fun d (_, copy) -> copy r d) C.Features.nothing feature_fields <> r then
+        Alcotest.fail "feature_fields misses a field")
+    records;
+  let programs = List.mapi (fun i p -> (i, Dce_ir.Lower.program p)) (Lazy.force witness_set) in
+  let observe feats ir =
+    let asm = Dce_backend.Codegen.program (C.Pipeline.run feats ir) in
+    (Dce_backend.Asm.surviving_markers asm, Dce_backend.Asm.size asm)
+  in
+  let base_obs = Hashtbl.create 64 in
+  let observe_base base (i, ir) =
+    match Hashtbl.find_opt base_obs (base, i) with
+    | Some o -> o
+    | None ->
+      let o = observe base ir in
+      Hashtbl.replace base_obs (base, i) o;
+      o
+  in
+  let bases = features_at (fun c -> [ C.Compiler.head c; history_length c ]) in
+  List.iter
+    (fun (field, copy) ->
+      let moves value base =
+        let flipped = copy value base in
+        flipped <> base
+        && List.exists (fun (i, ir) -> observe flipped ir <> observe_base base (i, ir)) programs
+      in
+      let values = List.sort_uniq compare (List.map (fun r -> copy r C.Features.nothing) records) in
+      if not (List.exists (fun v -> List.exists (moves v) bases) values) then
+        Alcotest.failf "Features.%s changes no witness's markers or assembly size" field)
+    feature_fields
+
 let suite =
   [
     ("bisect: exponential = linear", `Slow, test_exp_linear_agree);
@@ -464,4 +623,7 @@ let suite =
     ("session: campaign corruption blamed", `Slow, test_campaign_corruption_blamed);
     ("campaign: chaos names the corpus case", `Slow, test_campaign_chaos_names_corpus_case);
     ("session: another program's session refused", `Quick, test_session_of_another_program);
+    ("witness: the -O3 VRP caps", `Quick, test_vrp_cap_witness);
+    ("witness: the jump threader", `Quick, test_threader_witness);
+    ("features: every field earns its place", `Slow, test_every_field_earns_its_place);
   ]

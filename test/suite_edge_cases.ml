@@ -136,14 +136,31 @@ int main(void) {
     (Dce_backend.Asm.surviving_markers (Dce_backend.Codegen.program out))
 
 let test_inline_growth_cap () =
-  (* a caller already at the growth cap stops inlining but stays correct *)
-  let prog = ssa {|
-static int f(int x) { return x + 1; }
-int main(void) { return f(f(f(f(1)))); }
-|} in
-  let out = Opt.Inline.run { Opt.Inline.threshold = 60; growth_cap = 1 } prog in
-  Dce_ir.Validate.program_exn Dce_ir.Validate.Ssa out;
-  check_equivalent ~name:"growth cap" prog out
+  (* a caller already past the growth cap (600 + 12 * threshold = 720
+     instructions at threshold 10; each [k = k + h] is a load and an add)
+     stops inlining but stays correct *)
+  let calls_left n =
+    let body = String.concat "\n" (List.init n (fun _ -> "k = k + h;")) in
+    let prog =
+      ssa
+        (Printf.sprintf
+           "int h; static int f(int x) { return x + 1; }\n\
+            int main(void) { int k = 0;\n%s\nreturn f(f(f(f(k)))); }"
+           body)
+    in
+    let out = Opt.Inline.run { Opt.Inline.threshold = 10 } prog in
+    Dce_ir.Validate.program_exn Dce_ir.Validate.Ssa out;
+    check_equivalent ~name:"growth cap" prog out;
+    let main = main_fn out in
+    Ir.Imap.fold
+      (fun _ b acc ->
+        acc
+        + List.length
+            (List.filter (function Ir.Call (_, "f", _) -> true | _ -> false) b.Ir.b_instrs))
+      main.Ir.fn_blocks 0
+  in
+  Alcotest.(check int) "small caller inlines every call" 0 (calls_left 10);
+  Alcotest.(check int) "caller past the cap inlines none" 4 (calls_left 400)
 
 let test_memcp_array_cells_independent () =
   let prog = ssa {|

@@ -35,7 +35,7 @@ let test_inline_basic () =
 static int add3(int x) { return x + 3; }
 int main(void) { return add3(4) + add3(5); }
 |} in
-  let out = checked "inline" prog (Opt.Inline.run { Opt.Inline.threshold = 60; growth_cap = 1200 } prog) in
+  let out = checked "inline" prog (Opt.Inline.run { Opt.Inline.threshold = 60 } prog) in
   Alcotest.(check int) "no calls to add3 remain" 0 (count_calls "add3" (main_fn out))
 
 let test_inline_respects_threshold () =
@@ -43,7 +43,7 @@ let test_inline_respects_threshold () =
 static int add3(int x) { return x + 3; }
 int main(void) { return add3(4); }
 |} in
-  let out = Opt.Inline.run { Opt.Inline.threshold = 0; growth_cap = 1200 } prog in
+  let out = Opt.Inline.run { Opt.Inline.threshold = 0 } prog in
   Alcotest.(check int) "threshold 0 inlines nothing" 1 (count_calls "add3" (main_fn out))
 
 let test_inline_recursive_not_inlined () =
@@ -150,7 +150,7 @@ int main(void) {
   return s;
 }
 |} in
-  let out = Ir.map_func (Opt.Unroll.run { Opt.Unroll.default_config with Opt.Unroll.max_trip = 10 }) prog in
+  let out = Ir.map_func (Opt.Unroll.run { Opt.Unroll.max_trip = 10 }) prog in
   Alcotest.(check int) "loop kept" 1 (List.length (Dce_ir.Loops.natural_loops (main_fn out)))
 
 let test_unroll_zero_trips () =
@@ -313,7 +313,7 @@ int main(void) {
   let out =
     Ir.map_func
       (Opt.Jump_thread.run
-         { Opt.Jump_thread.mode = Opt.Jump_thread.Conservative; phi_cleanup = true; max_threads = 8 })
+         { Opt.Jump_thread.mode = Opt.Jump_thread.Conservative })
       prog
   in
   let out = checked "jt" prog out in
@@ -336,7 +336,7 @@ int main(void) {
   let out =
     Ir.map_func
       (Opt.Jump_thread.run
-         { Opt.Jump_thread.mode = Opt.Jump_thread.Aggressive; phi_cleanup = false; max_threads = 8 })
+         { Opt.Jump_thread.mode = Opt.Jump_thread.Aggressive })
       prog
   in
   ignore (checked "jt-aggressive" prog out)
@@ -357,7 +357,7 @@ int main(void) {
   let info = Opt.Meminfo.analyze prog in
   let prog = Ir.map_func (Opt.Promote.run { Opt.Promote.precision = Opt.Alias.Full } info) prog in
   let prog = fold_round prog in
-  let out = Opt.Vectorize.run Opt.Vectorize.default_config prog in
+  let out = Opt.Vectorize.run prog in
   validate out;
   check_equivalent ~name:"vectorize" prog out;
   Alcotest.(check bool) "vector pool symbol added" true
@@ -377,7 +377,7 @@ int main(void) {
   return s;
 }
 |} in
-  let out = Opt.Vectorize.run Opt.Vectorize.default_config prog in
+  let out = Opt.Vectorize.run prog in
   Alcotest.(check bool) "no pool added" true (Ir.find_symbol out "__vec_pool" = None)
 
 let suite =

@@ -226,13 +226,26 @@ int main(void) { if (&a == &b[1]) { DCEMarker0(); } return 0; }
   Alcotest.(check bool) "none never folds" false (fold Opt.Sccp.Cmp_none)
 
 let test_sccp_block_limit_bailout () =
-  let src = "static int a = 0; int main(void) { if (a) { DCEMarker0(); } return 0; }" in
-  let prog = ssa src in
-  let out =
-    run_sccp ~config:{ Opt.Sccp.default_config with Opt.Sccp.block_limit = 1 } prog
+  (* [n] opaque branches ahead of a marker guarded by a never-stored static *)
+  let fold n =
+    let branches = String.concat "\n" (List.init n (fun _ -> "if (h == 3) { k = k + 1; }")) in
+    let prog =
+      ssa
+        (Printf.sprintf
+           "int h; static int a = 0;\n\
+            int main(void) { int k = 0;\n%s\nif (a) { DCEMarker0(); } return k; }"
+           branches)
+    in
+    let blocks = Ir.Imap.cardinal (main_fn prog).Ir.fn_blocks in
+    let out = Ir.map_func Opt.Simplify_cfg.run (run_sccp prog) in
+    (blocks, count_markers (main_fn out) = 0)
   in
-  let out = Ir.map_func Opt.Simplify_cfg.run out in
-  Alcotest.(check bool) "bails out: marker survives" true (count_markers (main_fn out) > 0)
+  let small_blocks, small_folds = fold 10 in
+  Alcotest.(check bool) "small function under the cap" true (small_blocks <= Opt.Sccp.block_limit);
+  Alcotest.(check bool) "under the cap: marker folds" true small_folds;
+  let big_blocks, big_folds = fold 300 in
+  Alcotest.(check bool) "big function over the cap" true (big_blocks > Opt.Sccp.block_limit);
+  Alcotest.(check bool) "over the cap: bails out, marker survives" false big_folds
 
 (* ---------- simplify_cfg ---------- *)
 
